@@ -22,8 +22,7 @@ from .finite_topology import (SIERPINSKI, FiniteSpace, closure,
                               is_regular, separate_compact_from_point)
 from .pseudometric_core import (FinitePseudoMetric, RationalPointSpace,
                                 ball_of_set, compact_inner_radius,
-                                kuratowski_limits, point_set_distance,
-                                semidistance)
+                                point_set_distance, semidistance)
 from .rationals import INFINITY, ExtendedRational, as_point
 from .semiflow_cells import (CellGrid, DiscreteSemiflow, OmegaResult,
                              attraction_trace_check, cell_image,
@@ -38,7 +37,8 @@ from .subset_nets import (AffineEscape, GeometricConverge, NetAnalysis,
                           is_asymptotically_seq_compact,
                           is_eventually_lagrange_stable,
                           is_limit_set_compact,
-                          is_weakly_asymptotically_seq_compact, limit_set,
+                          is_weakly_asymptotically_seq_compact,
+                          kuratowski_limits, limit_set,
                           limit_set_horizon_oracle,
                           semidistance_convergence_check,
                           sequential_limit_set)

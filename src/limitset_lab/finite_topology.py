@@ -113,25 +113,6 @@ def closure(space: FiniteSpace, e: int) -> int:
     return out
 
 
-def closure_table(space: FiniteSpace) -> List[int]:
-    """Closures of every subset, indexed by mask.  For exhaustive sweeps."""
-    single = [closure(space, 1 << y) for y in range(space.n)]
-    table = [0] * (1 << space.n)
-    for mask in range(1, 1 << space.n):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | single[low.bit_length() - 1]
-    return table
-
-
-def minimal_open_table(space: FiniteSpace) -> List[int]:
-    """Minimal open supersets of every subset, indexed by mask."""
-    table = [0] * (1 << space.n)
-    for mask in range(1, 1 << space.n):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | space.rows[low.bit_length() - 1]
-    return table
-
-
 def is_neighborhood(space: FiniteSpace, u: int, x: int) -> bool:
     """Whether some open O satisfies x in O, O subset of u."""
     space.check_set(u)

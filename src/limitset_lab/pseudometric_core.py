@@ -13,7 +13,7 @@ tuples; point sets over ``FinitePseudoMetric`` are int bitmasks.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, FrozenSet, Iterable, List, Tuple
+from typing import Callable, FrozenSet, Iterable, List
 
 from .errors import (MalformedInputError, MembershipError, PreconditionError,
                      UndefinedCaseError)
@@ -239,39 +239,3 @@ def compact_inner_radius(m: FinitePseudoMetric, k: int, u: int) -> Fraction:
     assert ball & ~u == 0
     return delta
 
-
-def kuratowski_limits(net) -> Tuple[PointSet, PointSet]:
-    """Exact Kuratowski (limsup, liminf) of a Z+ subset net over Q^d.
-
-    Periodic tails: limsup is the union of the cycle sets (finite, hence
-    closed); liminf keeps the points lying at distance zero from every
-    phase.  Escaping affine tails have empty limits; geometric tails
-    converge to their analytic limit point when the space contains it.
-    """
-    from . import subset_nets as sn  # rule types live with the nets
-
-    if not isinstance(net.ground, RationalPointSpace):
-        raise PreconditionError("Kuratowski limits need the rational backend")
-    if not isinstance(net.index, type(sn.ZNN)):
-        raise PreconditionError("Kuratowski limits need a Z+ index")
-    rule = net.tail
-    if isinstance(rule, sn.Periodic):
-        union = frozenset().union(*rule.cycle) if rule.cycle else frozenset()
-        limsup = frozenset(union)
-        if any(not phase for phase in rule.cycle):
-            liminf = frozenset()
-        else:
-            liminf = frozenset(
-                y for y in union
-                if all(point_set_distance(net.ground, y, phase) == 0
-                       for phase in rule.cycle))
-        return limsup, liminf
-    if isinstance(rule, sn.AffineEscape):
-        return frozenset(), frozenset()
-    if isinstance(rule, sn.GeometricConverge):
-        a = as_point(rule.a)
-        if net.ground.contains(a):
-            pt = frozenset([a])
-            return pt, pt
-        return frozenset(), frozenset()
-    raise PreconditionError(f"unsupported tail rule: {rule!r}")

@@ -1,12 +1,28 @@
-"""Nets of subsets over the finite and rational backends.
+"""Nets of subsets over the finite and rational backends, in tail normal form.
 
 A ``SubsetNet`` is either indexed by a finite directed order (with an
 explicit assignment of a point set to every index element) or by Z+ (with
-a finite preperiod followed by a symbolic tail rule).  The three tail
-rules -- ``Periodic``, ``AffineEscape``, ``GeometricConverge`` -- are the
-exactly-analyzable families: every convergence and compactness question
-below is decided in closed form on them, so verdicts are exact and the
-``unknown`` state is never produced for constructible nets.
+a finite preperiod followed by a symbolic tail rule: ``Periodic``,
+``AffineEscape`` or ``GeometricConverge``).
+
+Construction validates the net and reduces its tail, once, to a
+``TailSummary`` of one of three shapes:
+
+* **recurring** -- the tail returns forever to a fixed tuple of *phases*:
+  the cycle of a periodic tail, the values at and above the top element of
+  a finite index, or ``{a}`` for a constant geometric tail;
+* **convergent** -- the tail contracts onto a point ``a`` of the space (a
+  geometric tail whose limit point the space contains); the single phase
+  ``{a}`` is approached but never reached;
+* **lost** -- no phases: an affine tail escapes every bounded set, and a
+  geometric tail toward an excluded point accumulates only outside the
+  space.
+
+Every limit set, Kuratowski limit, convergence check and compactness
+verdict below is a few lines over that summary, so verdicts are exact and
+the ``unknown`` state is never produced for constructible nets.
+``limit_set_horizon_oracle`` never reads the summary: it intersects
+closures of raw ``net.at(n)`` data, an independent route to check against.
 
 Point sets are int bitmasks over ``FiniteSpace`` grounds and frozensets
 of rational coordinate tuples over ``RationalPointSpace`` grounds.
@@ -16,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .directed_sets import (ZNN, DirectedOrder, FiniteOrder,
                             NonnegativeIntegers, directed_order, top_element)
@@ -45,6 +62,10 @@ class Periodic:
         if not self.cycle:
             raise MalformedInputError("periodic cycle must be nonempty")
 
+    @property
+    def period(self) -> int:
+        return len(self.cycle)
+
 
 @dataclass(frozen=True)
 class AffineEscape:
@@ -52,6 +73,8 @@ class AffineEscape:
 
     c: Point
     v: Point
+
+    period = 1  # never repeats: tail unions only shrink
 
     def point(self, n: int) -> Point:
         return tuple(ci + n * vi for ci, vi in zip(self.c, self.v))
@@ -72,6 +95,8 @@ class GeometricConverge:
     b: tuple
     r: Fraction
 
+    period = 1  # never repeats: tail unions only shrink
+
     @property
     def targets(self) -> tuple:
         return self.b if self.b and isinstance(self.b[0], tuple) else (self.b,)
@@ -87,6 +112,29 @@ class GeometricConverge:
 
 
 TailRule = Union[Periodic, AffineEscape, GeometricConverge]
+
+
+class TailSummary(NamedTuple):
+    """The long-run behavior of a net's tail (see the module docstring).
+
+    ``phases`` are the sets the tail returns to (``recurs``) or contracts
+    onto; a lost tail has none.  ``union`` is the union of the phases.
+    """
+
+    phases: tuple
+    union: SetValue
+    recurs: bool
+
+    @property
+    def lost(self) -> bool:
+        return not self.phases
+
+
+LOST = TailSummary((), frozenset(), False)
+
+
+def _recurring(ground: Ground, phases: Sequence[SetValue]) -> TailSummary:
+    return TailSummary(tuple(phases), _union(ground, phases), True)
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -137,16 +185,19 @@ class SubsetNet:
     """A net of subsets of a ground space.
 
     Use ``SubsetNet.over_znn`` or ``SubsetNet.over_finite`` to construct;
-    values are normalized (bitmasks / frozensets of checked points) and the
+    values are normalized (bitmasks / frozensets of checked points), the
     tail rule is validated against the ground space, including the proof
-    that affine and geometric tails never hit an excluded point.
+    that affine and geometric tails never hit an excluded point, and the
+    tail is reduced to its ``summary``.
     """
 
     def __init__(self, ground: Ground, index: DirectedOrder,
-                 preperiod: tuple = (), tail: Optional[TailRule] = None,
+                 summary: TailSummary, preperiod: tuple = (),
+                 tail: Optional[TailRule] = None,
                  assignment: Optional[tuple] = None):
         self.ground = ground
         self.index = index
+        self.summary = summary
         self.preperiod = preperiod
         self.tail = tail
         self.assignment = assignment
@@ -157,8 +208,8 @@ class SubsetNet:
     def over_znn(cls, ground: Ground, preperiod: Sequence,
                  tail: TailRule) -> "SubsetNet":
         pre = tuple(_normalize_set(ground, s) for s in preperiod)
-        tail = _validate_tail(ground, tail, len(pre))
-        return cls(ground, ZNN, preperiod=pre, tail=tail)
+        tail, summary = _reduce_tail(ground, tail, len(pre))
+        return cls(ground, ZNN, summary, preperiod=pre, tail=tail)
 
     @classmethod
     def over_finite(cls, ground: Ground, index: FiniteOrder,
@@ -168,7 +219,11 @@ class SubsetNet:
         if len(assignment) != index.n:
             raise MalformedInputError("assignment must cover every index element")
         values = tuple(_normalize_set(ground, s) for s in assignment)
-        return cls(ground, index, assignment=values)
+        # the tails above the top element stabilize on the top class
+        top = top_element(index)
+        phases = [values[t] for t in index.elements() if index.leq(top, t)]
+        return cls(ground, index, _recurring(ground, phases),
+                   assignment=values)
 
     # evaluation ----------------------------------------------------------------
 
@@ -203,9 +258,7 @@ class SubsetNet:
         """An index past which tail unions repeat (Z+ rules)."""
         if not self.is_znn:
             raise PreconditionError("stabilization bound needs a Z+ net")
-        if isinstance(self.tail, Periodic):
-            return len(self.preperiod) + len(self.tail.cycle)
-        return len(self.preperiod) + 1
+        return len(self.preperiod) + self.tail.period
 
     def is_singleton_valued(self) -> bool:
         if self.is_znn:
@@ -239,10 +292,12 @@ def _normalize_set(ground: Ground, s) -> SetValue:
     return ground.check_set(s)
 
 
-def _validate_tail(ground: Ground, tail: TailRule, pre_len: int) -> TailRule:
+def _reduce_tail(ground: Ground, tail: TailRule,
+                 pre_len: int) -> Tuple[TailRule, TailSummary]:
+    """Validate a tail rule against the ground and reduce it to its summary."""
     if isinstance(tail, Periodic):
         cycle = tuple(_normalize_set(ground, s) for s in tail.cycle)
-        return Periodic(cycle)
+        return Periodic(cycle), _recurring(ground, cycle)
     if not isinstance(ground, RationalPointSpace):
         raise UnsupportedRuleError(
             "affine and geometric tails need the rational backend")
@@ -254,7 +309,7 @@ def _validate_tail(ground: Ground, tail: TailRule, pre_len: int) -> TailRule:
             raise MalformedInputError("escape direction must be nonzero")
         rule = AffineEscape(c, v)
         _check_affine_avoids_excluded(ground, rule, pre_len)
-        return rule
+        return rule, LOST
     if isinstance(tail, GeometricConverge):
         a, r = as_point(tail.a), Fraction(tail.r)
         targets = _normalize_targets(tail.b)
@@ -265,7 +320,10 @@ def _validate_tail(ground: Ground, tail: TailRule, pre_len: int) -> TailRule:
         rule = GeometricConverge(a, targets, r)
         for b in targets:
             _check_geometric_avoids_excluded(ground, rule, b, pre_len)
-        return rule
+        if not ground.contains(a):
+            return rule, LOST  # Cauchy toward a point the space lacks
+        limit = frozenset([a])
+        return rule, TailSummary((limit,), limit, set(targets) == {a})
     raise UnsupportedRuleError(f"unknown tail rule: {tail!r}")
 
 
@@ -365,21 +423,11 @@ def _finite_tail_union(net: SubsetNet, s: int) -> SetValue:
 def limit_set(net: SubsetNet) -> SetValue:
     """The exact limit set: intersection over s of cls(union of the s-tail).
 
-    Finite index: the closure of the tail union above the top element.
-    Z+ tails: periodic tails leave the closure of the cycle union; escaping
-    tails leave nothing; geometric tails leave their limit point when the
-    ground space contains it.
+    Every tail union contains the phases and shrinks onto them, so the
+    limit set is the closure of the phase union: the recurring sets, the
+    point a convergent tail contracts onto, nothing for a lost tail.
     """
-    if not net.is_znn:
-        top = top_element(net.index)
-        return _closure(net.ground, _finite_tail_union(net, top))
-    rule = net.tail
-    if isinstance(rule, Periodic):
-        return _closure(net.ground, _union(net.ground, rule.cycle))
-    if isinstance(rule, AffineEscape):
-        return frozenset()
-    a = as_point(rule.a)
-    return frozenset([a]) if net.ground.contains(a) else frozenset()
+    return _closure(net.ground, net.summary.union)
 
 
 def limit_set_horizon_oracle(net: SubsetNet, h: int = 8,
@@ -396,7 +444,7 @@ def limit_set_horizon_oracle(net: SubsetNet, h: int = 8,
         out = None
         for s in net.index.elements():
             layer = _closure(net.ground, _finite_tail_union(net, s))
-            out = layer if out is None else _intersect(net.ground, out, layer)
+            out = layer if out is None else out & layer
         return out
     if h2 is None:
         h2 = h + 2 * net.stabilization_bound() + 2
@@ -406,50 +454,26 @@ def limit_set_horizon_oracle(net: SubsetNet, h: int = 8,
     out = None
     for s in range(h + 1):
         layer = _closure(net.ground, _union(net.ground, sets[s:]))
-        out = layer if out is None else _intersect(net.ground, out, layer)
+        out = layer if out is None else out & layer
     return out
 
 
-def _intersect(ground: Ground, a: SetValue, b: SetValue) -> SetValue:
-    return a & b
-
-
-def sequential_limit_set(net: SubsetNet, horizon: int = 48) -> SetValue:
+def sequential_limit_set(net: SubsetNet) -> SetValue:
     """Points reached by convergent selections along monotone final subsequences.
 
     Computed from the frequent-intersection characterization: ``y`` is in
     the sequential limit set iff the net meets every neighborhood of ``y``
-    cofinally.  On these backends the computation is exact (cofinal
-    recurrence is read off the stabilized tail), and equality with
+    cofinally, that is, iff some phase meets it.  Equality with
     ``limit_set`` is a verified theorem, not an assumption.
     """
-    ground = net.ground
-    if not net.is_znn:
-        if not net.index.is_sequential():
-            raise PreconditionError("index must be sequential")
-        # constant subsequences at top-tail elements realize every selection
-        tail = _finite_tail_union(net, top_element(net.index))
-        if isinstance(ground, FiniteSpace):
-            return sum(1 << y for y in range(ground.n)
-                       if ground.minimal_open(y) & tail)
-        return tail
-    rule = net.tail
-    horizon = max(horizon, net.stabilization_bound() + 1)
-    if isinstance(rule, Periodic):
-        phases = [net.at(n) for n in range(len(net.preperiod),
-                                           len(net.preperiod) + len(rule.cycle))]
-        if isinstance(ground, FiniteSpace):
-            return sum(1 << y for y in range(ground.n)
-                       if any(ground.minimal_open(y) & p for p in phases))
-        candidates = _union(ground, phases)
-        return frozenset(
-            y for y in candidates
-            if any(point_set_distance(ground, y, p) == 0 for p in phases))
-    if isinstance(rule, AffineEscape):
-        return frozenset()  # every selection escapes all bounded balls
-    a = as_point(rule.a)
-    # selections y_n in X_n form the sequence a + r^n (b - a) -> a
-    return frozenset([a]) if ground.contains(a) else frozenset()
+    _require_sequential(net)
+    ground, union = net.ground, net.summary.union
+    if isinstance(ground, FiniteSpace):
+        return sum(1 << y for y in range(ground.n)
+                   if ground.minimal_open(y) & union)
+    # a metric neighborhood of y meets a phase cofinally iff y lies in it;
+    # a convergent tail's selections y_n in X_n tend to its limit point
+    return union
 
 
 def cluster_set(pointnet: SubsetNet) -> SetValue:
@@ -459,109 +483,77 @@ def cluster_set(pointnet: SubsetNet) -> SetValue:
     return limit_set(pointnet)
 
 
+def kuratowski_limits(net: SubsetNet) -> Tuple[FrozenSet[Point],
+                                               FrozenSet[Point]]:
+    """Exact Kuratowski (limsup, liminf) of a subset net over Q^d.
+
+    Limsup is the phase union (finite, hence closed); liminf keeps the
+    points lying in every phase.  A convergent tail has both equal to its
+    limit point; a lost tail has both empty.
+    """
+    if not net.is_metric:
+        raise PreconditionError("Kuratowski limits need the rational backend")
+    summary = net.summary
+    return summary.union, frozenset(
+        y for y in summary.union if all(y in p for p in summary.phases))
+
+
 # -- convergence from above ----------------------------------------------------
 
 def converges_from_above(net: SubsetNet, a) -> Verdict:
     """Tails eventually inside every neighborhood of the target set.
 
-    Finite backend: tails stabilize and finite spaces have a minimal open
-    superset, so the check is a single inclusion.  Rational backend: the
-    target is finite (hence compact) and the question is settled through
-    the ball quantifier in closed form per tail rule.  The empty target
-    demands eventually empty tails.
+    Tails shrink onto the phases, so the question is whether the phase union
+    lies inside every neighborhood of the target.  Finite backend: that is
+    one inclusion in the minimal open superset.  Rational backend: the
+    target is finite, so inside every eps-ball means at distance zero.  A
+    lost tail is never attracted, not even by the empty target.
     """
-    a = _normalize_set(net.ground, a)
-    if isinstance(net.ground, FiniteSpace):
-        u_min = net.ground.minimal_open_superset(a)
-        tail = _stabilized_tail_union(net)
-        return _verdict(tail & ~u_min == 0)
-    rule = net.tail if net.is_znn else None
-    if rule is None:
-        # finite index over the rational ground: tails stabilize at top
-        tail = _finite_tail_union(net, top_element(net.index))
-        return _verdict(all(point_set_distance(net.ground, x, a) == 0
-                            for x in tail))
-    if isinstance(rule, Periodic):
-        union = _union(net.ground, rule.cycle)
-        # inside every eps-ball of a <=> at distance zero <=> member (metric)
-        return _verdict(all(point_set_distance(net.ground, x, a) == 0
-                            for x in union))
-    if isinstance(rule, AffineEscape):
-        return Verdict.fails()  # tails are never empty and escape every ball
-    limit = as_point(rule.a)
-    if not a:
+    ground, summary = net.ground, net.summary
+    a = _normalize_set(ground, a)
+    if summary.lost:
         return Verdict.fails()
-    return _verdict(min(max_norm_distance(limit, y) for y in a) == 0)
-
-
-def _stabilized_tail_union(net: SubsetNet) -> SetValue:
-    if net.is_znn:
-        if not isinstance(net.tail, Periodic):
-            raise UnsupportedRuleError(
-                "only periodic Z+ tails exist over the finite backend")
-        return _union(net.ground, net.tail.cycle)
-    return _finite_tail_union(net, top_element(net.index))
+    if isinstance(ground, FiniteSpace):
+        return _verdict(summary.union & ~ground.minimal_open_superset(a) == 0)
+    return _verdict(all(point_set_distance(ground, x, a) == 0
+                        for x in summary.union))
 
 
 def semidistance_convergence_check(net: SubsetNet, k) -> Verdict:
-    """Whether d(X_n; k) -> 0, decided from the closed-form distance sequence."""
+    """Whether d(X_n; k) -> 0, decided from the closed-form distance sequence.
+
+    The sequence cycles through, or tends to, d(phase; k), so a zero limit
+    needs d(phase union; k) = 0; on a lost tail it grows or stays positive.
+    """
     if not net.is_metric:
         raise PreconditionError("semidistance criterion needs the rational backend")
     k = net.ground.check_set(k)
     if not k:
         raise PreconditionError("target set must be nonempty")
-    if not net.is_znn:
-        tail = _finite_tail_union(net, top_element(net.index))
-        return _verdict(semidistance(net.ground, tail, k) == 0)
-    rule = net.tail
-    if isinstance(rule, Periodic):
-        # the sequence cycles through d(phase; k); zero limit needs all zero
-        return _verdict(all(semidistance(net.ground, phase, k) == 0
-                            for phase in rule.cycle))
-    if isinstance(rule, AffineEscape):
-        return Verdict.fails()  # d(X_n; k) grows without bound
-    limit = as_point(rule.a)
-    return _verdict(min(max_norm_distance(limit, y) for y in k) == 0)
+    summary = net.summary
+    return _verdict(not summary.lost
+                    and semidistance(net.ground, summary.union, k) == 0)
 
 
 # -- convergence from below ------------------------------------------------------
 
 def converges_from_below(net: SubsetNet, a) -> Verdict:
-    """Every neighborhood of every target point eventually meets the net."""
-    a = _normalize_set(net.ground, a)
-    ground = net.ground
-    if isinstance(ground, FiniteSpace):
-        targets = [y for y in range(ground.n) if a >> y & 1]
-        if net.is_znn:
-            if not isinstance(net.tail, Periodic):
-                raise UnsupportedRuleError(
-                    "only periodic Z+ tails exist over the finite backend")
-            return _verdict(all(
-                all(phase & ground.minimal_open(y) for phase in net.tail.cycle)
-                for y in targets))
-        order = net.index
-        top = top_element(order)
-        later = [t for t in order.elements() if order.leq(top, t)]
-        return _verdict(all(
-            all(net.assignment[t] & ground.minimal_open(y) for t in later)
-            for y in targets))
+    """Every neighborhood of every target point eventually meets the net.
+
+    The net eventually meets a neighborhood iff every phase does.
+    """
+    ground, summary = net.ground, net.summary
+    a = _normalize_set(ground, a)
     if not a:
         return Verdict.holds()  # vacuous
-    if not net.is_znn:
-        top = top_element(net.index)
-        later = [t for t in net.index.elements() if net.index.leq(top, t)]
-        return _verdict(all(
-            all(point_set_distance(ground, y, net.assignment[t]) == 0
-                for t in later) for y in a))
-    rule = net.tail
-    if isinstance(rule, Periodic):
-        return _verdict(all(
-            all(point_set_distance(ground, y, phase) == 0
-                for phase in rule.cycle) for y in a))
-    if isinstance(rule, AffineEscape):
+    if summary.lost:
         return Verdict.fails()
-    limit = as_point(rule.a)
-    return _verdict(all(max_norm_distance(y, limit) == 0 for y in a))
+    if isinstance(ground, FiniteSpace):
+        return _verdict(all(phase & ground.minimal_open(y)
+                            for y in range(ground.n) if a >> y & 1
+                            for phase in summary.phases))
+    return _verdict(all(point_set_distance(ground, y, phase) == 0
+                        for y in a for phase in summary.phases))
 
 
 def below_iff_semidistance(net: SubsetNet, k) -> Tuple[Verdict, Verdict]:
@@ -576,22 +568,11 @@ def below_iff_semidistance(net: SubsetNet, k) -> Tuple[Verdict, Verdict]:
     if not k:
         raise PreconditionError("target set must be nonempty")
     below = converges_from_below(net, k)
-    if not net.is_znn:
-        tail_sets = [net.assignment[t] for t in net.index.elements()
-                     if net.index.leq(top_element(net.index), t)]
-        dist = _verdict(all(semidistance(net.ground, k, s) == 0
-                            for s in tail_sets))
-        return below, dist
-    rule = net.tail
-    if isinstance(rule, Periodic):
-        dist = _verdict(all(
-            bool(phase) and semidistance(net.ground, k, phase) == 0
-            for phase in rule.cycle))
-    elif isinstance(rule, AffineEscape):
-        dist = Verdict.fails()
-    else:
-        limit = as_point(rule.a)
-        dist = _verdict(max(max_norm_distance(y, limit) for y in k) == 0)
+    # d(k; X_n) cycles through, or tends to, d(k; phase); empty phases give
+    # infinity and a lost tail has no phase to approach
+    summary = net.summary
+    dist = _verdict(not summary.lost and all(
+        semidistance(net.ground, k, phase) == 0 for phase in summary.phases))
     return below, dist
 
 
@@ -600,60 +581,38 @@ def below_iff_semidistance(net: SubsetNet, k) -> Tuple[Verdict, Verdict]:
 def is_eventually_lagrange_stable(net: SubsetNet) -> Verdict:
     """Some tail union is relatively compact.
 
-    Finite spaces are compact, so finite-backend nets always qualify.
-    Periodic tails have finite tail unions; escaping tails are unbounded;
-    geometric tails are relatively compact exactly when the limit point
-    belongs to the space (otherwise the closure is not compact in the
-    punctured space).
+    Finite spaces and finite point sets are compact, so recurring phases
+    qualify; a convergent tail's closure adds only its limit point, which
+    the space contains.  A lost tail is unbounded, or its closure misses
+    the only accumulation point, so no tail union is relatively compact.
     """
-    if isinstance(net.ground, FiniteSpace):
-        return Verdict.holds()
-    if not net.is_znn:
-        return Verdict.holds()  # finitely many finite sets
-    rule = net.tail
-    if isinstance(rule, Periodic):
-        return Verdict.holds()
-    if isinstance(rule, AffineEscape):
-        return Verdict.fails()
-    return _verdict(net.ground.contains(as_point(rule.a)))
+    return _verdict(not net.summary.lost)
 
 
 def is_asymptotically_seq_compact(net: SubsetNet) -> Verdict:
-    """Selections along subsequences always have convergent subsequences."""
-    if not net.index.is_sequential():
-        raise PreconditionError("index must be sequential")
-    if isinstance(net.ground, FiniteSpace):
-        return Verdict.holds()  # finite spaces are compact
-    if not net.is_znn:
-        return Verdict.holds()  # selections range over finitely many points
-    rule = net.tail
-    if isinstance(rule, Periodic):
-        return Verdict.holds()  # selections live in a fixed finite set
-    if isinstance(rule, AffineEscape):
-        return Verdict.fails()  # the only selection escapes
-    # every selection is a tail of a + r^n (b - a); Cauchy toward a
-    return _verdict(net.ground.contains(as_point(rule.a)))
+    """Selections along subsequences always have convergent subsequences.
+
+    Selections from a relatively compact tail union have convergent
+    subsequences; on these backends the selections of any other net
+    escape or converge to a point outside the space, so the verdict is
+    eventual Lagrange stability.
+    """
+    _require_sequential(net)
+    return is_eventually_lagrange_stable(net)
 
 
 def is_weakly_asymptotically_seq_compact(net: SubsetNet) -> Verdict:
     """Same question for selections drawn from whole tail unions.
 
-    Tail unions of periodic rules are finite; escaping tail unions are
-    unbounded; geometric tail unions accumulate only at the limit point.
-    The verdict provably coincides with the strong form on these rules.
+    The verdict provably coincides with the strong form on these backends.
     """
+    _require_sequential(net)
+    return is_eventually_lagrange_stable(net)
+
+
+def _require_sequential(net: SubsetNet):
     if not net.index.is_sequential():
         raise PreconditionError("index must be sequential")
-    if isinstance(net.ground, FiniteSpace):
-        return Verdict.holds()
-    if not net.is_znn:
-        return Verdict.holds()
-    rule = net.tail
-    if isinstance(rule, Periodic):
-        return Verdict.holds()
-    if isinstance(rule, AffineEscape):
-        return Verdict.fails()
-    return _verdict(net.ground.contains(as_point(rule.a)))
 
 
 def is_limit_set_compact(net: SubsetNet) -> Verdict:
@@ -664,8 +623,7 @@ def is_limit_set_compact(net: SubsetNet) -> Verdict:
     plus convergence from above to the limit set.
     """
     ls = limit_set(net)
-    empty = ls == 0 if isinstance(net.ground, FiniteSpace) else not ls
-    if empty:
+    if not ls:
         return Verdict.fails()
     return converges_from_above(net, ls)
 
@@ -673,36 +631,30 @@ def is_limit_set_compact(net: SubsetNet) -> Verdict:
 # -- eventually / frequently for point nets ---------------------------------------
 
 def eventually_in(pointnet: SubsetNet, u) -> Verdict:
-    """Whether the singleton net is eventually inside the point set u."""
-    _require_znn_pointnet(pointnet)
+    """Whether the singleton net is eventually inside the point set u.
+
+    Only recurring phases can hold the net: escaping and non-constant
+    geometric tails are injective, so they meet the finite set u only
+    finitely often.
+    """
+    summary = _pointnet_summary(pointnet)
     u = _normalize_set(pointnet.ground, u)
-    rule = pointnet.tail
-    if isinstance(rule, Periodic):
-        return _verdict(all(_subset(pointnet.ground, p, u) for p in rule.cycle))
-    # escaping and non-constant geometric tails are injective, so they meet
-    # the finite set u only finitely often; eventual membership is impossible
-    if isinstance(rule, GeometricConverge) and set(rule.targets) == {rule.a}:
-        return _verdict(as_point(rule.a) in u)
-    return Verdict.fails()
+    return _verdict(summary.recurs and all(
+        _subset(pointnet.ground, p, u) for p in summary.phases))
 
 
 def frequently_in(pointnet: SubsetNet, u) -> Verdict:
     """Whether the singleton net returns to the point set u cofinally."""
-    _require_znn_pointnet(pointnet)
+    summary = _pointnet_summary(pointnet)
     u = _normalize_set(pointnet.ground, u)
-    rule = pointnet.tail
-    if isinstance(rule, Periodic):
-        return _verdict(any(_subset(pointnet.ground, p, u) for p in rule.cycle))
-    if isinstance(rule, GeometricConverge) and set(rule.targets) == {rule.a}:
-        return _verdict(as_point(rule.a) in u)
-    return Verdict.fails()
+    return _verdict(summary.recurs and any(
+        _subset(pointnet.ground, p, u) for p in summary.phases))
 
 
-def _require_znn_pointnet(net: SubsetNet):
-    if not net.is_znn:
-        raise PreconditionError("eventually/frequently need a Z+ net")
+def _pointnet_summary(net: SubsetNet) -> TailSummary:
     if not net.is_singleton_valued():
         raise PreconditionError("eventually/frequently need a singleton-valued net")
+    return net.summary
 
 
 def _subset(ground: Ground, a: SetValue, b: SetValue) -> bool:

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or in
 the captured output).  Time bounds are asserted with ``perf_counter``.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction as F
@@ -209,13 +210,20 @@ def test_acceptance_7_omega_limits():
            "; ".join(label))
 
 
+# sha256 of the canonical `verify --suite all --budget 1000 --seed 42` report
+VERIFY_ALL_SEED42_SHA256 = (
+    "7433055c7478fc5f8af3f69ecb19394225520ed44d4e713a1e47dc9e245d12b5")
+
+
 def test_acceptance_8_determinism(tmp_path):
     start = time.perf_counter()
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["verify", "--suite", "all", "--seed", "42"]
+    argv = ["verify", "--suite", "all", "--budget", "1000", "--seed", "42"]
     code_a = cli.run(argv + ["--out", str(a)])
     code_b = cli.run(argv + ["--out", str(b)])
     elapsed = time.perf_counter() - start
     ok = code_a == 0 and code_b == 0 and a.read_bytes() == b.read_bytes()
+    ok &= hashlib.sha256(a.read_bytes()).hexdigest() == VERIFY_ALL_SEED42_SHA256
     report(8, ok, elapsed, 600,
-           "two `verify --suite all --seed 42` runs byte-identical, exit 0")
+           "two `verify --suite all --seed 42` runs byte-identical, exit 0, "
+           "report matches the pinned sha256")

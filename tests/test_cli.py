@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from limitset_lab import jsonio
 from limitset_lab.cli import run
@@ -18,6 +21,24 @@ ESCAPE_NET_JSON = {
              "v": [{"num": "1", "den": "1"}]},
 }
 
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+# `net analyze` reports on the demo nets, pinned byte for byte
+LOST_ANALYSIS = (
+    '{"asympt_seq_compact":{"state":"fails"},'
+    '"converges_above_to_limit":{"state":"fails"},"horizon":64,'
+    '"lagrange_stable":{"state":"fails"},"limit_set":[],'
+    '"limit_set_compact":{"state":"fails"},'
+    '"weakly_asympt_seq_compact":{"state":"fails"}}\n')
+DEMO_ANALYSES = {
+    "escape.json": LOST_ANALYSIS,
+    "periodic.json": (
+        '{"asympt_seq_compact":{"state":"holds"},'
+        '"converges_above_to_limit":{"state":"holds"},"horizon":64,'
+        '"lagrange_stable":{"state":"holds"},"limit_set":[0,1],'
+        '"limit_set_compact":{"state":"holds"},'
+        '"weakly_asympt_seq_compact":{"state":"holds"}}\n'),
+    "trap.json": LOST_ANALYSIS,
+}
 
 class TestSpaceCheck:
     def test_sierpinski_properties(self, tmp_path, capsys):
@@ -63,6 +84,13 @@ class TestNetAnalyze:
         text = capsys.readouterr().out
         assert json.loads(text) == json.loads(jsonio.dumps_canonical(
             json.loads(text)))
+
+    @pytest.mark.parametrize("name", sorted(DEMO_ANALYSES))
+    def test_demo_analysis_pinned(self, name, tmp_path):
+        outfile = tmp_path / "analysis.json"
+        assert run(["net", "analyze", "--in", str(DEMO / name),
+                    "--out", str(outfile)]) == 0
+        assert outfile.read_text() == DEMO_ANALYSES[name]
 
     def test_bad_horizon(self, tmp_path):
         infile = write_json(tmp_path / "net.json", ESCAPE_NET_JSON)

@@ -10,11 +10,10 @@ from limitset_lab.errors import (MalformedInputError, MembershipError,
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace, ball_of_set,
                                             compact_inner_radius,
-                                            kuratowski_limits,
                                             point_set_distance, semidistance)
 from limitset_lab.rationals import INFINITY, ExtendedRational
 from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
-                                      Periodic, SubsetNet)
+                                      Periodic, SubsetNet, kuratowski_limits)
 from limitset_lab.theoremlab import RULE_FAMILIES, random_rule_net
 
 Q1 = RationalPointSpace(1)

@@ -9,11 +9,10 @@ from limitset_lab.errors import (MalformedInputError, MembershipError,
                                  PreconditionError, UnsupportedRuleError)
 from limitset_lab.finite_topology import (SIERPINSKI, closure, discrete_space,
                                           enumerate_spaces, indiscrete_space)
-from limitset_lab.pseudometric_core import (RationalPointSpace,
-                                            kuratowski_limits)
-from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
+from limitset_lab.pseudometric_core import RationalPointSpace
+from limitset_lab.subset_nets import (LOST, AffineEscape, GeometricConverge,
                                       NetAnalysis, Periodic, SubsetNet,
-                                      Verdict, analyze,
+                                      TailSummary, Verdict, analyze,
                                       below_iff_semidistance, cluster_set,
                                       converges_from_above,
                                       converges_from_below, eventually_in,
@@ -22,7 +21,8 @@ from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
                                       is_eventually_lagrange_stable,
                                       is_limit_set_compact,
                                       is_weakly_asymptotically_seq_compact,
-                                      limit_set, limit_set_horizon_oracle,
+                                      kuratowski_limits, limit_set,
+                                      limit_set_horizon_oracle,
                                       semidistance_convergence_check,
                                       sequential_limit_set)
 from limitset_lab.theoremlab import (RULE_FAMILIES, iter_directed_posets,
@@ -90,6 +90,64 @@ class TestConstruction:
         undirected = FiniteOrder.from_matrix([[True, False], [False, True]])
         with pytest.raises(PreconditionError):
             SubsetNet.over_finite(D2, undirected, [0b01, 0b10])
+
+
+TRAP_SPACE = RationalPointSpace(1, [pt(0)])
+# 0 <= 1, 2 and 1 ~ 2: the top class holds both 1 and 2
+TOP_PAIR = FiniteOrder([0b111, 0b110, 0b110])
+
+
+class TestTailSummary:
+    """Construction reduces every net to one of three tail shapes."""
+
+    def test_periodic_over_finite_space(self):
+        net = SubsetNet.over_znn(D2, [0b11], Periodic((0b01, 0b10)))
+        assert net.summary == TailSummary((0b01, 0b10), 0b11, True)
+
+    def test_periodic_over_rationals(self):
+        one, two = frozenset({pt(1)}), frozenset({pt(1), pt(2)})
+        net = SubsetNet.over_znn(Q1, [frozenset({pt(9)})], Periodic((one, two)))
+        assert net.summary == TailSummary((one, two), two, True)
+
+    def test_finite_index_phases_are_the_top_class(self):
+        net = SubsetNet.over_finite(D2, TOP_PAIR, [0b11, 0b01, 0b00])
+        assert net.summary == TailSummary((0b01, 0b00), 0b01, True)
+        metric = SubsetNet.over_finite(
+            Q1, TOP_PAIR, [[pt(5)], [pt(1)], [pt(1), pt(2)]])
+        assert metric.summary == TailSummary(
+            (frozenset({pt(1)}), frozenset({pt(1), pt(2)})),
+            frozenset({pt(1), pt(2)}), True)
+
+    def test_constant_geometric_recurs_on_its_limit(self):
+        net = SubsetNet.over_znn(Q1, [], GeometricConverge(pt(2), pt(2), F(1, 2)))
+        limit = frozenset({pt(2)})
+        assert net.summary == TailSummary((limit,), limit, True)
+
+    def test_geometric_converges_to_a_point_of_the_space(self):
+        net = SubsetNet.over_znn(Q1, [], GeometricConverge(pt(0), pt(1), F(1, 2)))
+        limit = frozenset({pt(0)})
+        assert net.summary == TailSummary((limit,), limit, False)
+
+    def test_trap_and_affine_tails_are_lost(self):
+        trap = SubsetNet.over_znn(TRAP_SPACE, [],
+                                  GeometricConverge(pt(0), pt(1), F(1, 2)))
+        escape = SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1)))
+        assert trap.summary == escape.summary == LOST
+        assert trap.summary.lost and not trap.summary.recurs
+
+    def test_lost_tails_give_identical_analyses(self):
+        trap = SubsetNet.over_znn(TRAP_SPACE, [frozenset({pt(3)})],
+                                  GeometricConverge(pt(0), pt(1), F(1, 2)))
+        escape = SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1)))
+        assert analyze(trap) == analyze(escape)
+        assert analyze(escape).limit_set == frozenset()
+        assert analyze(escape).lagrange_stable.is_fails
+
+    def test_finite_index_kuratowski_limits_read_the_top_class(self):
+        net = SubsetNet.over_finite(
+            Q1, TOP_PAIR, [[pt(5)], [pt(1)], [pt(1), pt(2)]])
+        assert kuratowski_limits(net) == (frozenset({pt(1), pt(2)}),
+                                          frozenset({pt(1)}))
 
 
 class TestLimitSet:

@@ -42,6 +42,14 @@ class TestSuiteMachinery:
         assert report.exhibit_count > 0  # non-regular spaces break the lemma
         assert report.exhibits  # a capped sample is recorded
 
+    @pytest.mark.parametrize("budget,seed",
+                             [(40, 48), (100, 2), (100, 24), (100, 32)])
+    def test_sequential_limits_redraws_tails_on_excluded_points(self, budget,
+                                                                seed):
+        # dropping a preperiod can start an affine tail on an excluded point
+        report = run_suite("sequential_limits", budget=budget, seed=seed)
+        assert report.passed and report.instances > 0
+
     def test_trap_quota_tracked(self):
         report = run_suite("pseudometrizable_equivalence", budget=40, seed=42)
         assert report.passed  # 10 of 40 instances are traps
