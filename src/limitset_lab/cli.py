@@ -26,8 +26,7 @@ from . import jsonio, theoremlab
 from .errors import LimitsetError, MalformedInputError
 from .finite_topology import (is_hausdorff, is_pseudometrizable, is_regular)
 from .semiflow_cells import (CellGrid, DiscreteSemiflow,
-                             attraction_trace_check, cell_image,
-                             omega_limit_cells)
+                             attraction_trace_check, omega_limit_cells)
 from .subset_nets import analyze
 
 PROP_CHECKS = {
@@ -130,7 +129,10 @@ def _parse_init(raw: str, grid: CellGrid) -> int:
         body = raw.split(":", 1)[1]
         mask = 0
         for part in body.split(","):
-            i = int(part)
+            try:
+                i = int(part)
+            except ValueError:
+                raise MalformedInputError(f"bad cell index in --init: {part!r}")
             if not 0 <= i < grid.total:
                 raise MalformedInputError(f"cell {i} outside the grid")
             mask |= 1 << i
@@ -147,17 +149,25 @@ def cmd_omega(args) -> int:
         rows = _read_json(args.infile)
         if not isinstance(rows, list):
             raise MalformedInputError("cell table must be a list of cell lists")
-        table = tuple(sum(1 << c for c in row) for row in rows)
-        flow = DiscreteSemiflow("table", table=table)
         grid = CellGrid(1, args.cells)
-        if len(table) != grid.total:
+        if len(rows) != grid.total:
             raise MalformedInputError("table size must match the grid")
+        if not all(isinstance(row, list) and all(
+                type(c) is int and 0 <= c < grid.total for c in row)
+                for row in rows):
+            raise MalformedInputError(
+                "cell table rows must list cells of the grid")
+        table = tuple(sum(1 << c for c in set(row)) for row in rows)
+        flow = DiscreteSemiflow("table", table=table)
     else:
         params = []
-        if args.param is not None:
-            params.append(Fraction(args.param))
-        if args.param2 is not None:
-            params.append(Fraction(args.param2))
+        for flag, raw in (("--param", args.param), ("--param2", args.param2)):
+            if raw is not None:
+                try:
+                    params.append(Fraction(raw))
+                except (ValueError, ZeroDivisionError):
+                    raise MalformedInputError(f"{flag} must be a rational "
+                                              f"number: {raw!r}")
         flow = DiscreteSemiflow(args.map_kind, tuple(params))
         grid = CellGrid(flow.dim, args.cells)
     init = _parse_init(args.init, grid)
@@ -167,12 +177,8 @@ def cmd_omega(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "cells", "distance"])
-    state = init
-    for n, d in result.trace:
-        count = bin(state).count("1")
+    for (n, d), count in zip(result.trace, result.sizes):
         writer.writerow([n, count, "inf" if d.is_infinite else float(d.value)])
-        state = cell_image(grid, flow, state,
-                           samples=args.samples, dilate=args.dilate)
     summary = {
         "omega": [i for i in range(grid.total) if result.omega >> i & 1],
         "preperiod": result.preperiod,

@@ -14,6 +14,21 @@ sampling plus one-cell dilation (``samples=8, dilate=True``) gives the
 outer-cover behaviour instead; both are non-rigorous for steep maps.
 Cell-set operations are exact bitmask work; floating point only enters
 through map evaluation, with samples rounded to cells via floor.
+
+Cell sets are never walked bit by bit on a growing int, and every pass
+over one is linear in the grid size:
+
+* ``CellGrid.dilate`` is a handful of whole-bitset shifts, with the first
+  and last column masked out of the sideways shifts in 2-D;
+* ``cellset_semidistance`` counts dilations: cell centers sit on a
+  1/(2n) lattice, so the max-norm distance of two centers is their
+  Chebyshev cell distance over n, and d(a; b) = k/n for the least k with
+  a inside the k-fold dilation of b (king-move paths stay in the box);
+* an image step scans the set bits once and writes the image into one
+  bytearray.  Each run keeps one transition table, cell -> the cells its
+  samples hit, filled on a cell's first visit, so a run samples each
+  visited cell once and a short run on a small grid compiles nothing it
+  does not visit.  ``cell_image`` is one step with a fresh table.
 """
 
 from __future__ import annotations
@@ -21,7 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (MalformedInputError, PreconditionError,
                      UnsupportedRuleError)
@@ -43,9 +59,19 @@ class CellGrid:
         self.cells_per_axis = n
         self.total = n ** dim
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.total) - 1
+
+    @cached_property
+    def _sideways_masks(self) -> Tuple[int, int]:
+        """Cells that may shift one column left and one column right."""
+        n = self.cells_per_axis
+        first, rows = 1, 1  # first column, doubled one block of rows at a time
+        while rows < n:
+            first |= first << (n * rows)
+            rows *= 2
+        return self.full_mask & ~first, self.full_mask & ~(first << (n - 1))
 
     def index(self, coords: Tuple[int, ...]) -> int:
         if self.dim == 1:
@@ -82,36 +108,25 @@ class CellGrid:
 
     def dilate(self, cells: int) -> int:
         """One-cell dilation along every axis (the full neighbor box)."""
+        if self.dim == 1:
+            return (cells | cells << 1 | cells >> 1) & self.full_mask
+        to_left, to_right = self._sideways_masks
+        row = cells | (cells & to_left) >> 1 | (cells & to_right) << 1
         n = self.cells_per_axis
-        out = 0
-        rest = cells
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            base = self.coords(i)
-            for dx in (-1, 0, 1):
-                x = base[0] + dx
-                if not 0 <= x < n:
-                    continue
-                if self.dim == 1:
-                    out |= 1 << x
-                else:
-                    for dy in (-1, 0, 1):
-                        y = base[1] + dy
-                        if 0 <= y < n:
-                            out |= 1 << self.index((x, y))
-        return out
+        return (row | row << n | row >> n) & self.full_mask
 
 
 class DiscreteSemiflow:
     """A discrete-time semiflow: a builtin interval/plane map or a cell table."""
 
     BUILTIN_DIMS = {"logistic": 1, "tent": 1, "rotation": 1, "henon": 2}
+    BUILTIN_PARAMS = {"logistic": 1, "tent": 1, "rotation": 1, "henon": 2}
 
     def __init__(self, kind: str, params: tuple = (),
                  table: Optional[tuple] = None):
         self.kind = kind
         self.params = tuple(Fraction(p) for p in params)
+        self._floats = tuple(float(p) for p in self.params)  # for map_point
         self.table = table
         if kind == "table":
             if table is None:
@@ -122,6 +137,10 @@ class DiscreteSemiflow:
             self._validate_params()
 
     def _validate_params(self):
+        want = self.BUILTIN_PARAMS[self.kind]
+        if len(self.params) != want:
+            raise MalformedInputError(f"{self.kind} takes {want} parameter(s), "
+                                      f"got {len(self.params)}")
         if self.kind == "logistic":
             (r,) = self.params
             if not 0 <= r <= 4:
@@ -130,12 +149,6 @@ class DiscreteSemiflow:
             (mu,) = self.params
             if not 0 <= mu <= 2:
                 raise MalformedInputError("tent parameter must be in [0, 2]")
-        elif self.kind == "rotation":
-            if len(self.params) != 1:
-                raise MalformedInputError("rotation takes one angle")
-        elif self.kind == "henon":
-            if len(self.params) != 2:
-                raise MalformedInputError("henon takes two parameters")
 
     @property
     def dim(self) -> int:
@@ -152,18 +165,18 @@ class DiscreteSemiflow:
 
     def map_point(self, point):
         if self.kind == "logistic":
-            r = float(self.params[0])
+            (r,) = self._floats
             x = point[0]
             return (r * x * (1.0 - x),)
         if self.kind == "tent":
-            mu = float(self.params[0])
+            (mu,) = self._floats
             x = point[0]
             return (mu * (x if x < 0.5 else 1.0 - x),)
         if self.kind == "rotation":
-            theta = float(self.params[0])
+            (theta,) = self._floats
             return ((point[0] + theta) % 1.0,)
         if self.kind == "henon":
-            a, b = (float(p) for p in self.params)
+            a, b = self._floats
             # classic map on [-1.5, 1.5] x [-0.4, 0.4], rescaled and clamped
             x = 3.0 * point[0] - 1.5
             y = 0.8 * point[1] - 0.4
@@ -175,41 +188,71 @@ class DiscreteSemiflow:
         raise UnsupportedRuleError("table flows have no point map")
 
 
+class _ImageStep:
+    """The cell image map of one run.
+
+    ``hits`` maps a cell to the cells its samples (or its table row) hit,
+    filled on the cell's first visit.
+    """
+
+    def __init__(self, grid: CellGrid, flow: DiscreteSemiflow, samples: int,
+                 dilate: bool):
+        self.shift = flow.exact_rotation_shift(grid)
+        if flow.kind != "table" and self.shift is None and flow.dim != grid.dim:
+            raise PreconditionError("flow and grid dimension mismatch")
+        self.grid, self.flow, self.samples = grid, flow, samples
+        self.dilate = dilate and flow.kind != "table"
+        self.hits: Dict[int, Tuple[int, ...]] = {}
+
+    def _hits_of(self, i: int) -> Tuple[int, ...]:
+        grid, flow = self.grid, self.flow
+        if flow.kind == "table":
+            row = flow.table[i]
+            if row & ~grid.full_mask:
+                raise PreconditionError("table maps a cell outside the grid")
+            return tuple(_set_bits(row))
+        return tuple({grid.cell_of_point(flow.map_point(s))
+                      for s in grid.samples(i, self.samples)})
+
+    def __call__(self, cells: int) -> int:
+        grid = self.grid
+        if self.shift is not None:
+            n, shift = grid.cells_per_axis, self.shift
+            return ((cells << shift) | (cells >> (n - shift))) & grid.full_mask \
+                if shift else cells
+        hits = self.hits
+        out = bytearray((grid.total + 7) >> 3)
+        for i in _set_bits(cells):
+            hit = hits.get(i)
+            if hit is None:
+                hit = hits[i] = self._hits_of(i)
+            for j in hit:
+                out[j >> 3] |= 1 << (j & 7)
+        image = int.from_bytes(out, "little")
+        return grid.dilate(image) if self.dilate else image
+
+
+def _set_bits(cells: int):
+    """Indices of the set bits of ``cells``, ascending, in one linear scan."""
+    bits = bin(cells)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
+
+
 def cell_image(grid: CellGrid, flow: DiscreteSemiflow, cells: int,
                samples: int = 1, dilate: bool = False) -> int:
     """Cells hit by mapping sample points of every input cell.
 
-    Table flows read their table directly.  Exact rotations (angle times
+    One step of the image map ``omega_limit_cells`` iterates.  Table flows
+    read their table directly.  Exact rotations (angle times
     cells_per_axis an integer) reduce to a cyclic bitset shift and skip
     both sampling and dilation.
     """
     if cells & ~grid.full_mask:
         raise PreconditionError("cell set outside the grid")
-    if flow.kind == "table":
-        out = 0
-        rest = cells
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            out |= flow.table[i]
-        return out
-    shift = flow.exact_rotation_shift(grid)
-    if shift is not None:
-        n = grid.cells_per_axis
-        return ((cells << shift) | (cells >> (n - shift))) & grid.full_mask \
-            if shift else cells
-    if flow.dim != grid.dim:
-        raise PreconditionError("flow and grid dimension mismatch")
-    out = 0
-    rest = cells
-    while rest:
-        i = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        for s in grid.samples(i, samples):
-            out |= 1 << grid.cell_of_point(flow.map_point(s))
-    if dilate:
-        out = grid.dilate(out)
-    return out
+    return _ImageStep(grid, flow, samples, dilate)(cells)
 
 
 @dataclass(frozen=True)
@@ -218,6 +261,7 @@ class OmegaResult:
     preperiod: int
     period: int
     trace: tuple  # (n, semi-distance of I_n to omega) pairs
+    sizes: tuple  # cell count of I_n, for each n in the trace
 
 
 def omega_limit_cells(grid: CellGrid, flow: DiscreteSemiflow, e: int,
@@ -232,11 +276,12 @@ def omega_limit_cells(grid: CellGrid, flow: DiscreteSemiflow, e: int,
         raise PreconditionError("initial cell set must be nonempty")
     if e & ~grid.full_mask:
         raise PreconditionError("cell set outside the grid")
+    step = _ImageStep(grid, flow, samples, dilate)
     states: List[int] = [e]
     seen = {e: 0}
     current = e
     for _ in range(MAX_OMEGA_STEPS):
-        current = cell_image(grid, flow, current, samples=samples, dilate=dilate)
+        current = step(current)
         if current in seen:
             start = seen[current]
             break
@@ -252,36 +297,28 @@ def omega_limit_cells(grid: CellGrid, flow: DiscreteSemiflow, e: int,
     trace = tuple((n, cellset_semidistance(grid, states[n], omega))
                   for n in range(preperiod + period))
     return OmegaResult(omega=omega, preperiod=preperiod, period=period,
-                       trace=trace)
+                       trace=trace,
+                       sizes=tuple(state.bit_count() for state in states))
 
 
 def cellset_semidistance(grid: CellGrid, a: int, b: int) -> ExtendedRational:
-    """Max-norm semi-distance between the center sets of two cell sets."""
-    if a == 0 and b == 0:
-        return ExtendedRational(0)
+    """Max-norm semi-distance between the center sets of two cell sets.
+
+    Equal to k/n for the least k whose k-fold dilation of ``b`` covers
+    ``a``: centers sit on a 1/(2n) lattice, so two centers lie at their
+    Chebyshev cell distance over n.
+    """
+    if (a | b) & ~grid.full_mask:
+        raise PreconditionError("cell set outside the grid")
     if a == 0:
         return ExtendedRational(0)
     if b == 0:
         return INFINITY
-    if a & ~b == 0:
-        return ExtendedRational(0)  # subset: every center sits in b's set
-    centers_b = []
-    rest = b
-    while rest:
-        j = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        centers_b.append(grid.center(j))
-    worst = Fraction(0)
-    rest = a
-    while rest:
-        i = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        ca = grid.center(i)
-        best = min(max(abs(x - y) for x, y in zip(ca, cb))
-                   for cb in centers_b)
-        if best > worst:
-            worst = best
-    return ExtendedRational(worst)
+    k = 0
+    while a & ~b:
+        b = grid.dilate(b)
+        k += 1
+    return ExtendedRational(Fraction(k, grid.cells_per_axis))
 
 
 def attraction_trace_check(result: OmegaResult) -> bool:

@@ -436,10 +436,14 @@ def limit_set_horizon_oracle(net: SubsetNet, h: int = 8,
 
     Exact for finite-index nets (no truncation happens) and for periodic
     Z+ tails once ``h`` clears the preperiod and ``h2`` spans a full cycle
-    beyond ``h``.  Convergent geometric tails are out of scope here: their
-    limit point never appears in any truncated union (the Kuratowski
-    horizon oracle covers them instead).
+    beyond ``h``.  Other Z+ tails raise ``PreconditionError``: the limit
+    point of a geometric tail never appears in any truncated union, and an
+    affine escape leaves every truncated union nonempty although its limit
+    set is empty (the Kuratowski horizon oracle covers geometric tails).
     """
+    if net.is_znn and not isinstance(net.tail, Periodic):
+        raise PreconditionError(
+            "the horizon oracle answers periodic Z+ tails only")
     if not net.is_znn:
         out = None
         for s in net.index.elements():

@@ -1,10 +1,13 @@
+import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from limitset_lab import jsonio
-from limitset_lab.cli import run
+from limitset_lab.cli import build_parser, cmd_omega, run
+from limitset_lab.errors import MalformedInputError
 
 
 def write_json(path, obj):
@@ -39,6 +42,29 @@ DEMO_ANALYSES = {
         '"weakly_asympt_seq_compact":{"state":"holds"}}\n'),
     "trap.json": LOST_ANALYSIS,
 }
+
+# sha256 of `omega` CSV plus summary, measured before the cell grid went
+# to bitset dilation and a per-run cell table
+OMEGA_PINNED = {
+    "readme-logistic": (
+        ["--map", "logistic", "--param", "2.0", "--cells", "64",
+         "--init", "all"],
+        "fde189ca1205fa1c7931f2638753497c72c77ec39461d4de0933f236d53d5f47"),
+    "readme-rotation": (
+        ["--map", "rotation", "--param", "1/8", "--cells", "8",
+         "--init", "cell:0"],
+        "073641fffd6f3db9c3624811b3b74a9c6d1baf13c287aa24eb30b5ddcef63a44"),
+    "henon-256": (
+        ["--map", "henon", "--param", "7/5", "--param2", "3/10",
+         "--cells", "256", "--init", "all"],
+        "a59998ea23c2dd66a37b77f67d80fdc485896d28afcaf3f8b6062f6544f0c6da"),
+    "logistic-4096-outer": (
+        ["--map", "logistic", "--param", "39/10", "--cells", "4096",
+         "--samples", "8", "--dilate",
+         "--init", "cells:" + ",".join(map(str, range(0, 4096, 2)))],
+        "9a4ccfb1dc570194f1be1f2e521c8a646fa6d7671d2ec297102039c0176980f4"),
+}
+
 
 class TestSpaceCheck:
     def test_sierpinski_properties(self, tmp_path, capsys):
@@ -120,6 +146,13 @@ class TestOmega:
         captured = capsys.readouterr()
         assert json.loads(captured.err)["omega"] == [0, 1]
 
+    def test_table_row_repeats_a_cell(self, tmp_path, capsys):
+        # a repeated cell is still that one cell, not the sum of its bits
+        table = write_json(tmp_path / "table.json", [[1, 1], [1], [2], [3]])
+        assert run(["omega", "--map", "table", "--in", table, "--cells", "4",
+                    "--init", "cell:0", "--out", "-"]) == 0
+        assert json.loads(capsys.readouterr().err)["omega"] == [1]
+
     def test_bad_init_is_input_error(self, capsys):
         assert run(["omega", "--map", "rotation", "--param", "0.125",
                     "--cells", "8", "--init", "nope"]) == 2
@@ -128,6 +161,39 @@ class TestOmega:
         table = write_json(tmp_path / "table.json", [[0]])
         assert run(["omega", "--map", "table", "--in", table,
                     "--cells", "4"]) == 2
+
+    @pytest.mark.parametrize("rows", [[["a"], [0]], [[2], [0]], [[-1], [0]],
+                                      [0, [1]]])
+    def test_table_rows_checked(self, rows, tmp_path, capsys):
+        table = write_json(tmp_path / "table.json", rows)
+        assert run(["omega", "--map", "table", "--in", table,
+                    "--cells", "2"]) == 2
+        assert "rows must list cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--map", "logistic", "--param", "abc"],
+        ["--map", "rotation", "--param", "1/8", "--init", "cell:x"],
+        ["--map", "logistic"],
+    ], ids=["param", "init", "missing-param"])
+    def test_malformed_input_fails_closed(self, argv, capsys):
+        argv = ["omega"] + argv + ["--cells", "8"]
+        with pytest.raises(MalformedInputError):
+            cmd_omega(build_parser().parse_args(argv))
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("limitset-lab: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(OMEGA_PINNED))
+    def test_output_pinned(self, name, tmp_path, capsys):
+        argv, digest = OMEGA_PINNED[name]
+        outfile = tmp_path / "trace.csv"
+        start = time.perf_counter()
+        assert run(["omega"] + argv + ["--out", str(outfile)]) == 0
+        elapsed = time.perf_counter() - start
+        data = outfile.read_bytes() + capsys.readouterr().out.encode()
+        assert hashlib.sha256(data).hexdigest() == digest
+        if name == "henon-256":
+            assert elapsed < 10, f"henon 256/axis took {elapsed:.1f}s"
 
 
 class TestVerify:

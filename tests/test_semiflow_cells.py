@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 from limitset_lab.errors import MalformedInputError, PreconditionError
 from limitset_lab.pseudometric_core import RationalPointSpace
+from limitset_lab.rationals import INFINITY
 from limitset_lab.semiflow_cells import (CellGrid, DiscreteSemiflow,
                                          attraction_trace_check, cell_image,
                                          cellset_semidistance,
@@ -21,6 +23,50 @@ def cells_of(mask, total=None):
         mask >>= 1
         i += 1
     return out
+
+
+def pairwise_semidistance(grid, a, b):
+    """Brute-force d(a; b): max over a's centers of the least max-norm
+    distance to one of b's centers, in exact fractions."""
+    if a == 0:
+        return 0
+    if b == 0:
+        return INFINITY
+    centers_b = [grid.center(j) for j in cells_of(b)]
+    return max(min(max(abs(x - y) for x, y in zip(grid.center(i), cb))
+                   for cb in centers_b)
+               for i in cells_of(a))
+
+
+def neighbour_box_dilate(grid, cells):
+    """Brute-force dilation: every cell of each input cell's 3^dim box."""
+    n = grid.cells_per_axis
+    out = 0
+    for i in cells_of(cells):
+        base = grid.coords(i)
+        for shift in product((-1, 0, 1), repeat=grid.dim):
+            near = tuple(c + d for c, d in zip(base, shift))
+            if all(0 <= c < n for c in near):
+                out |= 1 << grid.index(near)
+    return out
+
+
+def random_cells(rng, grid):
+    """A random cell set: sparse, dense, or a few edge and corner cells."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randrange(1 << grid.total)
+    n, last = grid.cells_per_axis, grid.cells_per_axis - 1
+    if kind == 1:
+        picks = [rng.randrange(grid.total) for _ in range(3)]
+    else:
+        edges = [grid.index(c) for c in product((0, last), repeat=grid.dim)]
+        edges += [grid.index((rng.randrange(n),) + (0,) * (grid.dim - 1))]
+        picks = rng.sample(edges, rng.randint(1, 2))
+    return sum(1 << i for i in set(picks))
+
+
+GRIDS = [CellGrid(dim, n) for dim in (1, 2) for n in (1, 2, 4, 8, 16)]
 
 
 class TestCellGrid:
@@ -94,6 +140,19 @@ class TestCellImage:
         g2 = CellGrid(2, 2)
         assert g2.dilate(1 << 0) == 0b1111  # corner cell fills the 2x2 box
 
+    def test_dilation_matches_neighbour_boxes(self):
+        rng = random.Random(21)
+        for grid in GRIDS:
+            assert grid.dilate(0) == 0
+            assert grid.dilate(grid.full_mask) == grid.full_mask
+            for _ in range(40):
+                cells = random_cells(rng, grid)
+                assert grid.dilate(cells) == neighbour_box_dilate(grid, cells)
+        # a run of cells along the right edge must not wrap to the left
+        g = CellGrid(2, 4)
+        right_edge = sum(1 << g.index((3, y)) for y in range(4))
+        assert g.dilate(right_edge) == right_edge | right_edge >> 1
+
 
 class TestOmegaLimitCells:
     def test_identity_flow(self):
@@ -103,6 +162,24 @@ class TestOmegaLimitCells:
         assert res.omega == 0b0101
         assert res.preperiod == 0 and res.period == 1
         assert attraction_trace_check(res)
+
+    def test_sizes_count_the_reiterated_states(self):
+        rng = random.Random(23)
+        runs = [(CellGrid(1, 64), DiscreteSemiflow("logistic", (F(39, 10),)), {}),
+                (CellGrid(1, 64), DiscreteSemiflow("tent", (F(3, 2),)),
+                 {"samples": 4, "dilate": True}),
+                (CellGrid(1, 32), DiscreteSemiflow("rotation", (F(1, 7),)), {}),
+                (CellGrid(1, 32), DiscreteSemiflow("rotation", (F(3, 32),)), {}),
+                (CellGrid(2, 16), DiscreteSemiflow("henon", (F(7, 5), F(3, 10))),
+                 {"samples": 2})]
+        for grid, flow, kw in runs:
+            for _ in range(3):
+                state = rng.randrange(1, 1 << grid.total)
+                res = omega_limit_cells(grid, flow, state, **kw)
+                assert len(res.sizes) == len(res.trace)
+                for size in res.sizes:
+                    assert size == bin(state).count("1")
+                    state = cell_image(grid, flow, state, **kw)
 
     def test_empty_start_rejected(self):
         g = CellGrid(1, 4)
@@ -209,3 +286,24 @@ class TestCellsetSemidistance:
         g = CellGrid(1, 8)
         assert cellset_semidistance(g, 0, 0b1) == 0
         assert cellset_semidistance(g, 0b1, 0).is_infinite
+
+    def test_matches_pairwise_centers(self):
+        rng = random.Random(22)
+        for grid in GRIDS:
+            for _ in range(40):
+                a, b = random_cells(rng, grid), random_cells(rng, grid)
+                for x, y in ((a, b), (b, a), (0, b), (a, 0), (0, 0)):
+                    assert (cellset_semidistance(grid, x, y)
+                            == pairwise_semidistance(grid, x, y)), (grid.dim, x, y)
+
+    def test_opposite_corners(self):
+        for grid in GRIDS:
+            far = grid.index((grid.cells_per_axis - 1,) * grid.dim)
+            d = cellset_semidistance(grid, 1 << far, 1)
+            assert d == F(grid.cells_per_axis - 1, grid.cells_per_axis)
+            assert d == pairwise_semidistance(grid, 1 << far, 1)
+
+    def test_cells_outside_the_grid_rejected(self):
+        g = CellGrid(1, 4)
+        with pytest.raises(PreconditionError):
+            cellset_semidistance(g, 1 << 4, 1)

@@ -175,6 +175,17 @@ class TestLimitSet:
         with pytest.raises(PreconditionError):
             limit_set_horizon_oracle(alternating_net(), h=9, h2=3)
 
+    def test_horizon_oracle_refuses_non_periodic_tails(self):
+        # truncated unions of an escape are never empty ({8, ..., 12} for
+        # the defaults), although its limit set is; a geometric tail's
+        # limit point appears in no truncated union
+        escape = SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1)))
+        geometric = SubsetNet.over_znn(
+            Q1, [], GeometricConverge(pt(0), pt(1), F(1, 2)))
+        for net in (escape, geometric):
+            with pytest.raises(PreconditionError):
+                limit_set_horizon_oracle(net)
+
     def test_oracle_equals_symbolic_on_exhaustive_periodic_nets(self):
         for n in (1, 2):
             for space in enumerate_spaces(n):
