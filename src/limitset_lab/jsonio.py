@@ -42,7 +42,7 @@ def order_to_json(order: DirectedOrder) -> dict:
 def order_from_json(obj) -> DirectedOrder:
     kind = _field(obj, "kind")
     if kind == "finite":
-        return FiniteOrder.from_matrix(_field(obj, "rel"))
+        return FiniteOrder.from_matrix(_matrix(obj, "rel"))
     if kind == "znn":
         return ZNN
     if kind == "product":
@@ -58,7 +58,7 @@ def finite_space_to_json(space: FiniteSpace) -> dict:
 
 
 def finite_space_from_json(obj) -> FiniteSpace:
-    spec = _field(obj, "spec")
+    spec = _matrix(obj, "spec")
     space = FiniteSpace.from_matrix(spec)
     if "n" in obj and obj["n"] != space.n:
         raise MalformedInputError("n does not match the spec matrix")
@@ -71,9 +71,9 @@ def rational_space_to_json(space: RationalPointSpace) -> dict:
 
 
 def rational_space_from_json(obj) -> RationalPointSpace:
-    return RationalPointSpace(_field(obj, "dim"),
+    return RationalPointSpace(_field(obj, "dim", int),
                               [point_from_json(p)
-                               for p in obj.get("excluded", [])])
+                               for p in _field(obj, "excluded", list, [])])
 
 
 def metric_to_json(m: FinitePseudoMetric) -> dict:
@@ -83,7 +83,7 @@ def metric_to_json(m: FinitePseudoMetric) -> dict:
 
 def metric_from_json(obj) -> FinitePseudoMetric:
     return FinitePseudoMetric([[fraction_from_json(d) for d in row]
-                               for row in _field(obj, "dist")])
+                               for row in _matrix(obj, "dist")])
 
 
 def ground_to_json(ground) -> dict:
@@ -148,12 +148,12 @@ def tail_from_json(ground, obj):
     kind = _field(obj, "kind")
     if kind == "periodic":
         return Periodic(tuple(pointset_from_json(ground, s)
-                              for s in _field(obj, "cycle")))
+                              for s in _field(obj, "cycle", list)))
     if kind == "affine":
         return AffineEscape(point_from_json(_field(obj, "c")),
                             point_from_json(_field(obj, "v")))
     if kind == "geometric":
-        raw_b = _field(obj, "b")
+        raw_b = _field(obj, "b", list)
         if raw_b and isinstance(raw_b[0], list):
             b = tuple(point_from_json(t) for t in raw_b)
         else:
@@ -180,23 +180,24 @@ def net_from_json(obj) -> SubsetNet:
     ground = ground_from_json(_field(obj, "ground"))
     index = order_from_json(obj.get("index", {"kind": "znn"}))
     if isinstance(index, NonnegativeIntegers):
-        pre = [pointset_from_json(ground, s) for s in obj.get("preperiod", [])]
+        pre = [pointset_from_json(ground, s)
+               for s in _field(obj, "preperiod", list, [])]
         tail = tail_from_json(ground, _field(obj, "tail"))
         return SubsetNet.over_znn(ground, pre, tail)
     if not isinstance(index, FiniteOrder):
         raise MalformedInputError("net index must be finite or znn")
     assignment = [pointset_from_json(ground, s)
-                  for s in _field(obj, "assignment")]
+                  for s in _field(obj, "assignment", list)]
     return SubsetNet.over_finite(ground, index, assignment)
 
 
 # -- set-valued maps -----------------------------------------------------------------
 
 def _finite_ground_to_json(ground) -> dict:
+    if isinstance(ground, FinitePseudoMetric):  # a metric is a FiniteSpace too
+        return metric_to_json(ground)
     if isinstance(ground, FiniteSpace):
         return finite_space_to_json(ground)
-    if isinstance(ground, FinitePseudoMetric):
-        return metric_to_json(ground)
     raise MalformedInputError(f"unencodable map ground: {ground!r}")
 
 
@@ -219,7 +220,7 @@ def map_to_json(f: SetValuedMap) -> dict:
 def map_from_json(obj) -> SetValuedMap:
     domain = _finite_ground_from_json(_field(obj, "domain"))
     codomain = _finite_ground_from_json(_field(obj, "codomain"))
-    graph_obj = _field(obj, "graph")
+    graph_obj = _field(obj, "graph", dict)
     graph = []
     for x in range(domain.n):
         ys = graph_obj.get(str(x))
@@ -255,7 +256,22 @@ def analysis_to_json(ground, analysis: NetAnalysis) -> dict:
     }
 
 
-def _field(obj, name):
-    if not isinstance(obj, dict) or name not in obj:
+_REQUIRED = object()
+
+
+def _field(obj, name, kind=object, default=_REQUIRED):
+    """``obj[name]``, which must be a ``kind`` (a bool is not an int)."""
+    if not isinstance(obj, dict) or (name not in obj and default is _REQUIRED):
         raise MalformedInputError(f"missing field {name!r} in {obj!r}")
-    return obj[name]
+    value = obj.get(name, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise MalformedInputError(
+            f"field {name!r} must be of type {kind.__name__}: {value!r}")
+    return value
+
+
+def _matrix(obj, name) -> list:
+    rows = _field(obj, name, list)
+    if not all(isinstance(row, list) for row in rows):
+        raise MalformedInputError(f"rows of {name!r} must be lists: {rows!r}")
+    return rows

@@ -5,6 +5,8 @@ backend: points of Q^d under the max-norm, minus a finite excluded set;
 all distances are exact ``Fraction`` values.  ``FinitePseudoMetric`` is an
 explicit distance matrix on finitely many points (zero off-diagonal
 entries allowed), used for semicontinuity checks and inner-radius sweeps.
+It is a ``FiniteSpace`` (its metric topology, whose minimal open sets are
+the zero-sets) that also carries the distance.
 
 Point sets over ``RationalPointSpace`` are frozensets of coordinate
 tuples; point sets over ``FinitePseudoMetric`` are int bitmasks.
@@ -17,6 +19,7 @@ from typing import Callable, FrozenSet, Iterable, List
 
 from .errors import (MalformedInputError, MembershipError, PreconditionError,
                      UndefinedCaseError)
+from .finite_topology import FiniteSpace
 from .rationals import (INFINITY, ExtendedRational, Point, as_point,
                         max_norm_distance)
 
@@ -63,8 +66,13 @@ class RationalPointSpace:
         return f"RationalPointSpace(dim={self.dim}, excluded={sorted(self.excluded)})"
 
 
-class FinitePseudoMetric:
-    """An explicit pseudo-metric on ``{0, ..., n-1}``, validated at construction."""
+class FinitePseudoMetric(FiniteSpace):
+    """An explicit pseudo-metric on ``{0, ..., n-1}``, validated at construction.
+
+    It is the finite space of its metric topology: the minimal open set of
+    ``i`` is its zero-set ``{j : d(i, j) = 0}``, which the triangle
+    inequality makes an equivalence class.
+    """
 
     def __init__(self, dist: List[List]):
         self.n = len(dist)
@@ -85,45 +93,14 @@ class FinitePseudoMetric:
                 for k in range(self.n):
                     if self.dist[i][k] > self.dist[i][j] + self.dist[j][k]:
                         raise MalformedInputError("triangle inequality violated")
+        super().__init__([sum(1 << j for j, d in enumerate(row) if not d)
+                          for row in self.dist])
 
     @classmethod
     def from_points(cls, points: Iterable) -> "FinitePseudoMetric":
         """Max-norm distance matrix of a point list (duplicates give zeros)."""
         pts = [as_point(p) for p in points]
         return cls([[max_norm_distance(p, q) for q in pts] for p in pts])
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def check_set(self, e: int):
-        if e & ~self.full_mask:
-            raise PreconditionError("point set mentions out-of-range points")
-
-    def zeroset(self, i: int) -> int:
-        """Points at distance 0 from i: the minimal open set of i."""
-        return sum(1 << j for j in range(self.n) if self.dist[i][j] == 0)
-
-    def is_open(self, u: int) -> bool:
-        self.check_set(u)
-        rest = u
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if self.zeroset(i) & ~u:
-                return False
-        return True
-
-    def open_sets(self) -> List[int]:
-        if not hasattr(self, "_open_sets"):
-            self._open_sets = [u for u in range(1 << self.n)
-                               if self.is_open(u)]
-        return self._open_sets
-
-    def to_finite_space(self):
-        """The metric topology as a finite space (a partition topology)."""
-        from .finite_topology import FiniteSpace
-        return FiniteSpace([self.zeroset(i) for i in range(self.n)])
 
     def point_to_mask_distance(self, i: int, e: int) -> ExtendedRational:
         self.check_set(e)
@@ -155,6 +132,12 @@ class FinitePseudoMetric:
             if worst < d:
                 worst = d
         return worst
+
+    def __eq__(self, other):
+        return isinstance(other, FinitePseudoMetric) and self.dist == other.dist
+
+    def __hash__(self):
+        return hash(("metric", self.dist))
 
     def __repr__(self):
         return f"FinitePseudoMetric(n={self.n})"

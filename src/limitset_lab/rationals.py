@@ -75,25 +75,6 @@ def _coerce(x) -> ExtendedRational:
 
 
 INFINITY = ExtendedRational(infinite=True)
-ZERO = ExtendedRational(0)
-
-
-def ext_max(values, default=None) -> ExtendedRational:
-    values = [_coerce(v) for v in values]
-    if not values:
-        if default is None:
-            raise ValueError("ext_max of empty sequence without default")
-        return _coerce(default)
-    return max(values)
-
-
-def ext_min(values, default=None) -> ExtendedRational:
-    values = [_coerce(v) for v in values]
-    if not values:
-        if default is None:
-            raise ValueError("ext_min of empty sequence without default")
-        return _coerce(default)
-    return min(values)
 
 
 # -- rational points under the max-norm ------------------------------------
@@ -131,18 +112,6 @@ def fraction_from_json(obj) -> Fraction:
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedInputError(f"bad rational object: {obj!r}") from exc
     raise MalformedInputError(f"expected rational, got: {obj!r}")
-
-
-def extended_to_json(x: ExtendedRational) -> dict:
-    if x.is_infinite:
-        return {"infinite": True}
-    return fraction_to_json(x.value)
-
-
-def extended_from_json(obj) -> ExtendedRational:
-    if isinstance(obj, dict) and obj.get("infinite") is True:
-        return INFINITY
-    return ExtendedRational(fraction_from_json(obj))
 
 
 def point_to_json(p: Point) -> list:

@@ -1,44 +1,41 @@
 """Upper and lower semicontinuity of set-valued maps, brute-forced.
 
-Domains and codomains are finite: either a ``FiniteSpace`` or a
-``FinitePseudoMetric`` (through its metric topology).  Graphs are stored
-extensionally as one codomain bitmask per domain point, empty values
-allowed.  Everything is decided by enumerating open sets, which is the
-point: these are the reference answers the semi-distance criteria are
-checked against.
+Domains and codomains are finite spaces; a ``FinitePseudoMetric`` is one
+(its metric topology), so both kinds of ground share one open-set
+enumeration.  Graphs are stored extensionally as one codomain bitmask per
+domain point, empty values allowed.  Everything is decided by enumerating
+open sets, which is the point: these are the reference answers the
+semi-distance criteria are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Union
+from fractions import Fraction
+from typing import List
 
 from .errors import MalformedInputError, PreconditionError
 from .finite_topology import FiniteSpace
 from .pseudometric_core import FinitePseudoMetric
 
-FiniteGround = Union[FiniteSpace, FinitePseudoMetric]
-
 
 @dataclass(frozen=True)
 class SetValuedMap:
-    domain: FiniteGround
-    codomain: FiniteGround
+    domain: FiniteSpace
+    codomain: FiniteSpace
     graph: tuple  # codomain bitmask per domain point
 
     def __post_init__(self):
         if len(self.graph) != self.domain.n:
             raise MalformedInputError("graph must be total on the domain")
-        full = (1 << self.codomain.n) - 1
         for value in self.graph:
-            if value & ~full:
+            if value & ~self.codomain.full_mask:
                 raise MalformedInputError("graph value outside the codomain")
 
 
 def image(f: SetValuedMap, a0: int) -> int:
     """Union of the values over a0."""
-    if a0 & ~((1 << f.domain.n) - 1):
-        raise PreconditionError("argument set outside the domain")
+    f.domain.check_set(a0)
     out = 0
     rest = a0
     while rest:
@@ -48,11 +45,11 @@ def image(f: SetValuedMap, a0: int) -> int:
     return out
 
 
-def _open_sets_with(ground: FiniteGround, member: int) -> List[int]:
+def _open_sets_with(ground: FiniteSpace, member: int) -> List[int]:
     return [u for u in ground.open_sets() if u >> member & 1]
 
 
-def _open_supersets(ground: FiniteGround, e: int) -> List[int]:
+def _open_supersets(ground: FiniteSpace, e: int) -> List[int]:
     return [u for u in ground.open_sets() if e & ~u == 0]
 
 
@@ -85,13 +82,11 @@ def is_lsc_at(f: SetValuedMap, x: int) -> bool:
     vs.sort(key=lambda v: bin(v).count("1"))  # small neighborhoods decide fastest
     for y in ys:
         for u in _open_sets_with(f.codomain, y):
-            good = False
             for v in vs:
                 if all(f.graph[xp] & u for xp in range(f.domain.n)
                        if v >> xp & 1):
-                    good = True
                     break
-            if not good:
+            else:
                 return False
     return True
 
@@ -112,34 +107,20 @@ def lsc_via_semidistance(f: SetValuedMap, x: int) -> bool:
     if fx == 0:
         raise PreconditionError("F(x) must be nonempty (compactness of the value)")
 
-    rhos = []
-    for xp in range(f.domain.n):
-        rho = f.codomain.semidistance_masks(fx, f.graph[xp])
-        rhos.append(rho)
+    rhos = [f.codomain.semidistance_masks(fx, value) for value in f.graph]
     finite_values = sorted({r.value for r in rhos if not r.is_infinite})
     eps_grid = _midpoint_grid(finite_values)
 
-    radii = sorted({f.domain.dist[x][xp] for xp in range(f.domain.n)})
-    balls = []
-    for rad in radii:
-        ball = [xp for xp in range(f.domain.n) if f.domain.dist[x][xp] <= rad]
-        balls.append(ball)
-
-    for eps in eps_grid:
-        ok = False
-        for ball in balls:
-            if all((not rhos[xp].is_infinite) and rhos[xp].value < eps
-                   for xp in ball):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    row = f.domain.dist[x]
+    balls = [[xp for xp in range(f.domain.n) if row[xp] <= rad]
+             for rad in sorted(set(row))]
+    return all(any(all(not rhos[xp].is_infinite and rhos[xp].value < eps
+                       for xp in ball) for ball in balls)
+               for eps in eps_grid)
 
 
 def _midpoint_grid(values) -> list:
     """Midpoints between consecutive values, one point per decision region."""
-    from fractions import Fraction
     grid = []
     prev = Fraction(0)
     for v in values:

@@ -40,8 +40,7 @@ from .directed_sets import (ZNN, DirectedOrder, FiniteOrder,
 from .errors import (MalformedInputError, PreconditionError,
                      UnsupportedRuleError)
 from .finite_topology import FiniteSpace, closure
-from .pseudometric_core import (RationalPointSpace, point_set_distance,
-                                semidistance)
+from .pseudometric_core import RationalPointSpace, semidistance
 from .rationals import Point, as_point, max_norm_distance
 
 Ground = Union[FiniteSpace, RationalPointSpace]
@@ -510,7 +509,8 @@ def converges_from_above(net: SubsetNet, a) -> Verdict:
     Tails shrink onto the phases, so the question is whether the phase union
     lies inside every neighborhood of the target.  Finite backend: that is
     one inclusion in the minimal open superset.  Rational backend: the
-    target is finite, so inside every eps-ball means at distance zero.  A
+    target is finite, so inside every eps-ball means at distance zero, and
+    under the max-norm (a metric) that is inclusion in the target.  A
     lost tail is never attracted, not even by the empty target.
     """
     ground, summary = net.ground, net.summary
@@ -519,8 +519,7 @@ def converges_from_above(net: SubsetNet, a) -> Verdict:
         return Verdict.fails()
     if isinstance(ground, FiniteSpace):
         return _verdict(summary.union & ~ground.minimal_open_superset(a) == 0)
-    return _verdict(all(point_set_distance(ground, x, a) == 0
-                        for x in summary.union))
+    return _verdict(summary.union <= a)
 
 
 def semidistance_convergence_check(net: SubsetNet, k) -> Verdict:
@@ -544,7 +543,9 @@ def semidistance_convergence_check(net: SubsetNet, k) -> Verdict:
 def converges_from_below(net: SubsetNet, a) -> Verdict:
     """Every neighborhood of every target point eventually meets the net.
 
-    The net eventually meets a neighborhood iff every phase does.
+    The net eventually meets a neighborhood iff every phase does.  Rational
+    backend: a phase is finite, so it meets every eps-ball around y iff it
+    contains y (distance zero means equality in a metric).
     """
     ground, summary = net.ground, net.summary
     a = _normalize_set(ground, a)
@@ -556,8 +557,7 @@ def converges_from_below(net: SubsetNet, a) -> Verdict:
         return _verdict(all(phase & ground.minimal_open(y)
                             for y in range(ground.n) if a >> y & 1
                             for phase in summary.phases))
-    return _verdict(all(point_set_distance(ground, y, phase) == 0
-                        for y in a for phase in summary.phases))
+    return _verdict(all(a <= phase for phase in summary.phases))
 
 
 def below_iff_semidistance(net: SubsetNet, k) -> Tuple[Verdict, Verdict]:

@@ -172,7 +172,9 @@ def test_acceptance_6_semicontinuity_oracles():
             if is_regular(space) != is_pseudometrizable(space):
                 violations += 1
     elapsed = time.perf_counter() - start
-    report(6, violations == 0, elapsed, 120,
+    # the sweep size is pinned so a change of representation cannot shrink it
+    ok = violations == 0 and checked == 1_135_086 and regular_checked == 389
+    report(6, ok, elapsed, 120,
            f"lsc criterion = definition on {checked} instances; regularity = "
            f"symmetric criterion on {regular_checked} topologies")
 

@@ -87,6 +87,13 @@ class TestSpaceCheck:
         bad.write_text("{nope")
         assert run(["space", "check", "--in", str(bad)]) == 2
 
+    @pytest.mark.parametrize("spec", [5, [5]])
+    def test_mistyped_spec_fails_closed(self, spec, tmp_path, capsys):
+        infile = write_json(tmp_path / "space.json", {"spec": spec})
+        assert run(["space", "check", "--in", infile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("limitset-lab: ") and err.count("\n") == 1
+
     def test_missing_file_is_input_error(self):
         assert run(["space", "check", "--in", "/nonexistent.json"]) == 2
 
@@ -117,6 +124,26 @@ class TestNetAnalyze:
         assert run(["net", "analyze", "--in", str(DEMO / name),
                     "--out", str(outfile)]) == 0
         assert outfile.read_text() == DEMO_ANALYSES[name]
+
+    @pytest.mark.parametrize("name, path, value", [
+        ("trap.json", ("ground", "dim"), "x"),
+        ("trap.json", ("ground", "dim"), True),
+        ("trap.json", ("ground", "excluded"), 5),
+        ("trap.json", ("preperiod",), 3),
+        ("periodic.json", ("tail", "cycle"), 7),
+        ("trap.json", ("tail", "b"), 7),
+    ], ids=["dim-str", "dim-bool", "excluded", "preperiod", "cycle", "b"])
+    def test_mistyped_field_fails_closed(self, name, path, value, tmp_path,
+                                         capsys):
+        net = json.loads((DEMO / name).read_text())
+        node = net
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        infile = write_json(tmp_path / "net.json", net)
+        assert run(["net", "analyze", "--in", infile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("limitset-lab: ") and err.count("\n") == 1
 
     def test_bad_horizon(self, tmp_path):
         infile = write_json(tmp_path / "net.json", ESCAPE_NET_JSON)

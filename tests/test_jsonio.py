@@ -71,6 +71,20 @@ class TestGrounds:
         j = jsonio.metric_to_json(m)
         assert jsonio.metric_from_json(j).dist == m.dist
 
+    @pytest.mark.parametrize("decode, obj", [
+        (jsonio.finite_space_from_json, {"spec": 5}),
+        (jsonio.finite_space_from_json, {"spec": [5]}),
+        (jsonio.order_from_json, {"kind": "finite", "rel": 5}),
+        (jsonio.order_from_json, {"kind": "finite", "rel": [5]}),
+        (jsonio.rational_space_from_json, {"dim": True}),
+        (jsonio.rational_space_from_json, {"dim": 1, "excluded": 5}),
+        (jsonio.metric_from_json, {"dist": 5}),
+        (jsonio.metric_from_json, {"dist": [5]}),
+    ])
+    def test_mistyped_fields_rejected(self, decode, obj):
+        with pytest.raises(MalformedInputError):
+            decode(obj)
+
     def test_ground_dispatch(self):
         assert isinstance(jsonio.ground_from_json({"dim": 1}),
                           RationalPointSpace)
@@ -126,6 +140,14 @@ class TestMapsAndVerdicts:
         back = jsonio.map_from_json(j)
         assert back.graph == f.graph
         assert jsonio.map_to_json(back) == j
+
+    def test_metric_grounds_keep_their_distances(self):
+        dom = FinitePseudoMetric([[0, 0], [0, 0]])
+        cod = FinitePseudoMetric([[0, F(1, 2)], [F(1, 2), 0]])
+        f = SetValuedMap(dom, cod, (0b01, 0b11))
+        j = jsonio.map_to_json(f)
+        assert "dist" in j["domain"] and "dist" in j["codomain"]
+        assert jsonio.map_from_json(j) == f
 
     def test_graph_must_cover_domain(self):
         j = {"domain": {"n": 2, "spec": [[True, False], [False, True]]},

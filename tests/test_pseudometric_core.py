@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from limitset_lab.errors import (MalformedInputError, MembershipError,
                                  PreconditionError, UndefinedCaseError)
+from limitset_lab.finite_topology import closure, discrete_space
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace, ball_of_set,
                                             compact_inner_radius,
@@ -15,6 +16,8 @@ from limitset_lab.rationals import INFINITY, ExtendedRational
 from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
                                       Periodic, SubsetNet, kuratowski_limits)
 from limitset_lab.theoremlab import RULE_FAMILIES, random_rule_net
+
+from test_setvalued_maps import zero_one_metrics
 
 Q1 = RationalPointSpace(1)
 
@@ -277,11 +280,70 @@ class TestValidation:
 
     def test_pseudo_allows_zero_gluing(self):
         m = FinitePseudoMetric([[0, 0], [0, 0]])
-        assert m.zeroset(0) == 0b11
+        assert m.minimal_open(0) == 0b11
 
     def test_metric_topology_of_glued_points(self):
         m = FinitePseudoMetric.from_points([pt(0), pt(0), pt(3)])
-        assert m.to_finite_space().rows == (0b011, 0b011, 0b100)
+        assert m.rows == (0b011, 0b011, 0b100)
+
+
+def zeroset_oracle(m, i):
+    """Points at distance 0 from i, read off the distance matrix."""
+    return sum(1 << j for j in range(m.n) if m.dist[i][j] == 0)
+
+
+def zeroset_is_open(m, u):
+    """The metric topology by definition: every point's zero-set lies in u."""
+    return all(zeroset_oracle(m, i) & ~u == 0
+               for i in range(m.n) if u >> i & 1)
+
+
+class TestMetricTopology:
+    """The inherited finite-space topology against the zero-set definition."""
+
+    @staticmethod
+    def check(m):
+        assert m.open_sets() == [u for u in range(1 << m.n)
+                                 if zeroset_is_open(m, u)]
+        for i in range(m.n):
+            assert m.minimal_open(i) == zeroset_oracle(m, i)
+        for e in range(1 << m.n):
+            # closed sets of a partition topology are unions of zero-sets
+            assert closure(m, e) == sum(1 << i for i in range(m.n)
+                                        if zeroset_oracle(m, i) & e)
+
+    def test_zero_one_metrics(self):
+        for n in (1, 2, 3, 4):
+            for m in zero_one_metrics(n):
+                self.check(m)
+
+    def test_random_lattice_metrics(self):
+        rng = random.Random("metric-topology")
+        for _ in range(200):
+            dim = rng.randint(1, 2)
+            self.check(FinitePseudoMetric.from_points(
+                [tuple(F(rng.randint(0, 2), 2) for _ in range(dim))
+                 for _ in range(rng.randint(1, 6))]))
+
+
+class TestMetricEquality:
+    def test_equal_distances_are_equal(self):
+        a = FinitePseudoMetric([[0, F(1, 2)], [F(1, 2), 0]])
+        b = FinitePseudoMetric.from_points([pt(0), pt(F(1, 2))])
+        assert a == b and hash(a) == hash(b)
+
+    def test_same_zero_sets_different_distances_differ(self):
+        a = FinitePseudoMetric([[0, 1], [1, 0]])
+        b = FinitePseudoMetric([[0, 2], [2, 0]])
+        assert a.rows == b.rows
+        assert a != b and b != a
+
+    def test_never_equal_to_a_plain_finite_space(self):
+        m = FinitePseudoMetric([[0, 1], [1, 0]])
+        space = discrete_space(2)
+        assert m.rows == space.rows
+        assert m != space and space != m
+        assert len({m, space}) == 2
 
 
 def test_extended_rational_arithmetic():

@@ -212,11 +212,10 @@ class TestApproachNetCharacterization:
         cods = [m for n in (1, 2) for m in zero_one_metrics(n)]
         for dom in doms:
             for cod in cods:
-                cod_space = cod.to_finite_space()
                 for graph in product(range(1 << cod.n), repeat=3):
                     f = SetValuedMap(dom, cod, graph)
                     for x in range(3):
-                        if dom.zeroset(x) == 1 << x:
+                        if dom.minimal_open(x) == 1 << x:
                             continue  # isolated: the remark does not apply
                         others = [p for p in range(3) if p != x]
                         rows = []
@@ -228,6 +227,6 @@ class TestApproachNetCharacterization:
                             rows.append(row)
                         order = FiniteOrder(rows)
                         net = SubsetNet.over_finite(
-                            cod_space, order, [graph[p] for p in others])
+                            cod, order, [graph[p] for p in others])
                         below = converges_from_below(net, graph[x])
                         assert below.is_holds == is_lsc_at(f, x)
