@@ -24,12 +24,13 @@ class FiniteSpace:
         """``rows[x]`` = bitmask of ``{y : x in cls({y})}``; must be a preorder."""
         self.n = len(rows)
         self.rows = tuple(rows)
-        full = (1 << self.n) - 1
+        self.full_mask = full = (1 << self.n) - 1
         for r in self.rows:
             if r & ~full:
                 raise MalformedInputError("spec row mentions out-of-range points")
         if not _rows_reflexive_transitive(self.rows, self.n):
             raise MalformedInputError("spec matrix must be reflexive and transitive")
+        self._supersets = {}  # minimal_open_superset, filled on first ask
 
     @classmethod
     def from_matrix(cls, spec: Sequence[Sequence[bool]]) -> "FiniteSpace":
@@ -37,15 +38,13 @@ class FiniteSpace:
         for row in spec:
             if len(row) != n:
                 raise MalformedInputError("spec matrix is not square")
-        return cls([sum(1 << y for y in range(n) if spec[x][y]) for x in range(n)])
+        # a spec matrix describes a topology, never a distance
+        return FiniteSpace([sum(1 << y for y in range(n) if spec[x][y])
+                            for x in range(n)])
 
     def matrix(self):
         return [[bool(self.rows[x] >> y & 1) for y in range(self.n)]
                 for x in range(self.n)]
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     def check_point(self, x: int):
         if not 0 <= x < self.n:
@@ -62,13 +61,16 @@ class FiniteSpace:
 
     def minimal_open_superset(self, e: int) -> int:
         """Intersection of all open supersets of ``e`` (open, since finite)."""
-        self.check_set(e)
-        out = 0
-        rest = e
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            out |= self.rows[x]
+        out = self._supersets.get(e)
+        if out is None:
+            self.check_set(e)
+            out = 0
+            rest = e
+            while rest:
+                x = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                out |= self.rows[x]
+            self._supersets[e] = out
         return out
 
     def is_open(self, u: int) -> bool:

@@ -87,21 +87,34 @@ def metric_from_json(obj) -> FinitePseudoMetric:
 
 
 def ground_to_json(ground) -> dict:
-    if isinstance(ground, FiniteSpace):
-        return finite_space_to_json(ground)
     if isinstance(ground, RationalPointSpace):
         return rational_space_to_json(ground)
-    raise MalformedInputError(f"unencodable ground: {ground!r}")
+    return _finite_ground_to_json(ground)
 
 
 def ground_from_json(obj):
+    if isinstance(obj, dict) and "dim" in obj:
+        return rational_space_from_json(obj)
+    return _finite_ground_from_json(obj)
+
+
+def _finite_ground_to_json(ground) -> dict:
+    if isinstance(ground, FinitePseudoMetric):  # a metric is a FiniteSpace too
+        return metric_to_json(ground)
+    if isinstance(ground, FiniteSpace):
+        return finite_space_to_json(ground)
+    raise MalformedInputError(f"unencodable ground: {ground!r}")
+
+
+def _finite_ground_from_json(obj):
     if not isinstance(obj, dict):
         raise MalformedInputError("ground must be an object")
     if "spec" in obj:
         return finite_space_from_json(obj)
-    if "dim" in obj:
-        return rational_space_from_json(obj)
-    raise MalformedInputError("ground must carry 'spec' or 'dim'")
+    if "dist" in obj:
+        return metric_from_json(obj)
+    raise MalformedInputError(
+        "ground must carry 'spec' or 'dist' (finite), or 'dim' (Q^d, nets only)")
 
 
 # -- point sets -------------------------------------------------------------------
@@ -192,22 +205,6 @@ def net_from_json(obj) -> SubsetNet:
 
 
 # -- set-valued maps -----------------------------------------------------------------
-
-def _finite_ground_to_json(ground) -> dict:
-    if isinstance(ground, FinitePseudoMetric):  # a metric is a FiniteSpace too
-        return metric_to_json(ground)
-    if isinstance(ground, FiniteSpace):
-        return finite_space_to_json(ground)
-    raise MalformedInputError(f"unencodable map ground: {ground!r}")
-
-
-def _finite_ground_from_json(obj):
-    if "spec" in obj:
-        return finite_space_from_json(obj)
-    if "dist" in obj:
-        return metric_from_json(obj)
-    raise MalformedInputError("map ground must carry 'spec' or 'dist'")
-
 
 def map_to_json(f: SetValuedMap) -> dict:
     graph = {str(x): [y for y in range(f.codomain.n) if f.graph[x] >> y & 1]

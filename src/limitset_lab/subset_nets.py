@@ -5,7 +5,10 @@ explicit assignment of a point set to every index element) or by Z+ (with
 a finite preperiod followed by a symbolic tail rule: ``Periodic``,
 ``AffineEscape`` or ``GeometricConverge``).
 
-Construction validates the net and reduces its tail, once, to a
+Each tail rule evaluates its own values (``value(n, pre_len)``), so
+``SubsetNet.at`` never dispatches on the rule type.  Construction validates
+the net, proving with exact closed forms that an affine or geometric tail
+never hits an excluded point, and reduces its tail, once, to a
 ``TailSummary`` of one of three shapes:
 
 * **recurring** -- the tail returns forever to a fixed tuple of *phases*:
@@ -41,12 +44,10 @@ from .errors import (MalformedInputError, PreconditionError,
                      UnsupportedRuleError)
 from .finite_topology import FiniteSpace, closure
 from .pseudometric_core import RationalPointSpace, semidistance
-from .rationals import Point, as_point, max_norm_distance
+from .rationals import Point, as_point
 
 Ground = Union[FiniteSpace, RationalPointSpace]
 SetValue = Union[int, FrozenSet[Point]]
-
-EXCLUSION_CHECK_HORIZON = 64
 
 
 # -- tail rules ---------------------------------------------------------------
@@ -65,6 +66,9 @@ class Periodic:
     def period(self) -> int:
         return len(self.cycle)
 
+    def value(self, n: int, pre_len: int) -> SetValue:
+        return self.cycle[(n - pre_len) % len(self.cycle)]
+
 
 @dataclass(frozen=True)
 class AffineEscape:
@@ -77,6 +81,9 @@ class AffineEscape:
 
     def point(self, n: int) -> Point:
         return tuple(ci + n * vi for ci, vi in zip(self.c, self.v))
+
+    def value(self, n: int, pre_len: int) -> FrozenSet[Point]:
+        return frozenset([self.point(n)])
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,9 @@ class GeometricConverge:
 
     def points(self, n: int) -> FrozenSet[Point]:
         return frozenset(self.point(n, b) for b in self.targets)
+
+    def value(self, n: int, pre_len: int) -> FrozenSet[Point]:
+        return self.points(n)
 
 
 TailRule = Union[Periodic, AffineEscape, GeometricConverge]
@@ -151,11 +161,11 @@ class Verdict:
 
     @classmethod
     def holds(cls) -> "Verdict":
-        return cls("holds")
+        return HOLDS
 
     @classmethod
     def fails(cls) -> "Verdict":
-        return cls("fails")
+        return FAILS
 
     @classmethod
     def unknown(cls, horizon: int) -> "Verdict":
@@ -174,8 +184,12 @@ class Verdict:
         return self.state == "unknown"
 
 
+HOLDS = Verdict("holds")
+FAILS = Verdict("fails")
+
+
 def _verdict(flag: bool) -> Verdict:
-    return Verdict.holds() if flag else Verdict.fails()
+    return HOLDS if flag else FAILS
 
 
 # -- the net ------------------------------------------------------------------
@@ -196,6 +210,7 @@ class SubsetNet:
                  assignment: Optional[tuple] = None):
         self.ground = ground
         self.index = index
+        self.is_znn = isinstance(index, NonnegativeIntegers)
         self.summary = summary
         self.preperiod = preperiod
         self.tail = tail
@@ -227,24 +242,13 @@ class SubsetNet:
     # evaluation ----------------------------------------------------------------
 
     @property
-    def is_znn(self) -> bool:
-        return isinstance(self.index, NonnegativeIntegers)
-
-    @property
     def is_metric(self) -> bool:
         return isinstance(self.ground, RationalPointSpace)
 
     def at(self, s) -> SetValue:
         if self.is_znn:
-            if s < len(self.preperiod):
-                return self.preperiod[s]
-            rule = self.tail
-            if isinstance(rule, Periodic):
-                off = (s - len(self.preperiod)) % len(rule.cycle)
-                return rule.cycle[off]
-            if isinstance(rule, GeometricConverge):
-                return rule.points(s)
-            return frozenset([rule.point(s)])
+            pre = self.preperiod
+            return pre[s] if s < len(pre) else self.tail.value(s, len(pre))
         return self.assignment[s]
 
     def values(self, upto: int) -> List[SetValue]:
@@ -336,33 +340,25 @@ def _normalize_targets(b) -> tuple:
     return (as_point(seq),)
 
 
+def _line_parameter(c: Point, v: Point, e: Point) -> Optional[Fraction]:
+    """The s with c + s*v = e (v nonzero), or None when e is off that line.
+
+    e must equal c on every coordinate v fixes and give one shared ratio
+    (e_i - c_i) / v_i on every coordinate it moves.
+    """
+    if any(vi == 0 and ci != ei for ci, vi, ei in zip(c, v, e)):
+        return None
+    ratios = {(ei - ci) / vi for ci, vi, ei in zip(c, v, e) if vi}
+    return ratios.pop() if len(ratios) == 1 else None
+
+
 def _check_affine_avoids_excluded(ground: RationalPointSpace,
                                   rule: AffineEscape, n0: int):
-    # c + n*v = e has at most one solution n; solve it exactly per point
     for e in ground.excluded:
-        n = None
-        ok = True
-        for ci, vi, ei in zip(rule.c, rule.v, e):
-            if vi == 0:
-                if ci != ei:
-                    ok = False
-                    break
-            else:
-                cand = (ei - ci) / vi
-                if cand.denominator != 1:
-                    ok = False
-                    break
-                if n is None:
-                    n = int(cand)
-                elif n != cand:
-                    ok = False
-                    break
-        if ok and n is not None and n >= n0:
+        n = _line_parameter(rule.c, rule.v, e)
+        if n is not None and n.denominator == 1 and n >= n0:
             raise MalformedInputError(
                 f"escape tail hits excluded point {e} at n={n}")
-        if ok and n is None:
-            # v == 0 handled above; unreachable
-            raise MalformedInputError("degenerate escape rule")
 
 
 def _check_geometric_avoids_excluded(ground: RationalPointSpace,
@@ -373,23 +369,20 @@ def _check_geometric_avoids_excluded(ground: RationalPointSpace,
             raise MalformedInputError(
                 "constant geometric tail sits on an excluded point")
         return
-    # check the horizon, then step until the branch is closer to the limit
-    # point than any excluded point can be
-    gaps = [max_norm_distance(e, rule.a) for e in ground.excluded]
-    floor = min((g for g in gaps if g > 0), default=None)
-    span = max_norm_distance(b, rule.a)
-    n = n0
-    rn = rule.r ** n0
-    while True:
-        pt = tuple(ai + rn * (bi - ai) for ai, bi in zip(rule.a, b))
-        if pt in ground.excluded:
-            raise MalformedInputError(
-                f"geometric tail hits excluded point {pt} at n={n}")
-        n += 1
-        rn *= rule.r
-        if n >= n0 + EXCLUSION_CHECK_HORIZON and (
-                floor is None or abs(rn) * span < floor):
-            break  # remaining points are closer to a than any excluded point
+    # the branch meets e at n iff r^n = t, the line parameter of e (t = 0
+    # is e = a, which it only approaches); |r^n| shrinks, so step it from
+    # n0 only while it is at least the least |t|
+    v = tuple(bi - ai for ai, bi in zip(rule.a, b))
+    hits = {t: e for e in ground.excluded
+            if (t := _line_parameter(rule.a, v, e))}
+    if hits:
+        least = min(map(abs, hits))
+        n, rn = n0, rule.r ** n0
+        while abs(rn) >= least:
+            if rn in hits:
+                raise MalformedInputError(
+                    f"geometric tail hits excluded point {hits[rn]} at n={n}")
+            n, rn = n + 1, rn * rule.r
 
 
 # -- limit sets ---------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, List
+from typing import Callable, Iterator, List, Tuple
 
 from .directed_sets import FiniteOrder
 from .errors import LimitsetError
@@ -56,9 +56,12 @@ class SuiteReport:
         self.violations.append(
             {"instance": instance, "expected": expected, "got": got})
 
-    def exhibit(self, instance: str, note: str):
+    def exhibit(self, label: Callable[[], Tuple[str, str]]):
+        """Count one exhibit; ``label()`` gives its (instance, note) and runs
+        only for the first ``EXHIBIT_CAP`` exhibits, the ones kept."""
         self.exhibit_count += 1
         if len(self.exhibits) < EXHIBIT_CAP:
+            instance, note = label()
             self.exhibits.append({"instance": instance, "note": note})
 
     def track(self, verdict: Verdict) -> Verdict:
@@ -349,10 +352,10 @@ def suite_separation_containments(budget: int = 1000,
                                 "L inside cls(A) on a regular space",
                                 f"L={ls:b}")
                         else:
-                            report.exhibit(
+                            report.exhibit(lambda: (
                                 f"{describe_net(net)} A={a:b}",
                                 f"L={ls:b} escapes cls(A)={cls_cache[a]:b} "
-                                "without regularity")
+                                "without regularity"))
     report.elapsed_seconds = time.perf_counter() - start
     return report.finalize()
 

@@ -145,6 +145,17 @@ class TestNetAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("limitset-lab: ") and err.count("\n") == 1
 
+    def test_metric_ground_net(self, tmp_path):
+        net = {"ground": {"dist": [[0, 1], [1, 0]]},
+               "tail": {"kind": "periodic", "cycle": [[0], [1]]}}
+        infile = write_json(tmp_path / "net.json", net)
+        outfile = tmp_path / "analysis.json"
+        assert run(["net", "analyze", "--in", infile,
+                    "--out", str(outfile)]) == 0
+        out = json.loads(outfile.read_text())
+        assert out["limit_set"] == [0, 1]
+        assert out["limit_set_compact"] == {"state": "holds"}
+
     def test_bad_horizon(self, tmp_path):
         infile = write_json(tmp_path / "net.json", ESCAPE_NET_JSON)
         assert run(["net", "analyze", "--in", infile, "--horizon", "0"]) == 2

@@ -265,3 +265,32 @@ def test_matrix_round_trip():
     space = FiniteSpace.from_matrix([[True, True], [False, True]])
     assert space.rows == SIERPINSKI.rows
     assert space.matrix() == [[True, True], [False, True]]
+
+
+def oracle_minimal_open_superset(space, e):
+    """Union of the minimal open sets of the points of e, bit by bit."""
+    out = 0
+    for x in range(space.n):
+        if e >> x & 1:
+            out |= space.rows[x]
+    return out
+
+
+class TestMinimalOpenSuperset:
+    def test_matches_the_bit_walk_on_every_subset(self):
+        for n in (1, 2, 3):
+            for space in enumerate_spaces(n):
+                for _ in range(2):  # the second pass reads the memo
+                    for e in range(1 << n):
+                        assert space.minimal_open_superset(e) == \
+                            oracle_minimal_open_superset(space, e)
+                        assert space.is_open(space.minimal_open_superset(e))
+
+    def test_out_of_range_sets_keep_raising(self):
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                SIERPINSKI.minimal_open_superset(0b100)
+
+    def test_full_mask_is_fixed_at_construction(self):
+        for n in (1, 2, 3):
+            assert discrete_space(n).full_mask == (1 << n) - 1

@@ -80,6 +80,8 @@ class TestGrounds:
         (jsonio.rational_space_from_json, {"dim": 1, "excluded": 5}),
         (jsonio.metric_from_json, {"dist": 5}),
         (jsonio.metric_from_json, {"dist": [5]}),
+        (jsonio.map_from_json, {"domain": 5, "codomain": {"spec": [[True]]},
+                                "graph": {}}),
     ])
     def test_mistyped_fields_rejected(self, decode, obj):
         with pytest.raises(MalformedInputError):
@@ -88,8 +90,13 @@ class TestGrounds:
     def test_ground_dispatch(self):
         assert isinstance(jsonio.ground_from_json({"dim": 1}),
                           RationalPointSpace)
-        with pytest.raises(MalformedInputError):
+        assert isinstance(jsonio.ground_from_json({"dist": [[0]]}),
+                          FinitePseudoMetric)
+        with pytest.raises(MalformedInputError,
+                           match="'spec'.*'dist'.*'dim'"):
             jsonio.ground_from_json({"what": 1})
+        with pytest.raises(MalformedInputError):
+            jsonio.ground_from_json(5)
 
 
 class TestNets:
@@ -121,6 +128,17 @@ class TestNets:
         j = jsonio.net_to_json(net)
         back = jsonio.net_from_json(j)
         assert back.assignment == net.assignment
+        assert jsonio.net_to_json(back) == j
+
+    def test_metric_ground_keeps_its_distances(self):
+        metric = FinitePseudoMetric([[0, 1], [1, 0]])
+        net = SubsetNet.over_znn(metric, [], Periodic((0b01,)))
+        j = jsonio.net_to_json(net)
+        assert "dist" in j["ground"] and "spec" not in j["ground"]
+        back = jsonio.net_from_json(j)
+        assert back.ground == metric
+        assert isinstance(back.ground, FinitePseudoMetric)
+        assert back.tail == net.tail and back.summary == net.summary
         assert jsonio.net_to_json(back) == j
 
     def test_default_index_is_znn(self):

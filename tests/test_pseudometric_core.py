@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from limitset_lab.errors import (MalformedInputError, MembershipError,
                                  PreconditionError, UndefinedCaseError)
-from limitset_lab.finite_topology import closure, discrete_space
+from limitset_lab.finite_topology import (FiniteSpace, closure,
+                                          discrete_space)
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace, ball_of_set,
                                             compact_inner_radius,
@@ -344,6 +345,18 @@ class TestMetricEquality:
         assert m.rows == space.rows
         assert m != space and space != m
         assert len({m, space}) == 2
+
+    def test_from_matrix_builds_a_plain_finite_space(self):
+        space = FinitePseudoMetric.from_matrix([[True]])
+        assert space == FiniteSpace.from_matrix([[True]])
+        assert type(space) is FiniteSpace
+
+    def test_inherits_the_finite_space_state(self):
+        m = FinitePseudoMetric([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        assert m.full_mask == 0b111
+        for _ in range(2):  # the second call reads the memo
+            assert m.minimal_open_superset(0b001) == 0b011
+            assert m.minimal_open_superset(0b100) == 0b100
 
 
 def test_extended_rational_arithmetic():

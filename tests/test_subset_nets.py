@@ -10,6 +10,7 @@ from limitset_lab.errors import (MalformedInputError, MembershipError,
 from limitset_lab.finite_topology import (SIERPINSKI, closure, discrete_space,
                                           enumerate_spaces, indiscrete_space)
 from limitset_lab.pseudometric_core import RationalPointSpace
+from limitset_lab.rationals import max_norm_distance
 from limitset_lab.subset_nets import (LOST, AffineEscape, GeometricConverge,
                                       NetAnalysis, Periodic, SubsetNet,
                                       TailSummary, Verdict, analyze,
@@ -24,9 +25,12 @@ from limitset_lab.subset_nets import (LOST, AffineEscape, GeometricConverge,
                                       kuratowski_limits, limit_set,
                                       limit_set_horizon_oracle,
                                       semidistance_convergence_check,
-                                      sequential_limit_set)
-from limitset_lab.theoremlab import (RULE_FAMILIES, iter_directed_posets,
-                                     iter_periodic_nets, random_rule_net)
+                                      sequential_limit_set,
+                                      _check_geometric_avoids_excluded)
+from limitset_lab.theoremlab import (GEOMETRIC_RATIOS, RULE_FAMILIES,
+                                     iter_directed_posets,
+                                     iter_periodic_nets, random_point,
+                                     random_rule_net)
 
 Q1 = RationalPointSpace(1)
 D2 = discrete_space(2)
@@ -496,3 +500,145 @@ class TestTheoremShadows:
             states = {a.limit_set_compact.state, a.asympt_seq_compact.state,
                       a.weakly_asympt_seq_compact.state}
             assert len(states) == 1
+
+
+def stepping_geometric_check(ground, rule, b, n0, horizon=64):
+    """The stepping exclusion check that the closed form replaced, as an oracle.
+
+    It walks the branch from n0 for ``horizon`` steps, then on until the
+    branch is closer to the limit point than any excluded point is.
+    """
+    if b == rule.a:
+        if rule.a in ground.excluded:
+            raise MalformedInputError(
+                "constant geometric tail sits on an excluded point")
+        return
+    gaps = [max_norm_distance(e, rule.a) for e in ground.excluded]
+    floor = min((g for g in gaps if g > 0), default=None)
+    span = max_norm_distance(b, rule.a)
+    n = n0
+    rn = rule.r ** n0
+    while True:
+        p = tuple(ai + rn * (bi - ai) for ai, bi in zip(rule.a, b))
+        if p in ground.excluded:
+            raise MalformedInputError(
+                f"geometric tail hits excluded point {p} at n={n}")
+        n += 1
+        rn *= rule.r
+        if n >= n0 + horizon and (floor is None or abs(rn) * span < floor):
+            break
+
+
+def exclusion_outcome(check, ground, rule, b, n0):
+    """The error message a check raises, or None when it passes."""
+    try:
+        check(ground, rule, b, n0)
+    except MalformedInputError as exc:
+        return str(exc)
+    return None
+
+
+def random_geometric_case(rng):
+    """A geometric rule, a space excluding points on and off its branches,
+    and a tail start n0 in 0..3."""
+    dim = rng.choice((1, 2))
+    a = random_point(rng, dim)
+    targets = [random_point(rng, dim) for _ in range(rng.randint(1, 2))]
+    if dim == 2 and rng.random() < 0.3:
+        targets[0] = (a[0], targets[0][1])  # a branch fixing one coordinate
+    if rng.random() < 0.05:
+        targets.append(a)  # a constant branch
+    rule = GeometricConverge(a, tuple(targets), rng.choice(GEOMETRIC_RATIOS))
+    excluded = set()
+    for _ in range(rng.randint(0, 2)):
+        p = rule.point(rng.randint(0, 8), rng.choice(targets))
+        if dim == 2 and rng.random() < 0.2:
+            p = (p[0], p[1] + 1)  # on the branch in one coordinate only
+        excluded.add(p)
+    if rng.random() < 0.3:
+        excluded.add(random_point(rng, dim))
+    if rng.random() < 0.2:
+        excluded.add(a)
+    return RationalPointSpace(dim, excluded), rule, rng.randint(0, 3)
+
+
+class TestGeometricExclusionCheck:
+    """The closed-form check against the stepping oracle above."""
+
+    def test_agrees_with_the_stepping_oracle(self):
+        rng = random.Random("geometric-exclusion")
+        cases = raised = 0
+        for _ in range(20_000):
+            ground, rule, n0 = random_geometric_case(rng)
+            for b in rule.targets:
+                want = exclusion_outcome(stepping_geometric_check,
+                                         ground, rule, b, n0)
+                got = exclusion_outcome(_check_geometric_avoids_excluded,
+                                        ground, rule, b, n0)
+                assert got == want, (ground, rule, b, n0)
+                cases += 1
+                raised += want is not None
+        # both outcomes are well represented
+        assert cases > 20_000 and 0.25 < raised / cases < 0.75
+
+    def test_hit_exactly_at_the_tail_start(self):
+        rule = GeometricConverge(pt(0), pt(1), F(-1, 2))
+        space = RationalPointSpace(1, [pt(F(-1, 8))])
+        with pytest.raises(MalformedInputError, match=r"at n=3$"):
+            SubsetNet.over_znn(space, [frozenset()] * 3, rule)
+
+    def test_hit_before_the_tail_start_is_allowed(self):
+        rule = GeometricConverge(pt(0), pt(1), F(-1, 2))
+        space = RationalPointSpace(1, [pt(F(1, 4))])  # the branch at n = 2
+        net = SubsetNet.over_znn(space, [frozenset()] * 3, rule)
+        assert net.at(3) == frozenset({pt(F(-1, 8))})
+
+    def test_multi_target_reports_the_branch_that_hits(self):
+        rule = GeometricConverge(pt(0, 0), (pt(1, 1), pt(2, 0)), F(1, 2))
+        # the second branch reaches (1/4, 0) at n = 3, the first never does
+        space = RationalPointSpace(2, [pt(F(1, 4), 0), pt(F(1, 4), 1)])
+        with pytest.raises(MalformedInputError, match=r"at n=3$"):
+            SubsetNet.over_znn(space, [], rule)
+        assert exclusion_outcome(_check_geometric_avoids_excluded, space,
+                                 rule, pt(1, 1), 0) is None
+
+    def test_least_hit_is_reported(self):
+        rule = GeometricConverge(pt(0), pt(1), F(1, 2))
+        space = RationalPointSpace(1, [pt(F(1, 16)), pt(F(1, 4))])
+        with pytest.raises(MalformedInputError, match=r"at n=2$"):
+            SubsetNet.over_znn(space, [], rule)
+
+
+def inline_value(net, s):
+    """X_s by the per-rule formulas, written out for each tail rule."""
+    if s < len(net.preperiod):
+        return net.preperiod[s]
+    rule = net.tail
+    if isinstance(rule, Periodic):
+        return rule.cycle[(s - len(net.preperiod)) % len(rule.cycle)]
+    if isinstance(rule, AffineEscape):
+        return frozenset([tuple(ci + s * vi for ci, vi in zip(rule.c, rule.v))])
+    return frozenset(tuple(ai + rule.r ** s * (bi - ai)
+                           for ai, bi in zip(rule.a, b))
+                     for b in rule.targets)
+
+
+class TestSharedState:
+    def test_verdicts_are_shared_constants(self):
+        assert Verdict.holds() is Verdict.holds()
+        assert Verdict.fails() is Verdict.fails()
+        assert Verdict.holds() != Verdict.fails()
+        assert Verdict.unknown(8) == Verdict.unknown(8)
+
+    def test_values_match_the_per_rule_formulas(self):
+        rng = random.Random("tail-values")
+        nets = [random_rule_net(rng, family, nonempty=i % 2 == 1)
+                for i in range(60) for family in RULE_FAMILIES]
+        for space in (SIERPINSKI, D2, indiscrete_space(2)):
+            nets += list(iter_periodic_nets(space))
+        for net in nets:
+            assert net.values(20) == [inline_value(net, s) for s in range(21)]
+
+    def test_is_znn_is_fixed_at_construction(self):
+        assert alternating_net().is_znn
+        assert not SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2]).is_znn

@@ -1,9 +1,10 @@
 import pytest
 
+from limitset_lab import theoremlab
 from limitset_lab.errors import LimitsetError
-from limitset_lab.theoremlab import (SUITES, describe_net, random_rule_net,
-                                     report_to_dict, rule_net_stream,
-                                     run_all, run_suite)
+from limitset_lab.theoremlab import (EXHIBIT_CAP, SUITES, describe_net,
+                                     random_rule_net, report_to_dict,
+                                     rule_net_stream, run_all, run_suite)
 import random
 
 
@@ -49,6 +50,21 @@ class TestSuiteMachinery:
         # dropping a preperiod can start an affine tail on an excluded point
         report = run_suite("sequential_limits", budget=budget, seed=seed)
         assert report.passed and report.instances > 0
+
+    def test_only_kept_exhibits_are_labelled(self, monkeypatch):
+        calls = []
+
+        def counting(net):
+            calls.append(net)
+            return describe_net(net)
+
+        monkeypatch.setattr(theoremlab, "describe_net", counting)
+        report = theoremlab.suite_separation_containments(1000, 42)
+        assert report.passed
+        # 190,680 exhibits on 1-3 point spaces; only the first few are kept
+        assert report.exhibit_count == 190_680
+        assert len(report.exhibits) == EXHIBIT_CAP
+        assert len(calls) <= EXHIBIT_CAP
 
     def test_trap_quota_tracked(self):
         report = run_suite("pseudometrizable_equivalence", budget=40, seed=42)
