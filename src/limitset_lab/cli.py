@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import jsonio, theoremlab
 from .errors import LimitsetError, MalformedInputError
 from .finite_topology import (is_hausdorff, is_pseudometrizable, is_regular)
-from .semiflow_cells import (CellGrid, DiscreteSemiflow,
+from .semiflow_cells import (CellGrid, DiscreteSemiflow, _set_bits,
                              attraction_trace_check, omega_limit_cells)
 from .subset_nets import analyze
 
@@ -180,7 +180,7 @@ def cmd_omega(args) -> int:
     for (n, d), count in zip(result.trace, result.sizes):
         writer.writerow([n, count, "inf" if d.is_infinite else float(d.value)])
     summary = {
-        "omega": [i for i in range(grid.total) if result.omega >> i & 1],
+        "omega": list(_set_bits(result.omega)),
         "preperiod": result.preperiod,
         "period": result.period,
         "attraction_trace_zero_from_preperiod": attraction_trace_check(result),

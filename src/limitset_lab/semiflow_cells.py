@@ -20,23 +20,28 @@ over one is linear in the grid size:
 
 * ``CellGrid.dilate`` is a handful of whole-bitset shifts, with the first
   and last column masked out of the sideways shifts in 2-D;
-* ``cellset_semidistance`` counts dilations: cell centers sit on a
-  1/(2n) lattice, so the max-norm distance of two centers is their
-  Chebyshev cell distance over n, and d(a; b) = k/n for the least k with
-  a inside the k-fold dilation of b (king-move paths stay in the box);
+* semi-distances count dilations: cell centers sit on a 1/(2n) lattice,
+  so the max-norm distance of two centers is their Chebyshev cell
+  distance over n, and d(a; b) = k/n for the least k with a inside the
+  k-fold dilation of b (king-move paths stay in the box).  All rows of
+  the attraction trace read one chain D_0 = omega, D_1, ...: row n is k/n
+  for the least k with I_n inside D_k.  An empty omega is never dilated;
+  every nonempty I_n is at distance inf from it;
 * an image step scans the set bits once and writes the image into one
   bytearray.  Each run keeps one transition table, cell -> the cells its
   samples hit, filled on a cell's first visit, so a run samples each
   visited cell once and a short run on a small grid compiles nothing it
-  does not visit.  ``cell_image`` is one step with a fresh table.
+  does not visit.  A flow picks its point map once, when it is built,
+  and a run computes its sub-cell sample offsets once.  ``cell_image``
+  is one step with a fresh table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import floor
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (MalformedInputError, PreconditionError,
@@ -88,23 +93,13 @@ class CellGrid:
         n = self.cells_per_axis
         coords = []
         for x in point:
-            i = math.floor(x * n)
+            i = floor(x * n)
             coords.append(min(n - 1, max(0, i)))
         return self.index(tuple(coords))
 
     def center(self, index: int) -> Tuple[Fraction, ...]:
         n = self.cells_per_axis
         return tuple(Fraction(2 * c + 1, 2 * n) for c in self.coords(index))
-
-    def samples(self, index: int, k: int) -> List[Tuple[float, ...]]:
-        """k^dim sample points per cell, at sub-cell midpoints."""
-        n = self.cells_per_axis
-        base = self.coords(index)
-        offs = [(j + 0.5) / k for j in range(k)]
-        if self.dim == 1:
-            return [((base[0] + o) / n,) for o in offs]
-        return [((base[0] + ox) / n, (base[1] + oy) / n)
-                for ox in offs for oy in offs]
 
     def dilate(self, cells: int) -> int:
         """One-cell dilation along every axis (the full neighbor box)."""
@@ -116,28 +111,51 @@ class CellGrid:
         return (row | row << n | row >> n) & self.full_mask
 
 
-class DiscreteSemiflow:
-    """A discrete-time semiflow: a builtin interval/plane map or a cell table."""
+def _henon(a, b):
+    def henon(x, y):
+        # classic map on [-1.5, 1.5] x [-0.4, 0.4], rescaled and clamped
+        x = 3.0 * x - 1.5
+        y = 0.8 * y - 0.4
+        xn = 1.0 - a * x * x + y
+        yn = b * x
+        return (min(1.0, max(0.0, (xn + 1.5) / 3.0)),
+                min(1.0, max(0.0, (yn + 0.4) / 0.8)))
+    return henon
 
-    BUILTIN_DIMS = {"logistic": 1, "tent": 1, "rotation": 1, "henon": 2}
-    BUILTIN_PARAMS = {"logistic": 1, "tent": 1, "rotation": 1, "henon": 2}
+
+class DiscreteSemiflow:
+    """A discrete-time semiflow: a builtin interval/plane map or a cell table.
+
+    ``map_point`` is the builtin's point map on float parameters, picked
+    once here: ``x -> x'`` on the interval, ``(x, y) -> (x', y')`` on the
+    plane.  Table flows have none.
+    """
+
+    # map -> (dimension, parameter count, point map of the float parameters)
+    BUILTINS = {
+        "logistic": (1, 1, lambda r: lambda x: r * x * (1.0 - x)),
+        "tent": (1, 1, lambda mu: lambda x: mu * (x if x < 0.5 else 1.0 - x)),
+        "rotation": (1, 1, lambda theta: lambda x: (x + theta) % 1.0),
+        "henon": (2, 2, _henon)}
 
     def __init__(self, kind: str, params: tuple = (),
                  table: Optional[tuple] = None):
         self.kind = kind
         self.params = tuple(Fraction(p) for p in params)
-        self._floats = tuple(float(p) for p in self.params)  # for map_point
         self.table = table
+        self.map_point = None
         if kind == "table":
             if table is None:
                 raise MalformedInputError("table flow needs a table")
-        elif kind not in self.BUILTIN_DIMS:
+            self.dim = 1
+        elif kind not in self.BUILTINS:
             raise UnsupportedRuleError(f"unknown map: {kind}")
         else:
-            self._validate_params()
+            self.dim, want, point_map = self.BUILTINS[kind]
+            self._validate_params(want)
+            self.map_point = point_map(*(float(p) for p in self.params))
 
-    def _validate_params(self):
-        want = self.BUILTIN_PARAMS[self.kind]
+    def _validate_params(self, want: int):
         if len(self.params) != want:
             raise MalformedInputError(f"{self.kind} takes {want} parameter(s), "
                                       f"got {len(self.params)}")
@@ -150,10 +168,6 @@ class DiscreteSemiflow:
             if not 0 <= mu <= 2:
                 raise MalformedInputError("tent parameter must be in [0, 2]")
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.kind == "table" else self.BUILTIN_DIMS[self.kind]
-
     def exact_rotation_shift(self, grid: CellGrid) -> Optional[int]:
         """Cell shift when the rotation angle is an exact multiple of a cell."""
         if self.kind != "rotation":
@@ -163,36 +177,29 @@ class DiscreteSemiflow:
             return None
         return int(step) % grid.cells_per_axis
 
-    def map_point(self, point):
-        if self.kind == "logistic":
-            (r,) = self._floats
-            x = point[0]
-            return (r * x * (1.0 - x),)
-        if self.kind == "tent":
-            (mu,) = self._floats
-            x = point[0]
-            return (mu * (x if x < 0.5 else 1.0 - x),)
-        if self.kind == "rotation":
-            (theta,) = self._floats
-            return ((point[0] + theta) % 1.0,)
-        if self.kind == "henon":
-            a, b = self._floats
-            # classic map on [-1.5, 1.5] x [-0.4, 0.4], rescaled and clamped
-            x = 3.0 * point[0] - 1.5
-            y = 0.8 * point[1] - 0.4
-            xn = 1.0 - a * x * x + y
-            yn = b * x
-            u = min(1.0, max(0.0, (xn + 1.5) / 3.0))
-            v = min(1.0, max(0.0, (yn + 0.4) / 0.8))
-            return (u, v)
-        raise UnsupportedRuleError("table flows have no point map")
+
+def _sampler(grid: CellGrid, f, k: int):
+    """cell -> the cells hit by f at its k^dim sub-cell midpoints.
+
+    Each image point is floored to its cell as ``CellGrid.cell_of_point``
+    does, with the same float operations.
+    """
+    n, top = grid.cells_per_axis, grid.cells_per_axis - 1
+    offs = [(j + 0.5) / k for j in range(k)]
+    if grid.dim == 1:
+        return lambda i: tuple({min(top, max(0, floor(f((i + o) / n) * n)))
+                                for o in offs})
+    return lambda i: tuple({
+        min(top, max(0, floor(u * n))) + n * min(top, max(0, floor(v * n)))
+        for u, v in (f((i % n + ox) / n, (i // n + oy) / n)
+                     for ox in offs for oy in offs)})
 
 
 class _ImageStep:
     """The cell image map of one run.
 
     ``hits`` maps a cell to the cells its samples (or its table row) hit,
-    filled on the cell's first visit.
+    filled on the cell's first visit by ``hits_of``, picked once per run.
     """
 
     def __init__(self, grid: CellGrid, flow: DiscreteSemiflow, samples: int,
@@ -200,19 +207,17 @@ class _ImageStep:
         self.shift = flow.exact_rotation_shift(grid)
         if flow.kind != "table" and self.shift is None and flow.dim != grid.dim:
             raise PreconditionError("flow and grid dimension mismatch")
-        self.grid, self.flow, self.samples = grid, flow, samples
+        self.grid, self.table = grid, flow.table
         self.dilate = dilate and flow.kind != "table"
         self.hits: Dict[int, Tuple[int, ...]] = {}
+        self.hits_of = self._table_row if flow.kind == "table" \
+            else _sampler(grid, flow.map_point, samples)
 
-    def _hits_of(self, i: int) -> Tuple[int, ...]:
-        grid, flow = self.grid, self.flow
-        if flow.kind == "table":
-            row = flow.table[i]
-            if row & ~grid.full_mask:
-                raise PreconditionError("table maps a cell outside the grid")
-            return tuple(_set_bits(row))
-        return tuple({grid.cell_of_point(flow.map_point(s))
-                      for s in grid.samples(i, self.samples)})
+    def _table_row(self, i: int) -> Tuple[int, ...]:
+        row = self.table[i]
+        if row & ~self.grid.full_mask:
+            raise PreconditionError("table maps a cell outside the grid")
+        return tuple(_set_bits(row))
 
     def __call__(self, cells: int) -> int:
         grid = self.grid
@@ -220,12 +225,12 @@ class _ImageStep:
             n, shift = grid.cells_per_axis, self.shift
             return ((cells << shift) | (cells >> (n - shift))) & grid.full_mask \
                 if shift else cells
-        hits = self.hits
+        hits, hits_of = self.hits, self.hits_of
         out = bytearray((grid.total + 7) >> 3)
         for i in _set_bits(cells):
             hit = hits.get(i)
             if hit is None:
-                hit = hits[i] = self._hits_of(i)
+                hit = hits[i] = hits_of(i)
             for j in hit:
                 out[j >> 3] |= 1 << (j & 7)
         image = int.from_bytes(out, "little")
@@ -294,11 +299,37 @@ def omega_limit_cells(grid: CellGrid, flow: DiscreteSemiflow, e: int,
     omega = 0
     for state in states[start:]:
         omega |= state
-    trace = tuple((n, cellset_semidistance(grid, states[n], omega))
-                  for n in range(preperiod + period))
+    trace = tuple(enumerate(_dilation_distances(grid, states, omega)))
     return OmegaResult(omega=omega, preperiod=preperiod, period=period,
                        trace=trace,
                        sizes=tuple(state.bit_count() for state in states))
+
+
+def _dilation_distances(grid: CellGrid, cell_sets: List[int],
+                       base: int) -> List[ExtendedRational]:
+    """d(a; base) for every cell set a, read off one dilation chain of base.
+
+    D_0 = base, and D_{k+1} is the dilation of D_k; d(a; base) = k/n for
+    the least k with a inside D_k.  An empty a is at distance 0 and a
+    nonempty a at distance inf from an empty base, which is never dilated.
+    The sets must lie in the grid, where the chain reaches every cell.
+    """
+    dist = [INFINITY if a else ExtendedRational(0) for a in cell_sets]
+    pending = [i for i, a in enumerate(cell_sets) if a] if base else []
+    k = 0
+    while pending:
+        # a nonnegative mask: & with ~base goes through two's complement
+        outside, left = grid.full_mask ^ base, []
+        for i in pending:
+            if cell_sets[i] & outside:
+                left.append(i)
+            else:
+                dist[i] = ExtendedRational(Fraction(k, grid.cells_per_axis))
+        if left:
+            base = grid.dilate(base)
+            k += 1
+        pending = left
+    return dist
 
 
 def cellset_semidistance(grid: CellGrid, a: int, b: int) -> ExtendedRational:
@@ -310,15 +341,7 @@ def cellset_semidistance(grid: CellGrid, a: int, b: int) -> ExtendedRational:
     """
     if (a | b) & ~grid.full_mask:
         raise PreconditionError("cell set outside the grid")
-    if a == 0:
-        return ExtendedRational(0)
-    if b == 0:
-        return INFINITY
-    k = 0
-    while a & ~b:
-        b = grid.dilate(b)
-        k += 1
-    return ExtendedRational(Fraction(k, grid.cells_per_axis))
+    return _dilation_distances(grid, [a], b)[0]
 
 
 def attraction_trace_check(result: OmegaResult) -> bool:

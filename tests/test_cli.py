@@ -191,6 +191,19 @@ class TestOmega:
                     "--init", "cell:0", "--out", "-"]) == 0
         assert json.loads(capsys.readouterr().err)["omega"] == [1]
 
+    def test_empty_omega(self, tmp_path, capsys):
+        # the orbit dies after one step: I_0 is at distance inf from the
+        # empty omega, and the run ends
+        table = write_json(tmp_path / "table.json", [[], [], [], []])
+        outfile = tmp_path / "trace.csv"
+        assert run(["omega", "--map", "table", "--in", table, "--cells", "4",
+                    "--init", "cells:0,1", "--out", str(outfile)]) == 0
+        assert outfile.read_text().splitlines() == [
+            "n,cells,distance", "0,2,inf", "1,0,0.0"]
+        assert json.loads(capsys.readouterr().out) == {
+            "omega": [], "preperiod": 1, "period": 1,
+            "attraction_trace_zero_from_preperiod": True}
+
     def test_bad_init_is_input_error(self, capsys):
         assert run(["omega", "--map", "rotation", "--param", "0.125",
                     "--cells", "8", "--init", "nope"]) == 2

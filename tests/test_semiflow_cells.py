@@ -51,6 +51,50 @@ def neighbour_box_dilate(grid, cells):
     return out
 
 
+def reference_samples(grid, index, k):
+    """k^dim sample points of a cell, at sub-cell midpoints."""
+    n = grid.cells_per_axis
+    base = grid.coords(index)
+    offs = [(j + 0.5) / k for j in range(k)]
+    if grid.dim == 1:
+        return [((base[0] + o) / n,) for o in offs]
+    return [((base[0] + ox) / n, (base[1] + oy) / n)
+            for ox in offs for oy in offs]
+
+
+def reference_map_point(flow, point):
+    """The builtin point maps, written out once more on float parameters."""
+    params = tuple(float(p) for p in flow.params)
+    if flow.kind == "logistic":
+        (r,) = params
+        x = point[0]
+        return (r * x * (1.0 - x),)
+    if flow.kind == "tent":
+        (mu,) = params
+        x = point[0]
+        return (mu * (x if x < 0.5 else 1.0 - x),)
+    if flow.kind == "rotation":
+        (theta,) = params
+        return ((point[0] + theta) % 1.0,)
+    if flow.kind == "henon":
+        a, b = params
+        x = 3.0 * point[0] - 1.5
+        y = 0.8 * point[1] - 0.4
+        xn = 1.0 - a * x * x + y
+        yn = b * x
+        u = min(1.0, max(0.0, (xn + 1.5) / 3.0))
+        v = min(1.0, max(0.0, (yn + 0.4) / 0.8))
+        return (u, v)
+    raise AssertionError(f"no point map for {flow.kind}")
+
+
+def reference_hits(grid, flow, index, k):
+    """Cells hit from one cell, one sample at a time through cell_of_point."""
+    return sum(1 << c for c in {
+        grid.cell_of_point(reference_map_point(flow, point))
+        for point in reference_samples(grid, index, k)})
+
+
 def random_cells(rng, grid):
     """A random cell set: sparse, dense, or a few edge and corner cells."""
     kind = rng.randrange(3)
@@ -127,6 +171,22 @@ class TestCellImage:
         outer = cell_image(g, flow, half_cell, samples=8, dilate=True)
         assert outer >> 32 & 1
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_sampler_matches_reference_hits(self, k):
+        runs = [(CellGrid(1, n), DiscreteSemiflow(kind, (param,)))
+                for n in (1, 2, 64, 4096)
+                for kind, param in [("logistic", 0), ("logistic", 4),
+                                    ("logistic", F(39, 10)), ("tent", 0),
+                                    ("tent", 2), ("rotation", F(1, 7)),
+                                    ("rotation", F(2, 3 * n))]]
+        runs += [(CellGrid(2, n), DiscreteSemiflow("henon", (F(7, 5), F(3, 10))))
+                 for n in (2, 16, 64)]
+        for grid, flow in runs:
+            assert flow.exact_rotation_shift(grid) is None
+            for i in range(grid.total):
+                assert (cell_image(grid, flow, 1 << i, samples=k)
+                        == reference_hits(grid, flow, i, k)), (flow.kind, i)
+
     def test_parameter_validation(self):
         with pytest.raises(MalformedInputError):
             DiscreteSemiflow("logistic", (5,))
@@ -180,6 +240,49 @@ class TestOmegaLimitCells:
                 for size in res.sizes:
                     assert size == bin(state).count("1")
                     state = cell_image(grid, flow, state, **kw)
+
+    @pytest.mark.parametrize("samples", [1, 2, 8])
+    @pytest.mark.parametrize("dilate", [False, True])
+    def test_trace_rows_match_pairwise_centers(self, samples, dilate):
+        rng = random.Random(24 + samples + 10 * dilate)
+        henon = DiscreteSemiflow("henon", (F(7, 5), F(3, 10)))
+        runs = [(CellGrid(1, 32), DiscreteSemiflow("logistic", (F(39, 10),))),
+                (CellGrid(1, 32), DiscreteSemiflow("logistic", (2,))),
+                (CellGrid(1, 16), DiscreteSemiflow("tent", (F(3, 2),))),
+                (CellGrid(1, 16), DiscreteSemiflow("rotation", (F(1, 8),))),
+                (CellGrid(1, 16), DiscreteSemiflow("rotation", (F(1, 7),))),
+                (CellGrid(2, 4), henon), (CellGrid(2, 8), henon)]
+        for n in (1, 4, 16):
+            table = tuple(random_cells(rng, CellGrid(1, n)) if rng.random() < 0.8
+                          else 0 for _ in range(n))
+            runs.append((CellGrid(1, n), DiscreteSemiflow("table", table=table)))
+        for grid, flow in runs:
+            for _ in range(4):
+                init = random_cells(rng, grid) or 1
+                res = omega_limit_cells(grid, flow, init, samples=samples,
+                                        dilate=dilate)
+                state = init
+                for n, d in res.trace:
+                    assert d == pairwise_semidistance(grid, state, res.omega), \
+                        (flow.kind, grid.dim, init, n)
+                    state = cell_image(grid, flow, state, samples=samples,
+                                       dilate=dilate)
+                assert [n for n, _ in res.trace] == list(range(len(res.trace)))
+
+    def test_empty_omega_ends(self, monkeypatch):
+        # every cell maps to nothing: the orbit dies after one step, and the
+        # chain of an empty omega, which would never cover I_0, is not dilated
+        def no_dilation(grid, cells):
+            raise AssertionError("an empty omega was dilated")
+        monkeypatch.setattr(CellGrid, "dilate", no_dilation)
+        g = CellGrid(1, 4)
+        flow = DiscreteSemiflow("table", table=(0, 0, 0, 0))
+        res = omega_limit_cells(g, flow, 0b0011)
+        assert res.omega == 0
+        assert res.preperiod == 1 and res.period == 1
+        assert res.trace == ((0, INFINITY), (1, 0))
+        assert res.trace[0][1].is_infinite and not res.trace[1][1].is_infinite
+        assert attraction_trace_check(res)
 
     def test_empty_start_rejected(self):
         g = CellGrid(1, 4)
