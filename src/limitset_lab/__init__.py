@@ -7,11 +7,8 @@ verification suites pairing every symbolic answer with a brute-force
 oracle.
 """
 
-from .directed_sets import (ZNN, DirectedOrder, EventuallyPeriodicSet,
-                            FiniteOrder, IndexMap, NonnegativeIntegers,
-                            ProductOrder, is_cofinal, is_directed,
-                            is_monotone_final_map, monotonize_final_sequence,
-                            product_order, top_element)
+from .directed_sets import (ZNN, FiniteOrder, NonnegativeIntegers,
+                            is_directed, top_element)
 from .errors import (LimitsetError, MalformedInputError, MembershipError,
                      PreconditionError, SizeLimitError, UndefinedCaseError,
                      UnsupportedRuleError)

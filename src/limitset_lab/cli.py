@@ -6,10 +6,12 @@
     limitset-lab verify --suite all --budget 1000 --seed 42 --out report.json
 
 Structures travel as JSON, traces as CSV; ``--out -`` streams to stdout.
-Exit codes: 0 success, 1 verification violations, 2 input errors.
-Identical argv and inputs produce byte-identical outputs; the
-LIMITSET_THREADS variable caps internal parallelism (the current
-implementation evaluates sequentially, within any cap).
+Exit codes: 0 success, 1 verification violations, 2 input errors, each
+input error reported as one ``limitset-lab:`` line on stderr.  A net is
+indexed by a finite directed order or by Z+; a ``product`` index is
+refused.  ``net analyze`` echoes ``--horizon`` without reading it, since
+every verdict is exact.  Evaluation is sequential, and identical argv and
+inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -82,21 +83,13 @@ def _write(path: str, text: str):
 
 
 def _read_json(path: str):
-    with open(path) as f:
-        return json.load(f)
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("LIMITSET_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise MalformedInputError(f"LIMITSET_THREADS must be an integer: {raw!r}")
-    if cap < 1:
-        raise MalformedInputError("LIMITSET_THREADS must be at least 1")
-    return cap
+    """Parse a UTF-8 JSON file.  Bad syntax, non-UTF-8 bytes, nesting past
+    the recursion limit and over-long int literals are malformed input."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedInputError(f"{path}: {exc}") from exc
 
 
 def cmd_space(args) -> int:
@@ -195,7 +188,6 @@ def cmd_omega(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _threads_cap()
     if args.budget < 1:
         raise MalformedInputError("--budget must be positive")
     if args.suite == "all":
@@ -236,7 +228,7 @@ def run(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         raise MalformedInputError(f"unknown command: {args.command!r}")
-    except (LimitsetError, OSError, json.JSONDecodeError) as exc:
+    except (LimitsetError, OSError) as exc:
         sys.stderr.write(f"limitset-lab: {exc}\n")
         return 2
 

@@ -1,53 +1,26 @@
-"""Directed preorders, product orders, cofinality and monotone final maps.
-
-Every net in the library is indexed by one of three order kinds:
+"""The two index orders of a net: finite directed orders and Z+.
 
 * ``FiniteOrder`` -- an explicit reflexive/transitive relation on
   ``{0, ..., n-1}``, stored as per-element "above" bitmasks;
-* ``NonnegativeIntegers`` -- the usual order on Z+;
-* ``ProductOrder`` -- the componentwise order on a Cartesian product.
+* ``NonnegativeIntegers`` (the instance ``ZNN``) -- the usual order on Z+.
 
-Elements are ints (finite and Z+ kinds) or pairs (products).
+Both kinds are sequential, so the paper's sequential notions apply to
+every net without a check: a finite directed order has a top element, and
+the constant sequence at the top is final; Z+ is its own final sequence.
+Elements are ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence, Union
 
-from .errors import (MalformedInputError, PreconditionError,
-                     UnsupportedRuleError)
+from .errors import MalformedInputError, PreconditionError
 
 
-class DirectedOrder:
-    """Base class; concrete orders implement ``leq`` and kind queries."""
-
-    kind: str
-
-    def leq(self, a, b) -> bool:
-        raise NotImplementedError
-
-    def upper_bound(self, a, b):
-        """A deterministic upper bound of ``a`` and ``b``.
-
-        Ties in finite orders break toward the least element index; on Z+
-        the bound is ``max(a, b)``.
-        """
-        raise NotImplementedError
-
-    def is_sequential(self) -> bool:
-        """Whether some sequence is final in this order (true for all kinds here)."""
-        raise NotImplementedError
-
-
-class FiniteOrder(DirectedOrder):
-    kind = "finite"
-
-    def __init__(self, rows: Sequence[int], n: Optional[int] = None):
+class FiniteOrder:
+    def __init__(self, rows: Sequence[int]):
         """``rows[a]`` is the bitmask of ``{b : a <= b}``."""
-        self.n = len(rows) if n is None else n
-        if len(rows) != self.n:
-            raise MalformedInputError("row count does not match n")
+        self.n = len(rows)
         full = (1 << self.n) - 1
         for r in rows:
             if r & ~full:
@@ -73,15 +46,6 @@ class FiniteOrder(DirectedOrder):
     def leq(self, a, b) -> bool:
         return bool(self.rows[a] >> b & 1)
 
-    def upper_bound(self, a, b) -> int:
-        both = self.rows[a] & self.rows[b]
-        if not both:
-            raise PreconditionError(f"no upper bound for {a}, {b}")
-        return (both & -both).bit_length() - 1  # least set bit
-
-    def is_sequential(self) -> bool:
-        return True
-
     def __eq__(self, other):
         return isinstance(other, FiniteOrder) and self.rows == other.rows
 
@@ -92,79 +56,15 @@ class FiniteOrder(DirectedOrder):
         return f"FiniteOrder(n={self.n})"
 
 
-class NonnegativeIntegers(DirectedOrder):
-    kind = "znn"
-
-    def elements(self):
-        raise UnsupportedRuleError("Z+ has no finite element list")
-
-    def leq(self, a, b) -> bool:
-        return a <= b
-
-    def upper_bound(self, a, b) -> int:
-        return max(a, b)
-
-    def is_sequential(self) -> bool:
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, NonnegativeIntegers)
-
-    def __hash__(self):
-        return hash("znn")
+class NonnegativeIntegers:
+    """The usual order on Z+; ``ZNN`` is its one instance."""
 
     def __repr__(self):
         return "NonnegativeIntegers()"
 
 
 ZNN = NonnegativeIntegers()
-
-
-class ProductOrder(DirectedOrder):
-    """Componentwise order on pairs; directed whenever both factors are."""
-
-    kind = "product"
-
-    def __init__(self, left: DirectedOrder, right: DirectedOrder):
-        self.left = left
-        self.right = right
-
-    def leq(self, a, b) -> bool:
-        return self.left.leq(a[0], b[0]) and self.right.leq(a[1], b[1])
-
-    def upper_bound(self, a, b):
-        return (self.left.upper_bound(a[0], b[0]),
-                self.right.upper_bound(a[1], b[1]))
-
-    def is_sequential(self) -> bool:
-        return self.left.is_sequential() and self.right.is_sequential()
-
-    def elements(self):
-        return [(a, b) for a in self.left.elements()
-                for b in self.right.elements()]
-
-    def materialize(self) -> FiniteOrder:
-        """Explicit relation matrix of a finite product (for brute-force checks)."""
-        elems = self.elements()
-        index = {e: i for i, e in enumerate(elems)}
-        rows = []
-        for a in elems:
-            mask = 0
-            for b in elems:
-                if self.leq(a, b):
-                    mask |= 1 << index[b]
-            rows.append(mask)
-        return FiniteOrder(rows)
-
-    def __eq__(self, other):
-        return (isinstance(other, ProductOrder)
-                and self.left == other.left and self.right == other.right)
-
-    def __hash__(self):
-        return hash(("product", self.left, self.right))
-
-    def __repr__(self):
-        return f"ProductOrder({self.left!r}, {self.right!r})"
+IndexOrder = Union[FiniteOrder, NonnegativeIntegers]
 
 
 # -- relation-matrix predicates ---------------------------------------------
@@ -204,155 +104,15 @@ def _rows_directed(rows: Sequence[int], n: int) -> bool:
     return True
 
 
-def directed_order(order: DirectedOrder) -> bool:
-    """``is_directed`` lifted to order objects."""
-    if isinstance(order, FiniteOrder):
-        return _rows_directed(order.rows, order.n)
-    if isinstance(order, NonnegativeIntegers):
-        return True
-    if isinstance(order, ProductOrder):
-        return directed_order(order.left) and directed_order(order.right)
-    raise UnsupportedRuleError(f"unknown order: {order!r}")
-
-
-def product_order(a: DirectedOrder, b: DirectedOrder) -> ProductOrder:
-    if not directed_order(a) or not directed_order(b):
-        raise PreconditionError("product factors must be directed")
-    return ProductOrder(a, b)
-
-
 def top_element(order: FiniteOrder) -> int:
-    """A global upper bound of a finite directed order (least-index tie-break)."""
+    """The least-index global upper bound of a finite directed order.
+
+    This is the directedness check on net indices: an undirected order
+    raises ``PreconditionError``.
+    """
     if not _rows_directed(order.rows, order.n):
-        raise PreconditionError("order is not directed")
-    top = 0
-    for a in range(1, order.n):
-        top = order.upper_bound(top, a)
-    return top
-
-
-# -- cofinal subsets ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class EventuallyPeriodicSet:
-    """A subset of Z+ with eventually periodic membership.
-
-    ``member(n)`` is ``preperiod[n]`` for ``n < len(preperiod)`` and cycles
-    through ``cycle`` afterwards.  This is the decidable fragment the
-    cofinality check accepts.
-    """
-
-    preperiod: tuple
-    cycle: tuple
-
-    def __post_init__(self):
-        if not self.cycle:
-            raise MalformedInputError("cycle must be nonempty")
-
-    def member(self, n: int) -> bool:
-        if n < len(self.preperiod):
-            return bool(self.preperiod[n])
-        return bool(self.cycle[(n - len(self.preperiod)) % len(self.cycle)])
-
-
-def is_cofinal(subset, order: DirectedOrder) -> bool:
-    """Whether every element of ``order`` has a member of ``subset`` above it."""
-    if isinstance(order, FiniteOrder):
-        mask = 0
-        for s in subset:
-            if not 0 <= s < order.n:
-                raise PreconditionError(f"element {s} outside the order")
-            mask |= 1 << s
-        return all(order.rows[a] & mask for a in range(order.n))
-    if isinstance(order, NonnegativeIntegers):
-        if isinstance(subset, EventuallyPeriodicSet):
-            return any(subset.cycle)
-        raise UnsupportedRuleError(
-            "cofinality over Z+ needs an EventuallyPeriodicSet")
-    if isinstance(order, ProductOrder):
-        raise UnsupportedRuleError("cofinality over products is not supported")
-    raise UnsupportedRuleError(f"unknown order: {order!r}")
-
-
-# -- index maps (the h of subnets) -------------------------------------------
-
-@dataclass(frozen=True)
-class IndexMap:
-    """A map between directed orders, given by a finite table or an affine rule.
-
-    ``table`` maps source elements to target elements and must be total on
-    the declared window (finite sources).  ``affine = (a, b)`` encodes
-    ``n -> a*n + b`` on Z+ with ``a >= 1``.
-    """
-
-    source: DirectedOrder
-    target: DirectedOrder
-    table: Optional[tuple] = None          # tuple of (src, dst) pairs
-    affine: Optional[tuple] = None         # (a, b)
-
-    def __post_init__(self):
-        if (self.table is None) == (self.affine is None):
-            raise MalformedInputError("exactly one of table/affine required")
-        if self.affine is not None:
-            a, b = self.affine
-            if a < 1 or b < 0:
-                raise MalformedInputError("affine rule needs a >= 1, b >= 0")
-            if not (isinstance(self.source, NonnegativeIntegers)
-                    and isinstance(self.target, NonnegativeIntegers)):
-                raise UnsupportedRuleError("affine rules only map Z+ -> Z+")
-
-    def apply(self, x):
-        if self.affine is not None:
-            a, b = self.affine
-            return a * x + b
-        for src, dst in self.table:
-            if src == x:
-                return dst
-        raise PreconditionError(f"{x} outside the map's declared window")
-
-    def domain(self):
-        if self.table is not None:
-            return [src for src, _ in self.table]
-        raise UnsupportedRuleError("affine maps have no finite domain")
-
-
-def is_monotone_final_map(h: IndexMap) -> bool:
-    """Order-preserving with cofinal image.
-
-    Finite-table maps are checked exhaustively.  Affine Z+ maps are monotone
-    by ``a >= 1`` and their image meets every tail, so they always qualify.
-    """
-    if h.affine is not None:
-        return True
-    if not isinstance(h.target, (FiniteOrder, NonnegativeIntegers)):
-        raise UnsupportedRuleError("table maps need finite or Z+ targets")
-    dom = h.domain()
-    for x in dom:
-        for y in dom:
-            if h.source.leq(x, y) and not h.target.leq(h.apply(x), h.apply(y)):
-                return False
-    image = [h.apply(x) for x in dom]
-    if isinstance(h.target, FiniteOrder):
-        return is_cofinal(set(image), h.target)
-    # a finite table into Z+ is bounded, never cofinal
-    return False
-
-
-def monotonize_final_sequence(t: Sequence, order: DirectedOrder,
-                              window: int) -> list:
-    """Rebuild ``t`` into a monotone sequence dominating it pointwise.
-
-    Mirrors the dependent-choice construction: ``s[0] = t[0]`` and
-    ``s[n+1]`` is the deterministic upper bound of ``s[n]`` and ``t[n+1]``.
-    The result satisfies ``s[n+1] >= s[n]`` and ``s[n] >= t[n]`` on the window.
-    """
-    if window <= 0:
-        raise PreconditionError("window must be positive")
-    if len(t) < window:
-        raise PreconditionError("sequence shorter than the window")
-    if not order.is_sequential():
-        raise UnsupportedRuleError("order is not sequential")
-    out = [t[0]]
-    for n in range(1, window):
-        out.append(order.upper_bound(out[-1], t[n]))
-    return out
+        raise PreconditionError("index order must be directed")
+    tops = -1
+    for row in order.rows:
+        tops &= row  # nonempty: a finite directed order has a top
+    return (tops & -tops).bit_length() - 1  # least set bit

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .directed_sets import (ZNN, DirectedOrder, FiniteOrder,
-                            NonnegativeIntegers, ProductOrder)
+from .directed_sets import ZNN, FiniteOrder, IndexOrder, NonnegativeIntegers
 from .errors import MalformedInputError
 from .finite_topology import FiniteSpace
 from .pseudometric_core import FinitePseudoMetric, RationalPointSpace
@@ -28,26 +27,20 @@ def dumps_canonical(obj) -> str:
 
 # -- directed orders ----------------------------------------------------------
 
-def order_to_json(order: DirectedOrder) -> dict:
+def order_to_json(order: IndexOrder) -> dict:
     if isinstance(order, FiniteOrder):
         return {"kind": "finite", "rel": order.matrix()}
     if isinstance(order, NonnegativeIntegers):
         return {"kind": "znn"}
-    if isinstance(order, ProductOrder):
-        return {"kind": "product", "left": order_to_json(order.left),
-                "right": order_to_json(order.right)}
     raise MalformedInputError(f"unencodable order: {order!r}")
 
 
-def order_from_json(obj) -> DirectedOrder:
+def order_from_json(obj) -> IndexOrder:
     kind = _field(obj, "kind")
     if kind == "finite":
-        return FiniteOrder.from_matrix(_matrix(obj, "rel"))
+        return FiniteOrder.from_matrix(_relation(obj, "rel"))
     if kind == "znn":
         return ZNN
-    if kind == "product":
-        return ProductOrder(order_from_json(_field(obj, "left")),
-                            order_from_json(_field(obj, "right")))
     raise MalformedInputError(f"unknown order kind: {kind!r}")
 
 
@@ -58,9 +51,8 @@ def finite_space_to_json(space: FiniteSpace) -> dict:
 
 
 def finite_space_from_json(obj) -> FiniteSpace:
-    spec = _matrix(obj, "spec")
-    space = FiniteSpace.from_matrix(spec)
-    if "n" in obj and obj["n"] != space.n:
+    space = FiniteSpace.from_matrix(_relation(obj, "spec"))
+    if _field(obj, "n", int, space.n) != space.n:
         raise MalformedInputError("n does not match the spec matrix")
     return space
 
@@ -131,7 +123,7 @@ def pointset_from_json(ground, obj):
     if isinstance(ground, FiniteSpace):
         mask = 0
         for x in obj:
-            if not isinstance(x, int) or not 0 <= x < ground.n:
+            if type(x) is not int or not 0 <= x < ground.n:
                 raise MalformedInputError(
                     f"finite point sets hold indices below {ground.n}: {x!r}")
             mask |= 1 << x
@@ -197,8 +189,6 @@ def net_from_json(obj) -> SubsetNet:
                for s in _field(obj, "preperiod", list, [])]
         tail = tail_from_json(ground, _field(obj, "tail"))
         return SubsetNet.over_znn(ground, pre, tail)
-    if not isinstance(index, FiniteOrder):
-        raise MalformedInputError("net index must be finite or znn")
     assignment = [pointset_from_json(ground, s)
                   for s in _field(obj, "assignment", list)]
     return SubsetNet.over_finite(ground, index, assignment)
@@ -223,7 +213,7 @@ def map_from_json(obj) -> SetValuedMap:
         ys = graph_obj.get(str(x))
         if ys is None:
             raise MalformedInputError(f"graph missing domain point {x}")
-        graph.append(sum(1 << y for y in ys))
+        graph.append(pointset_from_json(codomain, ys))
     return SetValuedMap(domain, codomain, tuple(graph))
 
 
@@ -271,4 +261,13 @@ def _matrix(obj, name) -> list:
     rows = _field(obj, name, list)
     if not all(isinstance(row, list) for row in rows):
         raise MalformedInputError(f"rows of {name!r} must be lists: {rows!r}")
+    return rows
+
+
+def _relation(obj, name) -> list:
+    """A ``_matrix`` of JSON bools (a number is not a relation entry)."""
+    rows = _matrix(obj, name)
+    if not all(isinstance(x, bool) for row in rows for x in row):
+        raise MalformedInputError(
+            f"entries of {name!r} must be true or false: {rows!r}")
     return rows

@@ -104,11 +104,13 @@ def fraction_to_json(x: Fraction) -> dict:
 
 
 def fraction_from_json(obj) -> Fraction:
-    if isinstance(obj, int):
+    if type(obj) is int:  # a JSON bool is not a number
         return Fraction(obj)
     if isinstance(obj, dict) and "num" in obj and "den" in obj:
         try:
-            return Fraction(int(obj["num"]), int(obj["den"]))
+            # through str, a bool or float part fails instead of reading
+            # as 1 or truncating
+            return Fraction(int(str(obj["num"])), int(str(obj["den"])))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedInputError(f"bad rational object: {obj!r}") from exc
     raise MalformedInputError(f"expected rational, got: {obj!r}")

@@ -38,8 +38,8 @@ from fractions import Fraction
 from typing import (FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
-from .directed_sets import (ZNN, DirectedOrder, FiniteOrder,
-                            NonnegativeIntegers, directed_order, top_element)
+from .directed_sets import (ZNN, FiniteOrder, IndexOrder,
+                            NonnegativeIntegers, top_element)
 from .errors import (MalformedInputError, PreconditionError,
                      UnsupportedRuleError)
 from .finite_topology import FiniteSpace, closure
@@ -62,10 +62,6 @@ class Periodic:
         if not self.cycle:
             raise MalformedInputError("periodic cycle must be nonempty")
 
-    @property
-    def period(self) -> int:
-        return len(self.cycle)
-
     def value(self, n: int, pre_len: int) -> SetValue:
         return self.cycle[(n - pre_len) % len(self.cycle)]
 
@@ -76,8 +72,6 @@ class AffineEscape:
 
     c: Point
     v: Point
-
-    period = 1  # never repeats: tail unions only shrink
 
     def point(self, n: int) -> Point:
         return tuple(ci + n * vi for ci, vi in zip(self.c, self.v))
@@ -100,8 +94,6 @@ class GeometricConverge:
     a: Point
     b: tuple
     r: Fraction
-
-    period = 1  # never repeats: tail unions only shrink
 
     @property
     def targets(self) -> tuple:
@@ -204,7 +196,7 @@ class SubsetNet:
     tail is reduced to its ``summary``.
     """
 
-    def __init__(self, ground: Ground, index: DirectedOrder,
+    def __init__(self, ground: Ground, index: IndexOrder,
                  summary: TailSummary, preperiod: tuple = (),
                  tail: Optional[TailRule] = None,
                  assignment: Optional[tuple] = None):
@@ -228,13 +220,11 @@ class SubsetNet:
     @classmethod
     def over_finite(cls, ground: Ground, index: FiniteOrder,
                     assignment: Sequence) -> "SubsetNet":
-        if not directed_order(index):
-            raise PreconditionError("index order must be directed")
+        top = top_element(index)
         if len(assignment) != index.n:
             raise MalformedInputError("assignment must cover every index element")
         values = tuple(_normalize_set(ground, s) for s in assignment)
         # the tails above the top element stabilize on the top class
-        top = top_element(index)
         phases = [values[t] for t in index.elements() if index.leq(top, t)]
         return cls(ground, index, _recurring(ground, phases),
                    assignment=values)
@@ -256,12 +246,6 @@ class SubsetNet:
         if not self.is_znn:
             raise PreconditionError("values() needs a Z+ net")
         return [self.at(n) for n in range(upto + 1)]
-
-    def stabilization_bound(self) -> int:
-        """An index past which tail unions repeat (Z+ rules)."""
-        if not self.is_znn:
-            raise PreconditionError("stabilization bound needs a Z+ net")
-        return len(self.preperiod) + self.tail.period
 
     def is_singleton_valued(self) -> bool:
         if self.is_znn:
@@ -443,7 +427,7 @@ def limit_set_horizon_oracle(net: SubsetNet, h: int = 8,
             out = layer if out is None else out & layer
         return out
     if h2 is None:
-        h2 = h + 2 * net.stabilization_bound() + 2
+        h2 = h + 2 * (len(net.preperiod) + len(net.tail.cycle)) + 2
     if h2 < h:
         raise PreconditionError("tail depth h2 must be at least h")
     sets = net.values(h2)
@@ -462,7 +446,6 @@ def sequential_limit_set(net: SubsetNet) -> SetValue:
     cofinally, that is, iff some phase meets it.  Equality with
     ``limit_set`` is a verified theorem, not an assumption.
     """
-    _require_sequential(net)
     ground, union = net.ground, net.summary.union
     if isinstance(ground, FiniteSpace):
         return sum(1 << y for y in range(ground.n)
@@ -594,7 +577,6 @@ def is_asymptotically_seq_compact(net: SubsetNet) -> Verdict:
     escape or converge to a point outside the space, so the verdict is
     eventual Lagrange stability.
     """
-    _require_sequential(net)
     return is_eventually_lagrange_stable(net)
 
 
@@ -603,13 +585,7 @@ def is_weakly_asymptotically_seq_compact(net: SubsetNet) -> Verdict:
 
     The verdict provably coincides with the strong form on these backends.
     """
-    _require_sequential(net)
     return is_eventually_lagrange_stable(net)
-
-
-def _require_sequential(net: SubsetNet):
-    if not net.index.is_sequential():
-        raise PreconditionError("index must be sequential")
 
 
 def is_limit_set_compact(net: SubsetNet) -> Verdict:

@@ -83,11 +83,19 @@ class TestSpaceCheck:
         assert "unknown property" in capsys.readouterr().err
 
     def test_malformed_json_is_input_error(self, tmp_path, capsys):
+        # bad syntax, non-UTF-8 bytes, nesting past the recursion limit and
+        # an int literal over the digit limit, on both JSON-reading commands
         bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        assert run(["space", "check", "--in", str(bad)]) == 2
+        for body in (b"{nope", b'{"spec": "\xff"}', b"[" * 100_000,
+                     b"1" * 5000):
+            bad.write_bytes(body)
+            for command in (["space", "check"], ["net", "analyze"]):
+                assert run(command + ["--in", str(bad)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("limitset-lab: ")
+                assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("spec", [5, [5]])
+    @pytest.mark.parametrize("spec", [5, [5], [[2]]])
     def test_mistyped_spec_fails_closed(self, spec, tmp_path, capsys):
         infile = write_json(tmp_path / "space.json", {"spec": spec})
         assert run(["space", "check", "--in", infile]) == 2
@@ -132,7 +140,14 @@ class TestNetAnalyze:
         ("trap.json", ("preperiod",), 3),
         ("periodic.json", ("tail", "cycle"), 7),
         ("trap.json", ("tail", "b"), 7),
-    ], ids=["dim-str", "dim-bool", "excluded", "preperiod", "cycle", "b"])
+        ("escape.json", ("tail", "c", 0), True),
+        ("periodic.json", ("tail", "cycle", 0, 0), True),
+        ("periodic.json", ("ground", "spec", 0, 1), 2),
+        ("periodic.json", ("index",),
+         {"kind": "product", "left": {"kind": "znn"},
+          "right": {"kind": "znn"}}),
+    ], ids=["dim-str", "dim-bool", "excluded", "preperiod", "cycle", "b",
+            "c-bool", "point-bool", "spec-int", "product-index"])
     def test_mistyped_field_fails_closed(self, name, path, value, tmp_path,
                                          capsys):
         net = json.loads((DEMO / name).read_text())
@@ -271,14 +286,6 @@ class TestVerify:
 
     def test_unknown_suite_is_input_error(self, capsys):
         assert run(["verify", "--suite", "bogus"]) == 2
-
-    def test_threads_env_validated(self, monkeypatch):
-        monkeypatch.setenv("LIMITSET_THREADS", "zero")
-        assert run(["verify", "--suite", "kuratowski_equality",
-                    "--budget", "5"]) == 2
-        monkeypatch.setenv("LIMITSET_THREADS", "2")
-        assert run(["verify", "--suite", "kuratowski_equality",
-                    "--budget", "5", "--out", "-"]) == 0
 
 
 def test_argparse_errors_exit_two():

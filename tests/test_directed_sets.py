@@ -1,18 +1,9 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from limitset_lab.directed_sets import (ZNN, EventuallyPeriodicSet,
-                                        FiniteOrder, IndexMap,
-                                        ProductOrder,
-                                        directed_order, is_cofinal,
-                                        is_directed, is_monotone_final_map,
-                                        monotonize_final_sequence,
-                                        product_order, top_element)
-from limitset_lab.errors import (MalformedInputError, PreconditionError,
-                                 UnsupportedRuleError)
+from limitset_lab.directed_sets import FiniteOrder, is_directed, top_element
+from limitset_lab.errors import MalformedInputError, PreconditionError
 
 
 def all_reflexive_matrices(n):
@@ -68,38 +59,6 @@ class TestIsDirected:
         assert not is_directed([[False]])
 
 
-class TestProductOrder:
-    def test_product_of_singletons(self):
-        one = FiniteOrder.from_matrix([[True]])
-        prod = product_order(one, one)
-        assert prod.leq((0, 0), (0, 0))
-        assert len(prod.elements()) == 1
-
-    def test_znn_square_componentwise(self):
-        prod = product_order(ZNN, ZNN)
-        assert not prod.leq((1, 2), (2, 1))
-        assert not prod.leq((2, 1), (1, 2))
-        assert prod.leq((1, 2), (2, 2)) and prod.leq((2, 1), (2, 2))
-        assert prod.upper_bound((1, 2), (2, 1)) == (2, 2)
-
-    def test_products_of_directed_preorders_are_directed(self):
-        orders = list(directed_orders_upto(3))
-        small = [o for o in orders if o.n <= 2]
-        for a in small:
-            for b in small:
-                assert is_directed(product_order(a, b).materialize().matrix())
-        # one asymmetric spot-check at size 3
-        three = [o for o in orders if o.n == 3][:10]
-        for a in three:
-            for b in small[:3]:
-                assert is_directed(product_order(a, b).materialize().matrix())
-
-    def test_undirected_factor_rejected(self):
-        bad = FiniteOrder.from_matrix([[True, False], [False, True]])
-        with pytest.raises(PreconditionError):
-            product_order(bad, ZNN)
-
-
 class TestTopElement:
     def test_every_element_below_top(self):
         for order in directed_orders_upto(3):
@@ -116,96 +75,7 @@ class TestTopElement:
         assert top_element(order) == 1
 
 
-class TestCofinality:
-    def test_whole_set_is_cofinal(self):
-        for order in directed_orders_upto(3):
-            assert is_cofinal(set(order.elements()), order)
-
-    def test_even_numbers_cofinal_in_znn(self):
-        evens = EventuallyPeriodicSet((), (True, False))
-        assert evens.member(0) and not evens.member(3)
-        assert is_cofinal(evens, ZNN)
-
-    def test_eventually_empty_subset_not_cofinal(self):
-        finite_part = EventuallyPeriodicSet((True, True, True), (False,))
-        assert not is_cofinal(finite_part, ZNN)
-
-    def test_raw_predicate_unsupported(self):
-        with pytest.raises(UnsupportedRuleError):
-            is_cofinal(lambda n: n % 2 == 0, ZNN)
-
-    def test_singleton_cofinal_iff_maximum(self):
-        for order in directed_orders_upto(4):
-            for m in order.elements():
-                expected = all(order.leq(a, m) for a in order.elements())
-                assert is_cofinal({m}, order) == expected
-
-
-class TestIndexMaps:
-    def test_identity_on_znn_monotone_final(self):
-        h = IndexMap(ZNN, ZNN, affine=(1, 0))
-        assert is_monotone_final_map(h)
-        assert h.apply(7) == 7
-
-    def test_doubling_on_znn_monotone_final(self):
-        h = IndexMap(ZNN, ZNN, affine=(2, 0))
-        assert is_monotone_final_map(h)
-
-    def test_constant_map_to_non_maximum_not_final(self):
-        chain = FiniteOrder.from_matrix([[a <= b for b in range(3)]
-                                         for a in range(3)])
-        h = IndexMap(chain, chain, table=((0, 0), (1, 0), (2, 0)))
-        assert not is_monotone_final_map(h)
-
-    def test_constant_map_to_maximum_is_final(self):
-        chain = FiniteOrder.from_matrix([[a <= b for b in range(3)]
-                                         for a in range(3)])
-        h = IndexMap(chain, chain, table=((0, 2), (1, 2), (2, 2)))
-        assert is_monotone_final_map(h)
-
-    def test_table_into_znn_never_final(self):
-        h = IndexMap(ZNN, ZNN, table=((0, 5), (1, 9)))
-        assert not is_monotone_final_map(h)
-
-    def test_affine_needs_positive_slope(self):
-        with pytest.raises(MalformedInputError):
-            IndexMap(ZNN, ZNN, affine=(0, 3))
-
-
-class TestMonotonize:
-    def test_already_monotone_unchanged(self):
-        assert monotonize_final_sequence([1, 2, 3], ZNN, 3) == [1, 2, 3]
-
-    def test_max_rule_construction(self):
-        assert monotonize_final_sequence([5, 1, 7, 2], ZNN, 4) == [5, 5, 7, 7]
-
-    def test_postconditions_on_finite_orders(self):
-        import random
-        rng = random.Random(2024)
-        for order in directed_orders_upto(3):
-            elems = list(order.elements())
-            for _ in range(20):
-                t = [rng.choice(elems) for _ in range(6)]
-                s = monotonize_final_sequence(t, order, 6)
-                assert all(order.leq(s[i], s[i + 1]) for i in range(5))
-                assert all(order.leq(t[i], s[i]) for i in range(6))
-
-    @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1,
-                    max_size=12))
-    def test_postconditions_on_znn(self, t):
-        s = monotonize_final_sequence(t, ZNN, len(t))
-        assert all(s[i] <= s[i + 1] for i in range(len(t) - 1))
-        assert all(t[i] <= s[i] for i in range(len(t)))
-
-    def test_window_validation(self):
-        with pytest.raises(PreconditionError):
-            monotonize_final_sequence([1], ZNN, 0)
-        with pytest.raises(PreconditionError):
-            monotonize_final_sequence([1], ZNN, 5)
-
-
-def test_directed_order_object_check():
-    assert directed_order(ZNN)
-    assert directed_order(ProductOrder(ZNN, ZNN))
-    assert not directed_order(
-        FiniteOrder.from_matrix([[True, False], [False, True]]))
+def test_undirected_order_has_no_top_element():
+    undirected = FiniteOrder.from_matrix([[True, False], [False, True]])
+    with pytest.raises(PreconditionError, match="index order must be directed"):
+        top_element(undirected)

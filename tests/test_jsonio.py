@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from limitset_lab import jsonio
-from limitset_lab.directed_sets import ZNN, FiniteOrder, ProductOrder
+from limitset_lab.directed_sets import ZNN, FiniteOrder
 from limitset_lab.errors import MalformedInputError
 from limitset_lab.finite_topology import SIERPINSKI, discrete_space
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
@@ -40,7 +40,7 @@ class TestOrders:
     def test_round_trips(self):
         chain = FiniteOrder.from_matrix([[a <= b for b in range(3)]
                                          for a in range(3)])
-        for order in (chain, ZNN, ProductOrder(ZNN, chain)):
+        for order in (chain, ZNN):
             j = jsonio.order_to_json(order)
             assert jsonio.order_from_json(j) == order
             assert jsonio.order_to_json(jsonio.order_from_json(j)) == j
@@ -82,6 +82,20 @@ class TestGrounds:
         (jsonio.metric_from_json, {"dist": [5]}),
         (jsonio.map_from_json, {"domain": 5, "codomain": {"spec": [[True]]},
                                 "graph": {}}),
+        # a JSON bool is not a number, and a number is not a relation entry
+        (fraction_from_json, True),
+        (fraction_from_json, {"num": True, "den": "1"}),
+        (jsonio.finite_space_from_json, {"spec": [[2]]}),
+        (jsonio.finite_space_from_json, {"n": True, "spec": [[True]]}),
+        (jsonio.order_from_json, {"kind": "finite", "rel": [["x"]]}),
+        (jsonio.net_from_json, {"ground": {"spec": [[True, True],
+                                                 [False, True]]},
+                                "tail": {"kind": "periodic",
+                                         "cycle": [[True]]}}),
+        (jsonio.map_from_json, {"domain": {"spec": [[True]]},
+                                "codomain": {"spec": [[True, True],
+                                                      [False, True]]},
+                                "graph": {"0": [True]}}),
     ])
     def test_mistyped_fields_rejected(self, decode, obj):
         with pytest.raises(MalformedInputError):
@@ -158,6 +172,9 @@ class TestMapsAndVerdicts:
         back = jsonio.map_from_json(j)
         assert back.graph == f.graph
         assert jsonio.map_to_json(back) == j
+        # a repeated point is still that one point, not the sum of its bits
+        j["graph"]["1"] = [1, 1, 0]
+        assert jsonio.map_from_json(j).graph == f.graph
 
     def test_metric_grounds_keep_their_distances(self):
         dom = FinitePseudoMetric([[0, 0], [0, 0]])
