@@ -1,5 +1,25 @@
 """Exception types shared across the library."""
 
+import reprlib
+
+EXCERPT_CHARS = 120
+
+_excerpt = reprlib.Repr()
+_excerpt.maxlevel = 2
+_excerpt.maxstring = _excerpt.maxlong = _excerpt.maxother = 40
+
+
+def excerpt(value) -> str:
+    """A repr of an input value cut to at most ``EXCERPT_CHARS`` characters.
+
+    Error messages quote offending input through this, so an error line
+    stays short however large the input is.
+    """
+    text = _excerpt.repr(value)
+    if len(text) > EXCERPT_CHARS:
+        text = text[:EXCERPT_CHARS - 3] + "..."
+    return text
+
 
 class LimitsetError(ValueError):
     """Base class for all library-specific errors."""

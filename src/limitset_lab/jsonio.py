@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .directed_sets import ZNN, FiniteOrder, IndexOrder, NonnegativeIntegers
-from .errors import MalformedInputError
+from .errors import MalformedInputError, excerpt
 from .finite_topology import FiniteSpace
 from .pseudometric_core import FinitePseudoMetric, RationalPointSpace
 from .rationals import (fraction_from_json, fraction_to_json, point_from_json,
@@ -41,7 +41,7 @@ def order_from_json(obj) -> IndexOrder:
         return FiniteOrder.from_matrix(_relation(obj, "rel"))
     if kind == "znn":
         return ZNN
-    raise MalformedInputError(f"unknown order kind: {kind!r}")
+    raise MalformedInputError(f"unknown order kind: {excerpt(kind)}")
 
 
 # -- ground spaces --------------------------------------------------------------
@@ -74,8 +74,11 @@ def metric_to_json(m: FinitePseudoMetric) -> dict:
 
 
 def metric_from_json(obj) -> FinitePseudoMetric:
-    return FinitePseudoMetric([[fraction_from_json(d) for d in row]
-                               for row in _matrix(obj, "dist")])
+    m = FinitePseudoMetric([[fraction_from_json(d) for d in row]
+                            for row in _matrix(obj, "dist")])
+    if _field(obj, "n", int, m.n) != m.n:
+        raise MalformedInputError("n does not match the dist matrix")
+    return m
 
 
 def ground_to_json(ground) -> dict:
@@ -125,7 +128,7 @@ def pointset_from_json(ground, obj):
         for x in obj:
             if type(x) is not int or not 0 <= x < ground.n:
                 raise MalformedInputError(
-                    f"finite point sets hold indices below {ground.n}: {x!r}")
+                    f"finite point sets hold indices below {ground.n}: {excerpt(x)}")
             mask |= 1 << x
         return mask
     return ground.check_set(point_from_json(p) for p in obj)
@@ -165,7 +168,7 @@ def tail_from_json(ground, obj):
             b = point_from_json(raw_b)
         return GeometricConverge(point_from_json(_field(obj, "a")), b,
                                  fraction_from_json(_field(obj, "r")))
-    raise MalformedInputError(f"unknown tail kind: {kind!r}")
+    raise MalformedInputError(f"unknown tail kind: {excerpt(kind)}")
 
 
 def net_to_json(net: SubsetNet) -> dict:
@@ -249,18 +252,18 @@ _REQUIRED = object()
 def _field(obj, name, kind=object, default=_REQUIRED):
     """``obj[name]``, which must be a ``kind`` (a bool is not an int)."""
     if not isinstance(obj, dict) or (name not in obj and default is _REQUIRED):
-        raise MalformedInputError(f"missing field {name!r} in {obj!r}")
+        raise MalformedInputError(f"missing field {name!r} in {excerpt(obj)}")
     value = obj.get(name, default)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise MalformedInputError(
-            f"field {name!r} must be of type {kind.__name__}: {value!r}")
+            f"field {name!r} must be of type {kind.__name__}: {excerpt(value)}")
     return value
 
 
 def _matrix(obj, name) -> list:
     rows = _field(obj, name, list)
     if not all(isinstance(row, list) for row in rows):
-        raise MalformedInputError(f"rows of {name!r} must be lists: {rows!r}")
+        raise MalformedInputError(f"rows of {name!r} must be lists: {excerpt(rows)}")
     return rows
 
 
@@ -269,5 +272,5 @@ def _relation(obj, name) -> list:
     rows = _matrix(obj, name)
     if not all(isinstance(x, bool) for row in rows for x in row):
         raise MalformedInputError(
-            f"entries of {name!r} must be true or false: {rows!r}")
+            f"entries of {name!r} must be true or false: {excerpt(rows)}")
     return rows

@@ -2,11 +2,14 @@
 
 Two ground models live here.  ``RationalPointSpace`` is the countable
 backend: points of Q^d under the max-norm, minus a finite excluded set;
-all distances are exact ``Fraction`` values.  ``FinitePseudoMetric`` is an
-explicit distance matrix on finitely many points (zero off-diagonal
-entries allowed), used for semicontinuity checks and inner-radius sweeps.
-It is a ``FiniteSpace`` (its metric topology, whose minimal open sets are
-the zero-sets) that also carries the distance.
+all distances are exact ``Fraction`` values.  ``FinitePseudoMetric`` is a
+distance matrix on finitely many points (zero off-diagonal entries
+allowed), used for semicontinuity checks and inner-radius sweeps.  It is
+scaled once to an integer matrix over the LCM of its entry denominators;
+every metric axiom is validated on those ints, and ``dist`` is the exact
+``Fraction`` view of the same matrix.  It is a ``FiniteSpace`` (its metric
+topology, whose minimal open sets are the zero-sets) that also carries
+the distance.
 
 Point sets over ``RationalPointSpace`` are frozensets of coordinate
 tuples; point sets over ``FinitePseudoMetric`` are int bitmasks.
@@ -14,6 +17,8 @@ tuples; point sets over ``FinitePseudoMetric`` are int bitmasks.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Callable, FrozenSet, Iterable, List
 
@@ -69,38 +74,71 @@ class RationalPointSpace:
 class FinitePseudoMetric(FiniteSpace):
     """An explicit pseudo-metric on ``{0, ..., n-1}``, validated at construction.
 
+    ``scaled[i][j]`` is the distance times ``scale``, the LCM of the entry
+    denominators, so ``scaled`` is an exact integer matrix; squareness, the
+    zero diagonal, signs, symmetry and the triangle inequality are all
+    checked on it.  ``dist[i][j]`` is the same distance as an exact
+    ``Fraction``.
+
     It is the finite space of its metric topology: the minimal open set of
     ``i`` is its zero-set ``{j : d(i, j) = 0}``, which the triangle
     inequality makes an equivalence class.
     """
 
     def __init__(self, dist: List[List]):
-        self.n = len(dist)
-        self.dist = tuple(tuple(Fraction(x) for x in row) for row in dist)
-        for row in self.dist:
-            if len(row) != self.n:
+        self.n = n = len(dist)
+        exact = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+                            for x in row) for row in dist)
+        for row in exact:
+            if len(row) != n:
                 raise MalformedInputError("distance matrix is not square")
-        for i in range(self.n):
-            if self.dist[i][i] != 0:
+        self.scale = scale = math.lcm(*(x.denominator
+                                        for row in exact for x in row))
+        self.scaled = d = tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in row)
+            for row in exact)
+        for i, row in enumerate(d):
+            if row[i] != 0:
                 raise MalformedInputError("diagonal must be zero")
-            for j in range(self.n):
-                if self.dist[i][j] < 0:
+            for j, dij in enumerate(row):
+                if dij < 0:
                     raise MalformedInputError("distances must be nonnegative")
-                if self.dist[i][j] != self.dist[j][i]:
+                if dij != d[j][i]:
                     raise MalformedInputError("distance matrix must be symmetric")
-        for i in range(self.n):
-            for j in range(self.n):
-                for k in range(self.n):
-                    if self.dist[i][k] > self.dist[i][j] + self.dist[j][k]:
+        for row in d:
+            for j, dij in enumerate(row):
+                for dik, djk in zip(row, d[j]):
+                    if dik > dij + djk:
                         raise MalformedInputError("triangle inequality violated")
-        super().__init__([sum(1 << j for j, d in enumerate(row) if not d)
-                          for row in self.dist])
+        self.dist = exact
+        super().__init__([sum(1 << j for j, v in enumerate(row) if not v)
+                          for row in d])
 
     @classmethod
     def from_points(cls, points: Iterable) -> "FinitePseudoMetric":
-        """Max-norm distance matrix of a point list (duplicates give zeros)."""
+        """Max-norm distance matrix of a point list (duplicates give zeros).
+
+        Coordinates are scaled to ints over their common denominator, so the
+        distances are int maxima; each distinct one becomes one ``Fraction``.
+        """
         pts = [as_point(p) for p in points]
-        return cls([[max_norm_distance(p, q) for q in pts] for p in pts])
+        for p in pts:
+            if len(p) != len(pts[0]):
+                raise MalformedInputError(
+                    f"dimension mismatch: {len(pts[0])} vs {len(p)}")
+        scale = math.lcm(*(c.denominator for p in pts for c in p))
+        coords = [[c.numerator * (scale // c.denominator) for c in p]
+                  for p in pts]
+        exact = {0: Fraction(0)}
+        rows = [[exact[0]] * len(pts) for _ in pts]
+        for i, p in enumerate(coords):
+            for j in range(i):
+                v = max(map(abs, map(operator.sub, p, coords[j])), default=0)
+                x = exact.get(v)
+                if x is None:
+                    x = exact[v] = Fraction(v, scale)
+                rows[i][j] = rows[j][i] = x
+        return cls(rows)
 
     def point_to_mask_distance(self, i: int, e: int) -> ExtendedRational:
         self.check_set(e)

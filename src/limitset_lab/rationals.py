@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, excerpt
 
 
 @functools.total_ordering
@@ -112,8 +112,8 @@ def fraction_from_json(obj) -> Fraction:
             # as 1 or truncating
             return Fraction(int(str(obj["num"])), int(str(obj["den"])))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise MalformedInputError(f"bad rational object: {obj!r}") from exc
-    raise MalformedInputError(f"expected rational, got: {obj!r}")
+            raise MalformedInputError(f"bad rational object: {excerpt(obj)}") from exc
+    raise MalformedInputError(f"expected rational, got: {excerpt(obj)}")
 
 
 def point_to_json(p: Point) -> list:
@@ -122,5 +122,5 @@ def point_to_json(p: Point) -> list:
 
 def point_from_json(obj) -> Point:
     if not isinstance(obj, list):
-        raise MalformedInputError(f"expected point (list), got: {obj!r}")
+        raise MalformedInputError(f"expected point (list), got: {excerpt(obj)}")
     return tuple(fraction_from_json(c) for c in obj)

@@ -171,6 +171,40 @@ class TestNetAnalyze:
         assert out["limit_set"] == [0, 1]
         assert out["limit_set_compact"] == {"state": "holds"}
 
+    def test_metric_ground_with_wrong_n_fails_closed(self, tmp_path,
+                                                     capsys):
+        net = {"ground": {"n": 7, "dist": [[0, 1], [1, 0]]},
+               "tail": {"kind": "periodic", "cycle": [[0], [1]]}}
+        infile = write_json(tmp_path / "net.json", net)
+        assert run(["net", "analyze", "--in", infile]) == 2
+        assert capsys.readouterr().err == (
+            "limitset-lab: n does not match the dist matrix\n")
+
+    @pytest.mark.parametrize("path, value", [
+        (("tail", "r"), {"num": "1", "den": "7" * 4400}),
+        (("tail", "r"), ["1" * 4400]),
+        (("tail", "a"), [{"num": "1"}] + [{"num": "1", "den": "3"}] * 5000),
+        (("tail", "b"), {"num": "1", "den": "2", "pad": "x" * 10_000}),
+        (("ground",), {"dim": 1, "excluded": [["x" * 9000]]}),
+        (("tail", "kind"), "k" * 9000),
+        (("tail",), {"kind": "geometric", "pad": [[0] * 99] * 99}),
+        (("ground",), {"spec": [[2] * 5000]}),
+        (("ground",), {"dist": [5] * 5000}),
+    ], ids=["long-den", "long-list", "long-point", "extra-key",
+            "long-excluded", "long-kind", "missing-field", "long-spec",
+            "long-dist"])
+    def test_error_line_is_bounded(self, path, value, tmp_path, capsys):
+        net = json.loads((DEMO / "trap.json").read_text())
+        node = net
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        infile = write_json(tmp_path / "net.json", net)
+        assert run(["net", "analyze", "--in", infile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("limitset-lab: ") and err.count("\n") == 1
+        assert len(err) <= 200
+
     def test_bad_horizon(self, tmp_path):
         infile = write_json(tmp_path / "net.json", ESCAPE_NET_JSON)
         assert run(["net", "analyze", "--in", infile, "--horizon", "0"]) == 2

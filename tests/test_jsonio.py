@@ -71,6 +71,14 @@ class TestGrounds:
         j = jsonio.metric_to_json(m)
         assert jsonio.metric_from_json(j).dist == m.dist
 
+    def test_metric_mismatched_n_rejected(self):
+        with pytest.raises(MalformedInputError,
+                           match="^n does not match the dist matrix$"):
+            jsonio.metric_from_json({"n": 7, "dist": [[0, 1], [1, 0]]})
+        with pytest.raises(MalformedInputError):
+            jsonio.metric_from_json({"n": True, "dist": [[0]]})
+        assert jsonio.metric_from_json({"n": 1, "dist": [[0]]}).n == 1
+
     @pytest.mark.parametrize("decode, obj", [
         (jsonio.finite_space_from_json, {"spec": 5}),
         (jsonio.finite_space_from_json, {"spec": [5]}),

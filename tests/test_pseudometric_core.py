@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitset_lab.errors import (MalformedInputError, MembershipError,
@@ -13,7 +14,8 @@ from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace, ball_of_set,
                                             compact_inner_radius,
                                             point_set_distance, semidistance)
-from limitset_lab.rationals import INFINITY, ExtendedRational
+from limitset_lab.rationals import (INFINITY, ExtendedRational, as_point,
+                                    max_norm_distance)
 from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
                                       Periodic, SubsetNet, kuratowski_limits)
 from limitset_lab.theoremlab import RULE_FAMILIES, random_rule_net
@@ -286,6 +288,190 @@ class TestValidation:
     def test_metric_topology_of_glued_points(self):
         m = FinitePseudoMetric.from_points([pt(0), pt(0), pt(3)])
         assert m.rows == (0b011, 0b011, 0b100)
+
+
+class FractionOracleMetric(FinitePseudoMetric):
+    """The constructor as it ran on ``Fraction`` entries, kept as a reference.
+
+    Every axiom is checked with ``Fraction`` arithmetic on the matrix as
+    given, and ``from_points`` takes ``max_norm_distance`` of each pair.
+    """
+
+    def __init__(self, dist):
+        self.n = len(dist)
+        self.dist = tuple(tuple(F(x) for x in row) for row in dist)
+        for row in self.dist:
+            if len(row) != self.n:
+                raise MalformedInputError("distance matrix is not square")
+        for i in range(self.n):
+            if self.dist[i][i] != 0:
+                raise MalformedInputError("diagonal must be zero")
+            for j in range(self.n):
+                if self.dist[i][j] < 0:
+                    raise MalformedInputError("distances must be nonnegative")
+                if self.dist[i][j] != self.dist[j][i]:
+                    raise MalformedInputError(
+                        "distance matrix must be symmetric")
+        for i in range(self.n):
+            for j in range(self.n):
+                for k in range(self.n):
+                    if self.dist[i][k] > self.dist[i][j] + self.dist[j][k]:
+                        raise MalformedInputError(
+                            "triangle inequality violated")
+        FiniteSpace.__init__(self, [sum(1 << j for j, d in enumerate(row)
+                                        if not d) for row in self.dist])
+
+    @classmethod
+    def from_points(cls, points):
+        pts = [as_point(p) for p in points]
+        return cls([[max_norm_distance(p, q) for q in pts] for p in pts])
+
+
+# large coprime denominators make the LCM scale, and the scaled ints, big
+LARGE_PRIMES = (10 ** 9 + 7, 998_244_353, 2 ** 61 - 1, 2 ** 89 - 1)
+small_entry = st.fractions(min_value=0, max_value=6, max_denominator=12)
+large_entry = st.builds(F, st.integers(0, 10 ** 30),
+                        st.sampled_from(LARGE_PRIMES))
+entry = st.one_of(small_entry, large_entry)
+coordinate = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.builds(F, st.integers(-10 ** 30, 10 ** 30),
+              st.sampled_from(LARGE_PRIMES)))
+# the constructors take anything ``Fraction`` reads
+as_input = st.sampled_from([
+    lambda x: x,
+    lambda x: int(x) if x.denominator == 1 else x,
+    str,
+])
+PERTURBATIONS = ("none", "diagonal", "asymmetric", "negative", "triangle",
+                 "ragged", "bad-entry")
+
+
+@st.composite
+def pseudo_metrics(draw):
+    """Rational pseudo-metrics: shortest-path closures of random weights."""
+    n = draw(st.integers(0, 5))
+    d = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            d[i][j] = d[j][i] = draw(entry)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+@st.composite
+def distance_matrices(draw):
+    """Pseudo-metrics, some perturbed to break one axiom, with mixed types."""
+    d = draw(pseudo_metrics())
+    n = len(d)
+    kind = draw(st.sampled_from(PERTURBATIONS))
+    if n and kind != "none":
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        delta = draw(entry.filter(bool))
+        if kind == "diagonal":
+            d[i][i] = delta
+        elif kind == "asymmetric":
+            d[i][j] += delta
+        elif kind == "negative":
+            d[i][j] = -delta
+            if draw(st.booleans()):
+                d[j][i] = -delta
+        elif kind == "triangle":
+            d[i][k] = d[k][i] = d[i][j] + d[j][k] + delta
+        elif kind == "ragged":
+            d[i] = d[i][:-1] if draw(st.booleans()) else d[i] + [F(0)]
+        else:
+            d[i][j] = draw(st.sampled_from(["x", None, 0.5, "1/2", True]))
+    return [[draw(as_input)(x) if isinstance(x, F) else x for x in row]
+            for row in d]
+
+
+@st.composite
+def point_lists(draw):
+    """Points of one dimension with repeats, sometimes one of another."""
+    dim = draw(st.sampled_from((1, 2)))
+    distinct = draw(st.lists(st.tuples(*[coordinate] * dim),
+                             min_size=1, max_size=4))
+    pts = draw(st.lists(st.sampled_from(distinct), max_size=6))
+    if draw(st.booleans()):
+        other = draw(st.sampled_from([d for d in (0, 1, 2, 3) if d != dim]))
+        pts.insert(draw(st.integers(0, len(pts))),
+                   draw(st.tuples(*[coordinate] * other)))
+    return [draw(st.sampled_from((list, tuple)))(
+                draw(as_input)(c) for c in p) for p in pts]
+
+
+def construction_outcome(build, arg):
+    try:
+        return build(arg)
+    except (ValueError, TypeError) as exc:  # MalformedInputError included
+        return type(exc), str(exc)
+
+
+def assert_same_construction(new, old):
+    """Same accept/reject and message; same distances, topology and identity."""
+    if isinstance(old, tuple) or isinstance(new, tuple):
+        assert new == old
+        return
+    assert type(new) is FinitePseudoMetric
+    assert new.dist == old.dist and new.rows == old.rows
+    assert all(type(x) is F for row in new.dist for x in row)
+    assert new == old and old == new and hash(new) == hash(old)
+    assert new.scale == math.lcm(*(x.denominator
+                                   for row in old.dist for x in row))
+    assert new.scaled == tuple(tuple(x * new.scale for x in row)
+                               for row in old.dist)
+    assert all(type(v) is int for row in new.scaled for v in row)
+
+
+class TestIntegerConstruction:
+    """The integer-matrix constructor against the ``Fraction`` reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(distance_matrices())
+    def test_matrix_agrees_with_fraction_oracle(self, dist):
+        assert_same_construction(
+            construction_outcome(FinitePseudoMetric, dist),
+            construction_outcome(FractionOracleMetric, dist))
+
+    @settings(max_examples=400, deadline=None)
+    @given(point_lists())
+    def test_from_points_agrees_with_fraction_oracle(self, points):
+        assert_same_construction(
+            construction_outcome(FinitePseudoMetric.from_points, points),
+            construction_outcome(FractionOracleMetric.from_points, points))
+
+    @pytest.mark.parametrize("dist, message", [
+        ([[0, 1], [1]], "distance matrix is not square"),
+        ([[0, 1], [1, F(1, 3)]], "diagonal must be zero"),
+        ([[0, F(-1, 2)], [F(-1, 2), 0]], "distances must be nonnegative"),
+        ([[0, F(1, 2)], [F(1, 3), 0]], "distance matrix must be symmetric"),
+        ([[0, F(1, 3), 1], [F(1, 3), 0, F(1, 2)], [1, F(1, 2), 0]],
+         "triangle inequality violated"),
+        # the first offending entry decides: row 0 is negative before
+        # row 1 breaks the diagonal
+        ([[0, -1], [-1, 5]], "distances must be nonnegative"),
+        # and a negative entry is named before its asymmetry
+        ([[0, -1], [2, 0]], "distances must be nonnegative"),
+    ])
+    def test_each_axiom_named(self, dist, message):
+        with pytest.raises(MalformedInputError, match=f"^{message}$"):
+            FinitePseudoMetric(dist)
+
+    def test_from_points_dimension_mismatch(self):
+        with pytest.raises(MalformedInputError,
+                           match="^dimension mismatch: 2 vs 1$"):
+            FinitePseudoMetric.from_points([pt(0, 0), pt(1, 1), pt(2)])
+
+    def test_scale_is_the_lcm_of_the_denominators(self):
+        m = FinitePseudoMetric.from_points([pt(F(1, 4)), pt(F(2, 3)),
+                                            pt(F(-1, 6))])
+        assert m.scale == 12
+        assert m.scaled == ((0, 5, 5), (5, 0, 10), (5, 10, 0))
+        assert m.dist[1][2] == F(5, 6)
 
 
 def zeroset_oracle(m, i):
