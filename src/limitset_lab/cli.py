@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import jsonio, theoremlab
-from .errors import LimitsetError, MalformedInputError
+from .errors import LimitsetError, MalformedInputError, excerpt
 from .finite_topology import (is_hausdorff, is_pseudometrizable, is_regular)
 from .semiflow_cells import (CellGrid, DiscreteSemiflow, _set_bits,
                              attraction_trace_check, omega_limit_cells)
@@ -98,7 +98,7 @@ def cmd_space(args) -> int:
     for prop in args.props.split(","):
         prop = prop.strip()
         if prop not in PROP_CHECKS:
-            raise MalformedInputError(f"unknown property: {prop!r}")
+            raise MalformedInputError(f"unknown property: {excerpt(prop)}")
         out[prop] = PROP_CHECKS[prop](space)
     _write(args.out, jsonio.dumps_canonical(out))
     return 0
@@ -125,12 +125,14 @@ def _parse_init(raw: str, grid: CellGrid) -> int:
             try:
                 i = int(part)
             except ValueError:
-                raise MalformedInputError(f"bad cell index in --init: {part!r}")
+                raise MalformedInputError(
+                    f"bad cell index in --init: {excerpt(part)}")
             if not 0 <= i < grid.total:
-                raise MalformedInputError(f"cell {i} outside the grid")
+                raise MalformedInputError(f"cell {excerpt(i)} outside the grid")
             mask |= 1 << i
         return mask
-    raise MalformedInputError(f"bad --init: {raw!r} (use all or cell:K)")
+    raise MalformedInputError(
+        f"bad --init: {excerpt(raw)} (use all or cell:K)")
 
 
 def cmd_omega(args) -> int:
@@ -160,7 +162,7 @@ def cmd_omega(args) -> int:
                     params.append(Fraction(raw))
                 except (ValueError, ZeroDivisionError):
                     raise MalformedInputError(f"{flag} must be a rational "
-                                              f"number: {raw!r}")
+                                              f"number: {excerpt(raw)}")
         flow = DiscreteSemiflow(args.map_kind, tuple(params))
         grid = CellGrid(flow.dim, args.cells)
     init = _parse_init(args.init, grid)

@@ -274,7 +274,12 @@ class TestOmega:
         ["--map", "logistic", "--param", "abc"],
         ["--map", "rotation", "--param", "1/8", "--init", "cell:x"],
         ["--map", "logistic"],
-    ], ids=["param", "init", "missing-param"])
+        ["--map", "logistic", "--param", "x" * 5000],
+        ["--map", "tent", "--param", "2", "--init", "cell:" + "9" * 5000],
+        ["--map", "tent", "--param", "2", "--init", "cell:" + "9" * 4000],
+        ["--map", "tent", "--param", "2", "--init", "x" * 5000],
+    ], ids=["param", "init", "missing-param", "long-param", "long-cell",
+            "far-cell", "long-init"])
     def test_malformed_input_fails_closed(self, argv, capsys):
         argv = ["omega"] + argv + ["--cells", "8"]
         with pytest.raises(MalformedInputError):
@@ -282,6 +287,7 @@ class TestOmega:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("limitset-lab: ") and err.count("\n") == 1
+        assert len(err) <= 200
 
     @pytest.mark.parametrize("name", sorted(OMEGA_PINNED))
     def test_output_pinned(self, name, tmp_path, capsys):
