@@ -7,24 +7,27 @@
 
 Structures travel as JSON, traces as CSV; ``--out -`` streams to stdout.
 Exit codes: 0 success, 1 verification violations, 2 input errors, each
-input error reported as one ``limitset-lab:`` line on stderr.  A net is
-indexed by a finite directed order or by Z+; a ``product`` index is
-refused.  ``net analyze`` echoes ``--horizon`` without reading it, since
-every verdict is exact.  Evaluation is sequential, and identical argv and
-inputs produce byte-identical outputs.
+input error (argument-parser usage errors included) reported as one
+``limitset-lab:`` line on stderr.  One parser, built on first use, serves
+every call in a process.  A net is indexed by a finite directed order or
+by Z+; a ``product`` index is refused.  ``net analyze`` echoes
+``--horizon`` without reading it, since every verdict is exact.
+Evaluation is sequential, and identical argv and inputs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 from fractions import Fraction
 
 from . import jsonio, theoremlab
-from .errors import LimitsetError, MalformedInputError, excerpt
+from .errors import LimitsetError, MalformedInputError, clip, excerpt
 from .finite_topology import (is_hausdorff, is_pseudometrizable, is_regular)
 from .semiflow_cells import (CellGrid, DiscreteSemiflow, _set_bits,
                              attraction_trace_check, omega_limit_cells)
@@ -37,8 +40,17 @@ PROP_CHECKS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors, so ``run``
+    reports them as one bounded line; subparsers inherit the class."""
+
+    def error(self, message):
+        raise MalformedInputError(clip(message))
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="limitset-lab")
+    parser = _Parser(prog="limitset-lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("space", help="finite-space property checks")
@@ -215,12 +227,8 @@ def cmd_verify(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "space":
             return cmd_space(args)
         if args.command == "net":
@@ -230,6 +238,8 @@ def run(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         raise MalformedInputError(f"unknown command: {args.command!r}")
+    except SystemExit as exc:  # only --help exits, after printing the help
+        return exc.code
     except (LimitsetError, OSError) as exc:
         sys.stderr.write(f"limitset-lab: {exc}\n")
         return 2

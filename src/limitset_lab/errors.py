@@ -9,16 +9,20 @@ _excerpt.maxlevel = 2
 _excerpt.maxstring = _excerpt.maxlong = _excerpt.maxother = 40
 
 
+def clip(text: str) -> str:
+    """``text`` cut to at most ``EXCERPT_CHARS`` characters."""
+    if len(text) > EXCERPT_CHARS:
+        text = text[:EXCERPT_CHARS - 3] + "..."
+    return text
+
+
 def excerpt(value) -> str:
     """A repr of an input value cut to at most ``EXCERPT_CHARS`` characters.
 
     Error messages quote offending input through this, so an error line
     stays short however large the input is.
     """
-    text = _excerpt.repr(value)
-    if len(text) > EXCERPT_CHARS:
-        text = text[:EXCERPT_CHARS - 3] + "..."
-    return text
+    return clip(_excerpt.repr(value))
 
 
 class LimitsetError(ValueError):

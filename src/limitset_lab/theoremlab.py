@@ -429,8 +429,8 @@ def suite_pseudometrizable_equivalence(budget: int = 1000,
     Convergence from above to some nonempty compact set (decided against
     the candidate compact = the limit set), asymptotic sequential
     compactness, its weak form, and limit set compactness must agree on
-    every instance.  At least a tenth of the stream consists of excluded-
-    limit traps, where all four must fail together.
+    every instance.  At least ``budget // 10`` instances are excluded-limit
+    traps, where all four must fail together.
     """
     report = SuiteReport("pseudometrizable_equivalence", seed, budget)
     start = time.perf_counter()
@@ -457,7 +457,7 @@ def suite_pseudometrizable_equivalence(budget: int = 1000,
         if len(states) != 1:
             got = ", ".join(f"{k}={v.state}" for k, v in sorted(vector.items()))
             report.violation(describe_net(net), "all four verdicts equal", got)
-    if traps * 10 < budget:
+    if traps < budget // 10:
         report.violation("trap quota", f">= {budget // 10} excluded-limit traps",
                          str(traps))
     report.elapsed_seconds = time.perf_counter() - start

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import time
@@ -328,6 +329,72 @@ class TestVerify:
         assert run(["verify", "--suite", "bogus"]) == 2
 
 
-def test_argparse_errors_exit_two():
-    assert run(["space"]) == 2          # missing action
-    assert run(["bogus"]) == 2          # unknown command
+def test_argparse_errors_exit_two(capsys):
+    # a usage error is one bounded input-error line, not usage plus error
+    for argv in (["bogus"],                                 # unknown command
+                 ["space"],                                 # missing action
+                 ["net", "analyze"],                        # missing --in
+                 ["omega", "--map", "nope", "--cells", "8"],  # bad --map
+                 ["omega", "--map", "logistic", "--param", "2",
+                  "--cells", "x" * 5000],                   # long --cells
+                 []):                                       # no command
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("limitset-lab: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert len(captured.err) <= 200
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["omega", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert run(argv) == 0
+    assert "usage: limitset-lab" in capsys.readouterr().out
+
+
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_give_identical_results(self, tmp_path, capsys):
+        argvs = [
+            ["net", "analyze", "--in", str(DEMO / "trap.json")],
+            ["space", "check", "--in", str(DEMO / "sierpinski.json")],
+            ["omega"] + OMEGA_PINNED["readme-rotation"][0],
+            ["omega", "--map", "logistic", "--cells", "x"],
+            ["omega", "--map", "rotation", "--param", "1/8", "--cells", "8",
+             "--init", "nope"],
+        ]
+
+        def call(i, argv):
+            outfile = tmp_path / f"out{i}"
+            outfile.write_bytes(b"")
+            code = run(argv + ["--out", str(outfile)])
+            captured = capsys.readouterr()
+            return code, outfile.read_bytes(), captured.out, captured.err
+
+        first = [call(i, argv) for i, argv in enumerate(argvs)]
+        again = [call(i, argv) for i, argv in enumerate(argvs, len(argvs))]
+        assert [r[0] for r in first] == [0, 0, 0, 2, 2]
+        assert first[0][1] == DEMO_ANALYSES["trap.json"].encode()
+        assert again == first
+
+    def test_no_parser_built_after_the_first_call(self, monkeypatch,
+                                                  capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.cache_clear()
+        argv = ["space", "check", "--in", str(DEMO / "sierpinski.json")]
+        assert run(argv) == 0
+        assert len(built) == 5  # the top-level parser and four subparsers
+        built.clear()
+        for _ in range(20):
+            assert run(argv) == 0
+            assert run(["bogus"]) == 2
+        assert built == []

@@ -70,6 +70,15 @@ class TestSuiteMachinery:
         report = run_suite("pseudometrizable_equivalence", budget=40, seed=42)
         assert report.passed  # 10 of 40 instances are traps
 
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_trap_quota_at_small_budgets(self, seed):
+        # every fourth draw is a trap, so budgets 1-3 draw none; the quota
+        # is budget // 10 traps, which is 0 there
+        for budget in range(1, 13):
+            report = run_suite("pseudometrizable_equivalence", budget=budget,
+                               seed=seed)
+            assert report.passed, (budget, report.violations)
+
 
 class TestGenerators:
     def test_stream_is_deterministic(self):
