@@ -153,6 +153,8 @@ def cmd_omega(args) -> int:
     if args.map_kind == "table":
         if args.infile is None:
             raise MalformedInputError("--map table needs --in table.json")
+        if args.param is not None or args.param2 is not None:
+            raise MalformedInputError("--map table takes no --param or --param2")
         rows = _read_json(args.infile)
         if not isinstance(rows, list):
             raise MalformedInputError("cell table must be a list of cell lists")
@@ -167,6 +169,9 @@ def cmd_omega(args) -> int:
         table = tuple(sum(1 << c for c in set(row)) for row in rows)
         flow = DiscreteSemiflow("table", table=table)
     else:
+        if args.infile is not None:
+            raise MalformedInputError(
+                f"--in is read by --map table only, not --map {args.map_kind}")
         params = []
         for flag, raw in (("--param", args.param), ("--param2", args.param2)):
             if raw is not None:

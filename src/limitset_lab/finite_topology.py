@@ -5,11 +5,20 @@ A finite topology on ``{0, ..., n-1}`` is stored as one boolean matrix:
 kept as int bitmasks; ``row(x)`` doubles as the minimal open set of ``x``
 (the up-set of ``x`` in the specialization preorder), and closed sets are
 exactly the down-sets.  Point sets throughout are int bitmasks.
+
+A space owns the point-set operations that nets over it use (``normalize``,
+``closure``, ``union``, ``size``, ``subset``, ``in_every_neighborhood``),
+with the same names as on ``RationalPointSpace``.  Closures and minimal
+open supersets are memoized per space in dicts filled on first ask; a set
+is range-checked before it is stored, so an out-of-range set is never
+cached and raises on every ask.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+import operator
+from functools import reduce
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .directed_sets import _rows_reflexive_transitive
 from .errors import (MalformedInputError, PreconditionError, SizeLimitError)
@@ -19,6 +28,8 @@ ENUMERATION_CAP = 5
 
 class FiniteSpace:
     """A finite topological space encoded by its specialization preorder."""
+
+    rational = False  # point sets are bitmasks, not rational point sets
 
     def __init__(self, rows: Sequence[int]):
         """``rows[x]`` = bitmask of ``{y : x in cls({y})}``; must be a preorder."""
@@ -30,7 +41,10 @@ class FiniteSpace:
                 raise MalformedInputError("spec row mentions out-of-range points")
         if not _rows_reflexive_transitive(self.rows, self.n):
             raise MalformedInputError("spec matrix must be reflexive and transitive")
-        self._supersets = {}  # minimal_open_superset, filled on first ask
+        # filled on first ask: minimal_open_superset, closure, open_sets
+        self._supersets = {}
+        self._closures = {}
+        self._open_sets = None
 
     @classmethod
     def from_matrix(cls, spec: Sequence[Sequence[bool]]) -> "FiniteSpace":
@@ -53,6 +67,38 @@ class FiniteSpace:
     def check_set(self, e: int):
         if e & ~self.full_mask:
             raise PreconditionError("point set mentions out-of-range points")
+
+    def normalize(self, s) -> int:
+        """A point set as a checked bitmask; ``s`` is a mask or an iterable
+        of points."""
+        if not isinstance(s, int):
+            s = sum(1 << int(x) for x in s)
+        if s & ~self.full_mask:  # check_set, inlined on this hot path
+            raise PreconditionError("point set mentions out-of-range points")
+        return s
+
+    def closure(self, e: int) -> int:
+        """Smallest closed superset: all x with spec[x][y] for some y in e."""
+        out = self._closures.get(e)
+        if out is None:
+            self.check_set(e)
+            out = self._closures[e] = sum(
+                1 << x for x, row in enumerate(self.rows) if row & e)
+        return out
+
+    def union(self, sets: Iterable[int]) -> int:
+        return reduce(operator.or_, sets, 0)
+
+    def size(self, s: int) -> int:
+        return bin(s).count("1")
+
+    def subset(self, a: int, b: int) -> bool:
+        return a & ~b == 0
+
+    def in_every_neighborhood(self, s: int, a: int) -> bool:
+        """Whether ``s`` lies inside every neighborhood of ``a``: inside the
+        smallest one, its minimal open superset."""
+        return s & ~self.minimal_open_superset(a) == 0
 
     def minimal_open(self, x: int) -> int:
         """The smallest open set containing ``x`` (its up-set)."""
@@ -87,7 +133,7 @@ class FiniteSpace:
         return closure(self, e) == e
 
     def open_sets(self) -> List[int]:
-        if not hasattr(self, "_open_sets"):
+        if self._open_sets is None:
             self._open_sets = [u for u in range(1 << self.n)
                                if self.is_open(u)]
         return self._open_sets
@@ -107,12 +153,7 @@ class FiniteSpace:
 
 def closure(space: FiniteSpace, e: int) -> int:
     """Smallest closed superset: all x with spec[x][y] for some y in e."""
-    space.check_set(e)
-    out = 0
-    for x in range(space.n):
-        if space.rows[x] & e:
-            out |= 1 << x
-    return out
+    return space.closure(e)
 
 
 def is_neighborhood(space: FiniteSpace, u: int, x: int) -> bool:

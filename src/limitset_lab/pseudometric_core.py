@@ -12,7 +12,8 @@ topology, whose minimal open sets are the zero-sets) that also carries
 the distance.
 
 Point sets over ``RationalPointSpace`` are frozensets of coordinate
-tuples; point sets over ``FinitePseudoMetric`` are int bitmasks.
+tuples; point sets over ``FinitePseudoMetric`` are int bitmasks.  Both
+grounds own the point-set operations nets use, under the same names.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ PointSet = FrozenSet[Point]
 
 class RationalPointSpace:
     """Q^dim under the max-norm with finitely many points removed."""
+
+    rational = True  # point sets are frozensets of rational points
 
     def __init__(self, dim: int, excluded: Iterable = ()):
         if dim < 1:
@@ -56,6 +59,25 @@ class RationalPointSpace:
 
     def check_set(self, a: Iterable) -> PointSet:
         return frozenset(self.check_point(p) for p in a)
+
+    normalize = check_set
+
+    def closure(self, a: PointSet) -> PointSet:
+        return a  # finite sets are closed under the max-norm metric
+
+    def union(self, sets: Iterable[PointSet]) -> PointSet:
+        return frozenset().union(*sets)
+
+    def size(self, a: PointSet) -> int:
+        return len(a)
+
+    def subset(self, a: PointSet, b: PointSet) -> bool:
+        return a <= b
+
+    def in_every_neighborhood(self, s: PointSet, a: PointSet) -> bool:
+        """Whether ``s`` lies inside every eps-ball around the finite ``a``:
+        at distance zero from it, which under a metric is inclusion."""
+        return s <= a
 
     def distance(self, p: Point, q: Point) -> Fraction:
         return max_norm_distance(p, q)

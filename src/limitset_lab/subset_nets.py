@@ -28,21 +28,27 @@ the ``unknown`` state is never produced for constructible nets.
 closures of raw ``net.at(n)`` data, an independent route to check against.
 
 Point sets are int bitmasks over ``FiniteSpace`` grounds and frozensets
-of rational coordinate tuples over ``RationalPointSpace`` grounds.
+of rational coordinate tuples over ``RationalPointSpace`` grounds.  Each
+ground owns its point-set operations (``normalize``, ``closure``,
+``union``, ``size``, ``subset``, ``in_every_neighborhood``), so the
+functions below never ask which kind of ground they hold; the ground's
+``rational`` flag only guards the rules and limits that exist on Q^d
+alone.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .directed_sets import (ZNN, FiniteOrder, IndexOrder,
                             NonnegativeIntegers, top_element)
 from .errors import (MalformedInputError, PreconditionError,
                      UnsupportedRuleError)
-from .finite_topology import FiniteSpace, closure
+from .finite_topology import FiniteSpace
 from .pseudometric_core import RationalPointSpace, semidistance
 from .rationals import Point, as_point
 
@@ -134,10 +140,6 @@ class TailSummary(NamedTuple):
 LOST = TailSummary((), frozenset(), False)
 
 
-def _recurring(ground: Ground, phases: Sequence[SetValue]) -> TailSummary:
-    return TailSummary(tuple(phases), _union(ground, phases), True)
-
-
 # -- verdicts -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -145,11 +147,17 @@ class Verdict:
     """Three-valued answer for semi-decidable properties.
 
     ``unknown`` carries the evaluation horizon that gave up; it is never
-    coerced to ``fails``.
+    coerced to ``fails``.  ``is_holds``, ``is_fails`` and ``is_unknown``
+    are set once, at construction; like the fields they are frozen.
     """
 
     state: str
     horizon: Optional[int] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "is_holds", self.state == "holds")
+        object.__setattr__(self, "is_fails", self.state == "fails")
+        object.__setattr__(self, "is_unknown", self.state == "unknown")
 
     @classmethod
     def holds(cls) -> "Verdict":
@@ -162,18 +170,6 @@ class Verdict:
     @classmethod
     def unknown(cls, horizon: int) -> "Verdict":
         return cls("unknown", horizon)
-
-    @property
-    def is_holds(self) -> bool:
-        return self.state == "holds"
-
-    @property
-    def is_fails(self) -> bool:
-        return self.state == "fails"
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.state == "unknown"
 
 
 HOLDS = Verdict("holds")
@@ -213,7 +209,7 @@ class SubsetNet:
     @classmethod
     def over_znn(cls, ground: Ground, preperiod: Sequence,
                  tail: TailRule) -> "SubsetNet":
-        pre = tuple(_normalize_set(ground, s) for s in preperiod)
+        pre = tuple(map(ground.normalize, preperiod))
         tail, summary = _reduce_tail(ground, tail, len(pre))
         return cls(ground, ZNN, summary, preperiod=pre, tail=tail)
 
@@ -223,17 +219,15 @@ class SubsetNet:
         top = top_element(index)
         if len(assignment) != index.n:
             raise MalformedInputError("assignment must cover every index element")
-        values = tuple(_normalize_set(ground, s) for s in assignment)
+        values = tuple(map(ground.normalize, assignment))
         # the tails above the top element stabilize on the top class
-        phases = [values[t] for t in index.elements() if index.leq(top, t)]
-        return cls(ground, index, _recurring(ground, phases),
+        phases = tuple(values[t] for t in index.elements()
+                       if index.leq(top, t))
+        return cls(ground, index,
+                   TailSummary(phases, ground.union(phases), True),
                    assignment=values)
 
     # evaluation ----------------------------------------------------------------
-
-    @property
-    def is_metric(self) -> bool:
-        return isinstance(self.ground, RationalPointSpace)
 
     def at(self, s) -> SetValue:
         if self.is_znn:
@@ -245,19 +239,22 @@ class SubsetNet:
         """X_0 ... X_upto for Z+ nets."""
         if not self.is_znn:
             raise PreconditionError("values() needs a Z+ net")
-        return [self.at(n) for n in range(upto + 1)]
+        pre, value = self.preperiod, self.tail.value
+        k = len(pre)
+        return [*pre[:max(upto + 1, 0)],
+                *[value(n, k) for n in range(k, upto + 1)]]
 
     def is_singleton_valued(self) -> bool:
+        size = self.ground.size
         if self.is_znn:
-            if any(_set_size(self.ground, s) != 1 for s in self.preperiod):
+            if any(size(s) != 1 for s in self.preperiod):
                 return False
             if isinstance(self.tail, Periodic):
-                return all(_set_size(self.ground, p) == 1
-                           for p in self.tail.cycle)
+                return all(size(p) == 1 for p in self.tail.cycle)
             if isinstance(self.tail, GeometricConverge):
                 return len(set(self.tail.targets)) == 1
             return True  # affine tails are singletons
-        return all(_set_size(self.ground, s) == 1 for s in self.assignment)
+        return all(size(s) == 1 for s in self.assignment)
 
     def __repr__(self):
         if self.is_znn:
@@ -266,26 +263,18 @@ class SubsetNet:
         return f"SubsetNet(finite index n={self.index.n})"
 
 
-def _set_size(ground: Ground, s: SetValue) -> int:
-    return bin(s).count("1") if isinstance(ground, FiniteSpace) else len(s)
-
-
-def _normalize_set(ground: Ground, s) -> SetValue:
-    if isinstance(ground, FiniteSpace):
-        if not isinstance(s, int):
-            s = sum(1 << int(x) for x in s)
-        ground.check_set(s)
-        return s
-    return ground.check_set(s)
-
-
 def _reduce_tail(ground: Ground, tail: TailRule,
                  pre_len: int) -> Tuple[TailRule, TailSummary]:
-    """Validate a tail rule against the ground and reduce it to its summary."""
+    """Validate a tail rule against the ground and reduce it to its summary.
+
+    A periodic tail whose sets are already normalized is kept as it is.
+    """
     if isinstance(tail, Periodic):
-        cycle = tuple(_normalize_set(ground, s) for s in tail.cycle)
-        return Periodic(cycle), _recurring(ground, cycle)
-    if not isinstance(ground, RationalPointSpace):
+        cycle = tuple(map(ground.normalize, tail.cycle))
+        if any(map(operator.is_not, cycle, tail.cycle)):
+            tail = Periodic(cycle)
+        return tail, TailSummary(cycle, ground.union(cycle), True)
+    if not ground.rational:
         raise UnsupportedRuleError(
             "affine and geometric tails need the rational backend")
     if isinstance(tail, AffineEscape):
@@ -371,29 +360,10 @@ def _check_geometric_avoids_excluded(ground: RationalPointSpace,
 
 # -- limit sets ---------------------------------------------------------------
 
-def _closure(ground: Ground, s: SetValue) -> SetValue:
-    if isinstance(ground, FiniteSpace):
-        return closure(ground, s)
-    return s  # finite sets are closed under the max-norm metric
-
-
-def _union(ground: Ground, sets: Iterable[SetValue]) -> SetValue:
-    if isinstance(ground, FiniteSpace):
-        out = 0
-        for s in sets:
-            out |= s
-        return out
-    out: FrozenSet[Point] = frozenset()
-    for s in sets:
-        out |= s
-    return out
-
-
 def _finite_tail_union(net: SubsetNet, s: int) -> SetValue:
     order: FiniteOrder = net.index
-    return _union(net.ground,
-                  (net.assignment[t] for t in order.elements()
-                   if order.leq(s, t)))
+    return net.ground.union(net.assignment[t] for t in order.elements()
+                            if order.leq(s, t))
 
 
 def limit_set(net: SubsetNet) -> SetValue:
@@ -403,7 +373,7 @@ def limit_set(net: SubsetNet) -> SetValue:
     limit set is the closure of the phase union: the recurring sets, the
     point a convergent tail contracts onto, nothing for a lost tail.
     """
-    return _closure(net.ground, net.summary.union)
+    return net.ground.closure(net.summary.union)
 
 
 def limit_set_horizon_oracle(net: SubsetNet, h: int = 8,
@@ -423,7 +393,7 @@ def limit_set_horizon_oracle(net: SubsetNet, h: int = 8,
     if not net.is_znn:
         out = None
         for s in net.index.elements():
-            layer = _closure(net.ground, _finite_tail_union(net, s))
+            layer = net.ground.closure(_finite_tail_union(net, s))
             out = layer if out is None else out & layer
         return out
     if h2 is None:
@@ -433,7 +403,7 @@ def limit_set_horizon_oracle(net: SubsetNet, h: int = 8,
     sets = net.values(h2)
     out = None
     for s in range(h + 1):
-        layer = _closure(net.ground, _union(net.ground, sets[s:]))
+        layer = net.ground.closure(net.ground.union(sets[s:]))
         out = layer if out is None else out & layer
     return out
 
@@ -443,16 +413,14 @@ def sequential_limit_set(net: SubsetNet) -> SetValue:
 
     Computed from the frequent-intersection characterization: ``y`` is in
     the sequential limit set iff the net meets every neighborhood of ``y``
-    cofinally, that is, iff some phase meets it.  Equality with
-    ``limit_set`` is a verified theorem, not an assumption.
+    cofinally, that is, iff some phase meets every one of them: ``y`` lies
+    in the closure of some phase.  Over Q^d a finite phase is closed, and a
+    convergent tail's selections y_n in X_n tend to its limit point.
+    Equality with ``limit_set`` (the closure of the phase union) is a
+    verified theorem, not an assumption.
     """
-    ground, union = net.ground, net.summary.union
-    if isinstance(ground, FiniteSpace):
-        return sum(1 << y for y in range(ground.n)
-                   if ground.minimal_open(y) & union)
-    # a metric neighborhood of y meets a phase cofinally iff y lies in it;
-    # a convergent tail's selections y_n in X_n tend to its limit point
-    return union
+    ground = net.ground
+    return ground.union(map(ground.closure, net.summary.phases))
 
 
 def cluster_set(pointnet: SubsetNet) -> SetValue:
@@ -470,7 +438,7 @@ def kuratowski_limits(net: SubsetNet) -> Tuple[FrozenSet[Point],
     points lying in every phase.  A convergent tail has both equal to its
     limit point; a lost tail has both empty.
     """
-    if not net.is_metric:
+    if not net.ground.rational:
         raise PreconditionError("Kuratowski limits need the rational backend")
     summary = net.summary
     return summary.union, frozenset(
@@ -490,12 +458,10 @@ def converges_from_above(net: SubsetNet, a) -> Verdict:
     lost tail is never attracted, not even by the empty target.
     """
     ground, summary = net.ground, net.summary
-    a = _normalize_set(ground, a)
-    if summary.lost:
-        return Verdict.fails()
-    if isinstance(ground, FiniteSpace):
-        return _verdict(summary.union & ~ground.minimal_open_superset(a) == 0)
-    return _verdict(summary.union <= a)
+    a = ground.normalize(a)
+    if not summary.phases:
+        return FAILS  # lost
+    return _verdict(ground.in_every_neighborhood(summary.union, a))
 
 
 def semidistance_convergence_check(net: SubsetNet, k) -> Verdict:
@@ -504,7 +470,7 @@ def semidistance_convergence_check(net: SubsetNet, k) -> Verdict:
     The sequence cycles through, or tends to, d(phase; k), so a zero limit
     needs d(phase union; k) = 0; on a lost tail it grows or stays positive.
     """
-    if not net.is_metric:
+    if not net.ground.rational:
         raise PreconditionError("semidistance criterion needs the rational backend")
     k = net.ground.check_set(k)
     if not k:
@@ -519,21 +485,19 @@ def semidistance_convergence_check(net: SubsetNet, k) -> Verdict:
 def converges_from_below(net: SubsetNet, a) -> Verdict:
     """Every neighborhood of every target point eventually meets the net.
 
-    The net eventually meets a neighborhood iff every phase does.  Rational
+    The net eventually meets a neighborhood iff every phase does, so every
+    target point must lie in the closure of every phase.  Rational
     backend: a phase is finite, so it meets every eps-ball around y iff it
     contains y (distance zero means equality in a metric).
     """
     ground, summary = net.ground, net.summary
-    a = _normalize_set(ground, a)
+    a = ground.normalize(a)
     if not a:
         return Verdict.holds()  # vacuous
     if summary.lost:
         return Verdict.fails()
-    if isinstance(ground, FiniteSpace):
-        return _verdict(all(phase & ground.minimal_open(y)
-                            for y in range(ground.n) if a >> y & 1
-                            for phase in summary.phases))
-    return _verdict(all(a <= phase for phase in summary.phases))
+    return _verdict(all(ground.subset(a, ground.closure(phase))
+                        for phase in summary.phases))
 
 
 def below_iff_semidistance(net: SubsetNet, k) -> Tuple[Verdict, Verdict]:
@@ -542,7 +506,7 @@ def below_iff_semidistance(net: SubsetNet, k) -> Tuple[Verdict, Verdict]:
     The two components are computed along different routes; their equality
     on compact targets is one of the verified statements.
     """
-    if not net.is_metric:
+    if not net.ground.rational:
         raise PreconditionError("semidistance criterion needs the rational backend")
     k = net.ground.check_set(k)
     if not k:
@@ -611,29 +575,25 @@ def eventually_in(pointnet: SubsetNet, u) -> Verdict:
     finitely often.
     """
     summary = _pointnet_summary(pointnet)
-    u = _normalize_set(pointnet.ground, u)
+    ground = pointnet.ground
+    u = ground.normalize(u)
     return _verdict(summary.recurs and all(
-        _subset(pointnet.ground, p, u) for p in summary.phases))
+        ground.subset(p, u) for p in summary.phases))
 
 
 def frequently_in(pointnet: SubsetNet, u) -> Verdict:
     """Whether the singleton net returns to the point set u cofinally."""
     summary = _pointnet_summary(pointnet)
-    u = _normalize_set(pointnet.ground, u)
+    ground = pointnet.ground
+    u = ground.normalize(u)
     return _verdict(summary.recurs and any(
-        _subset(pointnet.ground, p, u) for p in summary.phases))
+        ground.subset(p, u) for p in summary.phases))
 
 
 def _pointnet_summary(net: SubsetNet) -> TailSummary:
     if not net.is_singleton_valued():
         raise PreconditionError("eventually/frequently need a singleton-valued net")
     return net.summary
-
-
-def _subset(ground: Ground, a: SetValue, b: SetValue) -> bool:
-    if isinstance(ground, FiniteSpace):
-        return a & ~b == 0
-    return a <= b
 
 
 # -- aggregate analysis ------------------------------------------------------------

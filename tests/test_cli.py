@@ -26,6 +26,7 @@ ESCAPE_NET_JSON = {
 }
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
+TABLE = object()  # an argv placeholder for a cell-table file the test writes
 # `net analyze` reports on the demo nets, pinned byte for byte
 LOST_ANALYSIS = (
     '{"asympt_seq_compact":{"state":"fails"},'
@@ -279,10 +280,22 @@ class TestOmega:
         ["--map", "tent", "--param", "2", "--init", "cell:" + "9" * 5000],
         ["--map", "tent", "--param", "2", "--init", "cell:" + "9" * 4000],
         ["--map", "tent", "--param", "2", "--init", "x" * 5000],
+        ["--map", "table", "--in", TABLE, "--param", "7"],
+        ["--map", "table", "--in", TABLE, "--param2", "x"],
+        ["--map", "logistic", "--param", "2", "--in", TABLE],
+        ["--map", "logistic", "--param", "2", "--in", "nonexistent.json"],
     ], ids=["param", "init", "missing-param", "long-param", "long-cell",
-            "far-cell", "long-init"])
-    def test_malformed_input_fails_closed(self, argv, capsys):
-        argv = ["omega"] + argv + ["--cells", "8"]
+            "far-cell", "long-init", "table-param", "table-param2",
+            "builtin-in", "builtin-missing-in"])
+    def test_malformed_input_fails_closed(self, argv, capsys, tmp_path):
+        # TABLE stands for a valid 8-cell table, so the flag is the only fault
+        table = write_json(tmp_path / "table.json",
+                           [[(c + 1) % 8] for c in range(8)])
+        assert run(["omega", "--map", "table", "--in", table,
+                    "--cells", "8", "--out", str(tmp_path / "t.csv")]) == 0
+        capsys.readouterr()
+        argv = ["omega"] + [table if a is TABLE else a for a in argv] + \
+            ["--cells", "8"]
         with pytest.raises(MalformedInputError):
             cmd_omega(build_parser().parse_args(argv))
         assert run(argv) == 2

@@ -294,3 +294,26 @@ class TestMinimalOpenSuperset:
     def test_full_mask_is_fixed_at_construction(self):
         for n in (1, 2, 3):
             assert discrete_space(n).full_mask == (1 << n) - 1
+
+
+class TestMemos:
+    def test_closure_memo_matches_a_fresh_space(self):
+        for n in (1, 2, 3):
+            for space in enumerate_spaces(n):
+                for _ in range(2):  # the second pass reads the memo
+                    for e in range(1 << n):
+                        assert closure(space, e) == space.closure(e) == \
+                            closure(FiniteSpace(space.rows), e)
+
+    def test_out_of_range_closures_keep_raising(self):
+        for bad in (0b100, -1):
+            for _ in range(2):
+                with pytest.raises(PreconditionError):
+                    closure(SIERPINSKI, bad)
+                assert closure(SIERPINSKI, 0b10) == 0b11
+
+    def test_open_sets_are_listed_once(self):
+        space = FiniteSpace([0b11, 0b10])
+        first = space.open_sets()
+        assert space.open_sets() is first
+        assert first == [u for u in range(4) if space.is_open(u)] == [0, 2, 3]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -7,11 +8,15 @@ import pytest
 from limitset_lab.directed_sets import FiniteOrder, top_element
 from limitset_lab.errors import (MalformedInputError, MembershipError,
                                  PreconditionError, UnsupportedRuleError)
-from limitset_lab.finite_topology import (SIERPINSKI, closure, discrete_space,
-                                          enumerate_spaces, indiscrete_space)
-from limitset_lab.pseudometric_core import RationalPointSpace
+from limitset_lab.finite_topology import (SIERPINSKI, FiniteSpace, closure,
+                                          discrete_space, enumerate_spaces,
+                                          indiscrete_space)
+from limitset_lab.jsonio import verdict_from_json, verdict_to_json
+from limitset_lab.pseudometric_core import (FinitePseudoMetric,
+                                            RationalPointSpace)
 from limitset_lab.rationals import max_norm_distance
-from limitset_lab.subset_nets import (LOST, AffineEscape, GeometricConverge,
+from limitset_lab.subset_nets import (FAILS, HOLDS, LOST, AffineEscape,
+                                      GeometricConverge,
                                       NetAnalysis, Periodic, SubsetNet,
                                       TailSummary, Verdict, analyze,
                                       below_iff_semidistance, cluster_set,
@@ -30,7 +35,7 @@ from limitset_lab.subset_nets import (LOST, AffineEscape, GeometricConverge,
 from limitset_lab.theoremlab import (GEOMETRIC_RATIOS, RULE_FAMILIES,
                                      iter_directed_posets,
                                      iter_periodic_nets, random_point,
-                                     random_rule_net)
+                                     random_rule_net, random_space)
 
 Q1 = RationalPointSpace(1)
 D2 = discrete_space(2)
@@ -642,3 +647,211 @@ class TestSharedState:
     def test_is_znn_is_fixed_at_construction(self):
         assert alternating_net().is_znn
         assert not SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2]).is_znn
+
+
+# -- ground set operations, against the per-ground helpers they replaced ------
+
+def oracle_normalize(ground, s):
+    if isinstance(ground, FiniteSpace):
+        if not isinstance(s, int):
+            s = sum(1 << int(x) for x in s)
+        ground.check_set(s)
+        return s
+    return ground.check_set(s)
+
+
+def oracle_closure(ground, s):
+    """The spec-row bit walk; finite rational sets are closed."""
+    if isinstance(ground, FiniteSpace):
+        ground.check_set(s)
+        out = 0
+        for x in range(ground.n):
+            if ground.rows[x] & s:
+                out |= 1 << x
+        return out
+    return s
+
+
+def oracle_union(ground, sets):
+    out = 0 if isinstance(ground, FiniteSpace) else frozenset()
+    for s in sets:
+        out |= s
+    return out
+
+
+def oracle_size(ground, s):
+    return bin(s).count("1") if isinstance(ground, FiniteSpace) else len(s)
+
+
+def oracle_subset(ground, a, b):
+    if isinstance(ground, FiniteSpace):
+        return a & ~b == 0
+    return a <= b
+
+
+def oracle_in_every_neighborhood(ground, s, a):
+    """s inside every open superset of a, by enumerating the open sets."""
+    if isinstance(ground, FiniteSpace):
+        return all(s & ~u == 0 for u in ground.open_sets() if a & ~u == 0)
+    return s <= a
+
+
+FINITE_GROUNDS = [space for n in (1, 2, 3) for space in enumerate_spaces(n)] + [
+    FinitePseudoMetric([[0, 1], [1, 0]]),
+    FinitePseudoMetric.from_points([(0,), (0,), (1,)])]
+
+
+def assert_pair_ops_agree(ground, a, b):
+    assert ground.union((a, b)) == oracle_union(ground, (a, b))
+    assert ground.subset(a, b) == oracle_subset(ground, a, b)
+    assert (ground.in_every_neighborhood(a, b)
+            == oracle_in_every_neighborhood(ground, a, b))
+
+
+def raised(call, *args):
+    with pytest.raises((PreconditionError, MembershipError)) as info:
+        call(*args)
+    return info.type, str(info.value)
+
+
+class TestGroundOperations:
+    def test_finite_grounds_match_the_helpers_on_every_subset(self):
+        for ground in FINITE_GROUNDS:
+            masks = range(1 << ground.n)
+            for e in masks:
+                points = [x for x in range(ground.n) if e >> x & 1]
+                for s in (e, points, tuple(points), frozenset(points)):
+                    assert ground.normalize(s) == oracle_normalize(ground, s)
+                assert ground.normalize(iter(points)) == e
+                assert ground.closure(e) == oracle_closure(ground, e)
+                assert ground.closure(e) == oracle_closure(ground, e)  # memo
+                assert ground.size(e) == oracle_size(ground, e)
+                for f in masks:
+                    assert_pair_ops_agree(ground, e, f)
+            for b in (False, True):
+                assert ground.normalize(b) == oracle_normalize(ground, b)
+                assert ground.closure(b) == oracle_closure(ground, b)
+                assert ground.size(b) == oracle_size(ground, b)
+                assert_pair_ops_agree(ground, b, ground.full_mask)
+                assert_pair_ops_agree(ground, ground.full_mask, b)
+            assert ground.union(()) == oracle_union(ground, ()) == 0
+            assert ground.union(iter(masks)) == ground.full_mask
+
+    def test_rational_grounds_match_the_helpers_on_random_sets(self):
+        rng = random.Random("ground-operations")
+        for _ in range(150):
+            space = random_space(rng)
+            raw = []
+            for _ in range(4):
+                pts = [random_point(rng, space.dim)
+                       for _ in range(rng.randint(0, 3))]
+                raw.append([list(p) for p in pts if space.contains(p)])
+            sets = [space.normalize(r) for r in raw]
+            for r, s in zip(raw, sets):
+                assert s == oracle_normalize(space, r)
+                assert space.closure(s) == oracle_closure(space, s)
+                assert space.size(s) == oracle_size(space, s)
+            for a, b in product(sets, repeat=2):
+                assert_pair_ops_agree(space, a, b)
+                assert_pair_ops_agree(space, a, a | b)
+            assert space.union(sets) == oracle_union(space, sets)
+            assert space.union(()) == frozenset()
+
+    @pytest.mark.parametrize("ground", [SIERPINSKI, discrete_space(3),
+                                        FinitePseudoMetric([[0, 1], [1, 0]])],
+                             ids=["sierpinski", "discrete3", "metric"])
+    def test_out_of_range_sets_raise_every_time(self, ground):
+        n = ground.n
+        for call, oracle, bad in (
+                (ground.normalize, oracle_normalize, 1 << n),
+                (ground.normalize, oracle_normalize, -1),
+                (ground.normalize, oracle_normalize, [0, n]),
+                (ground.closure, oracle_closure, 1 << n),
+                (ground.closure, oracle_closure, -1),
+                (ground.closure, oracle_closure, 0b101 << n)):
+            first = raised(call, bad)
+            assert first[0] is PreconditionError
+            assert call(1) == oracle(ground, 1)
+            assert raised(call, bad) == first
+
+    def test_excluded_points_raise_every_time(self):
+        space = RationalPointSpace(1, [pt(0)])
+        for bad in ([pt(0)], [pt(1), (0,)], [pt(1, 2)]):
+            first = raised(space.normalize, bad)
+            assert first[0] is MembershipError
+            assert space.normalize([(1,)]) == frozenset([pt(1)])
+            assert raised(space.normalize, bad) == first
+
+    def test_invalid_cycle_raises_after_a_valid_net_on_the_same_tail(self):
+        tail = Periodic((0b100,))
+        with pytest.raises(PreconditionError):
+            SubsetNet.over_znn(D2, [], tail)
+        assert SubsetNet.over_znn(discrete_space(3), [], tail).tail is tail
+        with pytest.raises(PreconditionError):
+            SubsetNet.over_znn(D2, [], tail)
+
+    def test_periodic_tail_is_reused_only_when_already_normal(self):
+        tail = Periodic((0b01, True))
+        assert SubsetNet.over_znn(D2, [], tail).tail is tail
+        listed = Periodic(([0], [0, 1]))
+        net = SubsetNet.over_znn(D2, [], listed)
+        assert net.tail == Periodic((0b01, 0b11)) and net.tail is not listed
+        space = RationalPointSpace(1)
+        ints = Periodic((frozenset([(1,)]),))
+        net = SubsetNet.over_znn(space, [], ints)
+        assert net.tail is not ints
+        assert all(type(c) is F for p in net.tail.cycle[0] for c in p)
+
+
+class TestValuesAndVerdictFlags:
+    def test_values_match_at_around_the_preperiod(self):
+        rng = random.Random("values-upto")
+        nets = [random_rule_net(rng, family)
+                for _ in range(25) for family in RULE_FAMILIES]
+        assert {type(net.tail) for net in nets} == {
+            Periodic, AffineEscape, GeometricConverge}
+        assert any(net.summary.lost and isinstance(net.tail, GeometricConverge)
+                   for net in nets)  # trap nets
+        for space in (SIERPINSKI, discrete_space(3),
+                      FinitePseudoMetric([[0, 1], [1, 0]])):
+            nets += list(iter_periodic_nets(space))
+        nets += [SubsetNet.over_znn(D2, [1, 2, 3, 0, 1], Periodic((2, 3))),
+                 SubsetNet.over_znn(Q1, [[pt(k)] for k in range(4)],
+                                    GeometricConverge(pt(0), pt(1), F(1, 2)))]
+        for net in nets:
+            k = len(net.preperiod)
+            for upto in sorted({-3, -1, 0, k - 1, k, k + 1, k + 4}):
+                assert net.values(upto) == [net.at(n)
+                                            for n in range(upto + 1)]
+
+    def test_values_needs_a_znn_net(self):
+        net = SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2])
+        for upto in (0, 2, 5):
+            with pytest.raises(PreconditionError):
+                net.values(upto)
+
+    @pytest.mark.parametrize("verdict", [
+        HOLDS, FAILS, Verdict.holds(), Verdict.fails(), Verdict("holds"),
+        Verdict.unknown(5),
+        verdict_from_json(verdict_to_json(Verdict.unknown(5)))],
+        ids=["HOLDS", "FAILS", "holds", "fails", "built", "unknown",
+             "unknown-json"])
+    def test_flags_agree_with_state(self, verdict):
+        assert (verdict.is_holds, verdict.is_fails, verdict.is_unknown) == (
+            verdict.state == "holds", verdict.state == "fails",
+            verdict.state == "unknown")
+        assert verdict.is_holds + verdict.is_fails + verdict.is_unknown == 1
+        assert [f.name for f in dataclasses.fields(verdict)] == [
+            "state", "horizon"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.state = "fails"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.is_holds = not verdict.is_holds
+
+    def test_unknown_round_trips_through_json(self):
+        v = Verdict.unknown(5)
+        assert verdict_to_json(v) == {"state": "unknown", "horizon": 5}
+        back = verdict_from_json(verdict_to_json(v))
+        assert back == v and back.is_unknown and back.horizon == 5
+        assert repr(back) == "Verdict(state='unknown', horizon=5)"
+        assert verdict_to_json(HOLDS) == {"state": "holds"}
