@@ -27,7 +27,7 @@ from .semiflow_cells import (CellGrid, DiscreteSemiflow, OmegaResult,
 from .setvalued_maps import (SetValuedMap, image, is_lsc_at, is_usc_at,
                              lsc_via_semidistance)
 from .subset_nets import (AffineEscape, GeometricConverge, NetAnalysis,
-                          Periodic, SubsetNet, Verdict, analyze,
+                          Periodic, SubsetNet, analyze,
                           below_iff_semidistance, cluster_set,
                           converges_from_above, converges_from_below,
                           eventually_in, frequently_in,

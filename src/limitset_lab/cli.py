@@ -10,8 +10,11 @@ Exit codes: 0 success, 1 verification violations, 2 input errors, each
 input error (argument-parser usage errors included) reported as one
 ``limitset-lab:`` line on stderr.  One parser, built on first use, serves
 every call in a process.  A net is indexed by a finite directed order or
-by Z+; a ``product`` index is refused.  ``net analyze`` echoes
-``--horizon`` without reading it, since every verdict is exact.
+by Z+; a ``product`` index is refused.  ``net analyze`` spells each
+verdict ``{"state": "holds"}`` or ``{"state": "fails"}`` and echoes
+``--horizon`` without reading it, since every verdict is exact.  ``verify``
+writes one summary line per suite (instances, violations, exhibits and
+seconds) to stdout, or to stderr when the report goes to stdout.
 Evaluation is sequential, and identical argv and inputs produce
 byte-identical outputs.
 """
@@ -226,7 +229,7 @@ def cmd_verify(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         stream.write(f"{status} {r.suite}: {r.instances} instances, "
                      f"{len(r.violations)} violations, "
-                     f"{r.exhibit_count} exhibits, {r.unknowns} unknowns "
+                     f"{r.exhibit_count} exhibits "
                      f"({r.elapsed_seconds:.2f}s)\n")
     return 1 if any(not r.passed for r in reports) else 0
 

@@ -150,6 +150,14 @@ class FiniteSpace:
     def __repr__(self):
         return f"FiniteSpace(n={self.n}, rows={self.rows})"
 
+    def __str__(self):
+        """The space as report labels spell it."""
+        return f"space{self.rows}"
+
+    def show_sets(self, sets) -> str:
+        """Point sets as report labels spell them: a tuple of bitmasks."""
+        return str(tuple(sets))
+
 
 def closure(space: FiniteSpace, e: int) -> int:
     """Smallest closed superset: all x with spec[x][y] for some y in e."""

@@ -3,7 +3,8 @@
 One canonical shape per type; every encoder round-trips through its
 decoder to an equal value.  Rationals travel as {"num", "den"} string
 pairs, finite point sets as sorted index lists, rational point sets as
-sorted coordinate lists.
+sorted coordinate lists.  Analyses and their verdicts are output only: a
+verdict is a bool, spelled ``{"state": "holds"}`` or ``{"state": "fails"}``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .rationals import (fraction_from_json, fraction_to_json, point_from_json,
                         point_to_json)
 from .setvalued_maps import SetValuedMap
 from .subset_nets import (AffineEscape, GeometricConverge, NetAnalysis,
-                          Periodic, SubsetNet, Verdict)
+                          Periodic, SubsetNet)
 
 
 def dumps_canonical(obj) -> str:
@@ -222,15 +223,8 @@ def map_from_json(obj) -> SetValuedMap:
 
 # -- verdicts and analyses --------------------------------------------------------------
 
-def verdict_to_json(v: Verdict) -> dict:
-    out = {"state": v.state}
-    if v.horizon is not None:
-        out["horizon"] = v.horizon
-    return out
-
-
-def verdict_from_json(obj) -> Verdict:
-    return Verdict(_field(obj, "state"), obj.get("horizon"))
+def verdict_to_json(flag: bool) -> dict:
+    return {"state": "holds" if flag else "fails"}
 
 
 def analysis_to_json(ground, analysis: NetAnalysis) -> dict:

@@ -92,6 +92,14 @@ class RationalPointSpace:
     def __repr__(self):
         return f"RationalPointSpace(dim={self.dim}, excluded={sorted(self.excluded)})"
 
+    def __str__(self):
+        """The space as report labels spell it."""
+        return f"Q^{self.dim}-{sorted(map(str, self.excluded))}"
+
+    def show_sets(self, sets) -> str:
+        """Point sets as report labels spell them: sorted point strings."""
+        return str(tuple(tuple(sorted(map(str, s))) for s in sets))
+
 
 class FinitePseudoMetric(FiniteSpace):
     """An explicit pseudo-metric on ``{0, ..., n-1}``, validated at construction.

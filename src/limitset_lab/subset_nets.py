@@ -22,8 +22,8 @@ never hits an excluded point, and reduces its tail, once, to a
   space.
 
 Every limit set, Kuratowski limit, convergence check and compactness
-verdict below is a few lines over that summary, so verdicts are exact and
-the ``unknown`` state is never produced for constructible nets.
+verdict below is a few lines over that summary, so every verdict is exact:
+a plain ``bool``, spelled ``holds``/``fails`` only in JSON.
 ``limit_set_horizon_oracle`` never reads the summary: it intersects
 closures of raw ``net.at(n)`` data, an independent route to check against.
 
@@ -138,46 +138,6 @@ class TailSummary(NamedTuple):
 
 
 LOST = TailSummary((), frozenset(), False)
-
-
-# -- verdicts -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Verdict:
-    """Three-valued answer for semi-decidable properties.
-
-    ``unknown`` carries the evaluation horizon that gave up; it is never
-    coerced to ``fails``.  ``is_holds``, ``is_fails`` and ``is_unknown``
-    are set once, at construction; like the fields they are frozen.
-    """
-
-    state: str
-    horizon: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "is_holds", self.state == "holds")
-        object.__setattr__(self, "is_fails", self.state == "fails")
-        object.__setattr__(self, "is_unknown", self.state == "unknown")
-
-    @classmethod
-    def holds(cls) -> "Verdict":
-        return HOLDS
-
-    @classmethod
-    def fails(cls) -> "Verdict":
-        return FAILS
-
-    @classmethod
-    def unknown(cls, horizon: int) -> "Verdict":
-        return cls("unknown", horizon)
-
-
-HOLDS = Verdict("holds")
-FAILS = Verdict("fails")
-
-
-def _verdict(flag: bool) -> Verdict:
-    return HOLDS if flag else FAILS
 
 
 # -- the net ------------------------------------------------------------------
@@ -447,7 +407,7 @@ def kuratowski_limits(net: SubsetNet) -> Tuple[FrozenSet[Point],
 
 # -- convergence from above ----------------------------------------------------
 
-def converges_from_above(net: SubsetNet, a) -> Verdict:
+def converges_from_above(net: SubsetNet, a) -> bool:
     """Tails eventually inside every neighborhood of the target set.
 
     Tails shrink onto the phases, so the question is whether the phase union
@@ -460,11 +420,11 @@ def converges_from_above(net: SubsetNet, a) -> Verdict:
     ground, summary = net.ground, net.summary
     a = ground.normalize(a)
     if not summary.phases:
-        return FAILS  # lost
-    return _verdict(ground.in_every_neighborhood(summary.union, a))
+        return False  # lost
+    return ground.in_every_neighborhood(summary.union, a)
 
 
-def semidistance_convergence_check(net: SubsetNet, k) -> Verdict:
+def semidistance_convergence_check(net: SubsetNet, k) -> bool:
     """Whether d(X_n; k) -> 0, decided from the closed-form distance sequence.
 
     The sequence cycles through, or tends to, d(phase; k), so a zero limit
@@ -476,13 +436,13 @@ def semidistance_convergence_check(net: SubsetNet, k) -> Verdict:
     if not k:
         raise PreconditionError("target set must be nonempty")
     summary = net.summary
-    return _verdict(not summary.lost
-                    and semidistance(net.ground, summary.union, k) == 0)
+    return (not summary.lost
+            and semidistance(net.ground, summary.union, k) == 0)
 
 
 # -- convergence from below ------------------------------------------------------
 
-def converges_from_below(net: SubsetNet, a) -> Verdict:
+def converges_from_below(net: SubsetNet, a) -> bool:
     """Every neighborhood of every target point eventually meets the net.
 
     The net eventually meets a neighborhood iff every phase does, so every
@@ -493,14 +453,14 @@ def converges_from_below(net: SubsetNet, a) -> Verdict:
     ground, summary = net.ground, net.summary
     a = ground.normalize(a)
     if not a:
-        return Verdict.holds()  # vacuous
+        return True  # vacuous
     if summary.lost:
-        return Verdict.fails()
-    return _verdict(all(ground.subset(a, ground.closure(phase))
-                        for phase in summary.phases))
+        return False
+    return all(ground.subset(a, ground.closure(phase))
+               for phase in summary.phases)
 
 
-def below_iff_semidistance(net: SubsetNet, k) -> Tuple[Verdict, Verdict]:
+def below_iff_semidistance(net: SubsetNet, k) -> Tuple[bool, bool]:
     """(convergence from below, d(k; X_n) -> 0) for a nonempty compact target.
 
     The two components are computed along different routes; their equality
@@ -515,14 +475,14 @@ def below_iff_semidistance(net: SubsetNet, k) -> Tuple[Verdict, Verdict]:
     # d(k; X_n) cycles through, or tends to, d(k; phase); empty phases give
     # infinity and a lost tail has no phase to approach
     summary = net.summary
-    dist = _verdict(not summary.lost and all(
-        semidistance(net.ground, k, phase) == 0 for phase in summary.phases))
+    dist = not summary.lost and all(
+        semidistance(net.ground, k, phase) == 0 for phase in summary.phases)
     return below, dist
 
 
 # -- compactness notions ---------------------------------------------------------
 
-def is_eventually_lagrange_stable(net: SubsetNet) -> Verdict:
+def is_eventually_lagrange_stable(net: SubsetNet) -> bool:
     """Some tail union is relatively compact.
 
     Finite spaces and finite point sets are compact, so recurring phases
@@ -530,10 +490,10 @@ def is_eventually_lagrange_stable(net: SubsetNet) -> Verdict:
     the space contains.  A lost tail is unbounded, or its closure misses
     the only accumulation point, so no tail union is relatively compact.
     """
-    return _verdict(not net.summary.lost)
+    return not net.summary.lost
 
 
-def is_asymptotically_seq_compact(net: SubsetNet) -> Verdict:
+def is_asymptotically_seq_compact(net: SubsetNet) -> bool:
     """Selections along subsequences always have convergent subsequences.
 
     Selections from a relatively compact tail union have convergent
@@ -544,7 +504,7 @@ def is_asymptotically_seq_compact(net: SubsetNet) -> Verdict:
     return is_eventually_lagrange_stable(net)
 
 
-def is_weakly_asymptotically_seq_compact(net: SubsetNet) -> Verdict:
+def is_weakly_asymptotically_seq_compact(net: SubsetNet) -> bool:
     """Same question for selections drawn from whole tail unions.
 
     The verdict provably coincides with the strong form on these backends.
@@ -552,7 +512,7 @@ def is_weakly_asymptotically_seq_compact(net: SubsetNet) -> Verdict:
     return is_eventually_lagrange_stable(net)
 
 
-def is_limit_set_compact(net: SubsetNet) -> Verdict:
+def is_limit_set_compact(net: SubsetNet) -> bool:
     """Limit set nonempty, compact, and attracting the net from above.
 
     Compactness of the limit set is automatic on these backends (finite
@@ -560,14 +520,12 @@ def is_limit_set_compact(net: SubsetNet) -> Verdict:
     plus convergence from above to the limit set.
     """
     ls = limit_set(net)
-    if not ls:
-        return Verdict.fails()
-    return converges_from_above(net, ls)
+    return bool(ls) and converges_from_above(net, ls)
 
 
 # -- eventually / frequently for point nets ---------------------------------------
 
-def eventually_in(pointnet: SubsetNet, u) -> Verdict:
+def eventually_in(pointnet: SubsetNet, u) -> bool:
     """Whether the singleton net is eventually inside the point set u.
 
     Only recurring phases can hold the net: escaping and non-constant
@@ -577,17 +535,15 @@ def eventually_in(pointnet: SubsetNet, u) -> Verdict:
     summary = _pointnet_summary(pointnet)
     ground = pointnet.ground
     u = ground.normalize(u)
-    return _verdict(summary.recurs and all(
-        ground.subset(p, u) for p in summary.phases))
+    return summary.recurs and all(ground.subset(p, u) for p in summary.phases)
 
 
-def frequently_in(pointnet: SubsetNet, u) -> Verdict:
+def frequently_in(pointnet: SubsetNet, u) -> bool:
     """Whether the singleton net returns to the point set u cofinally."""
     summary = _pointnet_summary(pointnet)
     ground = pointnet.ground
     u = ground.normalize(u)
-    return _verdict(summary.recurs and any(
-        ground.subset(p, u) for p in summary.phases))
+    return summary.recurs and any(ground.subset(p, u) for p in summary.phases)
 
 
 def _pointnet_summary(net: SubsetNet) -> TailSummary:
@@ -603,11 +559,11 @@ class NetAnalysis:
     """Everything the CLI reports about one net."""
 
     limit_set: SetValue
-    limit_set_compact: Verdict
-    asympt_seq_compact: Verdict
-    weakly_asympt_seq_compact: Verdict
-    lagrange_stable: Verdict
-    converges_above_to_limit: Verdict
+    limit_set_compact: bool
+    asympt_seq_compact: bool
+    weakly_asympt_seq_compact: bool
+    lagrange_stable: bool
+    converges_above_to_limit: bool
 
 
 def analyze(net: SubsetNet) -> NetAnalysis:

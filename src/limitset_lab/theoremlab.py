@@ -23,7 +23,7 @@ from .finite_topology import (FiniteSpace, closure, enumerate_spaces,
                               is_hausdorff, is_regular)
 from .pseudometric_core import RationalPointSpace
 from .subset_nets import (AffineEscape, GeometricConverge, Periodic,
-                          SubsetNet, Verdict, cluster_set,
+                          SubsetNet, cluster_set,
                           converges_from_above,
                           is_asymptotically_seq_compact,
                           is_eventually_lagrange_stable,
@@ -45,7 +45,6 @@ class SuiteReport:
     violations: list = field(default_factory=list)
     exhibits: list = field(default_factory=list)
     exhibit_count: int = 0
-    unknowns: int = 0
     elapsed_seconds: float = 0.0
 
     @property
@@ -64,19 +63,14 @@ class SuiteReport:
             instance, note = label()
             self.exhibits.append({"instance": instance, "note": note})
 
-    def track(self, verdict: Verdict) -> Verdict:
-        if verdict.is_unknown:
-            self.unknowns += 1
-        return verdict
-
     def finalize(self) -> "SuiteReport":
         self.violations.sort(key=lambda v: (v["instance"], v["expected"], v["got"]))
         self.exhibits.sort(key=lambda v: (v["instance"], v["note"]))
         return self
 
 
-def report_to_dict(report: SuiteReport, include_elapsed: bool = False) -> dict:
-    out = {
+def report_to_dict(report: SuiteReport) -> dict:
+    return {
         "suite": report.suite,
         "seed": report.seed,
         "budget": report.budget,
@@ -84,12 +78,13 @@ def report_to_dict(report: SuiteReport, include_elapsed: bool = False) -> dict:
         "violations": report.violations,
         "exhibits": report.exhibits,
         "exhibit_count": report.exhibit_count,
-        "unknowns": report.unknowns,
         "passed": report.passed,
     }
-    if include_elapsed:
-        out["elapsed_seconds"] = report.elapsed_seconds
-    return out
+
+
+def _state(flag: bool) -> str:
+    """A verdict as reports spell it."""
+    return "holds" if flag else "fails"
 
 
 # -- instance generators -------------------------------------------------------
@@ -202,29 +197,18 @@ def rule_net_stream(rng: random.Random, budget: int, nonempty: bool = False,
 
 def describe_net(net: SubsetNet) -> str:
     """A short canonical instance label for reports."""
-    if isinstance(net.ground, FiniteSpace):
-        ground = f"space{net.ground.rows}"
-    else:
-        exc = sorted(map(str, net.ground.excluded))
-        ground = f"Q^{net.ground.dim}-{exc}"
+    ground = net.ground
     if net.is_znn:
         rule = net.tail
         if isinstance(rule, Periodic):
-            tail = f"periodic{_show_sets(net.ground, rule.cycle)}"
+            tail = f"periodic{ground.show_sets(rule.cycle)}"
         elif isinstance(rule, AffineEscape):
             tail = f"affine(c={rule.c}, v={rule.v})"
         else:
             tail = f"geometric(a={rule.a}, b={rule.b}, r={rule.r})"
-        return (f"{ground} pre={_show_sets(net.ground, net.preperiod)} "
-                f"{tail}")
+        return f"{ground} pre={ground.show_sets(net.preperiod)} {tail}"
     return (f"{ground} index={net.index.rows} "
-            f"values={_show_sets(net.ground, net.assignment)}")
-
-
-def _show_sets(ground, sets) -> str:
-    if isinstance(ground, FiniteSpace):
-        return str(tuple(sets))
-    return str(tuple(tuple(sorted(map(str, s))) for s in sets))
+            f"values={ground.show_sets(net.assignment)}")
 
 
 # -- exhaustive families ---------------------------------------------------------
@@ -307,8 +291,8 @@ def suite_kuratowski_equality(budget: int = 1000, seed: int = 42) -> SuiteReport
         limsup, liminf = kuratowski_limits(net)
         if ls != limsup:
             report.violation(describe_net(net),
-                             f"Limsup {_show_sets(net.ground, [limsup])}",
-                             f"limit_set {_show_sets(net.ground, [ls])}")
+                             f"Limsup {net.ground.show_sets([limsup])}",
+                             f"limit_set {net.ground.show_sets([ls])}")
         if not liminf <= limsup:
             report.violation(describe_net(net), "Liminf inside Limsup",
                              "containment fails")
@@ -332,20 +316,19 @@ def suite_separation_containments(budget: int = 1000,
         for space in enumerate_spaces(n):
             hausdorff = is_hausdorff(space)
             regular = is_regular(space)
-            cls_cache = [closure(space, a) for a in range(1 << n)]
             for net in iter_periodic_nets(space):
                 report.instances += 1
                 ls = limit_set(net)
                 for a in range(1 << n):
-                    fa = report.track(converges_from_above(net, a))
-                    if not fa.is_holds:
-                        continue
-                    if hausdorff and ls & ~a:
+                    if not ls & ~a or not converges_from_above(net, a):
+                        continue  # L inside A is inside cls(A) as well
+                    if hausdorff:
                         report.violation(
                             f"{describe_net(net)} K={a:b}",
                             "L inside K on a Hausdorff space",
                             f"L={ls:b}")
-                    if ls & ~cls_cache[a]:
+                    cls_a = closure(space, a)
+                    if ls & ~cls_a:
                         if regular:
                             report.violation(
                                 f"{describe_net(net)} A={a:b}",
@@ -354,7 +337,7 @@ def suite_separation_containments(budget: int = 1000,
                         else:
                             report.exhibit(lambda: (
                                 f"{describe_net(net)} A={a:b}",
-                                f"L={ls:b} escapes cls(A)={cls_cache[a]:b} "
+                                f"L={ls:b} escapes cls(A)={cls_a:b} "
                                 "without regularity"))
     report.elapsed_seconds = time.perf_counter() - start
     return report.finalize()
@@ -379,7 +362,7 @@ def suite_compactness_equivalences(budget: int = 1000,
         for space in enumerate_spaces(n):
             for net in iter_periodic_nets(space, nonempty=True):
                 report.instances += 1
-                if not report.track(is_limit_set_compact(net)).is_holds:
+                if not is_limit_set_compact(net):
                     report.violation(describe_net(net),
                                      "limit set compact on a compact space",
                                      "verdict fails")
@@ -388,17 +371,16 @@ def suite_compactness_equivalences(budget: int = 1000,
             for space in enumerate_spaces(n):
                 for net in iter_finite_assignments(space, order, nonempty=True):
                     report.instances += 1
-                    if not report.track(is_limit_set_compact(net)).is_holds:
+                    if not is_limit_set_compact(net):
                         report.violation(describe_net(net),
                                          "limit set compact on a compact space",
                                          "verdict fails")
     rng = random.Random(f"{seed}:compactness_equivalences")
     for net in rule_net_stream(rng, budget, nonempty=True):
         report.instances += 1
-        lagrange = report.track(is_eventually_lagrange_stable(net))
         ls = limit_set(net)
-        fa = report.track(converges_from_above(net, ls))
-        if lagrange.is_holds:
+        fa = converges_from_above(net, ls)
+        if is_eventually_lagrange_stable(net):
             if not ls:
                 report.violation(describe_net(net),
                                  "nonempty limit set under Lagrange stability",
@@ -406,18 +388,16 @@ def suite_compactness_equivalences(budget: int = 1000,
             for name, verdict in (
                     ("converges from above to L", fa),
                     ("asymptotically seq compact",
-                     report.track(is_asymptotically_seq_compact(net))),
-                    ("limit set compact",
-                     report.track(is_limit_set_compact(net)))):
-                if not verdict.is_holds:
+                     is_asymptotically_seq_compact(net)),
+                    ("limit set compact", is_limit_set_compact(net))):
+                if not verdict:
                     report.violation(describe_net(net),
                                      f"{name} under Lagrange stability",
-                                     verdict.state)
-        weak = report.track(is_weakly_asymptotically_seq_compact(net))
-        if weak.is_holds and not fa.is_holds:
+                                     "fails")
+        if is_weakly_asymptotically_seq_compact(net) and not fa:
             report.violation(describe_net(net),
                              "weak asymptotic compactness forces "
-                             "convergence from above to L", fa.state)
+                             "convergence from above to L", "fails")
     report.elapsed_seconds = time.perf_counter() - start
     return report.finalize()
 
@@ -441,21 +421,17 @@ def suite_pseudometrizable_equivalence(budget: int = 1000,
         if RULE_FAMILIES[i % len(RULE_FAMILIES)] == "trap":
             traps += 1
         ls = limit_set(net)
-        if ls:
-            above = report.track(semidistance_convergence_check(net, ls))
-        else:
-            above = Verdict.fails()  # no compact target can attract the net
+        # an empty limit set leaves no compact target to attract the net
+        above = bool(ls) and semidistance_convergence_check(net, ls)
         vector = {
             "converges from above to a nonempty compact": above,
-            "asymptotically seq compact":
-                report.track(is_asymptotically_seq_compact(net)),
+            "asymptotically seq compact": is_asymptotically_seq_compact(net),
             "weakly asymptotically seq compact":
-                report.track(is_weakly_asymptotically_seq_compact(net)),
-            "limit set compact": report.track(is_limit_set_compact(net)),
+                is_weakly_asymptotically_seq_compact(net),
+            "limit set compact": is_limit_set_compact(net),
         }
-        states = {v.state for v in vector.values()}
-        if len(states) != 1:
-            got = ", ".join(f"{k}={v.state}" for k, v in sorted(vector.items()))
+        if len(set(vector.values())) != 1:
+            got = ", ".join(f"{k}={_state(v)}" for k, v in sorted(vector.items()))
             report.violation(describe_net(net), "all four verdicts equal", got)
     if traps < budget // 10:
         report.violation("trap quota", f">= {budget // 10} excluded-limit traps",
@@ -482,15 +458,13 @@ def suite_sequential_limits(budget: int = 1000, seed: int = 42) -> SuiteReport:
         seq = sequential_limit_set(net)
         if ls != seq:
             report.violation(describe_net(net),
-                             f"L = L_seq, L={_show_sets(net.ground, [ls])}",
-                             f"L_seq={_show_sets(net.ground, [seq])}")
-        weak = report.track(is_weakly_asymptotically_seq_compact(net))
-        if weak.is_holds:
-            fa = report.track(converges_from_above(net, ls))
-            if not fa.is_holds:
-                report.violation(describe_net(net),
-                                 "weak seq compactness forces convergence "
-                                 "from above to L", fa.state)
+                             f"L = L_seq, L={net.ground.show_sets([ls])}",
+                             f"L_seq={net.ground.show_sets([seq])}")
+        if (is_weakly_asymptotically_seq_compact(net)
+                and not converges_from_above(net, ls)):
+            report.violation(describe_net(net),
+                             "weak seq compactness forces convergence "
+                             "from above to L", "fails")
     # singleton nets: attraction by a nonempty compact set yields cluster points
     singleton_families = ("affine", "geometric", "trap")
     for i in range(budget // 4):
@@ -500,8 +474,7 @@ def suite_sequential_limits(budget: int = 1000, seed: int = 42) -> SuiteReport:
         candidates = [limit_set(net)]
         candidates.append(frozenset([net.tail.point(0)]))
         attracted = any(
-            report.track(semidistance_convergence_check(net, k)).is_holds
-            for k in candidates if k)
+            semidistance_convergence_check(net, k) for k in candidates if k)
         if attracted and not cluster_set(net):
             report.violation(describe_net(net),
                              "nonempty cluster set under attraction",
@@ -513,9 +486,8 @@ def suite_sequential_limits(budget: int = 1000, seed: int = 42) -> SuiteReport:
             for net in iter_periodic_nets(space, nonempty=True):
                 report.instances += 1
                 attracted = any(
-                    report.track(converges_from_above(net, k)).is_holds
-                    for k in range(1, 1 << n))
-                lsc = report.track(is_limit_set_compact(net)).is_holds
+                    converges_from_above(net, k) for k in range(1, 1 << n))
+                lsc = is_limit_set_compact(net)
                 if attracted != lsc:
                     report.violation(
                         describe_net(net),

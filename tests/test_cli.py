@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -340,6 +341,17 @@ class TestVerify:
 
     def test_unknown_suite_is_input_error(self, capsys):
         assert run(["verify", "--suite", "bogus"]) == 2
+
+    def test_summary_line_goes_to_stderr_when_the_report_streams(self,
+                                                                 capsys):
+        assert run(["verify", "--suite", "kuratowski_equality", "--budget",
+                    "20", "--seed", "42", "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["suites"][0]["instances"] == 20
+        prefix = ("PASS kuratowski_equality: 20 instances, 0 violations, "
+                  "0 exhibits (")
+        assert captured.err.startswith(prefix)
+        assert re.fullmatch(r"\d+\.\d\ds\)\n", captured.err[len(prefix):])
 
 
 def test_argparse_errors_exit_two(capsys):

@@ -229,4 +229,4 @@ class TestApproachNetCharacterization:
                         net = SubsetNet.over_finite(
                             cod, order, [graph[p] for p in others])
                         below = converges_from_below(net, graph[x])
-                        assert below.is_holds == is_lsc_at(f, x)
+                        assert below == is_lsc_at(f, x)

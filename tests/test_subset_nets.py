@@ -11,14 +11,13 @@ from limitset_lab.errors import (MalformedInputError, MembershipError,
 from limitset_lab.finite_topology import (SIERPINSKI, FiniteSpace, closure,
                                           discrete_space, enumerate_spaces,
                                           indiscrete_space)
-from limitset_lab.jsonio import verdict_from_json, verdict_to_json
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace)
 from limitset_lab.rationals import max_norm_distance
-from limitset_lab.subset_nets import (FAILS, HOLDS, LOST, AffineEscape,
+from limitset_lab.subset_nets import (LOST, AffineEscape,
                                       GeometricConverge,
                                       NetAnalysis, Periodic, SubsetNet,
-                                      TailSummary, Verdict, analyze,
+                                      TailSummary, analyze,
                                       below_iff_semidistance, cluster_set,
                                       converges_from_above,
                                       converges_from_below, eventually_in,
@@ -150,7 +149,7 @@ class TestTailSummary:
         escape = SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1)))
         assert analyze(trap) == analyze(escape)
         assert analyze(escape).limit_set == frozenset()
-        assert analyze(escape).lagrange_stable.is_fails
+        assert not analyze(escape).lagrange_stable
 
     def test_finite_index_kuratowski_limits_read_the_top_class(self):
         net = SubsetNet.over_finite(
@@ -243,47 +242,47 @@ class TestSequentialLimitSet:
 
 class TestConvergesFromAbove:
     def test_whole_space_always_attracts(self):
-        assert converges_from_above(alternating_net(), 0b11).is_holds
+        assert converges_from_above(alternating_net(), 0b11)
         metric = SubsetNet.over_znn(Q1, [],
                                     Periodic((frozenset({pt(1)}),)))
-        assert converges_from_above(metric, [pt(1)]).is_holds
+        assert converges_from_above(metric, [pt(1)])
 
     def test_alternating_fails_on_half(self):
-        assert converges_from_above(alternating_net(), 0b01).is_fails
+        assert not converges_from_above(alternating_net(), 0b01)
 
     def test_indiscrete_everything_attracts(self):
         ind = indiscrete_space(2)
         for cycle in product(range(4), repeat=2):
             net = SubsetNet.over_znn(ind, [], Periodic(cycle))
             for a in (0b01, 0b10, 0b11):
-                assert converges_from_above(net, a).is_holds
+                assert converges_from_above(net, a)
 
     def test_empty_target_needs_eventually_empty_tails(self):
         empty_net = SubsetNet.over_znn(D2, [0b11], Periodic((0,)))
-        assert converges_from_above(empty_net, 0).is_holds
-        assert converges_from_above(alternating_net(), 0).is_fails
+        assert converges_from_above(empty_net, 0)
+        assert not converges_from_above(alternating_net(), 0)
         escape = SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1)))
-        assert converges_from_above(escape, []).is_fails
+        assert not converges_from_above(escape, [])
 
     def test_geometric_attracted_by_limit(self):
         net = SubsetNet.over_znn(Q1, [], GeometricConverge(pt(0), pt(1), F(1, 2)))
-        assert converges_from_above(net, [pt(0)]).is_holds
-        assert converges_from_above(net, [pt(1)]).is_fails
+        assert converges_from_above(net, [pt(0)])
+        assert not converges_from_above(net, [pt(1)])
 
 
 class TestSemidistanceCriteria:
     def test_constant_net_attracted_by_itself(self):
         k = frozenset({pt(1), pt(2)})
         net = SubsetNet.over_znn(Q1, [], Periodic((k,)))
-        assert semidistance_convergence_check(net, k).is_holds
+        assert semidistance_convergence_check(net, k)
 
     def test_geometric_distance_sequence(self):
         net = SubsetNet.over_znn(Q1, [], GeometricConverge(pt(0), pt(1), F(1, 2)))
-        assert semidistance_convergence_check(net, [pt(0)]).is_holds
+        assert semidistance_convergence_check(net, [pt(0)])
 
     def test_escape_fails_every_compact(self):
         net = SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1)))
-        assert semidistance_convergence_check(net, [pt(0), pt(10)]).is_fails
+        assert not semidistance_convergence_check(net, [pt(0), pt(10)])
 
     def test_empty_target_rejected(self):
         net = SubsetNet.over_znn(Q1, [], Periodic((frozenset({pt(0)}),)))
@@ -300,34 +299,33 @@ class TestSemidistanceCriteria:
                 k = frozenset(p for p in k if net.ground.contains(p))
                 if not k:
                     continue
-                assert (semidistance_convergence_check(net, k).state
-                        == converges_from_above(net, k).state)
+                assert (semidistance_convergence_check(net, k)
+                        == converges_from_above(net, k))
 
 
 class TestConvergesFromBelow:
     def test_empty_target_vacuous(self):
-        assert converges_from_below(alternating_net(), 0).is_holds
+        assert converges_from_below(alternating_net(), 0)
 
     def test_alternation_is_not_eventual(self):
-        assert converges_from_below(alternating_net(), 0b01).is_fails
+        assert not converges_from_below(alternating_net(), 0b01)
 
     def test_geometric_below_to_limit(self):
         net = SubsetNet.over_znn(Q1, [], GeometricConverge(pt(0), pt(1), F(1, 2)))
-        assert converges_from_below(net, [pt(0)]).is_holds
+        assert converges_from_below(net, [pt(0)])
 
     def test_below_examples_with_semidistance(self):
         k = frozenset({pt(3)})
         constant = SubsetNet.over_znn(Q1, [], Periodic((k,)))
-        assert below_iff_semidistance(constant, k) == (Verdict.holds(),
-                                                       Verdict.holds())
+        assert below_iff_semidistance(constant, k) == (True, True)
         alternating = SubsetNet.over_znn(
             Q1, [], Periodic((frozenset({pt(-1)}), frozenset({pt(1)}))))
         assert below_iff_semidistance(alternating, [pt(-1), pt(1)]) == \
-            (Verdict.fails(), Verdict.fails())
+            (False, False)
         two_branch = SubsetNet.over_znn(
             Q1, [], GeometricConverge(pt(0), (pt(-1), pt(1)), F(1, 2)))
         assert below_iff_semidistance(two_branch, [pt(0)]) == \
-            (Verdict.holds(), Verdict.holds())
+            (True, True)
 
     def test_below_iff_semidistance_random_agreement(self):
         rng = random.Random("belowcheck")
@@ -337,7 +335,7 @@ class TestConvergesFromBelow:
             if not k:
                 continue
             below, dist = below_iff_semidistance(net, k)
-            assert below.state == dist.state
+            assert below == dist
 
     def test_below_implies_inside_limit_set_finite_sweep(self):
         for n in (1, 2, 3):
@@ -345,31 +343,31 @@ class TestConvergesFromBelow:
                 for net in iter_periodic_nets(space, max_cycle=3, max_pre=1):
                     ls = limit_set(net)
                     for a in range(1 << n):
-                        if converges_from_below(net, a).is_holds:
+                        if converges_from_below(net, a):
                             assert a & ~ls == 0
 
 
 class TestCompactnessVerdicts:
     def test_lagrange_examples(self):
         periodic = SubsetNet.over_znn(Q1, [], Periodic((frozenset({pt(1)}),)))
-        assert is_eventually_lagrange_stable(periodic).is_holds
+        assert is_eventually_lagrange_stable(periodic)
         escape = SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1)))
-        assert is_eventually_lagrange_stable(escape).is_fails
+        assert not is_eventually_lagrange_stable(escape)
         trap_space = RationalPointSpace(1, [pt(0)])
         trap = SubsetNet.over_znn(trap_space, [],
                                   GeometricConverge(pt(0), pt(1), F(1, 2)))
-        assert is_eventually_lagrange_stable(trap).is_fails
+        assert not is_eventually_lagrange_stable(trap)
 
     def test_asymptotic_seq_compact_examples(self):
         periodic = SubsetNet.over_znn(Q1, [], Periodic((frozenset({pt(1)}),)))
-        assert is_asymptotically_seq_compact(periodic).is_holds
+        assert is_asymptotically_seq_compact(periodic)
         included = SubsetNet.over_znn(Q1, [],
                                       GeometricConverge(pt(0), pt(1), F(1, 2)))
-        assert is_asymptotically_seq_compact(included).is_holds
+        assert is_asymptotically_seq_compact(included)
         trap_space = RationalPointSpace(1, [pt(0)])
         trap = SubsetNet.over_znn(trap_space, [],
                                   GeometricConverge(pt(0), pt(1), F(1, 2)))
-        assert is_asymptotically_seq_compact(trap).is_fails
+        assert not is_asymptotically_seq_compact(trap)
 
     def test_weak_equals_strong_on_rule_nets(self):
         rng = random.Random("weakstrong")
@@ -378,25 +376,25 @@ class TestCompactnessVerdicts:
             strong = is_asymptotically_seq_compact(net)
             weak = is_weakly_asymptotically_seq_compact(net)
             assert weak == strong
-            if strong.is_holds:
-                assert weak.is_holds  # the definitional implication
+            if strong:
+                assert weak  # the definitional implication
 
     def test_limit_set_compact_examples(self):
         constant = SubsetNet.over_znn(D2, [], Periodic((0b01,)))
-        assert is_limit_set_compact(constant).is_holds
+        assert is_limit_set_compact(constant)
         escape = SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1)))
-        assert is_limit_set_compact(escape).is_fails
+        assert not is_limit_set_compact(escape)
         trap_space = RationalPointSpace(1, [pt(0)])
         trap = SubsetNet.over_znn(trap_space, [],
                                   GeometricConverge(pt(0), pt(1), F(1, 2)))
-        assert is_limit_set_compact(trap).is_fails
+        assert not is_limit_set_compact(trap)
 
     def test_finite_backend_always_lagrange_and_compact(self):
         for space in enumerate_spaces(2):
             for net in iter_periodic_nets(space, nonempty=True):
-                assert is_eventually_lagrange_stable(net).is_holds
-                assert is_asymptotically_seq_compact(net).is_holds
-                assert is_limit_set_compact(net).is_holds
+                assert is_eventually_lagrange_stable(net)
+                assert is_asymptotically_seq_compact(net)
+                assert is_limit_set_compact(net)
 
 
 class TestClusterAndFrequently:
@@ -448,15 +446,15 @@ class TestClusterAndFrequently:
 
     def test_eventually_and_frequently_examples(self):
         constant = SubsetNet.over_znn(D2, [], Periodic((0b01,)))
-        assert eventually_in(constant, 0b01).is_holds
-        assert frequently_in(constant, 0b01).is_holds
+        assert eventually_in(constant, 0b01)
+        assert frequently_in(constant, 0b01)
         alt = alternating_net()
-        assert eventually_in(alt, 0b01).is_fails
-        assert frequently_in(alt, 0b01).is_holds
+        assert not eventually_in(alt, 0b01)
+        assert frequently_in(alt, 0b01)
         escape = SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1)))
         bounded = [pt(0), pt(1), pt(2)]
-        assert eventually_in(escape, bounded).is_fails
-        assert frequently_in(escape, bounded).is_fails
+        assert not eventually_in(escape, bounded)
+        assert not frequently_in(escape, bounded)
 
     def test_eventually_implies_frequently(self):
         for space in enumerate_spaces(2):
@@ -464,13 +462,13 @@ class TestClusterAndFrequently:
             for cycle in product(singletons, repeat=2):
                 net = SubsetNet.over_znn(space, [], Periodic(cycle))
                 for u in range(1 << space.n):
-                    if eventually_in(net, u).is_holds:
-                        assert frequently_in(net, u).is_holds
+                    if eventually_in(net, u):
+                        assert frequently_in(net, u)
 
     def test_preperiod_ignored_by_tail_quantifiers(self):
         net = SubsetNet.over_znn(D2, [0b10], Periodic((0b01,)))
-        assert eventually_in(net, 0b01).is_holds
-        assert frequently_in(net, 0b10).is_fails
+        assert eventually_in(net, 0b01)
+        assert not frequently_in(net, 0b10)
 
 
 class TestTheoremShadows:
@@ -485,8 +483,8 @@ class TestTheoremShadows:
             for k in (limit_set(net), frozenset({net.tail.point(0)})):
                 if not k:
                     continue
-                if converges_from_below(net, k).is_holds:
-                    assert converges_from_above(net, k).is_holds
+                if converges_from_below(net, k):
+                    assert converges_from_above(net, k)
 
     def test_limit_set_equals_limsup_on_metric_nets(self):
         rng = random.Random("lk")
@@ -502,9 +500,8 @@ class TestTheoremShadows:
             assert isinstance(a, NetAnalysis)
             assert a.limit_set == limit_set(net)
             # the four-way equivalence shows up in the aggregate
-            states = {a.limit_set_compact.state, a.asympt_seq_compact.state,
-                      a.weakly_asympt_seq_compact.state}
-            assert len(states) == 1
+            assert (a.limit_set_compact == a.asympt_seq_compact
+                    == a.weakly_asympt_seq_compact)
 
 
 def stepping_geometric_check(ground, rule, b, n0, horizon=64):
@@ -629,12 +626,6 @@ def inline_value(net, s):
 
 
 class TestSharedState:
-    def test_verdicts_are_shared_constants(self):
-        assert Verdict.holds() is Verdict.holds()
-        assert Verdict.fails() is Verdict.fails()
-        assert Verdict.holds() != Verdict.fails()
-        assert Verdict.unknown(8) == Verdict.unknown(8)
-
     def test_values_match_the_per_rule_formulas(self):
         rng = random.Random("tail-values")
         nets = [random_rule_net(rng, family, nonempty=i % 2 == 1)
@@ -830,28 +821,39 @@ class TestValuesAndVerdictFlags:
             with pytest.raises(PreconditionError):
                 net.values(upto)
 
-    @pytest.mark.parametrize("verdict", [
-        HOLDS, FAILS, Verdict.holds(), Verdict.fails(), Verdict("holds"),
-        Verdict.unknown(5),
-        verdict_from_json(verdict_to_json(Verdict.unknown(5)))],
-        ids=["HOLDS", "FAILS", "holds", "fails", "built", "unknown",
-             "unknown-json"])
-    def test_flags_agree_with_state(self, verdict):
-        assert (verdict.is_holds, verdict.is_fails, verdict.is_unknown) == (
-            verdict.state == "holds", verdict.state == "fails",
-            verdict.state == "unknown")
-        assert verdict.is_holds + verdict.is_fails + verdict.is_unknown == 1
-        assert [f.name for f in dataclasses.fields(verdict)] == [
-            "state", "horizon"]
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            verdict.state = "fails"
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            verdict.is_holds = not verdict.is_holds
-
-    def test_unknown_round_trips_through_json(self):
-        v = Verdict.unknown(5)
-        assert verdict_to_json(v) == {"state": "unknown", "horizon": 5}
-        back = verdict_from_json(verdict_to_json(v))
-        assert back == v and back.is_unknown and back.horizon == 5
-        assert repr(back) == "Verdict(state='unknown', horizon=5)"
-        assert verdict_to_json(HOLDS) == {"state": "holds"}
+    def test_every_net_predicate_returns_a_bool(self):
+        # a verdict is exactly True or False, never a truthy mask or set
+        rng = random.Random("bool-verdicts")
+        rational = [random_rule_net(rng, family, nonempty=i % 2 == 1)
+                    for i in range(10) for family in RULE_FAMILIES]
+        rational.append(SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1))))
+        finite = list(iter_periodic_nets(SIERPINSKI, max_pre=1))
+        finite += [SubsetNet.over_finite(D2, TOP_PAIR, values)
+                   for values in product(range(4), repeat=3)]
+        singletons = {False: 0, True: 0}
+        for net in rational + finite:
+            ground = net.ground
+            verdicts = [is_eventually_lagrange_stable(net),
+                        is_asymptotically_seq_compact(net),
+                        is_weakly_asymptotically_seq_compact(net),
+                        is_limit_set_compact(net)]
+            analysis = analyze(net)
+            verdicts += [getattr(analysis, f.name)
+                         for f in dataclasses.fields(analysis)
+                         if f.name != "limit_set"]
+            if ground.rational:
+                targets = [limit_set(net), net.at(0), net.at(1)]
+            else:
+                targets = range(1 << ground.n)
+            for a in targets:
+                verdicts += [converges_from_above(net, a),
+                             converges_from_below(net, a)]
+                if ground.rational and a:
+                    verdicts += [semidistance_convergence_check(net, a),
+                                 *below_iff_semidistance(net, a)]
+                if net.is_singleton_valued():
+                    singletons[ground.rational] += 1
+                    verdicts += [eventually_in(net, a),
+                                 frequently_in(net, a)]
+            assert all(type(v) is bool for v in verdicts), (net, verdicts)
+        assert all(singletons.values())  # point nets on both backends

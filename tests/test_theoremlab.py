@@ -16,7 +16,6 @@ class TestSuiteMachinery:
     def test_all_suites_pass_at_small_budget(self):
         for report in run_all(budget=60, seed=42):
             assert report.passed, (report.suite, report.violations[:3])
-            assert report.unknowns == 0
             assert report.instances > 0
 
     def test_reports_are_deterministic(self):
@@ -34,8 +33,7 @@ class TestSuiteMachinery:
         report = run_suite("kuratowski_equality", budget=10, seed=3)
         d = report_to_dict(report)
         assert "elapsed_seconds" not in d
-        assert report_to_dict(report, include_elapsed=True)[
-            "elapsed_seconds"] > 0
+        assert report.elapsed_seconds > 0
 
     def test_separation_suite_emits_exhibits(self):
         report = run_suite("separation_containments", budget=10, seed=42)
