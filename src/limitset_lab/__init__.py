@@ -20,7 +20,7 @@ from .finite_topology import (SIERPINSKI, FiniteSpace, closure,
 from .pseudometric_core import (FinitePseudoMetric, RationalPointSpace,
                                 ball_of_set, compact_inner_radius,
                                 point_set_distance, semidistance)
-from .rationals import INFINITY, ExtendedRational, as_point
+from .rationals import INFINITY, as_point
 from .semiflow_cells import (CellGrid, DiscreteSemiflow, OmegaResult,
                              attraction_trace_check, cell_image,
                              omega_limit_cells)

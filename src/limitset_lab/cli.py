@@ -12,7 +12,9 @@ input error (argument-parser usage errors included) reported as one
 every call in a process.  A net is indexed by a finite directed order or
 by Z+; a ``product`` index is refused.  ``net analyze`` spells each
 verdict ``{"state": "holds"}`` or ``{"state": "fails"}`` and echoes
-``--horizon`` without reading it, since every verdict is exact.  ``verify``
+``--horizon`` without reading it, since every verdict is exact.  ``space
+check`` refuses the brute-force ``regular`` above ``REGULARITY_CAP``
+points, and ``omega`` a ``--samples`` above ``MAX_SAMPLES``.  ``verify``
 writes one summary line per suite (instances, violations, exhibits and
 seconds) to stdout, or to stderr when the report goes to stdout.
 Evaluation is sequential, and identical argv and inputs produce
@@ -32,8 +34,9 @@ from fractions import Fraction
 from . import jsonio, theoremlab
 from .errors import LimitsetError, MalformedInputError, clip, excerpt
 from .finite_topology import (is_hausdorff, is_pseudometrizable, is_regular)
-from .semiflow_cells import (CellGrid, DiscreteSemiflow, _set_bits,
-                             attraction_trace_check, omega_limit_cells)
+from .semiflow_cells import (MAX_SAMPLES, CellGrid, DiscreteSemiflow,
+                             _set_bits, attraction_trace_check,
+                             omega_limit_cells)
 from .subset_nets import analyze
 
 PROP_CHECKS = {
@@ -151,8 +154,9 @@ def _parse_init(raw: str, grid: CellGrid) -> int:
 
 
 def cmd_omega(args) -> int:
-    if args.samples < 1:
-        raise MalformedInputError("--samples must be at least 1")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise MalformedInputError(
+            f"--samples must be between 1 and {MAX_SAMPLES}")
     if args.map_kind == "table":
         if args.infile is None:
             raise MalformedInputError("--map table needs --in table.json")
@@ -193,7 +197,7 @@ def cmd_omega(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(["n", "cells", "distance"])
     for (n, d), count in zip(result.trace, result.sizes):
-        writer.writerow([n, count, "inf" if d.is_infinite else float(d.value)])
+        writer.writerow([n, count, float(d)])
     summary = {
         "omega": list(_set_bits(result.omega)),
         "preperiod": result.preperiod,

@@ -24,6 +24,7 @@ from .directed_sets import _rows_reflexive_transitive
 from .errors import (MalformedInputError, PreconditionError, SizeLimitError)
 
 ENUMERATION_CAP = 5
+REGULARITY_CAP = 10  # is_regular's pair scan grows about 5x per point
 
 
 class FiniteSpace:
@@ -188,8 +189,12 @@ def is_regular(space: FiniteSpace) -> bool:
 
     Checked verbatim by enumerating candidate neighborhoods; the symmetric
     specialization criterion (``is_pseudometrizable``) is the independent
-    cross-check used by the verification suites.
+    cross-check used by the verification suites.  The scan runs over pairs
+    of subsets, so it is refused above ``REGULARITY_CAP`` points.
     """
+    if space.n > REGULARITY_CAP:
+        raise SizeLimitError(
+            f"regularity check capped at n <= {REGULARITY_CAP}")
     subsets = range(1 << space.n)
     for x in range(space.n):
         for u in subsets:

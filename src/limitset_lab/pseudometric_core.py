@@ -1,19 +1,23 @@
 """Exact rational pseudo-metric geometry.
 
 Two ground models live here.  ``RationalPointSpace`` is the countable
-backend: points of Q^d under the max-norm, minus a finite excluded set;
-all distances are exact ``Fraction`` values.  ``FinitePseudoMetric`` is a
-distance matrix on finitely many points (zero off-diagonal entries
-allowed), used for semicontinuity checks and inner-radius sweeps.  It is
-scaled once to an integer matrix over the LCM of its entry denominators;
-every metric axiom is validated on those ints, and ``dist`` is the exact
-``Fraction`` view of the same matrix.  It is a ``FiniteSpace`` (its metric
-topology, whose minimal open sets are the zero-sets) that also carries
-the distance.
+backend: points of Q^d under the max-norm, minus a finite excluded set.
+``FinitePseudoMetric`` is a distance matrix on finitely many points (zero
+off-diagonal entries allowed), used for semicontinuity checks and
+inner-radius sweeps.  It is scaled once to an integer matrix over the LCM
+of its entry denominators; every metric axiom is validated on those ints,
+and ``dist`` is the exact ``Fraction`` view of the same matrix.  It is a
+``FiniteSpace`` (its metric topology, whose minimal open sets are the
+zero-sets) that also carries the distance.
 
 Point sets over ``RationalPointSpace`` are frozensets of coordinate
 tuples; point sets over ``FinitePseudoMetric`` are int bitmasks.  Both
 grounds own the point-set operations nets use, under the same names.
+
+Every distance on either ground, between points or from a point or a set
+to a set, is an exact ``Fraction``; a distance to the empty set is
+``INFINITY`` (``math.inf``), which compares exactly with every
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, FrozenSet, Iterable, List
 from .errors import (MalformedInputError, MembershipError, PreconditionError,
                      UndefinedCaseError)
 from .finite_topology import FiniteSpace
-from .rationals import (INFINITY, ExtendedRational, Point, as_point,
+from .rationals import (INFINITY, Point, as_point,
                         max_norm_distance)
 
 PointSet = FrozenSet[Point]
@@ -170,7 +174,7 @@ class FinitePseudoMetric(FiniteSpace):
                 rows[i][j] = rows[j][i] = x
         return cls(rows)
 
-    def point_to_mask_distance(self, i: int, e: int) -> ExtendedRational:
+    def point_to_mask_distance(self, i: int, e: int) -> Fraction:
         self.check_set(e)
         best = None
         rest = e
@@ -179,19 +183,19 @@ class FinitePseudoMetric(FiniteSpace):
             rest &= rest - 1
             if best is None or self.dist[i][j] < best:
                 best = self.dist[i][j]
-        return INFINITY if best is None else ExtendedRational(best)
+        return INFINITY if best is None else best
 
-    def semidistance_masks(self, a: int, b: int) -> ExtendedRational:
+    def semidistance_masks(self, a: int, b: int) -> Fraction:
         """d(a; b) on bitmask sets with the usual empty-set conventions."""
         self.check_set(a)
         self.check_set(b)
         if a == 0 and b == 0:
             raise UndefinedCaseError("d(emptyset; emptyset) is not defined")
         if a == 0:
-            return ExtendedRational(0)
+            return Fraction(0)
         if b == 0:
             return INFINITY
-        worst = ExtendedRational(0)
+        worst = Fraction(0)
         rest = a
         while rest:
             i = (rest & -rest).bit_length() - 1
@@ -214,17 +218,17 @@ class FinitePseudoMetric(FiniteSpace):
 # -- distances between finite rational point sets ----------------------------
 
 def point_set_distance(space: RationalPointSpace, x: Point,
-                       a: Iterable) -> ExtendedRational:
+                       a: Iterable) -> Fraction:
     """min over a of d(x, .); infinity exactly when a is empty."""
     x = space.check_point(x)
     a = space.check_set(a)
     if not a:
         return INFINITY
-    return ExtendedRational(min(space.distance(x, p) for p in a))
+    return min(space.distance(x, p) for p in a)
 
 
 def semidistance(space: RationalPointSpace, a: Iterable,
-                 b: Iterable) -> ExtendedRational:
+                 b: Iterable) -> Fraction:
     """d(a; b) = max over a of d(., b), with the empty-set conventions.
 
     d(emptyset; b) = 0 and d(a; emptyset) = infinity for nonempty sides;
@@ -235,7 +239,7 @@ def semidistance(space: RationalPointSpace, a: Iterable,
     if not a and not b:
         raise UndefinedCaseError("d(emptyset; emptyset) is not defined")
     if not a:
-        return ExtendedRational(0)
+        return Fraction(0)
     if not b:
         return INFINITY
     return max(point_set_distance(space, x, b) for x in a)
@@ -250,8 +254,7 @@ def ball_of_set(space: RationalPointSpace, a: Iterable,
     a = space.check_set(a)
 
     def member(y: Point) -> bool:
-        d = point_set_distance(space, y, a)
-        return not d.is_infinite and d.value < r
+        return point_set_distance(space, y, a) < r
 
     return member
 
@@ -277,7 +280,7 @@ def compact_inner_radius(m: FinitePseudoMetric, k: int, u: int) -> Fraction:
     while rest:
         x = (rest & -rest).bit_length() - 1
         rest &= rest - 1
-        d = m.point_to_mask_distance(x, comp).value
+        d = m.point_to_mask_distance(x, comp)
         if delta is None or d < delta:
             delta = d
     if delta == 0:
@@ -285,7 +288,7 @@ def compact_inner_radius(m: FinitePseudoMetric, k: int, u: int) -> Fraction:
     # postcondition: the open delta-ball of k stays inside u
     ball = 0
     for y in range(m.n):
-        if not m.point_to_mask_distance(y, k).value >= delta:
+        if m.point_to_mask_distance(y, k) < delta:
             ball |= 1 << y
     assert ball & ~u == 0
     return delta

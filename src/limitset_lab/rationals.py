@@ -1,80 +1,20 @@
-"""Exact extended-rational arithmetic and rational point helpers.
+"""Exact distances and rational point helpers.
 
-Distances in the rational backends are ordinary ``fractions.Fraction``
-values except where a set is empty, in which case the conventions demand
-a genuine infinity.  ``ExtendedRational`` carries both cases; addition and
-``max`` absorb infinity.
+A distance is a plain ``fractions.Fraction``, or ``INFINITY`` where the
+empty-set convention d(x, emptyset) = inf demands one.  ``INFINITY`` is
+``math.inf``, which a ``Fraction`` compares with exactly: every finite
+distance is below it, and ``max`` and ``+`` absorb it.  No other number
+type carries a distance.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from fractions import Fraction
 
 from .errors import MalformedInputError, excerpt
 
-
-@functools.total_ordering
-class ExtendedRational:
-    """A rational number or the distinguished value infinity."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value=None, *, infinite: bool = False):
-        if infinite:
-            self._value = None
-        else:
-            self._value = Fraction(value)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._value is None
-
-    @property
-    def value(self) -> Fraction:
-        if self._value is None:
-            raise ArithmeticError("infinite value has no rational part")
-        return self._value
-
-    def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        return self._value == other._value
-
-    def __lt__(self, other) -> bool:
-        other = _coerce(other)
-        if self._value is None:
-            return False
-        if other._value is None:
-            return True
-        return self._value < other._value
-
-    def __add__(self, other) -> "ExtendedRational":
-        other = _coerce(other)
-        if self._value is None or other._value is None:
-            return INFINITY
-        return ExtendedRational(self._value + other._value)
-
-    __radd__ = __add__
-
-    def __hash__(self):
-        return hash(self._value)
-
-    def __repr__(self):
-        if self._value is None:
-            return "ExtendedRational(infinite=True)"
-        return f"ExtendedRational({self._value!r})"
-
-    def __str__(self):
-        return "inf" if self._value is None else str(self._value)
-
-
-def _coerce(x) -> ExtendedRational:
-    if isinstance(x, ExtendedRational):
-        return x
-    return ExtendedRational(x)
-
-
-INFINITY = ExtendedRational(infinite=True)
+INFINITY = math.inf
 
 
 # -- rational points under the max-norm ------------------------------------

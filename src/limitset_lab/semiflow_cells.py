@@ -26,7 +26,8 @@ over one is linear in the grid size:
   k-fold dilation of b (king-move paths stay in the box).  All rows of
   the attraction trace read one chain D_0 = omega, D_1, ...: row n is k/n
   for the least k with I_n inside D_k.  An empty omega is never dilated;
-  every nonempty I_n is at distance inf from it;
+  every nonempty I_n is at distance inf from it.  A semi-distance is an
+  exact ``Fraction`` k/n, or ``INFINITY`` (``math.inf``) from an empty set;
 * an image step scans the set bits once and writes the image into one
   bytearray.  Each run keeps one transition table, cell -> the cells its
   samples hit, filled on a cell's first visit, so a run samples each
@@ -46,9 +47,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import (MalformedInputError, PreconditionError,
                      UnsupportedRuleError)
-from .rationals import INFINITY, ExtendedRational
+from .rationals import INFINITY
 
 MAX_CELLS_PER_AXIS = 4096
+MAX_SAMPLES = 64  # sub-cell samples per axis: samples^dim map calls a cell
 MAX_OMEGA_STEPS = 10_000
 
 
@@ -306,7 +308,7 @@ def omega_limit_cells(grid: CellGrid, flow: DiscreteSemiflow, e: int,
 
 
 def _dilation_distances(grid: CellGrid, cell_sets: List[int],
-                       base: int) -> List[ExtendedRational]:
+                       base: int) -> List[Fraction]:
     """d(a; base) for every cell set a, read off one dilation chain of base.
 
     D_0 = base, and D_{k+1} is the dilation of D_k; d(a; base) = k/n for
@@ -314,7 +316,7 @@ def _dilation_distances(grid: CellGrid, cell_sets: List[int],
     nonempty a at distance inf from an empty base, which is never dilated.
     The sets must lie in the grid, where the chain reaches every cell.
     """
-    dist = [INFINITY if a else ExtendedRational(0) for a in cell_sets]
+    dist = [INFINITY if a else Fraction(0) for a in cell_sets]
     pending = [i for i, a in enumerate(cell_sets) if a] if base else []
     k = 0
     while pending:
@@ -324,7 +326,7 @@ def _dilation_distances(grid: CellGrid, cell_sets: List[int],
             if cell_sets[i] & outside:
                 left.append(i)
             else:
-                dist[i] = ExtendedRational(Fraction(k, grid.cells_per_axis))
+                dist[i] = Fraction(k, grid.cells_per_axis)
         if left:
             base = grid.dilate(base)
             k += 1
@@ -332,7 +334,7 @@ def _dilation_distances(grid: CellGrid, cell_sets: List[int],
     return dist
 
 
-def cellset_semidistance(grid: CellGrid, a: int, b: int) -> ExtendedRational:
+def cellset_semidistance(grid: CellGrid, a: int, b: int) -> Fraction:
     """Max-norm semi-distance between the center sets of two cell sets.
 
     Equal to k/n for the least k whose k-fold dilation of ``b`` covers

@@ -17,6 +17,7 @@ from typing import List
 from .errors import MalformedInputError, PreconditionError
 from .finite_topology import FiniteSpace
 from .pseudometric_core import FinitePseudoMetric
+from .rationals import INFINITY
 
 
 @dataclass(frozen=True)
@@ -108,14 +109,13 @@ def lsc_via_semidistance(f: SetValuedMap, x: int) -> bool:
         raise PreconditionError("F(x) must be nonempty (compactness of the value)")
 
     rhos = [f.codomain.semidistance_masks(fx, value) for value in f.graph]
-    finite_values = sorted({r.value for r in rhos if not r.is_infinite})
+    finite_values = sorted({r for r in rhos if r != INFINITY})
     eps_grid = _midpoint_grid(finite_values)
 
     row = f.domain.dist[x]
     balls = [[xp for xp in range(f.domain.n) if row[xp] <= rad]
              for rad in sorted(set(row))]
-    return all(any(all(not rhos[xp].is_infinite and rhos[xp].value < eps
-                       for xp in ball) for ball in balls)
+    return all(any(all(rhos[xp] < eps for xp in ball) for ball in balls)
                for eps in eps_grid)
 
 

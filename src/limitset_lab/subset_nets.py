@@ -303,19 +303,31 @@ def _check_geometric_avoids_excluded(ground: RationalPointSpace,
                 "constant geometric tail sits on an excluded point")
         return
     # the branch meets e at n iff r^n = t, the line parameter of e (t = 0
-    # is e = a, which it only approaches); |r^n| shrinks, so step it from
-    # n0 only while it is at least the least |t|
+    # is e = a, which it only approaches)
     v = tuple(bi - ai for ai, bi in zip(rule.a, b))
-    hits = {t: e for e in ground.excluded
-            if (t := _line_parameter(rule.a, v, e))}
+    hits = []
+    for e in ground.excluded:
+        t = _line_parameter(rule.a, v, e)
+        n = _geometric_exponent(rule.r, t) if t else None
+        if n is not None and n >= n0:
+            hits.append((n, e))
     if hits:
-        least = min(map(abs, hits))
-        n, rn = n0, rule.r ** n0
-        while abs(rn) >= least:
-            if rn in hits:
-                raise MalformedInputError(
-                    f"geometric tail hits excluded point {hits[rn]} at n={n}")
-            n, rn = n + 1, rn * rule.r
+        n, e = min(hits)
+        raise MalformedInputError(
+            f"geometric tail hits excluded point {e} at n={n}")
+
+
+def _geometric_exponent(r: Fraction, t: Fraction) -> Optional[int]:
+    """The n >= 0 with r^n = t, or None; r = p/q in lowest terms, q >= 2.
+
+    p^n/q^n is in lowest terms too, so r^n = t iff t's denominator is q^n
+    and its numerator p^n: n is the number of times q divides it.
+    """
+    den, n = t.denominator, 0
+    while den % r.denominator == 0:
+        den //= r.denominator
+        n += 1
+    return n if den == 1 and t.numerator == r.numerator ** n else None
 
 
 # -- limit sets ---------------------------------------------------------------

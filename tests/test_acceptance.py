@@ -140,7 +140,7 @@ def test_acceptance_5_semidistance_criteria():
             k = u & -u
         delta = compact_inner_radius(m, k, u)
         ball = sum(1 << y for y in range(m.n)
-                   if m.point_to_mask_distance(y, k).value < delta)
+                   if m.point_to_mask_distance(y, k) < delta)
         if delta <= 0 or ball & ~u:
             violations += 1
     elapsed = time.perf_counter() - start

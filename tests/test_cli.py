@@ -108,6 +108,20 @@ class TestSpaceCheck:
     def test_missing_file_is_input_error(self):
         assert run(["space", "check", "--in", "/nonexistent.json"]) == 2
 
+    def test_regularity_bound_exits_two(self, tmp_path, capsys):
+        n = 14
+        infile = write_json(tmp_path / "space.json", {
+            "n": n, "spec": [[x == y for y in range(n)] for x in range(n)]})
+        start = time.perf_counter()
+        assert run(["space", "check", "--in", infile]) == 2
+        err = capsys.readouterr().err
+        assert err == "limitset-lab: regularity check capped at n <= 10\n"
+        assert run(["space", "check", "--props", "hausdorff,pseudometrizable",
+                    "--in", infile]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "hausdorff": True, "pseudometrizable": True}
+        assert time.perf_counter() - start < 1
+
 
 class TestNetAnalyze:
     def test_escape_net_analysis(self, tmp_path):
@@ -208,6 +222,21 @@ class TestNetAnalyze:
         assert err.startswith("limitset-lab: ") and err.count("\n") == 1
         assert len(err) <= 200
 
+    def test_slow_ratio_geometric_net_answers_quickly(self, tmp_path,
+                                                       capsys):
+        infile = write_json(tmp_path / "net.json", {
+            "ground": {"dim": 1, "excluded": [[{"num": "1", "den": "2"}]]},
+            "index": {"kind": "znn"}, "preperiod": [],
+            "tail": {"kind": "geometric", "a": [{"num": "0", "den": "1"}],
+                     "b": [{"num": "1", "den": "1"}],
+                     "r": {"num": "999999", "den": "1000000"}}})
+        start = time.perf_counter()
+        assert run(["net", "analyze", "--in", infile]) == 0
+        assert time.perf_counter() - start < 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["limit_set"] == [[{"num": "0", "den": "1"}]]
+        assert out["converges_above_to_limit"] == {"state": "holds"}
+
     def test_bad_horizon(self, tmp_path):
         infile = write_json(tmp_path / "net.json", ESCAPE_NET_JSON)
         assert run(["net", "analyze", "--in", infile, "--horizon", "0"]) == 2
@@ -285,9 +314,13 @@ class TestOmega:
         ["--map", "table", "--in", TABLE, "--param2", "x"],
         ["--map", "logistic", "--param", "2", "--in", TABLE],
         ["--map", "logistic", "--param", "2", "--in", "nonexistent.json"],
+        ["--map", "logistic", "--param", "2", "--samples", "65"],
+        ["--map", "henon", "--param", "7/5", "--param2", "3/10",
+         "--samples", "100000000"],
     ], ids=["param", "init", "missing-param", "long-param", "long-cell",
             "far-cell", "long-init", "table-param", "table-param2",
-            "builtin-in", "builtin-missing-in"])
+            "builtin-in", "builtin-missing-in", "samples-over-bound",
+            "huge-samples"])
     def test_malformed_input_fails_closed(self, argv, capsys, tmp_path):
         # TABLE stands for a valid 8-cell table, so the flag is the only fault
         table = write_json(tmp_path / "table.json",

@@ -3,7 +3,8 @@ from itertools import combinations, product
 import pytest
 
 from limitset_lab.errors import PreconditionError, SizeLimitError
-from limitset_lab.finite_topology import (SIERPINSKI, FiniteSpace, closure,
+from limitset_lab.finite_topology import (REGULARITY_CAP, SIERPINSKI,
+                                          FiniteSpace, closure,
                                           discrete_space, enumerate_spaces,
                                           indiscrete_space, is_hausdorff,
                                           is_neighborhood,
@@ -130,6 +131,16 @@ class TestSeparationAxioms:
     def test_pseudometrizable_examples(self):
         assert is_pseudometrizable(indiscrete_space(2))
         assert not is_pseudometrizable(SIERPINSKI)
+
+    def test_regularity_is_capped(self):
+        assert is_regular(discrete_space(REGULARITY_CAP))
+        for space in (discrete_space(REGULARITY_CAP + 1),
+                      indiscrete_space(14)):
+            with pytest.raises(SizeLimitError, match="capped at n <= 10"):
+                is_regular(space)
+        # the other separation checks have no such bound
+        assert is_hausdorff(discrete_space(14))
+        assert is_pseudometrizable(discrete_space(14))
 
     def test_regular_iff_symmetric_preorder_up_to_four_points(self):
         for n in (1, 2, 3, 4):

@@ -14,8 +14,10 @@ from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace, ball_of_set,
                                             compact_inner_radius,
                                             point_set_distance, semidistance)
-from limitset_lab.rationals import (INFINITY, ExtendedRational, as_point,
-                                    max_norm_distance)
+from limitset_lab.rationals import INFINITY, as_point, max_norm_distance
+from limitset_lab.semiflow_cells import (CellGrid, DiscreteSemiflow,
+                                         cellset_semidistance,
+                                         omega_limit_cells)
 from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
                                       Periodic, SubsetNet, kuratowski_limits)
 from limitset_lab.theoremlab import RULE_FAMILIES, random_rule_net
@@ -52,8 +54,8 @@ class TestPointSetDistance:
 
     @given(point1, point1, st.sets(point1, min_size=1, max_size=4))
     def test_lipschitz_in_the_point_argument(self, x, y, a):
-        dx = point_set_distance(Q1, x, a).value
-        dy = point_set_distance(Q1, y, a).value
+        dx = point_set_distance(Q1, x, a)
+        dy = point_set_distance(Q1, y, a)
         assert abs(dx - dy) <= abs(x[0] - y[0])
 
 
@@ -85,9 +87,9 @@ class TestSemidistance:
            st.sets(point1, min_size=1, max_size=3),
            st.sets(point1, min_size=1, max_size=3))
     def test_triangle_property(self, a, b, c):
-        ab = semidistance(Q1, a, b).value
-        bc = semidistance(Q1, b, c).value
-        ac = semidistance(Q1, a, c).value
+        ab = semidistance(Q1, a, b)
+        bc = semidistance(Q1, b, c)
+        ac = semidistance(Q1, a, c)
         assert ac <= ab + bc
 
     def test_zero_iff_subset_of_closure_on_finite_metrics(self):
@@ -161,7 +163,7 @@ class TestCompactInnerRadius:
             delta = compact_inner_radius(m, k, u)
             assert delta > 0
             ball = sum(1 << y for y in range(m.n)
-                       if m.point_to_mask_distance(y, k).value < delta)
+                       if m.point_to_mask_distance(y, k) < delta)
             assert ball & ~u == 0
 
 
@@ -545,9 +547,44 @@ class TestMetricEquality:
             assert m.minimal_open_superset(0b100) == 0b100
 
 
+def test_every_distance_is_a_fraction_or_infinity():
+    """Each distance function, on finite inputs and on both empty-set
+    conventions (d(emptyset; b) = 0, d(a; emptyset) = inf), answers an
+    exact Fraction or INFINITY and nothing else."""
+    answers = []
+    a, b = [pt(0), pt(F(5, 2))], [pt(1), pt(-3)]
+    for x in (pt(0), pt(F(7, 3))):
+        answers += [point_set_distance(Q1, x, b),
+                    point_set_distance(Q1, x, [])]
+    answers += [semidistance(Q1, a, b), semidistance(Q1, [], b),
+                semidistance(Q1, a, [])]
+    path = FinitePseudoMetric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    for m in (path,
+              FinitePseudoMetric.from_points([pt(0), pt(F(1, 2)), pt(0)])):
+        for i in range(m.n):
+            answers += [m.point_to_mask_distance(i, e) for e in range(8)]
+        answers += [m.semidistance_masks(x, y)
+                    for x in range(8) for y in range(8) if x or y]
+    answers += [compact_inner_radius(path, 0b001, 0b011),
+                compact_inner_radius(path, 0b001, 0b111)]  # the sentinel 1
+    g = CellGrid(2, 4)
+    answers += [cellset_semidistance(g, x, y)
+                for x, y in ((0b1, 1 << 15), (0, 0b1), (0b1, 0), (0, 0))]
+    for flow, init in ((DiscreteSemiflow("rotation", (F(1, 3),)), 0b1),
+                       (DiscreteSemiflow("table", table=(0,) * 4), 0b11)):
+        grid = CellGrid(1, 4)
+        answers += [d for _, d in omega_limit_cells(grid, flow, init).trace]
+    assert INFINITY in answers and F(0) in answers
+    for d in answers:
+        assert type(d) is F or d == INFINITY, repr(d)
+
+
 def test_extended_rational_arithmetic():
+    """Distances are Fractions or INFINITY, which compare exactly."""
     assert INFINITY + 1 == INFINITY
-    assert ExtendedRational(3) + F(1, 2) == ExtendedRational(F(7, 2))
-    assert ExtendedRational(3) < INFINITY
+    assert F(3) + F(1, 2) == F(7, 2)
+    assert F(3) < INFINITY and not INFINITY < F(3)
     assert not INFINITY < INFINITY
-    assert max(ExtendedRational(1), INFINITY) == INFINITY
+    assert max(F(1), INFINITY) == INFINITY
+    assert F(10**400) < INFINITY  # beyond every float, still below inf
+    assert F(0) != INFINITY

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction as F
 from itertools import product
 
@@ -609,6 +610,19 @@ class TestGeometricExclusionCheck:
         space = RationalPointSpace(1, [pt(F(1, 16)), pt(F(1, 4))])
         with pytest.raises(MalformedInputError, match=r"at n=2$"):
             SubsetNet.over_znn(space, [], rule)
+
+    def test_slow_ratio_is_decided_at_once(self):
+        # |r^n| stays above 1/2 for ~693,000 steps; no step is taken
+        r = F(999999, 1000000)
+        rule = GeometricConverge(pt(0), pt(1), r)
+        start = time.perf_counter()
+        net = SubsetNet.over_znn(RationalPointSpace(1, [pt(F(1, 2))]), [],
+                                 rule)
+        assert limit_set(net) == frozenset({pt(0)})
+        with pytest.raises(MalformedInputError, match=r"at n=5$"):
+            SubsetNet.over_znn(RationalPointSpace(1, [pt(r ** 5)]),
+                               [frozenset()] * 2, rule)
+        assert time.perf_counter() - start < 1
 
 
 def inline_value(net, s):
