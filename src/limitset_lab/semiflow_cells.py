@@ -46,7 +46,7 @@ from math import floor
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (MalformedInputError, PreconditionError,
-                     UnsupportedRuleError)
+                     UndefinedCaseError, UnsupportedRuleError)
 from .rationals import INFINITY
 
 MAX_CELLS_PER_AXIS = 4096
@@ -206,6 +206,9 @@ class _ImageStep:
 
     def __init__(self, grid: CellGrid, flow: DiscreteSemiflow, samples: int,
                  dilate: bool):
+        if not 1 <= samples <= MAX_SAMPLES:
+            raise PreconditionError(
+                f"samples must be between 1 and {MAX_SAMPLES}")
         self.shift = flow.exact_rotation_shift(grid)
         if flow.kind != "table" and self.shift is None and flow.dim != grid.dim:
             raise PreconditionError("flow and grid dimension mismatch")
@@ -314,6 +317,8 @@ def _dilation_distances(grid: CellGrid, cell_sets: List[int],
     D_0 = base, and D_{k+1} is the dilation of D_k; d(a; base) = k/n for
     the least k with a inside D_k.  An empty a is at distance 0 and a
     nonempty a at distance inf from an empty base, which is never dilated.
+    This is the omega trace's convention, so an empty a is at distance 0
+    even from an empty base; ``cellset_semidistance`` refuses that pair.
     The sets must lie in the grid, where the chain reaches every cell.
     """
     dist = [INFINITY if a else Fraction(0) for a in cell_sets]
@@ -339,10 +344,13 @@ def cellset_semidistance(grid: CellGrid, a: int, b: int) -> Fraction:
 
     Equal to k/n for the least k whose k-fold dilation of ``b`` covers
     ``a``: centers sit on a 1/(2n) lattice, so two centers lie at their
-    Chebyshev cell distance over n.
+    Chebyshev cell distance over n.  d(emptyset; emptyset) is not
+    defined, as for ``semidistance``.
     """
     if (a | b) & ~grid.full_mask:
         raise PreconditionError("cell set outside the grid")
+    if not a and not b:
+        raise UndefinedCaseError("d(emptyset; emptyset) is not defined")
     return _dilation_distances(grid, [a], b)[0]
 
 

@@ -5,11 +5,13 @@ explicit assignment of a point set to every index element) or by Z+ (with
 a finite preperiod followed by a symbolic tail rule: ``Periodic``,
 ``AffineEscape`` or ``GeometricConverge``).
 
-Each tail rule evaluates its own values (``value(n, pre_len)``), so
-``SubsetNet.at`` never dispatches on the rule type.  Construction validates
-the net, proving with exact closed forms that an affine or geometric tail
-never hits an excluded point, and reduces its tail, once, to a
-``TailSummary`` of one of three shapes:
+Each tail rule evaluates its own values (``value(n, pre_len)``) and
+unrolls its own stretch of them (``values(pre_len, upto)``; a periodic
+tail repeats and slices its cycle), so ``SubsetNet.at`` and
+``SubsetNet.values`` never dispatch on the rule type.  Construction
+validates the net, proving with exact closed forms that an affine or
+geometric tail never hits an excluded point, and reduces its tail, once,
+to a ``TailSummary`` of one of three shapes:
 
 * **recurring** -- the tail returns forever to a fixed tuple of *phases*:
   the cycle of a periodic tail, the values at and above the top element of
@@ -20,6 +22,13 @@ never hits an excluded point, and reduces its tail, once, to a
 * **lost** -- no phases: an affine tail escapes every bounded set, and a
   geometric tail toward an excluded point accumulates only outside the
   space.
+
+A net's tail, and so its summary, does not depend on its preperiod, and
+the exclusion proof covers every n >= n0, the preperiod's length.
+``SubsetNet.with_preperiod`` therefore derives a net with a new preperiod
+that shares the base net's reduced tail and summary whenever the new
+preperiod is at least as long; a shorter one exposes earlier tail values,
+so it builds the net afresh with ``over_znn`` and re-runs the proof.
 
 Every limit set, Kuratowski limit, convergence check and compactness
 verdict below is a few lines over that summary, so every verdict is exact:
@@ -71,9 +80,25 @@ class Periodic:
     def value(self, n: int, pre_len: int) -> SetValue:
         return self.cycle[(n - pre_len) % len(self.cycle)]
 
+    def values(self, pre_len: int, upto: int) -> list:
+        """X_pre_len ... X_upto: enough whole cycles, cut to length."""
+        count = upto + 1 - pre_len
+        if count <= 0:
+            return []
+        cycle = self.cycle
+        return list((cycle * -(-count // len(cycle)))[:count])
+
+
+class _Pointwise:
+    """Unrolls a tail rule one ``value`` at a time."""
+
+    def values(self, pre_len: int, upto: int) -> list:
+        """X_pre_len ... X_upto: the tail's values up to index ``upto``."""
+        return [self.value(n, pre_len) for n in range(pre_len, upto + 1)]
+
 
 @dataclass(frozen=True)
-class AffineEscape:
+class AffineEscape(_Pointwise):
     """Singleton tail X_n = {c + n*v} with v nonzero, escaping every ball."""
 
     c: Point
@@ -87,7 +112,7 @@ class AffineEscape:
 
 
 @dataclass(frozen=True)
-class GeometricConverge:
+class GeometricConverge(_Pointwise):
     """Tail X_n = {a + r^n (b - a) : b in targets} with 0 < |r| < 1.
 
     ``b`` is one target point or a tuple of them; every branch contracts
@@ -173,6 +198,23 @@ class SubsetNet:
         tail, summary = _reduce_tail(ground, tail, len(pre))
         return cls(ground, ZNN, summary, preperiod=pre, tail=tail)
 
+    def with_preperiod(self, preperiod: Sequence) -> "SubsetNet":
+        """This Z+ net's tail behind a new, normalized preperiod.
+
+        A preperiod at least as long as this net's shares its reduced tail
+        and summary: the exclusion proof already covers every later n.  A
+        shorter one exposes earlier tail values, so the net is built
+        afresh by ``over_znn``, which re-runs the proof.
+        """
+        if not self.is_znn:
+            raise PreconditionError("with_preperiod() needs a Z+ net")
+        ground = self.ground
+        pre = tuple(map(ground.normalize, preperiod))
+        if len(pre) < len(self.preperiod):
+            return SubsetNet.over_znn(ground, pre, self.tail)
+        return SubsetNet(ground, ZNN, self.summary, preperiod=pre,
+                         tail=self.tail)
+
     @classmethod
     def over_finite(cls, ground: Ground, index: FiniteOrder,
                     assignment: Sequence) -> "SubsetNet":
@@ -199,10 +241,8 @@ class SubsetNet:
         """X_0 ... X_upto for Z+ nets."""
         if not self.is_znn:
             raise PreconditionError("values() needs a Z+ net")
-        pre, value = self.preperiod, self.tail.value
-        k = len(pre)
-        return [*pre[:max(upto + 1, 0)],
-                *[value(n, k) for n in range(k, upto + 1)]]
+        pre = self.preperiod
+        return [*pre[:max(upto + 1, 0)], *self.tail.values(len(pre), upto)]
 
     def is_singleton_valued(self) -> bool:
         size = self.ground.size

@@ -216,13 +216,17 @@ def describe_net(net: SubsetNet) -> str:
 def iter_periodic_nets(space: FiniteSpace, max_cycle: int = 2,
                        max_pre: int = 2,
                        nonempty: bool = False) -> Iterator[SubsetNet]:
+    """Every periodic net over ``space`` with cycle <= max_cycle and
+    preperiod <= max_pre, cycle-major; each cycle is reduced once, on a
+    base net that every preperiod variant is derived from."""
     masks = range(1 if nonempty else 0, 1 << space.n)
+    pres = [pre for pre_len in range(max_pre + 1)
+            for pre in product(masks, repeat=pre_len)]
     for cyc_len in range(1, max_cycle + 1):
         for cycle in product(masks, repeat=cyc_len):
-            tail = Periodic(cycle)
-            for pre_len in range(max_pre + 1):
-                for pre in product(masks, repeat=pre_len):
-                    yield SubsetNet.over_znn(space, pre, tail)
+            base = SubsetNet.over_znn(space, (), Periodic(cycle))
+            for pre in pres:
+                yield base.with_preperiod(pre)
 
 
 def iter_directed_posets(max_n: int) -> Iterator[FiniteOrder]:
@@ -251,26 +255,27 @@ def suite_limit_set_characterization(budget: int = 1000,
     """Membership in the limit set versus the convergent-subsequence search.
 
     Exhaustive over all topologies on up to 3 points and all periodic nets
-    with cycle <= 2 and preperiod <= 2.  The oracle unrolls the net to
-    horizon 12 and asks, for each point y, whether the net meets the
-    minimal neighborhood of y cofinally; a hit inside the final full cycle
-    window certifies a monotone final subsequence with selections
-    converging to y.
+    with cycle <= 2 and preperiod <= 2.  The oracle reads only unrolled
+    values, never the tail summary: it unrolls the net to horizon 12 and
+    takes the union of the final full cycle window, X_m for the last p
+    indices m <= 12 (p the cycle length).  For each point y the net meets
+    the minimal neighborhood U_y cofinally iff that window meets U_y; a
+    hit certifies a monotone final subsequence with selections converging
+    to y.
     """
     report = SuiteReport("limit_set_characterization", seed, budget)
     start = time.perf_counter()
     horizon = 12
     for n in (1, 2, 3):
         for space in enumerate_spaces(n):
+            neighborhoods = [space.minimal_open(y) for y in range(n)]
             for net in iter_periodic_nets(space):
                 report.instances += 1
                 ls = limit_set(net)
-                values = net.values(horizon)
                 p = len(net.tail.cycle)
-                for y in range(space.n):
-                    uy = space.minimal_open(y)
-                    found = any(values[m] & uy
-                                for m in range(horizon - p + 1, horizon + 1))
+                window = space.union(net.values(horizon)[horizon - p + 1:])
+                for y, uy in enumerate(neighborhoods):
+                    found = bool(window & uy)
                     if bool(ls >> y & 1) != found:
                         report.violation(
                             f"{describe_net(net)} y={y}",

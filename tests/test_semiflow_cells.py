@@ -4,7 +4,9 @@ from itertools import product
 
 import pytest
 
-from limitset_lab.errors import MalformedInputError, PreconditionError
+from limitset_lab.errors import (MalformedInputError, PreconditionError,
+                                 UndefinedCaseError)
+from limitset_lab import semiflow_cells
 from limitset_lab.pseudometric_core import RationalPointSpace
 from limitset_lab.rationals import INFINITY
 from limitset_lab.semiflow_cells import (CellGrid, DiscreteSemiflow,
@@ -186,6 +188,20 @@ class TestCellImage:
             for i in range(grid.total):
                 assert (cell_image(grid, flow, 1 << i, samples=k)
                         == reference_hits(grid, flow, i, k)), (flow.kind, i)
+
+    @pytest.mark.parametrize("samples", [0, -1, 65, 10**9])
+    def test_samples_out_of_range_rejected_before_sampling(self, samples,
+                                                           monkeypatch):
+        built = []
+        monkeypatch.setattr(semiflow_cells, "_sampler",
+                            lambda *args: built.append(args))
+        g = CellGrid(1, 8)
+        flow = DiscreteSemiflow("logistic", (2,))
+        with pytest.raises(PreconditionError, match="samples"):
+            cell_image(g, flow, 0b1111, samples=samples)
+        with pytest.raises(PreconditionError, match="samples"):
+            omega_limit_cells(g, flow, 0b1111, samples=samples)
+        assert not built
 
     def test_parameter_validation(self):
         with pytest.raises(MalformedInputError):
@@ -390,12 +406,20 @@ class TestCellsetSemidistance:
         assert cellset_semidistance(g, 0, 0b1) == 0
         assert cellset_semidistance(g, 0b1, 0) == INFINITY
 
+    @pytest.mark.parametrize("grid", [CellGrid(1, 8), CellGrid(2, 4)])
+    def test_empty_to_empty_is_undefined(self, grid):
+        with pytest.raises(UndefinedCaseError,
+                           match=r"^d\(emptyset; emptyset\) is not defined$"):
+            cellset_semidistance(grid, 0, 0)
+
     def test_matches_pairwise_centers(self):
         rng = random.Random(22)
         for grid in GRIDS:
             for _ in range(40):
                 a, b = random_cells(rng, grid), random_cells(rng, grid)
-                for x, y in ((a, b), (b, a), (0, b), (a, 0), (0, 0)):
+                for x, y in ((a, b), (b, a), (0, b), (a, 0)):
+                    if not x and not y:
+                        continue  # undefined; see the test above
                     assert (cellset_semidistance(grid, x, y)
                             == pairwise_semidistance(grid, x, y)), (grid.dim, x, y)
 

@@ -33,7 +33,7 @@ from limitset_lab.subset_nets import (LOST, AffineEscape,
                                       sequential_limit_set,
                                       _check_geometric_avoids_excluded)
 from limitset_lab.theoremlab import (GEOMETRIC_RATIOS, RULE_FAMILIES,
-                                     iter_directed_posets,
+                                     describe_net, iter_directed_posets,
                                      iter_periodic_nets, random_point,
                                      random_rule_net, random_space)
 
@@ -652,6 +652,81 @@ class TestSharedState:
     def test_is_znn_is_fixed_at_construction(self):
         assert alternating_net().is_znn
         assert not SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2]).is_znn
+
+
+def small_periodic_nets():
+    """Every periodic net, cycle <= 2 and preperiod <= 2, on 1 or 2 points."""
+    return [net for n in (1, 2) for space in enumerate_spaces(n)
+            for net in iter_periodic_nets(space)]
+
+
+def net_profile(net):
+    """Everything a caller can read off a finite-space Z+ net."""
+    ground = net.ground
+    sets = range(1 << ground.n)
+    profile = [net.preperiod, net.tail, net.summary, net.values(12),
+               describe_net(net), limit_set(net), sequential_limit_set(net),
+               analyze(net), is_eventually_lagrange_stable(net),
+               is_asymptotically_seq_compact(net),
+               is_weakly_asymptotically_seq_compact(net),
+               is_limit_set_compact(net), net.is_singleton_valued(),
+               [converges_from_above(net, a) for a in sets],
+               [converges_from_below(net, a) for a in sets]]
+    if net.is_singleton_valued():
+        profile += [cluster_set(net),
+                    [eventually_in(net, u) for u in sets],
+                    [frequently_in(net, u) for u in sets]]
+    return profile
+
+
+class TestDerivedNets:
+    def test_values_agree_with_at(self):
+        rng = random.Random("values-vs-at")
+        nets = [random_rule_net(rng, family, nonempty=i % 2 == 1)
+                for i in range(60) for family in RULE_FAMILIES]
+        assert len(nets) == 240
+        for net in nets + small_periodic_nets():
+            k = len(net.preperiod)
+            for upto in {-1, 0, k - 1, k, 12}:
+                assert net.values(upto) == [net.at(n)
+                                            for n in range(upto + 1)]
+
+    def test_derived_nets_match_fresh_construction(self):
+        for net in small_periodic_nets():
+            fresh = SubsetNet.over_znn(net.ground, net.preperiod, net.tail)
+            assert net_profile(net) == net_profile(fresh)
+
+    def test_shorter_preperiods_are_rebuilt(self):
+        for n in (1, 2):
+            for space in enumerate_spaces(n):
+                full = space.full_mask
+                for base in iter_periodic_nets(space, max_pre=0):
+                    long = base.with_preperiod((full, full))
+                    assert long.summary is base.summary
+                    for derived in iter_periodic_nets(space, max_cycle=1):
+                        pre = derived.preperiod
+                        got = long.with_preperiod(pre)
+                        fresh = SubsetNet.over_znn(space, pre, base.tail)
+                        assert net_profile(got) == net_profile(fresh)
+
+    def test_shorter_preperiod_reruns_the_exclusion_proof(self):
+        # X_0 of each tail is the excluded point 1; one preperiod entry
+        # hides it, dropping that entry exposes it
+        space = RationalPointSpace(1, [pt(1)])
+        for tail in (GeometricConverge(pt(0), pt(1), F(1, 2)),
+                     AffineEscape(pt(1), pt(1))):
+            net = SubsetNet.over_znn(space, [frozenset({pt(2)})], tail)
+            longer = net.with_preperiod([frozenset(), frozenset()])
+            assert longer.summary is net.summary
+            assert longer.at(2) == net.at(2)
+            with pytest.raises(MalformedInputError, match=r"at n=0$"):
+                net.with_preperiod(())
+
+    def test_out_of_range_preperiod_mask_rejected(self):
+        with pytest.raises(PreconditionError):
+            alternating_net().with_preperiod([0b01, 0b100])
+        with pytest.raises(PreconditionError):
+            SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2]).with_preperiod(())
 
 
 # -- ground set operations, against the per-ground helpers they replaced ------

@@ -1,11 +1,16 @@
+import random
+from itertools import product
+
 import pytest
 
 from limitset_lab import theoremlab
 from limitset_lab.errors import LimitsetError
+from limitset_lab.finite_topology import enumerate_spaces
+from limitset_lab.subset_nets import Periodic, SubsetNet
 from limitset_lab.theoremlab import (EXHIBIT_CAP, SUITES, describe_net,
-                                     random_rule_net, report_to_dict,
-                                     rule_net_stream, run_all, run_suite)
-import random
+                                     iter_periodic_nets, random_rule_net,
+                                     report_to_dict, rule_net_stream,
+                                     run_all, run_suite)
 
 
 class TestSuiteMachinery:
@@ -78,7 +83,28 @@ class TestSuiteMachinery:
             assert report.passed, (budget, report.violations)
 
 
+def per_net_periodic_nets(space, nonempty=False):
+    """Every periodic net with cycle <= 2 and preperiod <= 2, each built by
+    its own ``over_znn`` call, in cycle-major order."""
+    masks = range(1 if nonempty else 0, 1 << space.n)
+    for cyc_len in (1, 2):
+        for cycle in product(masks, repeat=cyc_len):
+            for pre_len in (0, 1, 2):
+                for pre in product(masks, repeat=pre_len):
+                    yield SubsetNet.over_znn(space, pre, Periodic(cycle))
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("nonempty", [False, True])
+    def test_periodic_nets_keep_the_per_net_order(self, nonempty):
+        for n in (1, 2, 3):
+            for space in enumerate_spaces(n):
+                got = map(describe_net, iter_periodic_nets(space,
+                                                           nonempty=nonempty))
+                want = map(describe_net, per_net_periodic_nets(space,
+                                                               nonempty))
+                assert list(got) == list(want)
+
     def test_stream_is_deterministic(self):
         rng1, rng2 = random.Random("x"), random.Random("x")
         nets1 = [describe_net(n) for n in rule_net_stream(rng1, 20)]
