@@ -5,10 +5,12 @@ explicit assignment of a point set to every index element) or by Z+ (with
 a finite preperiod followed by a symbolic tail rule: ``Periodic``,
 ``AffineEscape`` or ``GeometricConverge``).
 
-Each tail rule evaluates its own values (``value(n, pre_len)``) and
+Each tail rule evaluates its own values (``value(n, pre_len)``),
 unrolls its own stretch of them (``values(pre_len, upto)``; a periodic
-tail repeats and slices its cycle), so ``SubsetNet.at`` and
-``SubsetNet.values`` never dispatch on the rule type.  Construction
+tail repeats and slices its cycle) and says whether every value is one
+point (``is_singleton_valued(ground)``), so ``SubsetNet.at``,
+``SubsetNet.values`` and ``SubsetNet.is_singleton_valued`` never
+dispatch on the rule type.  Construction
 validates the net, proving with exact closed forms that an affine or
 geometric tail never hits an excluded point, and reduces its tail, once,
 to a ``TailSummary`` of one of three shapes:
@@ -88,6 +90,9 @@ class Periodic:
         cycle = self.cycle
         return list((cycle * -(-count // len(cycle)))[:count])
 
+    def is_singleton_valued(self, ground) -> bool:
+        return all(ground.size(p) == 1 for p in self.cycle)
+
 
 class _Pointwise:
     """Unrolls a tail rule one ``value`` at a time."""
@@ -109,6 +114,9 @@ class AffineEscape(_Pointwise):
 
     def value(self, n: int, pre_len: int) -> FrozenSet[Point]:
         return frozenset([self.point(n)])
+
+    def is_singleton_valued(self, ground) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -141,6 +149,10 @@ class GeometricConverge(_Pointwise):
 
     def value(self, n: int, pre_len: int) -> FrozenSet[Point]:
         return self.points(n)
+
+    def is_singleton_valued(self, ground) -> bool:
+        """Every value is one point iff all branches share one target."""
+        return len(set(self.targets)) == 1
 
 
 TailRule = Union[Periodic, AffineEscape, GeometricConverge]
@@ -231,10 +243,16 @@ class SubsetNet:
 
     # evaluation ----------------------------------------------------------------
 
-    def at(self, s) -> SetValue:
+    def at(self, s: int) -> SetValue:
+        """X_s: s >= 0 on a Z+ net, an index element on a finite one."""
         if self.is_znn:
+            if s < 0:
+                raise PreconditionError(f"Z+ index {s} is negative")
             pre = self.preperiod
             return pre[s] if s < len(pre) else self.tail.value(s, len(pre))
+        if s not in self.index.elements():
+            raise PreconditionError(
+                f"index {s} is not an element of the finite index")
         return self.assignment[s]
 
     def values(self, upto: int) -> List[SetValue]:
@@ -247,13 +265,8 @@ class SubsetNet:
     def is_singleton_valued(self) -> bool:
         size = self.ground.size
         if self.is_znn:
-            if any(size(s) != 1 for s in self.preperiod):
-                return False
-            if isinstance(self.tail, Periodic):
-                return all(size(p) == 1 for p in self.tail.cycle)
-            if isinstance(self.tail, GeometricConverge):
-                return len(set(self.tail.targets)) == 1
-            return True  # affine tails are singletons
+            return (all(size(s) == 1 for s in self.preperiod)
+                    and self.tail.is_singleton_valued(self.ground))
         return all(size(s) == 1 for s in self.assignment)
 
     def __repr__(self):

@@ -6,6 +6,15 @@ symbolic answers with an independent route, and reports violations.
 Conclusions the theory proves only under hypotheses may legitimately
 break without them; such cases are collected as *exhibits*, never as
 violations.  Reports are deterministic functions of (budget, seed).
+
+The exhaustive suites sweep periodic nets cycle by cycle
+(``iter_periodic_cycles``): every preperiod variant of a cycle is derived
+from one base net with an empty preperiod and shares its tail summary.
+``limit_set``, ``converges_from_above`` and ``is_limit_set_compact`` read
+only the summary and the ground, so each is asked once per (space, cycle)
+on the base net; the per-preperiod loop only counts the instance, labels
+what it reports and, in ``limit_set_characterization``, runs the oracle,
+which reads each net's own unrolled values and so stays per instance.
 """
 
 from __future__ import annotations
@@ -213,20 +222,40 @@ def describe_net(net: SubsetNet) -> str:
 
 # -- exhaustive families ---------------------------------------------------------
 
-def iter_periodic_nets(space: FiniteSpace, max_cycle: int = 2,
-                       max_pre: int = 2,
-                       nonempty: bool = False) -> Iterator[SubsetNet]:
-    """Every periodic net over ``space`` with cycle <= max_cycle and
-    preperiod <= max_pre, cycle-major; each cycle is reduced once, on a
-    base net that every preperiod variant is derived from."""
+def iter_periodic_cycles(space: FiniteSpace, max_cycle: int = 2,
+                         max_pre: int = 2, nonempty: bool = False
+                         ) -> Iterator[Tuple[SubsetNet, list]]:
+    """Every periodic cycle over ``space`` with length <= max_cycle, as
+    ``(base, pres)``: ``base`` is the cycle's net with an empty preperiod,
+    reduced once, and ``pres`` lists every preperiod of length <= max_pre
+    (built once per space, shared by every cycle), shortest first.
+
+    ``base.with_preperiod(pre)`` is the net for one preperiod.  Every
+    preperiod is at least as long as the base's empty one, so each derived
+    net shares the base's ``summary``; an answer that reads only
+    ``net.summary`` and ``net.ground`` (``limit_set``,
+    ``converges_from_above``, ``is_limit_set_compact``) is therefore the
+    same for the base and every derived net, and a suite may ask it once
+    per cycle.
+    """
     masks = range(1 if nonempty else 0, 1 << space.n)
     pres = [pre for pre_len in range(max_pre + 1)
             for pre in product(masks, repeat=pre_len)]
     for cyc_len in range(1, max_cycle + 1):
         for cycle in product(masks, repeat=cyc_len):
-            base = SubsetNet.over_znn(space, (), Periodic(cycle))
-            for pre in pres:
-                yield base.with_preperiod(pre)
+            yield SubsetNet.over_znn(space, (), Periodic(cycle)), pres
+
+
+def iter_periodic_nets(space: FiniteSpace, max_cycle: int = 2,
+                       max_pre: int = 2,
+                       nonempty: bool = False) -> Iterator[SubsetNet]:
+    """Every periodic net over ``space`` with cycle <= max_cycle and
+    preperiod <= max_pre, cycle-major: ``iter_periodic_cycles`` flattened,
+    each net derived from its cycle's base net."""
+    for base, pres in iter_periodic_cycles(space, max_cycle, max_pre,
+                                           nonempty):
+        for pre in pres:
+            yield base.with_preperiod(pre)
 
 
 def iter_directed_posets(max_n: int) -> Iterator[FiniteOrder]:
@@ -255,13 +284,16 @@ def suite_limit_set_characterization(budget: int = 1000,
     """Membership in the limit set versus the convergent-subsequence search.
 
     Exhaustive over all topologies on up to 3 points and all periodic nets
-    with cycle <= 2 and preperiod <= 2.  The oracle reads only unrolled
-    values, never the tail summary: it unrolls the net to horizon 12 and
-    takes the union of the final full cycle window, X_m for the last p
-    indices m <= 12 (p the cycle length).  For each point y the net meets
-    the minimal neighborhood U_y cofinally iff that window meets U_y; a
-    hit certifies a monotone final subsequence with selections converging
-    to y.
+    with cycle <= 2 and preperiod <= 2.  ``limit_set`` reads only the
+    summary that every preperiod variant shares with its cycle's base net
+    (see ``iter_periodic_cycles``), so it is asked once per cycle.  The
+    oracle stays per instance and reads only unrolled values, never the
+    summary: it builds each net, unrolls it to horizon 12 and takes the
+    union of the final full cycle window, X_m for the last p indices
+    m <= 12 (p the cycle length).  For each point y the net meets the
+    minimal neighborhood U_y cofinally iff that window meets U_y; a hit
+    certifies a monotone final subsequence with selections converging to
+    y.
     """
     report = SuiteReport("limit_set_characterization", seed, budget)
     start = time.perf_counter()
@@ -269,18 +301,22 @@ def suite_limit_set_characterization(budget: int = 1000,
     for n in (1, 2, 3):
         for space in enumerate_spaces(n):
             neighborhoods = [space.minimal_open(y) for y in range(n)]
-            for net in iter_periodic_nets(space):
-                report.instances += 1
-                ls = limit_set(net)
-                p = len(net.tail.cycle)
-                window = space.union(net.values(horizon)[horizon - p + 1:])
-                for y, uy in enumerate(neighborhoods):
-                    found = bool(window & uy)
-                    if bool(ls >> y & 1) != found:
-                        report.violation(
-                            f"{describe_net(net)} y={y}",
-                            f"membership {found} from subsequence search",
-                            f"limit_set gives {bool(ls >> y & 1)}")
+            for base, pres in iter_periodic_cycles(space):
+                ls = limit_set(base)
+                p = len(base.tail.cycle)
+                for pre in pres:
+                    net = base.with_preperiod(pre)
+                    report.instances += 1
+                    window = space.union(
+                        net.values(horizon)[horizon - p + 1:])
+                    for y, uy in enumerate(neighborhoods):
+                        found = bool(window & uy)
+                        if bool(ls >> y & 1) != found:
+                            report.violation(
+                                f"{describe_net(net)} y={y}",
+                                f"membership {found} from subsequence "
+                                "search",
+                                f"limit_set gives {bool(ls >> y & 1)}")
     report.elapsed_seconds = time.perf_counter() - start
     return report.finalize()
 
@@ -314,6 +350,12 @@ def suite_separation_containments(budget: int = 1000,
     spaces, inside its closure.  On the remaining spaces the regular
     conclusion may fail; such witnesses are reported as exhibits, which
     demonstrate the hypothesis is necessary and never count as failures.
+
+    ``limit_set`` and ``converges_from_above`` read only the summary that
+    every preperiod variant shares with its cycle's base net (see
+    ``iter_periodic_cycles``), so the findings are worked out once per
+    cycle and target and then reported once per preperiod, in per-net
+    order; a derived net is built only to label a finding that is kept.
     """
     report = SuiteReport("separation_containments", seed, budget)
     start = time.perf_counter()
@@ -321,27 +363,30 @@ def suite_separation_containments(budget: int = 1000,
         for space in enumerate_spaces(n):
             hausdorff = is_hausdorff(space)
             regular = is_regular(space)
-            for net in iter_periodic_nets(space):
-                report.instances += 1
-                ls = limit_set(net)
-                for a in range(1 << n):
-                    if not ls & ~a or not converges_from_above(net, a):
-                        continue  # L inside A is inside cls(A) as well
+            for base, pres in iter_periodic_cycles(space):
+                ls = limit_set(base)
+                # targets attracting the net although L is not inside them
+                attracting = [a for a in range(1 << n)
+                              if ls & ~a and converges_from_above(base, a)]
+                escapes = [(a, cls_a) for a in attracting
+                           if ls & ~(cls_a := closure(space, a))]
+                for pre in pres:
+                    report.instances += 1
+                    label = lambda: describe_net(base.with_preperiod(pre))
                     if hausdorff:
-                        report.violation(
-                            f"{describe_net(net)} K={a:b}",
-                            "L inside K on a Hausdorff space",
-                            f"L={ls:b}")
-                    cls_a = closure(space, a)
-                    if ls & ~cls_a:
+                        for a in attracting:
+                            report.violation(
+                                f"{label()} K={a:b}",
+                                "L inside K on a Hausdorff space", f"L={ls:b}")
+                    for a, cls_a in escapes:
                         if regular:
                             report.violation(
-                                f"{describe_net(net)} A={a:b}",
+                                f"{label()} A={a:b}",
                                 "L inside cls(A) on a regular space",
                                 f"L={ls:b}")
                         else:
                             report.exhibit(lambda: (
-                                f"{describe_net(net)} A={a:b}",
+                                f"{label()} A={a:b}",
                                 f"L={ls:b} escapes cls(A)={cls_a:b} "
                                 "without regularity"))
     report.elapsed_seconds = time.perf_counter() - start
@@ -360,17 +405,24 @@ def suite_compactness_equivalences(budget: int = 1000,
     asymptotically sequentially compact and limit set compact; weak
     asymptotic sequential compactness must force convergence from above
     to the limit set.
+
+    ``is_limit_set_compact`` reads only the summary that every periodic
+    net shares with its cycle's base net (see ``iter_periodic_cycles``),
+    so the periodic block asks it once per cycle and reports a failure
+    against every derived net's own label.
     """
     report = SuiteReport("compactness_equivalences", seed, budget)
     start = time.perf_counter()
     for n in (1, 2, 3):
         for space in enumerate_spaces(n):
-            for net in iter_periodic_nets(space, nonempty=True):
-                report.instances += 1
-                if not is_limit_set_compact(net):
-                    report.violation(describe_net(net),
-                                     "limit set compact on a compact space",
-                                     "verdict fails")
+            for base, pres in iter_periodic_cycles(space, nonempty=True):
+                report.instances += len(pres)
+                if not is_limit_set_compact(base):
+                    for pre in pres:
+                        report.violation(
+                            describe_net(base.with_preperiod(pre)),
+                            "limit set compact on a compact space",
+                            "verdict fails")
     for order in iter_directed_posets(3):
         for n in (1, 2):
             for space in enumerate_spaces(n):
@@ -453,6 +505,11 @@ def suite_sequential_limits(budget: int = 1000, seed: int = 42) -> SuiteReport:
     nets attracted by a nonempty compact set have cluster points; and on
     Hausdorff-or-regular finite spaces, being attracted by some nonempty
     compact set is equivalent to limit set compactness.
+
+    On the finite spaces both sides read only the summary that every
+    periodic net shares with its cycle's base net (see
+    ``iter_periodic_cycles``), so they are asked once per cycle and a
+    disagreement is reported against every derived net's own label.
     """
     report = SuiteReport("sequential_limits", seed, budget)
     start = time.perf_counter()
@@ -488,17 +545,19 @@ def suite_sequential_limits(budget: int = 1000, seed: int = 42) -> SuiteReport:
         for space in enumerate_spaces(n):
             if not (is_hausdorff(space) or is_regular(space)):
                 continue
-            for net in iter_periodic_nets(space, nonempty=True):
-                report.instances += 1
+            for base, pres in iter_periodic_cycles(space, nonempty=True):
+                report.instances += len(pres)
                 attracted = any(
-                    converges_from_above(net, k) for k in range(1, 1 << n))
-                lsc = is_limit_set_compact(net)
+                    converges_from_above(base, k) for k in range(1, 1 << n))
+                lsc = is_limit_set_compact(base)
                 if attracted != lsc:
-                    report.violation(
-                        describe_net(net),
-                        "attraction by a nonempty compact set iff "
-                        "limit set compact",
-                        f"attracted={attracted}, limit_set_compact={lsc}")
+                    for pre in pres:
+                        report.violation(
+                            describe_net(base.with_preperiod(pre)),
+                            "attraction by a nonempty compact set iff "
+                            "limit set compact",
+                            f"attracted={attracted}, "
+                            f"limit_set_compact={lsc}")
     report.elapsed_seconds = time.perf_counter() - start
     return report.finalize()
 

@@ -34,6 +34,7 @@ from limitset_lab.subset_nets import (LOST, AffineEscape,
                                       _check_geometric_avoids_excluded)
 from limitset_lab.theoremlab import (GEOMETRIC_RATIOS, RULE_FAMILIES,
                                      describe_net, iter_directed_posets,
+                                     iter_periodic_cycles,
                                      iter_periodic_nets, random_point,
                                      random_rule_net, random_space)
 
@@ -679,7 +680,42 @@ def net_profile(net):
     return profile
 
 
+def summary_answers(net, targets):
+    """Every answer read off the net's summary and ground alone."""
+    return [limit_set(net), sequential_limit_set(net),
+            [converges_from_above(net, a) for a in targets],
+            [converges_from_below(net, a) for a in targets],
+            is_limit_set_compact(net), is_eventually_lagrange_stable(net),
+            is_asymptotically_seq_compact(net),
+            is_weakly_asymptotically_seq_compact(net), analyze(net)]
+
+
 class TestDerivedNets:
+    def test_summary_answers_match_the_base_net(self):
+        # verify asks these once per cycle, on the base net with an empty
+        # preperiod, and reuses them for every preperiod
+        for n in (1, 2):
+            for space in enumerate_spaces(n):
+                targets = range(1 << n)
+                for base, pres in iter_periodic_cycles(space):
+                    assert base.preperiod == ()
+                    want = summary_answers(base, targets)
+                    for pre in pres:
+                        derived = base.with_preperiod(pre)
+                        assert summary_answers(derived, targets) == want
+        rng = random.Random("preperiod-invariance")
+        nets = [random_rule_net(rng, family, nonempty=i % 2 == 1)
+                for i in range(60) for family in RULE_FAMILIES]
+        assert len(nets) == 240
+        for base in nets:
+            targets = [limit_set(base), frozenset(), *base.values(2)]
+            want = summary_answers(base, targets)
+            for filler in (frozenset(), base.at(0)):
+                for extra in (1, 2):
+                    derived = base.with_preperiod(
+                        base.preperiod + (filler,) * extra)
+                    assert summary_answers(derived, targets) == want
+
     def test_values_agree_with_at(self):
         rng = random.Random("values-vs-at")
         nets = [random_rule_net(rng, family, nonempty=i % 2 == 1)
@@ -903,6 +939,19 @@ class TestValuesAndVerdictFlags:
             for upto in sorted({-3, -1, 0, k - 1, k, k + 1, k + 4}):
                 assert net.values(upto) == [net.at(n)
                                             for n in range(upto + 1)]
+
+    def test_at_rejects_indices_outside_the_index(self):
+        for pre in ((), (0b11,), (0b01, 0b10)):
+            net = SubsetNet.over_znn(D2, pre, Periodic((0b01, 0b10)))
+            for s in (-1, -2, -5):
+                with pytest.raises(PreconditionError, match="negative"):
+                    net.at(s)
+            assert net.at(len(pre)) == 0b01
+        net = SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2])
+        assert [net.at(s) for s in range(3)] == [0, 1, 2]
+        for s in (-1, -3, 3, 4):
+            with pytest.raises(PreconditionError, match="finite index"):
+                net.at(s)
 
     def test_values_needs_a_znn_net(self):
         net = SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2])

@@ -5,8 +5,9 @@ import pytest
 
 from limitset_lab import theoremlab
 from limitset_lab.errors import LimitsetError
-from limitset_lab.finite_topology import enumerate_spaces
-from limitset_lab.subset_nets import Periodic, SubsetNet
+from limitset_lab.finite_topology import discrete_space, enumerate_spaces
+from limitset_lab.subset_nets import (Periodic, SubsetNet,
+                                      is_eventually_lagrange_stable)
 from limitset_lab.theoremlab import (EXHIBIT_CAP, SUITES, describe_net,
                                      iter_periodic_nets, random_rule_net,
                                      report_to_dict, rule_net_stream,
@@ -68,6 +69,84 @@ class TestSuiteMachinery:
         assert report.exhibit_count == 190_680
         assert len(report.exhibits) == EXHIBIT_CAP
         assert len(calls) <= EXHIBIT_CAP
+
+    def test_converges_from_above_asked_once_per_base_and_target(
+            self, monkeypatch):
+        calls = []
+        real = theoremlab.converges_from_above
+
+        def counting(net, a):
+            calls.append((net.ground.rows, net.tail.cycle, net.preperiod, a))
+            return real(net, a)
+
+        monkeypatch.setattr(theoremlab, "converges_from_above", counting)
+        report = theoremlab.suite_separation_containments(1000, 42)
+        assert report.passed and report.exhibit_count == 190_680
+        assert all(pre == () for _, _, pre, _ in calls)  # base nets only
+        assert len(set(calls)) == len(calls)
+        targets = sum(len(list(theoremlab.iter_periodic_cycles(space))) << n
+                      for n in (1, 2, 3) for space in enumerate_spaces(n))
+        assert len(calls) <= targets
+
+    def test_is_limit_set_compact_asked_once_per_cycle(self, monkeypatch):
+        budget, seed = 40, 42
+        calls = {"periodic": [], "finite": 0, "rational": 0}
+        real = theoremlab.is_limit_set_compact
+
+        def counting(net):
+            if net.ground.rational:
+                calls["rational"] += 1
+            elif net.is_znn:
+                calls["periodic"].append(
+                    (net.ground.rows, net.tail.cycle, net.preperiod))
+            else:
+                calls["finite"] += 1
+            return real(net)
+
+        monkeypatch.setattr(theoremlab, "is_limit_set_compact", counting)
+        report = theoremlab.suite_compactness_equivalences(budget, seed)
+        assert report.passed
+        cycles = [(space.rows, base.tail.cycle, ())
+                  for n in (1, 2, 3) for space in enumerate_spaces(n)
+                  for base, _ in theoremlab.iter_periodic_cycles(
+                      space, nonempty=True)]
+        assert calls["periodic"] == cycles
+        assert calls["finite"] == sum(
+            1 for order in theoremlab.iter_directed_posets(3)
+            for n in (1, 2) for space in enumerate_spaces(n)
+            for _ in theoremlab.iter_finite_assignments(space, order,
+                                                        nonempty=True))
+        # the rational block asks only eventually Lagrange stable nets
+        rng = random.Random(f"{seed}:compactness_equivalences")
+        assert calls["rational"] == sum(
+            map(is_eventually_lagrange_stable,
+                rule_net_stream(rng, budget, nonempty=True)))
+
+    @pytest.mark.parametrize("suite", ["compactness_equivalences",
+                                       "sequential_limits"])
+    def test_a_failing_cycle_is_reported_per_derived_net(self, suite,
+                                                         monkeypatch):
+        # D2 is Hausdorff, so sequential_limits sweeps it too
+        rows = discrete_space(2).rows
+        real = theoremlab.is_limit_set_compact
+        asked = []
+
+        def failing_on_d2(net):
+            if (not net.ground.rational and net.is_znn
+                    and net.ground.rows == rows):
+                asked.append(net)
+                return False
+            return real(net)
+
+        monkeypatch.setattr(theoremlab, "is_limit_set_compact", failing_on_d2)
+        report = run_suite(suite, budget=8, seed=42)
+        labels = [v["instance"] for v in report.violations]
+        want = [describe_net(net) for net in iter_periodic_nets(
+            discrete_space(2), nonempty=True)]
+        assert len(set(want)) == len(want) == (3 + 9) * (1 + 3 + 9)
+        assert labels == sorted(want)
+        # one failing answer per cycle fans out to all 13 preperiods
+        assert len(asked) == 3 + 9
 
     def test_trap_quota_tracked(self):
         report = run_suite("pseudometrizable_equivalence", budget=40, seed=42)
