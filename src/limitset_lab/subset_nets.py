@@ -5,15 +5,12 @@ explicit assignment of a point set to every index element) or by Z+ (with
 a finite preperiod followed by a symbolic tail rule: ``Periodic``,
 ``AffineEscape`` or ``GeometricConverge``).
 
-Each tail rule evaluates its own values (``value(n, pre_len)``),
-unrolls its own stretch of them (``values(pre_len, upto)``; a periodic
-tail repeats and slices its cycle) and says whether every value is one
-point (``is_singleton_valued(ground)``), so ``SubsetNet.at``,
-``SubsetNet.values`` and ``SubsetNet.is_singleton_valued`` never
-dispatch on the rule type.  Construction
-validates the net, proving with exact closed forms that an affine or
-geometric tail never hits an excluded point, and reduces its tail, once,
-to a ``TailSummary`` of one of three shapes:
+Each tail rule is a ``TailRule``: it evaluates and unrolls its values (a
+periodic tail slices its cycle), says whether each is one point, labels
+itself for reports and, in ``reduce``, validates itself against the ground,
+proving with exact closed forms that an affine or geometric tail never hits
+an excluded point.  ``SubsetNet.over_znn`` asks no rule its type: it
+reduces the tail, once, to a ``TailSummary`` of one of three shapes:
 
 * **recurring** -- the tail returns forever to a fixed tuple of *phases*:
   the cycle of a periodic tail, the values at and above the top element of
@@ -69,8 +66,16 @@ SetValue = Union[int, FrozenSet[Point]]
 
 # -- tail rules ---------------------------------------------------------------
 
+class TailRule:
+    """A symbolic Z+ tail; by default it unrolls one ``value`` at a time."""
+
+    def values(self, pre_len: int, upto: int) -> list:
+        """X_pre_len ... X_upto: the tail's values up to index ``upto``."""
+        return [self.value(n, pre_len) for n in range(pre_len, upto + 1)]
+
+
 @dataclass(frozen=True)
-class Periodic:
+class Periodic(TailRule):
     """Tail cycling through a fixed nonempty list of point sets."""
 
     cycle: tuple
@@ -93,17 +98,25 @@ class Periodic:
     def is_singleton_valued(self, ground) -> bool:
         return all(ground.size(p) == 1 for p in self.cycle)
 
+    def reduce(self, ground, pre_len: int) -> Tuple[Periodic, TailSummary]:
+        """The cycle recurs; a rule whose sets are normalized is kept."""
+        cycle = tuple(map(ground.normalize, self.cycle))
+        rule = (self if all(map(operator.is_, cycle, self.cycle))
+                else Periodic(cycle))
+        return rule, TailSummary(cycle, ground.union(cycle), True)
 
-class _Pointwise:
-    """Unrolls a tail rule one ``value`` at a time."""
+    def label(self, ground) -> str:
+        return f"periodic{ground.show_sets(self.cycle)}"
 
-    def values(self, pre_len: int, upto: int) -> list:
-        """X_pre_len ... X_upto: the tail's values up to index ``upto``."""
-        return [self.value(n, pre_len) for n in range(pre_len, upto + 1)]
+
+def _need_rational(ground):
+    if not ground.rational:
+        raise UnsupportedRuleError(
+            "affine and geometric tails need the rational backend")
 
 
 @dataclass(frozen=True)
-class AffineEscape(_Pointwise):
+class AffineEscape(TailRule):
     """Singleton tail X_n = {c + n*v} with v nonzero, escaping every ball."""
 
     c: Point
@@ -118,16 +131,34 @@ class AffineEscape(_Pointwise):
     def is_singleton_valued(self, ground) -> bool:
         return True
 
+    def reduce(self, ground, pre_len: int) -> Tuple[AffineEscape, TailSummary]:
+        """An escape is lost: it leaves every bounded set."""
+        _need_rational(ground)
+        c, v = as_point(self.c), as_point(self.v)
+        if len(c) != ground.dim or len(v) != ground.dim:
+            raise MalformedInputError("tail rule of wrong dimension")
+        if all(vi == 0 for vi in v):
+            raise MalformedInputError("escape direction must be nonzero")
+        for e in ground.excluded:
+            n = _line_parameter(c, v, e)
+            if n is not None and n.denominator == 1 and n >= pre_len:
+                raise MalformedInputError(
+                    f"escape tail hits excluded point {e} at n={n}")
+        return AffineEscape(c, v), LOST
+
+    def label(self, ground) -> str:
+        return f"affine(c={self.c}, v={self.v})"
+
 
 @dataclass(frozen=True)
-class GeometricConverge(_Pointwise):
+class GeometricConverge(TailRule):
     """Tail X_n = {a + r^n (b - a) : b in targets} with 0 < |r| < 1.
 
-    ``b`` is one target point or a tuple of them; every branch contracts
-    toward the analytic limit point ``a``.  The limit point may be
-    excluded from the ground space, in which case the tail is Cauchy with
-    no limit in the space (the "trap" instances of the verification
-    suites).
+    ``b`` is one target point or a tuple of them (a reduced rule holds
+    the tuple); every branch contracts toward the analytic limit point
+    ``a``.  The limit point may be excluded from the ground space, in
+    which case the tail is Cauchy with no limit in the space (the "trap"
+    instances of the verification suites).
     """
 
     a: Point
@@ -136,7 +167,13 @@ class GeometricConverge(_Pointwise):
 
     @property
     def targets(self) -> tuple:
-        return self.b if self.b and isinstance(self.b[0], tuple) else (self.b,)
+        """``b`` as a tuple of target points, whether one point or several."""
+        seq = tuple(self.b)
+        if not seq:
+            raise MalformedInputError("geometric tail needs a target point")
+        if isinstance(seq[0], (tuple, list)):
+            return tuple(map(as_point, seq))
+        return (as_point(seq),)
 
     def point(self, n: int, b: Optional[Point] = None) -> Point:
         rn = self.r ** n
@@ -144,18 +181,33 @@ class GeometricConverge(_Pointwise):
             b = self.targets[0]
         return tuple(ai + rn * (bi - ai) for ai, bi in zip(self.a, b))
 
-    def points(self, n: int) -> FrozenSet[Point]:
-        return frozenset(self.point(n, b) for b in self.targets)
-
     def value(self, n: int, pre_len: int) -> FrozenSet[Point]:
-        return self.points(n)
+        return frozenset(self.point(n, b) for b in self.targets)
 
     def is_singleton_valued(self, ground) -> bool:
         """Every value is one point iff all branches share one target."""
         return len(set(self.targets)) == 1
 
+    def reduce(self, ground,
+               pre_len: int) -> Tuple[GeometricConverge, TailSummary]:
+        """The tail converges to ``a`` if the space holds it, else is lost."""
+        _need_rational(ground)
+        a, r = as_point(self.a), Fraction(self.r)
+        targets = self.targets
+        if len(a) != ground.dim or any(len(b) != ground.dim for b in targets):
+            raise MalformedInputError("tail rule of wrong dimension")
+        if not 0 < abs(r) < 1:
+            raise MalformedInputError("geometric ratio needs 0 < |r| < 1")
+        rule = GeometricConverge(a, targets, r)
+        for b in targets:
+            _check_geometric_avoids_excluded(ground, rule, b, pre_len)
+        if not ground.contains(a):
+            return rule, LOST  # Cauchy toward a point the space lacks
+        limit = frozenset([a])
+        return rule, TailSummary((limit,), limit, set(targets) == {a})
 
-TailRule = Union[Periodic, AffineEscape, GeometricConverge]
+    def label(self, ground) -> str:
+        return f"geometric(a={self.a}, b={self.b}, r={self.r})"
 
 
 class TailSummary(NamedTuple):
@@ -207,7 +259,9 @@ class SubsetNet:
     def over_znn(cls, ground: Ground, preperiod: Sequence,
                  tail: TailRule) -> "SubsetNet":
         pre = tuple(map(ground.normalize, preperiod))
-        tail, summary = _reduce_tail(ground, tail, len(pre))
+        if not isinstance(tail, TailRule):
+            raise UnsupportedRuleError(f"unknown tail rule: {tail!r}")
+        tail, summary = tail.reduce(ground, len(pre))
         return cls(ground, ZNN, summary, preperiod=pre, tail=tail)
 
     def with_preperiod(self, preperiod: Sequence) -> "SubsetNet":
@@ -245,6 +299,7 @@ class SubsetNet:
 
     def at(self, s: int) -> SetValue:
         """X_s: s >= 0 on a Z+ net, an index element on a finite one."""
+        _check_index(s)
         if self.is_znn:
             if s < 0:
                 raise PreconditionError(f"Z+ index {s} is negative")
@@ -259,6 +314,7 @@ class SubsetNet:
         """X_0 ... X_upto for Z+ nets."""
         if not self.is_znn:
             raise PreconditionError("values() needs a Z+ net")
+        _check_index(upto)
         pre = self.preperiod
         return [*pre[:max(upto + 1, 0)], *self.tail.values(len(pre), upto)]
 
@@ -276,54 +332,9 @@ class SubsetNet:
         return f"SubsetNet(finite index n={self.index.n})"
 
 
-def _reduce_tail(ground: Ground, tail: TailRule,
-                 pre_len: int) -> Tuple[TailRule, TailSummary]:
-    """Validate a tail rule against the ground and reduce it to its summary.
-
-    A periodic tail whose sets are already normalized is kept as it is.
-    """
-    if isinstance(tail, Periodic):
-        cycle = tuple(map(ground.normalize, tail.cycle))
-        if any(map(operator.is_not, cycle, tail.cycle)):
-            tail = Periodic(cycle)
-        return tail, TailSummary(cycle, ground.union(cycle), True)
-    if not ground.rational:
-        raise UnsupportedRuleError(
-            "affine and geometric tails need the rational backend")
-    if isinstance(tail, AffineEscape):
-        c, v = as_point(tail.c), as_point(tail.v)
-        if len(c) != ground.dim or len(v) != ground.dim:
-            raise MalformedInputError("tail rule of wrong dimension")
-        if all(vi == 0 for vi in v):
-            raise MalformedInputError("escape direction must be nonzero")
-        rule = AffineEscape(c, v)
-        _check_affine_avoids_excluded(ground, rule, pre_len)
-        return rule, LOST
-    if isinstance(tail, GeometricConverge):
-        a, r = as_point(tail.a), Fraction(tail.r)
-        targets = _normalize_targets(tail.b)
-        if len(a) != ground.dim or any(len(b) != ground.dim for b in targets):
-            raise MalformedInputError("tail rule of wrong dimension")
-        if not 0 < abs(r) < 1:
-            raise MalformedInputError("geometric ratio needs 0 < |r| < 1")
-        rule = GeometricConverge(a, targets, r)
-        for b in targets:
-            _check_geometric_avoids_excluded(ground, rule, b, pre_len)
-        if not ground.contains(a):
-            return rule, LOST  # Cauchy toward a point the space lacks
-        limit = frozenset([a])
-        return rule, TailSummary((limit,), limit, set(targets) == {a})
-    raise UnsupportedRuleError(f"unknown tail rule: {tail!r}")
-
-
-def _normalize_targets(b) -> tuple:
-    """One target point, or a tuple of them, normalized to a point tuple."""
-    seq = tuple(b)
-    if not seq:
-        raise MalformedInputError("geometric tail needs a target point")
-    if isinstance(seq[0], (tuple, list)):
-        return tuple(as_point(t) for t in seq)
-    return (as_point(seq),)
+def _check_index(s):
+    if type(s) is not int:  # a bool or a float is no index
+        raise PreconditionError(f"index {s!r} is not an int")
 
 
 def _line_parameter(c: Point, v: Point, e: Point) -> Optional[Fraction]:
@@ -336,15 +347,6 @@ def _line_parameter(c: Point, v: Point, e: Point) -> Optional[Fraction]:
         return None
     ratios = {(ei - ci) / vi for ci, vi, ei in zip(c, v, e) if vi}
     return ratios.pop() if len(ratios) == 1 else None
-
-
-def _check_affine_avoids_excluded(ground: RationalPointSpace,
-                                  rule: AffineEscape, n0: int):
-    for e in ground.excluded:
-        n = _line_parameter(rule.c, rule.v, e)
-        if n is not None and n.denominator == 1 and n >= n0:
-            raise MalformedInputError(
-                f"escape tail hits excluded point {e} at n={n}")
 
 
 def _check_geometric_avoids_excluded(ground: RationalPointSpace,
@@ -406,25 +408,29 @@ def limit_set_horizon_oracle(net: SubsetNet, h: int = 8,
     """The defining intersection, evaluated on truncated data.
 
     Exact for finite-index nets (no truncation happens) and for periodic
-    Z+ tails once ``h`` clears the preperiod and ``h2`` spans a full cycle
-    beyond ``h``.  Other Z+ tails raise ``PreconditionError``: the limit
-    point of a geometric tail never appears in any truncated union, and an
-    affine escape leaves every truncated union nonempty although its limit
-    set is empty (the Kuratowski horizon oracle covers geometric tails).
+    Z+ tails, where ``h`` must clear the preperiod and ``h2`` span a full
+    cycle beyond ``h``; a shorter window raises ``PreconditionError``.
+    Other Z+ tails raise it too: the limit point of a geometric tail never
+    appears in any truncated union, and an affine escape leaves every
+    truncated union nonempty although its limit set is empty (the
+    Kuratowski horizon oracle covers geometric tails).
     """
-    if net.is_znn and not isinstance(net.tail, Periodic):
-        raise PreconditionError(
-            "the horizon oracle answers periodic Z+ tails only")
     if not net.is_znn:
         out = None
         for s in net.index.elements():
             layer = net.ground.closure(_finite_tail_union(net, s))
             out = layer if out is None else out & layer
         return out
+    if not isinstance(net.tail, Periodic):
+        raise PreconditionError(
+            "the horizon oracle answers periodic Z+ tails only")
+    pre_len, p = len(net.preperiod), len(net.tail.cycle)
     if h2 is None:
-        h2 = h + 2 * (len(net.preperiod) + len(net.tail.cycle)) + 2
-    if h2 < h:
-        raise PreconditionError("tail depth h2 must be at least h")
+        h2 = h + 2 * (pre_len + p) + 2
+    if h < pre_len or h2 < h + p - 1:
+        raise PreconditionError(
+            f"window h={h}, h2={h2} must clear the preperiod ({pre_len}) "
+            f"and span a cycle ({p}) beyond h")
     sets = net.values(h2)
     out = None
     for s in range(h + 1):

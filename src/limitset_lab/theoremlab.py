@@ -208,14 +208,8 @@ def describe_net(net: SubsetNet) -> str:
     """A short canonical instance label for reports."""
     ground = net.ground
     if net.is_znn:
-        rule = net.tail
-        if isinstance(rule, Periodic):
-            tail = f"periodic{ground.show_sets(rule.cycle)}"
-        elif isinstance(rule, AffineEscape):
-            tail = f"affine(c={rule.c}, v={rule.v})"
-        else:
-            tail = f"geometric(a={rule.a}, b={rule.b}, r={rule.r})"
-        return f"{ground} pre={ground.show_sets(net.preperiod)} {tail}"
+        return (f"{ground} pre={ground.show_sets(net.preperiod)} "
+                f"{net.tail.label(ground)}")
     return (f"{ground} index={net.index.rows} "
             f"values={ground.show_sets(net.assignment)}")
 

@@ -1,0 +1,49 @@
+"""Structural checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import limitset_lab
+
+SRC = Path(limitset_lab.__file__).parent
+RULES = {"Periodic", "AffineEscape", "GeometricConverge"}
+# the wire format names each rule kind; the horizon oracle answers
+# periodic tails only
+ALLOWED = {("jsonio.py", None),
+           ("subset_nets.py", "limit_set_horizon_oracle")}
+
+
+def rule_type_tests(tree):
+    """(enclosing function, line) of each isinstance call naming a rule."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.args[1])
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if names & RULES:
+                found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_wire_format_asks_a_tail_rule_its_type():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for func, line in rule_type_tests(ast.parse(path.read_text())):
+            if not {(path.name, None), (path.name, func)} & ALLOWED:
+                offenders.append(f"{path.name}:{line} in {func}")
+    assert not offenders
+
+
+def test_the_scan_sees_rule_type_tests():
+    tree = ast.parse("def f(t):\n    return isinstance(t, (int, m.Periodic))\n"
+                     "isinstance(x, AffineEscape)\n")
+    assert rule_type_tests(tree) == [("f", 2), (None, 3)]

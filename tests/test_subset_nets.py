@@ -96,6 +96,46 @@ class TestConstruction:
         with pytest.raises(MalformedInputError):
             SubsetNet.over_znn(Q1, [], GeometricConverge(pt(0), pt(1), F(1)))
 
+    def test_unknown_tail_rule_is_unsupported(self):
+        for tail in (object(), (0b01,), None):
+            with pytest.raises(UnsupportedRuleError, match="unknown tail rule"):
+                SubsetNet.over_znn(Q1, [], tail)
+        with pytest.raises(UnsupportedRuleError, match="unknown tail rule"):
+            SubsetNet.over_znn(D2, [0b01], object())
+
+    def test_rule_errors_keep_their_order(self):
+        # the rational-backend guard, then dimension, step and ratio
+        # checks, then the exclusion proof
+        bad_geometric = GeometricConverge(pt(0, 0), pt(1), F(2))
+        with pytest.raises(UnsupportedRuleError):
+            SubsetNet.over_znn(D2, [], bad_geometric)
+        with pytest.raises(UnsupportedRuleError):
+            SubsetNet.over_znn(D2, [], AffineEscape(pt(0, 0), pt(0)))
+        with pytest.raises(MalformedInputError, match="wrong dimension"):
+            SubsetNet.over_znn(Q1, [], bad_geometric)
+        with pytest.raises(MalformedInputError, match="wrong dimension"):
+            SubsetNet.over_znn(Q1, [], AffineEscape(pt(0, 0), pt(0)))
+        space = RationalPointSpace(1, [pt(0), pt(1)])
+        with pytest.raises(MalformedInputError, match=r"0 < \|r\| < 1"):
+            SubsetNet.over_znn(space, [], GeometricConverge(pt(0), pt(1),
+                                                            F(2)))
+        with pytest.raises(MalformedInputError, match="nonzero"):
+            SubsetNet.over_znn(space, [], AffineEscape(pt(0), pt(0)))
+        with pytest.raises(MalformedInputError, match="target point"):
+            SubsetNet.over_znn(space, [], GeometricConverge(pt(0), (), F(2)))
+        with pytest.raises(MalformedInputError, match="excluded point"):
+            SubsetNet.over_znn(space, [], AffineEscape(pt(0), pt(1)))
+
+    def test_geometric_targets_are_one_point_or_several(self):
+        # reducing keeps b as the tuple of target points, made of Fractions
+        for b, want in (((1,), (pt(1),)),
+                        ([[1], (F(1, 2),)], (pt(1), pt(F(1, 2))))):
+            rule = GeometricConverge(pt(0), b, F(1, 2))
+            assert rule.targets == want
+            net = SubsetNet.over_znn(Q1, [], rule)
+            assert net.tail.b == want == net.tail.targets
+            assert all(type(c) is F for t in net.tail.b for c in t)
+
     def test_finite_index_must_be_directed(self):
         undirected = FiniteOrder.from_matrix([[True, False], [False, True]])
         with pytest.raises(PreconditionError):
@@ -184,6 +224,21 @@ class TestLimitSet:
             assert limit_set_horizon_oracle(constant, h=h) == 0b11
         with pytest.raises(PreconditionError):
             limit_set_horizon_oracle(alternating_net(), h=9, h2=3)
+
+    def test_horizon_oracle_refuses_an_inexact_window(self):
+        alternating = alternating_net()  # L = {0, 1}
+        with pytest.raises(PreconditionError):
+            limit_set_horizon_oracle(alternating, h=3, h2=3)
+        assert limit_set_horizon_oracle(alternating, h=3, h2=4) == 0b11
+        late = SubsetNet.over_znn(D2, [0b11] * 3, Periodic((0b01,)))
+        assert limit_set(late) == 0b01
+        for h in (-1, 0, 1, 2):
+            with pytest.raises(PreconditionError):
+                limit_set_horizon_oracle(late, h=h)
+        assert limit_set_horizon_oracle(late, h=3, h2=3) == 0b01
+        constant = SubsetNet.over_znn(SIERPINSKI, [], Periodic((0b10,)))
+        with pytest.raises(PreconditionError):
+            limit_set_horizon_oracle(constant, h=-1)
 
     def test_horizon_oracle_refuses_non_periodic_tails(self):
         # truncated unions of an escape are never empty ({8, ..., 12} for
@@ -952,6 +1007,20 @@ class TestValuesAndVerdictFlags:
         for s in (-1, -3, 3, 4):
             with pytest.raises(PreconditionError, match="finite index"):
                 net.at(s)
+
+    def test_indices_must_be_ints(self):
+        nets = [SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1))),
+                SubsetNet.over_znn(D2, [0b11], Periodic((0b01, 0b10))),
+                SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2])]
+        for net in nets:
+            for s in (1.5, 1.0, True, False, F(1), "1", None):
+                with pytest.raises(PreconditionError, match="not an int"):
+                    net.at(s)
+            if net.is_znn:
+                for upto in (2.5, 2.0, True, F(2), "2"):
+                    with pytest.raises(PreconditionError, match="not an int"):
+                        net.values(upto)
+                assert net.values(2) == [net.at(n) for n in range(3)]
 
     def test_values_needs_a_znn_net(self):
         net = SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2])

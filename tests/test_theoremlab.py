@@ -184,6 +184,54 @@ class TestGenerators:
                                                                nonempty))
                 assert list(got) == list(want)
 
+    def test_labels_are_pinned(self):
+        from fractions import Fraction as F
+
+        from limitset_lab.directed_sets import FiniteOrder
+        from limitset_lab.finite_topology import SIERPINSKI
+        from limitset_lab.pseudometric_core import RationalPointSpace
+        from limitset_lab.subset_nets import AffineEscape, GeometricConverge
+
+        def pt(*coords):
+            return tuple(F(c) for c in coords)
+
+        q1 = RationalPointSpace(1)
+        top = FiniteOrder.from_matrix([[True, False, True],
+                                       [False, True, True],
+                                       [False, False, True]])
+        cases = [
+            (SubsetNet.over_znn(SIERPINSKI, [0b01], Periodic((0b10, 0b11))),
+             "space(3, 2) pre=(1,) periodic(2, 3)"),
+            (SubsetNet.over_znn(q1, [[pt(3)]], Periodic(
+                (frozenset({pt(1), pt(F(1, 2))}), frozenset()))),
+             "Q^1-[] pre=(('(Fraction(3, 1),)',),) periodic(("
+             "'(Fraction(1, 1),)', '(Fraction(1, 2),)'), ())"),
+            (SubsetNet.over_znn(q1, [], AffineEscape((0,), (F(1, 2),))),
+             "Q^1-[] pre=() affine(c=(Fraction(0, 1),), "
+             "v=(Fraction(1, 2),))"),
+            (SubsetNet.over_znn(q1, [],
+                                GeometricConverge(pt(0), pt(1), F(1, 2))),
+             "Q^1-[] pre=() geometric(a=(Fraction(0, 1),), "
+             "b=((Fraction(1, 1),),), r=1/2)"),
+            (SubsetNet.over_znn(RationalPointSpace(2, [pt(0, 0)]), [],
+                                GeometricConverge(pt(0, 0),
+                                                  (pt(1, 1), pt(-1, 2)),
+                                                  F(-1, 3))),
+             "Q^2-['(Fraction(0, 1), Fraction(0, 1))'] pre=() "
+             "geometric(a=(Fraction(0, 1), Fraction(0, 1)), "
+             "b=((Fraction(1, 1), Fraction(1, 1)), "
+             "(Fraction(-1, 1), Fraction(2, 1))), r=-1/3)"),
+            (SubsetNet.over_finite(discrete_space(2), top, [1, 2, 3]),
+             "space(1, 2) index=(5, 6, 4) values=(1, 2, 3)"),
+            (SubsetNet.over_finite(q1, top, [[pt(5)], [pt(1)],
+                                             [pt(1), pt(2)]]),
+             "Q^1-[] index=(5, 6, 4) values=(('(Fraction(5, 1),)',), "
+             "('(Fraction(1, 1),)',), ('(Fraction(1, 1),)', "
+             "'(Fraction(2, 1),)'))"),
+        ]
+        for net, label in cases:
+            assert describe_net(net) == label
+
     def test_stream_is_deterministic(self):
         rng1, rng2 = random.Random("x"), random.Random("x")
         nets1 = [describe_net(n) for n in rule_net_stream(rng1, 20)]
