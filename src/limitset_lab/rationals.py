@@ -10,6 +10,7 @@ type carries a distance.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import MalformedInputError, excerpt
@@ -36,7 +37,10 @@ def max_norm_distance(p: Point, q: Point) -> Fraction:
 
 # -- JSON encoding ----------------------------------------------------------
 # Rationals travel as {"num": "<int>", "den": "<int>"} with string digits so
-# arbitrary precision survives any consumer.
+# arbitrary precision survives any consumer.  A part must match ASCII
+# -?[0-9]+ after str(); int() alone also takes "1_0", " 1", "+1", "\u0663".
+_INTEGER = re.compile(r"-?[0-9]+")
+
 
 def fraction_to_json(x: Fraction) -> dict:
     x = Fraction(x)
@@ -48,10 +52,11 @@ def fraction_from_json(obj) -> Fraction:
         return Fraction(obj)
     if isinstance(obj, dict) and "num" in obj and "den" in obj:
         try:
-            # through str, a bool or float part fails instead of reading
-            # as 1 or truncating
-            return Fraction(int(str(obj["num"])), int(str(obj["den"])))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            num, den = str(obj["num"]), str(obj["den"])
+            if not (_INTEGER.fullmatch(num) and _INTEGER.fullmatch(den)):
+                raise ValueError("rational parts must be ASCII integers")
+            return Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInputError(f"bad rational object: {excerpt(obj)}") from exc
     raise MalformedInputError(f"expected rational, got: {excerpt(obj)}")
 

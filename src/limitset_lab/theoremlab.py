@@ -12,9 +12,9 @@ The exhaustive suites sweep periodic nets cycle by cycle
 from one base net with an empty preperiod and shares its tail summary.
 ``limit_set``, ``converges_from_above`` and ``is_limit_set_compact`` read
 only the summary and the ground, so each is asked once per (space, cycle)
-on the base net; the per-preperiod loop only counts the instance, labels
-what it reports and, in ``limit_set_characterization``, runs the oracle,
-which reads each net's own unrolled values and so stays per instance.
+on the base net.  So is the ``limit_set_characterization`` oracle, whose
+window of unrolled values starts past every preperiod.  Per preperiod, a
+suite only labels what it reports.
 """
 
 from __future__ import annotations
@@ -252,6 +252,13 @@ def iter_periodic_nets(space: FiniteSpace, max_cycle: int = 2,
             yield base.with_preperiod(pre)
 
 
+def cycle_window(net: SubsetNet):
+    """The union of a periodic net's last full cycle window, X_m for the
+    last p indices m <= 12 (p the cycle length), from unrolled values."""
+    values = net.values(12)
+    return net.ground.union(values[len(values) - len(net.tail.cycle):])
+
+
 def iter_directed_posets(max_n: int) -> Iterator[FiniteOrder]:
     """All labeled directed posets with at most max_n elements."""
     from .directed_sets import _rows_directed
@@ -278,39 +285,36 @@ def suite_limit_set_characterization(budget: int = 1000,
     """Membership in the limit set versus the convergent-subsequence search.
 
     Exhaustive over all topologies on up to 3 points and all periodic nets
-    with cycle <= 2 and preperiod <= 2.  ``limit_set`` reads only the
-    summary that every preperiod variant shares with its cycle's base net
-    (see ``iter_periodic_cycles``), so it is asked once per cycle.  The
-    oracle stays per instance and reads only unrolled values, never the
-    summary: it builds each net, unrolls it to horizon 12 and takes the
-    union of the final full cycle window, X_m for the last p indices
-    m <= 12 (p the cycle length).  For each point y the net meets the
-    minimal neighborhood U_y cofinally iff that window meets U_y; a hit
-    certifies a monotone final subsequence with selections converging to
-    y.
+    with cycle <= 2 and preperiod <= 2.  The oracle reads only unrolled
+    values, never the summary: ``cycle_window`` unrolls the net to horizon
+    12 and takes the union of the final full cycle window.
+    For each point y the net meets the minimal neighborhood U_y cofinally
+    iff that window meets U_y; a hit certifies a monotone final
+    subsequence with selections converging to y.  The window starts past
+    every preperiod, so each preperiod variant shares its base net's
+    window, and ``limit_set`` reads only the shared summary (see
+    ``iter_periodic_cycles``): both are worked out once per cycle, and a
+    derived net is built only to label a wrong point, once per preperiod.
     """
     report = SuiteReport("limit_set_characterization", seed, budget)
     start = time.perf_counter()
-    horizon = 12
     for n in (1, 2, 3):
         for space in enumerate_spaces(n):
             neighborhoods = [space.minimal_open(y) for y in range(n)]
             for base, pres in iter_periodic_cycles(space):
+                report.instances += len(pres)
                 ls = limit_set(base)
-                p = len(base.tail.cycle)
-                for pre in pres:
-                    net = base.with_preperiod(pre)
-                    report.instances += 1
-                    window = space.union(
-                        net.values(horizon)[horizon - p + 1:])
-                    for y, uy in enumerate(neighborhoods):
-                        found = bool(window & uy)
-                        if bool(ls >> y & 1) != found:
-                            report.violation(
-                                f"{describe_net(net)} y={y}",
-                                f"membership {found} from subsequence "
-                                "search",
-                                f"limit_set gives {bool(ls >> y & 1)}")
+                window = cycle_window(base)
+                wrong = [(y, bool(window & uy))
+                         for y, uy in enumerate(neighborhoods)
+                         if bool(ls >> y & 1) != bool(window & uy)]
+                for pre in pres if wrong else ():
+                    label = describe_net(base.with_preperiod(pre))
+                    for y, found in wrong:
+                        report.violation(
+                            f"{label} y={y}",
+                            f"membership {found} from subsequence search",
+                            f"limit_set gives {not found}")
     report.elapsed_seconds = time.perf_counter() - start
     return report.finalize()
 
@@ -348,8 +352,9 @@ def suite_separation_containments(budget: int = 1000,
     ``limit_set`` and ``converges_from_above`` read only the summary that
     every preperiod variant shares with its cycle's base net (see
     ``iter_periodic_cycles``), so the findings are worked out once per
-    cycle and target and then reported once per preperiod, in per-net
-    order; a derived net is built only to label a finding that is kept.
+    cycle and target.  They are reported once per preperiod, in per-net
+    order; a derived net is built only to label a finding that is kept,
+    and exhibits past ``EXHIBIT_CAP`` are counted in one step.
     """
     report = SuiteReport("separation_containments", seed, budget)
     start = time.perf_counter()
@@ -364,8 +369,13 @@ def suite_separation_containments(budget: int = 1000,
                               if ls & ~a and converges_from_above(base, a)]
                 escapes = [(a, cls_a) for a in attracting
                            if ls & ~(cls_a := closure(space, a))]
+                report.instances += len(pres)
+                if not regular and len(report.exhibits) >= EXHIBIT_CAP:
+                    report.exhibit_count += len(pres) * len(escapes)
+                    continue
+                if not (escapes or hausdorff and attracting):
+                    continue  # no finding to report
                 for pre in pres:
-                    report.instances += 1
                     label = lambda: describe_net(base.with_preperiod(pre))
                     if hausdorff:
                         for a in attracting:

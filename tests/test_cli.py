@@ -177,6 +177,17 @@ class TestNetAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("limitset-lab: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("num", ["1_0", " 1", "1 ", "+1", "\u0663"])
+    def test_non_ascii_integer_rational_fails_closed(self, num, tmp_path,
+                                                     capsys):
+        net = json.loads((DEMO / "escape.json").read_text())
+        net["tail"]["c"][0]["num"] = num
+        infile = write_json(tmp_path / "net.json", net)
+        assert run(["net", "analyze", "--in", infile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("limitset-lab: bad rational object")
+        assert err.count("\n") == 1
+
     def test_metric_ground_net(self, tmp_path):
         net = {"ground": {"dist": [[0, 1], [1, 0]]},
                "tail": {"kind": "periodic", "cycle": [[0], [1]]}}

@@ -6,13 +6,15 @@ import pytest
 from limitset_lab import jsonio
 from limitset_lab.directed_sets import ZNN, FiniteOrder
 from limitset_lab.errors import MalformedInputError
-from limitset_lab.finite_topology import SIERPINSKI, discrete_space
+from limitset_lab.finite_topology import (SIERPINSKI, discrete_space,
+                                          enumerate_spaces)
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace)
 from limitset_lab.rationals import (fraction_from_json, fraction_to_json)
 from limitset_lab.setvalued_maps import SetValuedMap
 from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
                                       Periodic, SubsetNet, analyze)
+from limitset_lab.theoremlab import iter_periodic_cycles
 
 
 def pt(*coords):
@@ -28,6 +30,19 @@ class TestRationals:
 
     def test_plain_ints_accepted_on_input(self):
         assert fraction_from_json(7) == 7
+
+    def test_json_int_parts_accepted(self):
+        assert fraction_from_json({"num": 3, "den": -4}) == F(-3, 4)
+        assert fraction_from_json({"num": "-0", "den": "007"}) == 0
+
+    @pytest.mark.parametrize("part", ["1_0", " 1", "1 ", "+1", "\u0663",
+                                      "1\n", "", "-"])
+    def test_only_ascii_integer_parts_accepted(self, part):
+        # int() takes each of these: "1_0" as 10, " 1", "1 ", "+1" and
+        # "1\n" as 1, and the Arabic-Indic digit three as 3
+        for obj in ({"num": part, "den": "1"}, {"num": "1", "den": part}):
+            with pytest.raises(MalformedInputError):
+                fraction_from_json(obj)
 
     def test_bad_rational_rejected(self):
         with pytest.raises(MalformedInputError):
@@ -131,6 +146,27 @@ class TestNets:
         assert back.preperiod == net.preperiod
         assert back.tail == net.tail
         assert jsonio.net_to_json(back) == j
+
+    def test_derived_preperiods_survive_json(self):
+        # a net read from JSON is built by over_znn, never by with_preperiod,
+        # so it checks how the verify suites derive their preperiods; the
+        # wire preperiod is spelled from ``pre`` itself, not from the net
+        checked = 0
+        for n in (1, 2):
+            for space in enumerate_spaces(n):
+                for base, pres in iter_periodic_cycles(space):
+                    for pre in pres:
+                        net = base.with_preperiod(pre)
+                        wire = dict(jsonio.net_to_json(base), preperiod=[
+                            [i for i in range(n) if m >> i & 1]
+                            for m in pre])
+                        assert jsonio.net_to_json(net) == wire
+                        back = jsonio.net_from_json(
+                            json.loads(json.dumps(wire)))
+                        h = len(pre) + 2 * len(net.tail.cycle)
+                        assert back.values(h) == net.values(h), wire
+                    checked += len(pres)
+        assert checked == 1722
 
     def test_affine_and_geometric_round_trip(self):
         space = RationalPointSpace(1, [pt(F(9, 7))])

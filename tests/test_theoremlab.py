@@ -8,10 +8,22 @@ from limitset_lab.errors import LimitsetError
 from limitset_lab.finite_topology import discrete_space, enumerate_spaces
 from limitset_lab.subset_nets import (Periodic, SubsetNet,
                                       is_eventually_lagrange_stable)
-from limitset_lab.theoremlab import (EXHIBIT_CAP, SUITES, describe_net,
+from limitset_lab.theoremlab import (EXHIBIT_CAP, SUITES, cycle_window,
+                                     describe_net, iter_periodic_cycles,
                                      iter_periodic_nets, random_rule_net,
                                      report_to_dict, rule_net_stream,
                                      run_all, run_suite)
+
+# The first exhibits that the per-preperiod loop of separation_containments
+# (one exhibit call per derived net and escaping target) met at budget 1000,
+# seed 42, in the order it met them.
+FIRST_EXHIBITS = [
+    {"instance": f"space(1, 3) pre={pre} periodic(1,) A=10",
+     "note": "L=11 escapes cls(A)=10 without regularity"}
+    for pre in ("()", "(0,)", "(1,)", "(2,)", "(3,)", "(0, 0)", "(0, 1)",
+                "(0, 2)", "(0, 3)", "(1, 0)", "(1, 1)", "(1, 2)", "(1, 3)",
+                "(2, 0)", "(2, 1)", "(2, 2)", "(2, 3)", "(3, 0)", "(3, 1)",
+                "(3, 2)")]
 
 
 class TestSuiteMachinery:
@@ -69,6 +81,18 @@ class TestSuiteMachinery:
         assert report.exhibit_count == 190_680
         assert len(report.exhibits) == EXHIBIT_CAP
         assert len(calls) <= EXHIBIT_CAP
+
+    @pytest.mark.parametrize("cap", [0, 1, 7, EXHIBIT_CAP])
+    def test_exhibit_count_does_not_depend_on_the_cap(self, cap,
+                                                      monkeypatch):
+        # past the cap a cycle's exhibits are counted in one step; the count
+        # and the kept exhibits must be those of one call per exhibit
+        monkeypatch.setattr(theoremlab, "EXHIBIT_CAP", cap)
+        report = theoremlab.suite_separation_containments(1000, 42)
+        assert report.passed
+        assert report.exhibit_count == 190_680
+        assert report.exhibits == sorted(
+            FIRST_EXHIBITS[:cap], key=lambda e: (e["instance"], e["note"]))
 
     def test_converges_from_above_asked_once_per_base_and_target(
             self, monkeypatch):
@@ -148,6 +172,37 @@ class TestSuiteMachinery:
         # one failing answer per cycle fans out to all 13 preperiods
         assert len(asked) == 3 + 9
 
+    def test_a_wrong_window_point_is_reported_per_derived_net(
+            self, monkeypatch):
+        rows = discrete_space(2).rows
+        real_limit_set, real_values = theoremlab.limit_set, SubsetNet.values
+        unrolled = []
+
+        def flipped_on_d2(net):
+            flip = (not net.ground.rational and net.is_znn
+                    and net.ground.rows == rows)
+            return real_limit_set(net) ^ flip
+
+        def counting(net, upto):
+            unrolled.append((net.ground.rows, net.tail.cycle, net.preperiod))
+            return real_values(net, upto)
+
+        monkeypatch.setattr(theoremlab, "limit_set", flipped_on_d2)
+        monkeypatch.setattr(SubsetNet, "values", counting)
+        report = theoremlab.suite_limit_set_characterization(1000, 42)
+        want = [f"{describe_net(net)} y=0"
+                for net in iter_periodic_nets(discrete_space(2))]
+        assert len(set(want)) == len(want) == (4 + 16) * (1 + 4 + 16)
+        assert [v["instance"] for v in report.violations] == sorted(want)
+        for v in report.violations:  # the oracle and limit_set disagree
+            found = v["expected"] == "membership True from subsequence search"
+            assert v["got"] == f"limit_set gives {not found}"
+        # the window is unrolled once per base net, not once per preperiod
+        assert unrolled == [
+            (space.rows, base.tail.cycle, ())
+            for n in (1, 2, 3) for space in enumerate_spaces(n)
+            for base, _ in iter_periodic_cycles(space)]
+
     def test_trap_quota_tracked(self):
         report = run_suite("pseudometrizable_equivalence", budget=40, seed=42)
         assert report.passed  # 10 of 40 instances are traps
@@ -171,6 +226,23 @@ def per_net_periodic_nets(space, nonempty=False):
             for pre_len in (0, 1, 2):
                 for pre in product(masks, repeat=pre_len):
                     yield SubsetNet.over_znn(space, pre, Periodic(cycle))
+
+
+class TestWindowOracle:
+    def test_every_preperiod_shares_its_base_window(self):
+        # the per-instance route of limit_set_characterization: its window
+        # starts past every preperiod, so the suite may unroll only the
+        # base net of each cycle
+        checked = 0
+        for n in (1, 2, 3):
+            for space in enumerate_spaces(n):
+                for base, pres in iter_periodic_cycles(space):
+                    window = cycle_window(base)
+                    for pre in pres:
+                        net = base.with_preperiod(pre)
+                        assert cycle_window(net) == window, describe_net(net)
+                    checked += len(pres)
+        assert checked == 154_146
 
 
 class TestGenerators:
