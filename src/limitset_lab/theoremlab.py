@@ -287,12 +287,12 @@ def suite_limit_set_characterization(budget: int = 1000,
     Exhaustive over all topologies on up to 3 points and all periodic nets
     with cycle <= 2 and preperiod <= 2.  The oracle reads only unrolled
     values, never the summary: ``cycle_window`` unrolls the net to horizon
-    12 and takes the union of the final full cycle window.
-    For each point y the net meets the minimal neighborhood U_y cofinally
-    iff that window meets U_y; a hit certifies a monotone final
-    subsequence with selections converging to y.  The window starts past
-    every preperiod, so each preperiod variant shares its base net's
-    window, and ``limit_set`` reads only the shared summary (see
+    12 and takes the union of the final full cycle window.  For each point
+    y the net meets the minimal neighborhood U_y cofinally iff that window
+    meets U_y; a hit certifies a monotone final subsequence with
+    selections converging to y.  The window starts past every preperiod,
+    so each preperiod variant shares its base net's window, and
+    ``limit_set`` reads only the shared summary (see
     ``iter_periodic_cycles``): both are worked out once per cycle, and a
     derived net is built only to label a wrong point, once per preperiod.
     """
