@@ -28,6 +28,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -141,6 +142,9 @@ def _parse_init(raw: str, grid: CellGrid) -> int:
         mask = 0
         for part in body.split(","):
             try:
+                # int() alone also takes "1_0", " 1", "+1" and "\u0663"
+                if not (part.isascii() and part.isdigit()):
+                    raise ValueError("cell indices must be ASCII digits")
                 i = int(part)
             except ValueError:
                 raise MalformedInputError(
@@ -151,6 +155,11 @@ def _parse_init(raw: str, grid: CellGrid) -> int:
         return mask
     raise MalformedInputError(
         f"bad --init: {excerpt(raw)} (use all or cell:K)")
+
+
+# --param/--param2 spellings: an ASCII decimal or an ASCII integer ratio;
+# Fraction() alone also takes "1_0/7", " 3/2", "1e3" and non-ASCII digits
+_PARAM = re.compile(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+")
 
 
 def cmd_omega(args) -> int:
@@ -183,6 +192,8 @@ def cmd_omega(args) -> int:
         for flag, raw in (("--param", args.param), ("--param2", args.param2)):
             if raw is not None:
                 try:
+                    if not _PARAM.fullmatch(raw):
+                        raise ValueError("not an ASCII decimal or ratio")
                     params.append(Fraction(raw))
                 except (ValueError, ZeroDivisionError):
                     raise MalformedInputError(f"{flag} must be a rational "

@@ -10,9 +10,13 @@ and ``dist`` is the exact ``Fraction`` view of the same matrix.  It is a
 ``FiniteSpace`` (its metric topology, whose minimal open sets are the
 zero-sets) that also carries the distance.
 
-Point sets over ``RationalPointSpace`` are frozensets of coordinate
-tuples; point sets over ``FinitePseudoMetric`` are int bitmasks.  Both
-grounds own the point-set operations nets use, under the same names.
+Point sets over ``RationalPointSpace`` are frozensets of canonical
+points: tuples whose coordinates all have type exactly ``Fraction``.  Entry
+points coerce and check their arguments once; a canonical frozenset of
+points of the space passes ``check_set`` as the same object, and any other
+sequence is coerced and checked point by point.  Point sets over
+``FinitePseudoMetric`` are int bitmasks.  Both grounds own the point-set
+operations nets use, under the same names.
 
 Every distance on either ground, between points or from a point or a set
 to a set, is an exact ``Fraction``; a distance to the empty set is
@@ -51,17 +55,28 @@ class RationalPointSpace:
                 raise MalformedInputError("excluded point of wrong dimension")
 
     def contains(self, p: Point) -> bool:
-        return len(p) == self.dim and as_point(p) not in self.excluded
+        if len(p) != self.dim:
+            return False
+        p = as_point(p)
+        return not self.excluded or p not in self.excluded
 
     def check_point(self, p: Point) -> Point:
         p = as_point(p)
         if len(p) != self.dim:
             raise MembershipError(f"point of dimension {len(p)}, space has {self.dim}")
-        if p in self.excluded:
+        if self.excluded and p in self.excluded:
             raise MembershipError(f"point {p} is excluded from the space")
         return p
 
     def check_set(self, a: Iterable) -> PointSet:
+        """``a`` as a frozenset of checked canonical points.  A frozenset
+        of canonical points of the space is returned as it is: the
+        exclusion test reads the hashes it already stores."""
+        dim = self.dim
+        if (type(a) is frozenset and self.excluded.isdisjoint(a)
+                and all(type(p) is tuple and len(p) == dim
+                        and p is as_point(p) for p in a)):
+            return a
         return frozenset(self.check_point(p) for p in a)
 
     normalize = check_set
@@ -217,14 +232,17 @@ class FinitePseudoMetric(FiniteSpace):
 
 # -- distances between finite rational point sets ----------------------------
 
+def _nearest(x: Point, a: PointSet) -> Fraction:
+    """d(x, a) for a point and a set already checked; infinity when a is
+    empty."""
+    return min((max_norm_distance(x, p) for p in a), default=INFINITY)
+
+
 def point_set_distance(space: RationalPointSpace, x: Point,
                        a: Iterable) -> Fraction:
     """min over a of d(x, .); infinity exactly when a is empty."""
     x = space.check_point(x)
-    a = space.check_set(a)
-    if not a:
-        return INFINITY
-    return min(space.distance(x, p) for p in a)
+    return _nearest(x, space.check_set(a))
 
 
 def semidistance(space: RationalPointSpace, a: Iterable,
@@ -242,7 +260,7 @@ def semidistance(space: RationalPointSpace, a: Iterable,
         return Fraction(0)
     if not b:
         return INFINITY
-    return max(point_set_distance(space, x, b) for x in a)
+    return max(_nearest(x, b) for x in a)
 
 
 def ball_of_set(space: RationalPointSpace, a: Iterable,
@@ -254,7 +272,7 @@ def ball_of_set(space: RationalPointSpace, a: Iterable,
     a = space.check_set(a)
 
     def member(y: Point) -> bool:
-        return point_set_distance(space, y, a) < r
+        return _nearest(space.check_point(y), a) < r
 
     return member
 

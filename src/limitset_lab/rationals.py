@@ -5,6 +5,11 @@ empty-set convention d(x, emptyset) = inf demands one.  ``INFINITY`` is
 ``math.inf``, which a ``Fraction`` compares with exactly: every finite
 distance is below it, and ``max`` and ``+`` absorb it.  No other number
 type carries a distance.
+
+A rational point is *canonical* when it is a ``tuple`` whose coordinates
+all have type exactly ``Fraction``.  Library entry points coerce a point
+once, with ``as_point``; a canonical point passes through unchanged, so a
+point the library has already checked is neither rebuilt nor hashed again.
 """
 
 from __future__ import annotations
@@ -24,7 +29,10 @@ Point = tuple  # tuple of Fraction, one entry per dimension
 
 
 def as_point(coords) -> Point:
-    """Coerce a coordinate sequence to a tuple of Fractions."""
+    """Coerce a coordinate sequence to a canonical point (a tuple of exact
+    ``Fraction``s); a canonical point is returned as it is."""
+    if type(coords) is tuple and all(type(c) is Fraction for c in coords):
+        return coords
     return tuple(Fraction(c) for c in coords)
 
 

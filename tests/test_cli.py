@@ -300,6 +300,31 @@ class TestOmega:
         assert run(["omega", "--map", "rotation", "--param", "0.125",
                     "--cells", "8", "--init", "nope"]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--init", "cell:1_0", "bad cell index"),
+        ("--init", "cell: 1", "bad cell index"),
+        ("--init", "cell:+1", "bad cell index"),
+        ("--init", "cell:\u0663", "bad cell index"),
+        ("--param", "1_0/7", "--param must be a rational"),
+        ("--param", " 3/2", "--param must be a rational"),
+    ])
+    def test_loose_digits_fail_closed(self, flag, value, message, tmp_path,
+                                      capsys):
+        argv = {"--map": "tent", "--param": "2", "--cells": "16",
+                "--init": "cell:1", "--out": str(tmp_path / "t.csv")}
+        argv[flag] = value
+        assert run(["omega"] + [a for kv in argv.items() for a in kv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"limitset-lab: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("param", ["7", "2.0", "0.125", "39/10", "-1/8",
+                                       "-0.125"])
+    def test_ascii_params_accepted(self, param, tmp_path):
+        assert run(["omega", "--map", "rotation", f"--param={param}",
+                    "--cells", "16", "--init", "cell:1", "--out",
+                    str(tmp_path / "t.csv")]) == 0
+
     def test_table_size_checked(self, tmp_path):
         table = write_json(tmp_path / "table.json", [[0]])
         assert run(["omega", "--map", "table", "--in", table,

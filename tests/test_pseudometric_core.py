@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -121,6 +122,176 @@ class TestBalls:
     def test_radius_must_be_positive(self):
         with pytest.raises(PreconditionError):
             ball_of_set(Q1, [pt(0)], 0)
+
+
+class Half(F):
+    """A Fraction subclass: equal to its value, but not canonical."""
+
+
+Q2_ORIGIN = RationalPointSpace(2, [pt(0, 0)])  # Q^2 minus the origin
+EXCLUDED_MESSAGE = ("point (Fraction(0, 1), Fraction(0, 1)) is excluded "
+                    "from the space")
+DIMENSION_MESSAGE = "point of dimension 1, space has 2"
+
+
+class TestCanonicalPoints:
+    """A canonical point is a tuple of exact Fractions; it and frozensets
+    of it pass the checks unchanged, and anything else is coerced."""
+
+    def test_as_point_returns_a_canonical_tuple_itself(self):
+        p = pt(1, F(1, 2))
+        assert as_point(p) is p
+
+    @pytest.mark.parametrize("coords", [(1, 2), [F(1), F(2)], (True, 2),
+                                        (Half(1), F(2)), (F(1), 2.0)],
+                             ids=["int", "list", "bool", "subclass", "float"])
+    def test_as_point_coerces_anything_else(self, coords):
+        p = as_point(coords)
+        assert p == pt(1, 2) and type(p) is tuple
+        assert all(type(c) is F for c in p)
+
+    def test_canonical_frozenset_is_the_same_object(self):
+        a = frozenset([pt(1, 2), pt(F(-1, 3), 0)])
+        assert Q2_ORIGIN.check_set(a) is a
+        assert Q2_ORIGIN.normalize(a) is a
+
+    @pytest.mark.parametrize("given", [
+        frozenset([(1, 2), (F(-1, 3), 0)]),
+        [[1, 2], [F(-1, 3), 0]],
+        frozenset([(True, 2), (F(-1, 3), False)]),
+        frozenset([(Half(1), F(2)), (Half(-1, 3), F(0))]),
+    ], ids=["int", "list", "bool", "subclass"])
+    def test_other_input_is_coerced_to_an_equal_canonical_set(self, given):
+        a = Q2_ORIGIN.check_set(given)
+        assert a == frozenset([pt(1, 2), pt(F(-1, 3), 0)])
+        assert type(a) is frozenset and a is not given
+        for p in a:
+            assert type(p) is tuple and all(type(c) is F for c in p)
+
+    @pytest.mark.parametrize("bad, message", [
+        (pt(0, 0), EXCLUDED_MESSAGE), ((0, 0), EXCLUDED_MESSAGE),
+        (pt(1), DIMENSION_MESSAGE), ([1], DIMENSION_MESSAGE)],
+        ids=["excluded", "excluded-int", "dimension", "dimension-list"])
+    @pytest.mark.parametrize("wrap", [frozenset, list])
+    def test_every_route_rejects_a_bad_point_with_its_message(
+            self, bad, message, wrap):
+        good = pt(1, 1)
+        if wrap is frozenset and type(bad) is list:
+            bad = tuple(bad)  # a frozenset holds hashable points only
+        a = wrap([good, bad])
+        routes = [
+            lambda: Q2_ORIGIN.check_set(a),
+            lambda: Q2_ORIGIN.check_point(bad),
+            lambda: point_set_distance(Q2_ORIGIN, good, a),
+            lambda: point_set_distance(Q2_ORIGIN, bad, [good]),
+            lambda: semidistance(Q2_ORIGIN, a, [good]),
+            lambda: semidistance(Q2_ORIGIN, [good], a),
+            lambda: ball_of_set(Q2_ORIGIN, a, 1),
+            lambda: ball_of_set(Q2_ORIGIN, [good], 1)(bad),
+        ]
+        for route in routes:
+            with pytest.raises(MembershipError, match=f"^{re.escape(message)}$"):
+                route()
+
+    @pytest.mark.parametrize("space", [Q1, RationalPointSpace(1, [pt(5)])])
+    def test_a_malformed_coordinate_is_still_rejected(self, space):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            space.contains(("x",))
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            space.check_set(frozenset([pt(1), ("x",)]))
+
+    def test_contains(self):
+        assert Q1.contains(pt(0)) and Q1.contains((0,))
+        assert not Q1.contains(pt(0, 0))
+        space = RationalPointSpace(1, [pt(5)])
+        assert space.contains(pt(4)) and not space.contains((5,))
+
+
+def brute_semidistance(a, b):
+    """max over a of min over b of the max-norm distance, enumerated."""
+    if not a and not b:
+        raise UndefinedCaseError("d(emptyset; emptyset) is not defined")
+    if not a:
+        return F(0)
+    return max(min((max_norm_distance(x, y) for y in b), default=INFINITY)
+               for x in a)
+
+
+class TestValidateOnce:
+    """The distance functions check each argument once, at entry."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The points ``RationalPointSpace.check_point`` has been asked."""
+        calls = []
+        check_point = RationalPointSpace.check_point
+
+        def counting(space, p):
+            calls.append(p)
+            return check_point(space, p)
+
+        monkeypatch.setattr(RationalPointSpace, "check_point", counting)
+        return calls
+
+    @staticmethod
+    def loose(points):
+        """The same points as lists with int coordinates where whole."""
+        return [[int(c) if c.denominator == 1 else c for c in p]
+                for p in points]
+
+    def test_semidistance_checks_each_side_once(self, checked):
+        a = [pt(0, 1), pt(2, 3), pt(F(1, 2), 5)]
+        b = [pt(1, 1), pt(4, 0), pt(-1, F(3, 4)), pt(7, 7)]
+        for x, y in ((a, b), (self.loose(a), self.loose(b)),
+                     (frozenset(a), frozenset(b))):
+            checked.clear()
+            semidistance(Q2_ORIGIN, x, y)
+            assert len(checked) <= len(a) + len(b)
+
+    def test_point_set_distance_checks_each_argument_once(self, checked):
+        a = [pt(1, 1), pt(4, 0), pt(-1, F(3, 4)), pt(7, 7)]
+        for x, y in ((pt(0, 1), a), ([0, 1], self.loose(a)),
+                     (pt(0, 1), frozenset(a))):
+            checked.clear()
+            point_set_distance(Q2_ORIGIN, x, y)
+            assert len(checked) <= 1 + len(a)
+
+    def test_agree_with_brute_force_on_random_sets(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            dim = rng.choice((1, 2))
+            space = RationalPointSpace(dim, [(F(99),) * dim])
+
+            def draw():
+                return {tuple(F(rng.randint(-8, 8), rng.choice((1, 2, 4)))
+                              for _ in range(dim))
+                        for _ in range(rng.randint(0, 3))}
+
+            a, b, x = draw(), draw(), draw() or {(F(0),) * dim}
+            x = next(iter(x))
+            if a or b:
+                expected = brute_semidistance(a, b)
+                assert semidistance(space, frozenset(a), frozenset(b)) \
+                    == expected
+                assert semidistance(space, self.loose(a), self.loose(b)) \
+                    == expected
+            nearest = min((max_norm_distance(x, y) for y in b),
+                          default=INFINITY)
+            assert point_set_distance(space, x, frozenset(b)) == nearest
+            assert point_set_distance(space, list(x), self.loose(b)) \
+                == nearest
+            r = F(rng.randint(1, 8), 2)
+            assert ball_of_set(space, self.loose(b), r)(list(x)) \
+                == (nearest < r)
+        # the empty-set conventions are among the draws
+        assert semidistance(Q1, frozenset(), frozenset([pt(1)])) == 0
+        assert semidistance(Q1, [pt(1)], frozenset()) == INFINITY
+        assert point_set_distance(Q1, pt(1), frozenset()) == INFINITY
+
+    @pytest.mark.parametrize("empty", [frozenset(), []])
+    def test_both_empty_is_still_undefined(self, empty):
+        with pytest.raises(UndefinedCaseError):
+            semidistance(Q1, empty, empty)
 
 
 class TestCompactInnerRadius:

@@ -59,6 +59,17 @@ class TestConstruction:
             SubsetNet.over_znn(space, [frozenset({pt(0)})],
                                Periodic((frozenset(),)))
 
+    def test_periodic_rule_of_canonical_sets_is_kept(self):
+        space = RationalPointSpace(1, [pt(0)])
+        cycle = (frozenset({pt(1)}), frozenset({pt(2), pt(F(1, 2))}))
+        rule = Periodic(cycle)
+        net = SubsetNet.over_znn(space, [cycle[0]], rule)
+        assert net.tail is rule and net.preperiod[0] is cycle[0]
+        loose = Periodic((frozenset({(1,)}), cycle[1]))
+        net = SubsetNet.over_znn(space, [], loose)
+        assert net.tail is not loose and net.tail == rule
+        assert net.tail.cycle[1] is cycle[1]
+
     def test_escape_tails_need_metric_ground(self):
         with pytest.raises(UnsupportedRuleError):
             SubsetNet.over_znn(D2, [], AffineEscape(pt(0), pt(1)))
