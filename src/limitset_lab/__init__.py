@@ -7,8 +7,6 @@ verification suites pairing every symbolic answer with a brute-force
 oracle.
 """
 
-from .directed_sets import (ZNN, FiniteOrder, NonnegativeIntegers,
-                            is_directed, top_element)
 from .errors import (LimitsetError, MalformedInputError, MembershipError,
                      PreconditionError, SizeLimitError, UndefinedCaseError,
                      UnsupportedRuleError)
@@ -16,7 +14,8 @@ from .finite_topology import (SIERPINSKI, FiniteSpace, closure,
                               discrete_space, enumerate_spaces,
                               indiscrete_space, is_hausdorff,
                               is_neighborhood, is_pseudometrizable,
-                              is_regular, separate_compact_from_point)
+                              is_regular, separate_compact_from_point,
+                              top_element)
 from .pseudometric_core import (FinitePseudoMetric, RationalPointSpace,
                                 ball_of_set, compact_inner_radius,
                                 point_set_distance, semidistance)
@@ -26,7 +25,7 @@ from .semiflow_cells import (CellGrid, DiscreteSemiflow, OmegaResult,
                              omega_limit_cells)
 from .setvalued_maps import (SetValuedMap, image, is_lsc_at, is_usc_at,
                              lsc_via_semidistance)
-from .subset_nets import (AffineEscape, GeometricConverge, NetAnalysis,
+from .subset_nets import (ZNN, AffineEscape, GeometricConverge, NetAnalysis,
                           Periodic, SubsetNet, analyze,
                           below_iff_semidistance, cluster_set,
                           converges_from_above, converges_from_below,

@@ -12,6 +12,10 @@ with the same names as on ``RationalPointSpace``.  Closures and minimal
 open supersets are memoized per space in dicts filled on first ask; a set
 is range-checked before it is stored, so an out-of-range set is never
 cached and raises on every ask.
+
+A finite directed index of a net is a ``FiniteSpace`` too: its preorder
+is the index order, so ``rows[s]`` is the up-set ``{t : s <= t}``, and
+``top_element`` checks directedness.
 """
 
 from __future__ import annotations
@@ -20,11 +24,23 @@ import operator
 from functools import reduce
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .directed_sets import _rows_reflexive_transitive
 from .errors import (MalformedInputError, PreconditionError, SizeLimitError)
 
 ENUMERATION_CAP = 5
 REGULARITY_CAP = 10  # is_regular's pair scan grows about 5x per point
+
+
+def _rows_reflexive_transitive(rows: Sequence[int], n: int) -> bool:
+    for a in range(n):
+        if not rows[a] >> a & 1:
+            return False
+        rest = rows[a]
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if rows[b] & ~rows[a]:
+                return False
+    return True
 
 
 class FiniteSpace:
@@ -39,22 +55,24 @@ class FiniteSpace:
         self.full_mask = full = (1 << self.n) - 1
         for r in self.rows:
             if r & ~full:
-                raise MalformedInputError("spec row mentions out-of-range points")
+                raise MalformedInputError("relation row mentions out-of-range points")
         if not _rows_reflexive_transitive(self.rows, self.n):
-            raise MalformedInputError("spec matrix must be reflexive and transitive")
+            raise MalformedInputError(
+                "relation matrix must be reflexive and transitive")
         # filled on first ask: minimal_open_superset, closure, open_sets
         self._supersets = {}
         self._closures = {}
         self._open_sets = None
 
     @classmethod
-    def from_matrix(cls, spec: Sequence[Sequence[bool]]) -> "FiniteSpace":
-        n = len(spec)
-        for row in spec:
+    def from_matrix(cls, rel: Sequence[Sequence[bool]]) -> "FiniteSpace":
+        """The space whose preorder is ``rel``: a ``spec`` or an index ``rel``."""
+        n = len(rel)
+        for row in rel:
             if len(row) != n:
-                raise MalformedInputError("spec matrix is not square")
-        # a spec matrix describes a topology, never a distance
-        return FiniteSpace([sum(1 << y for y in range(n) if spec[x][y])
+                raise MalformedInputError("relation matrix is not square")
+        # a relation matrix describes a topology, never a distance
+        return FiniteSpace([sum(1 << y for y in range(n) if rel[x][y])
                             for x in range(n)])
 
     def matrix(self):
@@ -158,6 +176,20 @@ class FiniteSpace:
     def show_sets(self, sets) -> str:
         """Point sets as report labels spell them: a tuple of bitmasks."""
         return str(tuple(sets))
+
+
+def top_element(index: FiniteSpace) -> int:
+    """The least-index global upper bound of a finite directed index.
+
+    This is the directedness check on net indices: the rows are up-sets
+    of a preorder, so their intersection is the set of upper bounds of
+    every element, and it is empty exactly when the index is undirected
+    (or empty) and ``PreconditionError`` is raised.
+    """
+    tops = reduce(operator.and_, index.rows, index.full_mask)
+    if not tops:
+        raise PreconditionError("index order must be directed")
+    return (tops & -tops).bit_length() - 1  # least set bit
 
 
 def closure(space: FiniteSpace, e: int) -> int:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 
-from .directed_sets import ZNN, FiniteOrder, IndexOrder, NonnegativeIntegers
 from .errors import MalformedInputError, excerpt
 from .finite_topology import FiniteSpace
 from .pseudometric_core import FinitePseudoMetric, RationalPointSpace
 from .rationals import (fraction_from_json, fraction_to_json, point_from_json,
                         point_to_json)
 from .setvalued_maps import SetValuedMap
-from .subset_nets import (AffineEscape, GeometricConverge, NetAnalysis,
+from .subset_nets import (ZNN, AffineEscape, GeometricConverge, NetAnalysis,
                           Periodic, SubsetNet)
 
 
@@ -26,20 +25,19 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-# -- directed orders ----------------------------------------------------------
+# -- net indices --------------------------------------------------------------
 
-def order_to_json(order: IndexOrder) -> dict:
-    if isinstance(order, FiniteOrder):
-        return {"kind": "finite", "rel": order.matrix()}
-    if isinstance(order, NonnegativeIntegers):
+def order_to_json(order) -> dict:
+    if order is ZNN:
         return {"kind": "znn"}
-    raise MalformedInputError(f"unencodable order: {order!r}")
+    return {"kind": "finite", "rel": order.matrix()}
 
 
-def order_from_json(obj) -> IndexOrder:
+def order_from_json(obj):
+    """A net index: ``ZNN`` or a finite space whose preorder is ``rel``."""
     kind = _field(obj, "kind")
     if kind == "finite":
-        return FiniteOrder.from_matrix(_relation(obj, "rel"))
+        return FiniteSpace.from_matrix(_relation(obj, "rel"))
     if kind == "znn":
         return ZNN
     raise MalformedInputError(f"unknown order kind: {excerpt(kind)}")
@@ -188,7 +186,7 @@ def net_to_json(net: SubsetNet) -> dict:
 def net_from_json(obj) -> SubsetNet:
     ground = ground_from_json(_field(obj, "ground"))
     index = order_from_json(obj.get("index", {"kind": "znn"}))
-    if isinstance(index, NonnegativeIntegers):
+    if index is ZNN:
         pre = [pointset_from_json(ground, s)
                for s in _field(obj, "preperiod", list, [])]
         tail = tail_from_json(ground, _field(obj, "tail"))

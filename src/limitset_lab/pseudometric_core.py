@@ -40,6 +40,12 @@ from .rationals import (INFINITY, Point, as_point,
 PointSet = FrozenSet[Point]
 
 
+def _canonical_set(a, dim: int) -> bool:
+    """Whether ``a`` is a frozenset of canonical points of dimension ``dim``."""
+    return type(a) is frozenset and all(
+        type(p) is tuple and len(p) == dim and p is as_point(p) for p in a)
+
+
 class RationalPointSpace:
     """Q^dim under the max-norm with finitely many points removed."""
 
@@ -49,10 +55,11 @@ class RationalPointSpace:
         if dim < 1:
             raise MalformedInputError("dimension must be positive")
         self.dim = dim
-        self.excluded = frozenset(as_point(p) for p in excluded)
-        for p in self.excluded:
-            if len(p) != dim:
+        if not _canonical_set(excluded, dim):  # a canonical set is kept as is
+            excluded = frozenset(map(as_point, excluded))
+            if any(len(p) != dim for p in excluded):
                 raise MalformedInputError("excluded point of wrong dimension")
+        self.excluded = excluded
 
     def contains(self, p: Point) -> bool:
         if len(p) != self.dim:
@@ -72,10 +79,7 @@ class RationalPointSpace:
         """``a`` as a frozenset of checked canonical points.  A frozenset
         of canonical points of the space is returned as it is: the
         exclusion test reads the hashes it already stores."""
-        dim = self.dim
-        if (type(a) is frozenset and self.excluded.isdisjoint(a)
-                and all(type(p) is tuple and len(p) == dim
-                        and p is as_point(p) for p in a)):
+        if _canonical_set(a, self.dim) and self.excluded.isdisjoint(a):
             return a
         return frozenset(self.check_point(p) for p in a)
 

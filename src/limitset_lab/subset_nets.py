@@ -3,7 +3,15 @@
 A ``SubsetNet`` is either indexed by a finite directed order (with an
 explicit assignment of a point set to every index element) or by Z+ (with
 a finite preperiod followed by a symbolic tail rule: ``Periodic``,
-``AffineEscape`` or ``GeometricConverge``).
+``AffineEscape`` or ``GeometricConverge``).  A finite index is a
+``FiniteSpace`` whose specialization preorder is the index order, so
+``index.rows[s]`` is the up-set ``{t : s <= t}``; Z+ is the constant
+``ZNN``.  Elements of either index are ints.
+
+Both index kinds are sequential, so the paper's sequential notions apply
+to every net without a check: a finite directed order has a top element,
+and the constant sequence at the top is final; Z+ is its own final
+sequence.
 
 Each tail rule is a ``TailRule``: it evaluates and unrolls its values (a
 periodic tail slices its cycle), says whether each is one point, labels
@@ -52,16 +60,16 @@ from fractions import Fraction
 from typing import (FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
-from .directed_sets import (ZNN, FiniteOrder, IndexOrder,
-                            NonnegativeIntegers, top_element)
 from .errors import (MalformedInputError, PreconditionError,
                      UnsupportedRuleError)
-from .finite_topology import FiniteSpace
+from .finite_topology import FiniteSpace, top_element
 from .pseudometric_core import RationalPointSpace, semidistance
 from .rationals import Point, as_point
 
 Ground = Union[FiniteSpace, RationalPointSpace]
 SetValue = Union[int, FrozenSet[Point]]
+
+ZNN = "Z+"  # the index of every Z+ net: the usual order on Z+
 
 
 # -- tail rules ---------------------------------------------------------------
@@ -241,13 +249,13 @@ class SubsetNet:
     tail is reduced to its ``summary``.
     """
 
-    def __init__(self, ground: Ground, index: IndexOrder,
+    def __init__(self, ground: Ground, index: Union[FiniteSpace, str],
                  summary: TailSummary, preperiod: tuple = (),
                  tail: Optional[TailRule] = None,
                  assignment: Optional[tuple] = None):
         self.ground = ground
         self.index = index
-        self.is_znn = isinstance(index, NonnegativeIntegers)
+        self.is_znn = index is ZNN
         self.summary = summary
         self.preperiod = preperiod
         self.tail = tail
@@ -282,15 +290,14 @@ class SubsetNet:
                          tail=self.tail)
 
     @classmethod
-    def over_finite(cls, ground: Ground, index: FiniteOrder,
+    def over_finite(cls, ground: Ground, index: FiniteSpace,
                     assignment: Sequence) -> "SubsetNet":
         top = top_element(index)
         if len(assignment) != index.n:
             raise MalformedInputError("assignment must cover every index element")
         values = tuple(map(ground.normalize, assignment))
         # the tails above the top element stabilize on the top class
-        phases = tuple(values[t] for t in index.elements()
-                       if index.leq(top, t))
+        phases = _up_set_values(values, index.rows[top])
         return cls(ground, index,
                    TailSummary(phases, ground.union(phases), True),
                    assignment=values)
@@ -305,7 +312,7 @@ class SubsetNet:
                 raise PreconditionError(f"Z+ index {s} is negative")
             pre = self.preperiod
             return pre[s] if s < len(pre) else self.tail.value(s, len(pre))
-        if s not in self.index.elements():
+        if not 0 <= s < self.index.n:
             raise PreconditionError(
                 f"index {s} is not an element of the finite index")
         return self.assignment[s]
@@ -387,10 +394,13 @@ def _geometric_exponent(r: Fraction, t: Fraction) -> Optional[int]:
 
 # -- limit sets ---------------------------------------------------------------
 
+def _up_set_values(values: tuple, up: int) -> tuple:
+    """The values at the index elements in the up-set bitmask ``up``."""
+    return tuple(v for t, v in enumerate(values) if up >> t & 1)
+
+
 def _finite_tail_union(net: SubsetNet, s: int) -> SetValue:
-    order: FiniteOrder = net.index
-    return net.ground.union(net.assignment[t] for t in order.elements()
-                            if order.leq(s, t))
+    return net.ground.union(_up_set_values(net.assignment, net.index.rows[s]))
 
 
 def limit_set(net: SubsetNet) -> SetValue:
@@ -417,7 +427,7 @@ def limit_set_horizon_oracle(net: SubsetNet, h: int = 8,
     """
     if not net.is_znn:
         out = None
-        for s in net.index.elements():
+        for s in range(net.index.n):
             layer = net.ground.closure(_finite_tail_union(net, s))
             out = layer if out is None else out & layer
         return out

@@ -19,14 +19,15 @@ suite only labels what it reports.
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Callable, Iterator, List, Tuple
 
-from .directed_sets import FiniteOrder
 from .errors import LimitsetError
 from .finite_topology import (FiniteSpace, closure, enumerate_spaces,
                               is_hausdorff, is_regular)
@@ -259,19 +260,19 @@ def cycle_window(net: SubsetNet):
     return net.ground.union(values[len(values) - len(net.tail.cycle):])
 
 
-def iter_directed_posets(max_n: int) -> Iterator[FiniteOrder]:
-    """All labeled directed posets with at most max_n elements."""
-    from .directed_sets import _rows_directed
+def iter_directed_posets(max_n: int) -> Iterator[FiniteSpace]:
+    """All labeled directed posets with at most max_n elements, as the
+    finite spaces whose preorder they are."""
     for n in range(1, max_n + 1):
         for space in enumerate_spaces(n):
             rows = space.rows
             antisym = all(not (rows[a] >> b & 1 and rows[b] >> a & 1)
                           for a in range(n) for b in range(a + 1, n))
-            if antisym and _rows_directed(rows, n):
-                yield FiniteOrder(rows)
+            if antisym and reduce(operator.and_, rows):  # a top: directed
+                yield space
 
 
-def iter_finite_assignments(space: FiniteSpace, order: FiniteOrder,
+def iter_finite_assignments(space: FiniteSpace, order: FiniteSpace,
                             nonempty: bool = False) -> Iterator[SubsetNet]:
     masks = range(1 if nonempty else 0, 1 << space.n)
     for assignment in product(masks, repeat=order.n):

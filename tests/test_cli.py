@@ -177,6 +177,36 @@ class TestNetAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("limitset-lab: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("rel, message", [
+        ([[True, False]], "relation matrix is not square"),
+        ([[False, True], [False, True]],
+         "relation matrix must be reflexive and transitive"),
+        ([[True, True, False], [False, True, True], [False, False, True]],
+         "relation matrix must be reflexive and transitive"),
+        ([[True, False], [False, True]], "index order must be directed"),
+    ], ids=["non-square", "not-reflexive", "intransitive", "undirected"])
+    def test_bad_finite_index_fails_closed(self, rel, message, tmp_path,
+                                           capsys):
+        net = {"ground": SIERPINSKI_JSON,
+               "index": {"kind": "finite", "rel": rel},
+               "assignment": [[0]] * len(rel)}
+        infile = write_json(tmp_path / "net.json", net)
+        assert run(["net", "analyze", "--in", infile]) == 2
+        assert capsys.readouterr().err == f"limitset-lab: {message}\n"
+
+    def test_finite_index_net_analysis(self, tmp_path, capsys):
+        # 0 <= 1, 2 and 1 ~ 2: the top class {1, 2} recurs
+        net = {"ground": SIERPINSKI_JSON,
+               "index": {"kind": "finite",
+                         "rel": [[True, True, True], [False, True, True],
+                                 [False, True, True]]},
+               "assignment": [[0, 1], [0], [1]]}
+        infile = write_json(tmp_path / "net.json", net)
+        assert run(["net", "analyze", "--in", infile]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["limit_set"] == [0, 1]
+        assert out["limit_set_compact"] == {"state": "holds"}
+
     @pytest.mark.parametrize("num", ["1_0", " 1", "1 ", "+1", "\u0663"])
     def test_non_ascii_integer_rational_fails_closed(self, num, tmp_path,
                                                      capsys):

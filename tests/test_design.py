@@ -47,3 +47,50 @@ def test_the_scan_sees_rule_type_tests():
     tree = ast.parse("def f(t):\n    return isinstance(t, (int, m.Periodic))\n"
                      "isinstance(x, AffineEscape)\n")
     assert rule_type_tests(tree) == [("f", 2), (None, 3)]
+
+
+def classes_defining(tree, method):
+    """Names of the classes in ``tree`` whose body defines ``method``."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name == method for item in node.body)]
+
+
+def imported_modules(tree):
+    """Every module name an import in ``tree`` mentions, dotted parts split."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names
+
+
+def test_finite_space_is_the_one_finite_preorder():
+    # a finite topology and a finite net index are one representation:
+    # only FiniteSpace parses a relation matrix (FinitePseudoMetric
+    # inherits it), and no second order module exists
+    owners, importers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners += [(path.name, name)
+                   for name in classes_defining(tree, "from_matrix")]
+        if "directed_sets" in imported_modules(tree):
+            importers.append(path.name)
+    assert owners == [("finite_topology.py", "FiniteSpace")]
+    assert not importers
+
+
+def test_the_scans_see_matrix_parsers_and_imports():
+    tree = ast.parse("class A:\n    def from_matrix(cls): pass\n"
+                     "class B(A):\n    pass\n"
+                     "from .directed_sets import top_element\n"
+                     "from . import directed_sets\n")
+    assert classes_defining(tree, "from_matrix") == ["A"]
+    assert "directed_sets" in imported_modules(tree)
+    assert "directed_sets" in imported_modules(
+        ast.parse("import limitset_lab.directed_sets\n"))

@@ -2,14 +2,16 @@ from itertools import combinations, product
 
 import pytest
 
-from limitset_lab.errors import PreconditionError, SizeLimitError
+from limitset_lab.errors import (MalformedInputError, PreconditionError,
+                                 SizeLimitError)
 from limitset_lab.finite_topology import (REGULARITY_CAP, SIERPINSKI,
                                           FiniteSpace, closure,
                                           discrete_space, enumerate_spaces,
                                           indiscrete_space, is_hausdorff,
                                           is_neighborhood,
                                           is_pseudometrizable, is_regular,
-                                          separate_compact_from_point)
+                                          separate_compact_from_point,
+                                          top_element)
 
 # frozen via the reflexive-transitive matrix filter oracle below; the n=5
 # value was computed once with the same oracle (6942, 4.3 s) and frozen
@@ -270,6 +272,103 @@ def _intersection(family):
     for s in family[1:]:
         out &= s
     return out
+
+
+def all_reflexive_matrices(n):
+    offdiag = [(a, b) for a in range(n) for b in range(n) if a != b]
+    for bits in product((False, True), repeat=len(offdiag)):
+        rel = [[a == b for b in range(n)] for a in range(n)]
+        for (a, b), v in zip(offdiag, bits):
+            rel[a][b] = v
+        yield rel
+
+
+def oracle_is_transitive(rel):
+    n = len(rel)
+    return all(not (rel[a][b] and rel[b][c]) or rel[a][c]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def oracle_is_directed(rel):
+    """Definition unrolled: reflexive, transitive, pairwise upper bounds."""
+    n = len(rel)
+    if any(not rel[a][a] for a in range(n)):
+        return False
+    if not oracle_is_transitive(rel):
+        return False
+    for a in range(n):
+        for b in range(n):
+            if not any(rel[a][c] and rel[b][c] for c in range(n)):
+                return False
+    return True
+
+
+def directed_indices_upto(n_max):
+    for n in range(1, n_max + 1):
+        for rel in all_reflexive_matrices(n):
+            if oracle_is_directed(rel):
+                yield FiniteSpace.from_matrix(rel)
+
+
+class TestDirectedIndex:
+    """A finite net index is the finite space whose preorder is its order;
+    ``top_element`` is its directedness check."""
+
+    def test_total_order_is_directed(self):
+        chain = [[a <= b for b in range(3)] for a in range(3)]
+        assert top_element(FiniteSpace.from_matrix(chain)) == 2
+
+    def test_incomparable_pair_without_bound(self):
+        with pytest.raises(PreconditionError):
+            top_element(FiniteSpace.from_matrix([[True, False],
+                                                 [False, True]]))
+
+    def test_nonsquare_rejected(self):
+        with pytest.raises(MalformedInputError,
+                           match="relation matrix is not square"):
+            FiniteSpace.from_matrix([[True, False]])
+
+    def test_agrees_with_bruteforce_on_all_small_reflexive_matrices(self):
+        # every reflexive matrix up to 3x3: an intransitive relation is
+        # no preorder, and a preorder is an index iff it is directed
+        for n in (1, 2, 3):
+            for rel in all_reflexive_matrices(n):
+                if not oracle_is_transitive(rel):
+                    with pytest.raises(MalformedInputError):
+                        FiniteSpace.from_matrix(rel)
+                    continue
+                index = FiniteSpace.from_matrix(rel)
+                if oracle_is_directed(rel):
+                    top_element(index)
+                else:
+                    with pytest.raises(PreconditionError):
+                        top_element(index)
+
+    def test_missing_reflexivity_fails(self):
+        with pytest.raises(MalformedInputError,
+                           match="must be reflexive and transitive"):
+            FiniteSpace.from_matrix([[False]])
+
+    def test_every_element_below_top(self):
+        for index in directed_indices_upto(3):
+            top = top_element(index)
+            assert all(index.rows[a] >> top & 1 for a in range(index.n))
+
+    def test_least_index_tie_break(self):
+        # two equivalent maximal elements 1 and 2: the least index wins
+        index = FiniteSpace.from_matrix([
+            [True, True, True],
+            [False, True, True],
+            [False, True, True],
+        ])
+        assert top_element(index) == 1
+
+    @pytest.mark.parametrize("rel", [[[True, False], [False, True]], []],
+                             ids=["incomparable-pair", "empty"])
+    def test_undirected_index_has_no_top_element(self, rel):
+        with pytest.raises(PreconditionError,
+                           match="index order must be directed"):
+            top_element(FiniteSpace.from_matrix(rel))
 
 
 def test_matrix_round_trip():

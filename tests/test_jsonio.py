@@ -4,15 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from limitset_lab import jsonio
-from limitset_lab.directed_sets import ZNN, FiniteOrder
 from limitset_lab.errors import MalformedInputError
-from limitset_lab.finite_topology import (SIERPINSKI, discrete_space,
-                                          enumerate_spaces)
+from limitset_lab.finite_topology import (SIERPINSKI, FiniteSpace,
+                                          discrete_space, enumerate_spaces)
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace)
 from limitset_lab.rationals import (fraction_from_json, fraction_to_json)
 from limitset_lab.setvalued_maps import SetValuedMap
-from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
+from limitset_lab.subset_nets import (ZNN, AffineEscape, GeometricConverge,
                                       Periodic, SubsetNet, analyze)
 from limitset_lab.theoremlab import iter_periodic_cycles
 
@@ -53,7 +52,7 @@ class TestRationals:
 
 class TestOrders:
     def test_round_trips(self):
-        chain = FiniteOrder.from_matrix([[a <= b for b in range(3)]
+        chain = FiniteSpace.from_matrix([[a <= b for b in range(3)]
                                          for a in range(3)])
         for order in (chain, ZNN):
             j = jsonio.order_to_json(order)
@@ -62,7 +61,8 @@ class TestOrders:
 
     def test_spec_shapes(self):
         assert jsonio.order_to_json(ZNN) == {"kind": "znn"}
-        j = jsonio.order_to_json(FiniteOrder.from_matrix([[True]]))
+        assert jsonio.order_from_json({"kind": "znn"}) is ZNN
+        j = jsonio.order_to_json(FiniteSpace.from_matrix([[True]]))
         assert j == {"kind": "finite", "rel": [[True]]}
 
 
@@ -180,7 +180,7 @@ class TestNets:
             assert jsonio.net_to_json(back) == j
 
     def test_finite_index_net_round_trip(self):
-        order = FiniteOrder.from_matrix([[a <= b for b in range(2)]
+        order = FiniteSpace.from_matrix([[a <= b for b in range(2)]
                                          for a in range(2)])
         net = SubsetNet.over_finite(discrete_space(2), order, [0b01, 0b11])
         j = jsonio.net_to_json(net)

@@ -168,6 +168,30 @@ class TestCanonicalPoints:
         for p in a:
             assert type(p) is tuple and all(type(c) is F for c in p)
 
+    def test_canonical_excluded_set_is_kept_as_the_same_object(self):
+        excluded = frozenset([pt(0, 0), pt(1, F(1, 2))])
+        assert RationalPointSpace(2, excluded).excluded is excluded
+
+    @pytest.mark.parametrize("given", [
+        frozenset([(0, 0), (1, F(1, 2))]),
+        [[0, 0], [1, F(1, 2)]],
+        frozenset([(False, 0), (Half(1), F(1, 2))]),
+    ], ids=["int", "list", "subclass"])
+    def test_other_excluded_input_is_coerced(self, given):
+        excluded = RationalPointSpace(2, given).excluded
+        assert excluded == frozenset([pt(0, 0), pt(1, F(1, 2))])
+        assert type(excluded) is frozenset and excluded is not given
+        for p in excluded:
+            assert type(p) is tuple and all(type(c) is F for c in p)
+
+    @pytest.mark.parametrize("given", [
+        frozenset([pt(0, 0), pt(1)]), frozenset([pt(0, 0, 0)]), [[1]]],
+        ids=["canonical-short", "canonical-long", "list"])
+    def test_excluded_point_of_wrong_dimension_is_rejected(self, given):
+        with pytest.raises(MalformedInputError,
+                           match="excluded point of wrong dimension"):
+            RationalPointSpace(2, given)
+
     @pytest.mark.parametrize("bad, message", [
         (pt(0, 0), EXCLUDED_MESSAGE), ((0, 0), EXCLUDED_MESSAGE),
         (pt(1), DIMENSION_MESSAGE), ([1], DIMENSION_MESSAGE)],

@@ -5,13 +5,12 @@ from itertools import product
 import pytest
 
 from limitset_lab.errors import MalformedInputError, PreconditionError
-from limitset_lab.finite_topology import (SIERPINSKI, discrete_space,
-                                          enumerate_spaces)
+from limitset_lab.finite_topology import (SIERPINSKI, FiniteSpace,
+                                          discrete_space, enumerate_spaces)
 from limitset_lab.pseudometric_core import FinitePseudoMetric
 from limitset_lab.setvalued_maps import (SetValuedMap, image, is_lsc_at,
                                          is_usc_at, lsc_via_semidistance)
 from limitset_lab.subset_nets import SubsetNet, converges_from_below
-from limitset_lab.directed_sets import FiniteOrder
 
 
 def oracle_usc_at(f, x):
@@ -225,7 +224,7 @@ class TestApproachNetCharacterization:
                                 if dom.dist[x][i] >= dom.dist[x][pj]:
                                     row |= 1 << j
                             rows.append(row)
-                        order = FiniteOrder(rows)
+                        order = FiniteSpace(rows)
                         net = SubsetNet.over_finite(
                             cod, order, [graph[p] for p in others])
                         below = converges_from_below(net, graph[x])

@@ -6,12 +6,11 @@ from itertools import product
 
 import pytest
 
-from limitset_lab.directed_sets import FiniteOrder, top_element
 from limitset_lab.errors import (MalformedInputError, MembershipError,
                                  PreconditionError, UnsupportedRuleError)
 from limitset_lab.finite_topology import (SIERPINSKI, FiniteSpace, closure,
                                           discrete_space, enumerate_spaces,
-                                          indiscrete_space)
+                                          indiscrete_space, top_element)
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace)
 from limitset_lab.rationals import max_norm_distance
@@ -148,14 +147,14 @@ class TestConstruction:
             assert all(type(c) is F for t in net.tail.b for c in t)
 
     def test_finite_index_must_be_directed(self):
-        undirected = FiniteOrder.from_matrix([[True, False], [False, True]])
+        undirected = FiniteSpace.from_matrix([[True, False], [False, True]])
         with pytest.raises(PreconditionError):
             SubsetNet.over_finite(D2, undirected, [0b01, 0b10])
 
 
 TRAP_SPACE = RationalPointSpace(1, [pt(0)])
 # 0 <= 1, 2 and 1 ~ 2: the top class holds both 1 and 2
-TOP_PAIR = FiniteOrder([0b111, 0b110, 0b110])
+TOP_PAIR = FiniteSpace([0b111, 0b110, 0b110])
 
 
 class TestTailSummary:
@@ -280,8 +279,8 @@ class TestLimitSet:
                     net = SubsetNet.over_finite(space, order, assignment)
                     top = top_element(order)
                     union = 0
-                    for t in order.elements():
-                        if order.leq(top, t):
+                    for t in range(order.n):
+                        if order.rows[top] >> t & 1:
                             union |= assignment[t]
                     assert limit_set(net) == closure(space, union)
                     assert limit_set(net) == limit_set_horizon_oracle(net)

@@ -259,8 +259,7 @@ class TestGenerators:
     def test_labels_are_pinned(self):
         from fractions import Fraction as F
 
-        from limitset_lab.directed_sets import FiniteOrder
-        from limitset_lab.finite_topology import SIERPINSKI
+        from limitset_lab.finite_topology import SIERPINSKI, FiniteSpace
         from limitset_lab.pseudometric_core import RationalPointSpace
         from limitset_lab.subset_nets import AffineEscape, GeometricConverge
 
@@ -268,7 +267,7 @@ class TestGenerators:
             return tuple(F(c) for c in coords)
 
         q1 = RationalPointSpace(1)
-        top = FiniteOrder.from_matrix([[True, False, True],
+        top = FiniteSpace.from_matrix([[True, False, True],
                                        [False, True, True],
                                        [False, False, True]])
         cases = [
