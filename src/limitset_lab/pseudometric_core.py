@@ -40,12 +40,6 @@ from .rationals import (INFINITY, Point, as_point,
 PointSet = FrozenSet[Point]
 
 
-def _canonical_set(a, dim: int) -> bool:
-    """Whether ``a`` is a frozenset of canonical points of dimension ``dim``."""
-    return type(a) is frozenset and all(
-        type(p) is tuple and len(p) == dim and p is as_point(p) for p in a)
-
-
 class RationalPointSpace:
     """Q^dim under the max-norm with finitely many points removed."""
 
@@ -55,11 +49,9 @@ class RationalPointSpace:
         if dim < 1:
             raise MalformedInputError("dimension must be positive")
         self.dim = dim
-        if not _canonical_set(excluded, dim):  # a canonical set is kept as is
-            excluded = frozenset(map(as_point, excluded))
-            if any(len(p) != dim for p in excluded):
-                raise MalformedInputError("excluded point of wrong dimension")
-        self.excluded = excluded
+        self.excluded = frozenset(map(as_point, excluded))
+        if any(len(p) != dim for p in self.excluded):
+            raise MalformedInputError("excluded point of wrong dimension")
 
     def contains(self, p: Point) -> bool:
         if len(p) != self.dim:
@@ -79,7 +71,10 @@ class RationalPointSpace:
         """``a`` as a frozenset of checked canonical points.  A frozenset
         of canonical points of the space is returned as it is: the
         exclusion test reads the hashes it already stores."""
-        if _canonical_set(a, self.dim) and self.excluded.isdisjoint(a):
+        dim = self.dim
+        if (type(a) is frozenset and self.excluded.isdisjoint(a)
+                and all(type(p) is tuple and len(p) == dim
+                        and p is as_point(p) for p in a)):
             return a
         return frozenset(self.check_point(p) for p in a)
 

@@ -69,7 +69,15 @@ from .rationals import Point, as_point
 Ground = Union[FiniteSpace, RationalPointSpace]
 SetValue = Union[int, FrozenSet[Point]]
 
-ZNN = "Z+"  # the index of every Z+ net: the usual order on Z+
+
+class _ZPlus:
+    """The index of every Z+ net: the usual order on Z+."""
+
+    def __repr__(self):
+        return "ZNN"
+
+
+ZNN = _ZPlus()  # equal to nothing but itself, so ``index is ZNN`` is exact
 
 
 # -- tail rules ---------------------------------------------------------------
@@ -249,7 +257,7 @@ class SubsetNet:
     tail is reduced to its ``summary``.
     """
 
-    def __init__(self, ground: Ground, index: Union[FiniteSpace, str],
+    def __init__(self, ground: Ground, index: Union[FiniteSpace, _ZPlus],
                  summary: TailSummary, preperiod: tuple = (),
                  tail: Optional[TailRule] = None,
                  assignment: Optional[tuple] = None):

@@ -168,10 +168,6 @@ class TestCanonicalPoints:
         for p in a:
             assert type(p) is tuple and all(type(c) is F for c in p)
 
-    def test_canonical_excluded_set_is_kept_as_the_same_object(self):
-        excluded = frozenset([pt(0, 0), pt(1, F(1, 2))])
-        assert RationalPointSpace(2, excluded).excluded is excluded
-
     @pytest.mark.parametrize("given", [
         frozenset([(0, 0), (1, F(1, 2))]),
         [[0, 0], [1, F(1, 2)]],
