@@ -97,9 +97,6 @@ class RationalPointSpace:
         at distance zero from it, which under a metric is inclusion."""
         return s <= a
 
-    def distance(self, p: Point, q: Point) -> Fraction:
-        return max_norm_distance(p, q)
-
     def __eq__(self, other):
         return (isinstance(other, RationalPointSpace)
                 and self.dim == other.dim and self.excluded == other.excluded)

@@ -212,6 +212,8 @@ class _ImageStep:
         self.shift = flow.exact_rotation_shift(grid)
         if flow.kind != "table" and self.shift is None and flow.dim != grid.dim:
             raise PreconditionError("flow and grid dimension mismatch")
+        if flow.kind == "table" and len(flow.table) != grid.total:
+            raise PreconditionError("table size must match the grid")
         self.grid, self.table = grid, flow.table
         self.dilate = dilate and flow.kind != "table"
         self.hits: Dict[int, Tuple[int, ...]] = {}

@@ -7,14 +7,24 @@ Conclusions the theory proves only under hypotheses may legitimately
 break without them; such cases are collected as *exhibits*, never as
 violations.  Reports are deterministic functions of (budget, seed).
 
-The exhaustive suites sweep periodic nets cycle by cycle
-(``iter_periodic_cycles``): every preperiod variant of a cycle is derived
-from one base net with an empty preperiod and shares its tail summary.
-``limit_set``, ``converges_from_above`` and ``is_limit_set_compact`` read
-only the summary and the ground, so each is asked once per (space, cycle)
-on the base net.  So is the ``limit_set_characterization`` oracle, whose
-window of unrolled values starts past every preperiod.  Per preperiod, a
-suite only labels what it reports.
+A suite is one function ``suite_<name>(report, rng)`` decorated with
+``@_suite``.  The decorator registers it in ``SUITES`` under ``<name>``,
+in definition order, and binds ``suite_<name>(budget, seed)``, which
+builds the ``SuiteReport``, seeds ``rng`` as
+``random.Random(f"{seed}:{name}")``, times the body and returns the
+finalized report.  The body reads its budget as ``report.budget``.
+
+The exhaustive suites sweep periodic nets on every topology with 1-3
+points (``iter_spaces``) cycle by cycle (``iter_periodic_cycles``): every
+preperiod variant of a cycle is derived from one base net with an empty
+preperiod and shares its tail summary.  ``limit_set``,
+``converges_from_above`` and ``is_limit_set_compact`` read only the
+summary and the ground, so each is asked once per (space, cycle) on the
+base net.  So is the ``limit_set_characterization`` oracle, whose window
+of unrolled values starts past every preperiod.  Ask once per cycle,
+report per preperiod: a finding is reported against every preperiod
+variant's own label (``SuiteReport.violation_each``), and a derived net
+is built only to label what is reported.
 """
 
 from __future__ import annotations
@@ -64,6 +74,14 @@ class SuiteReport:
     def violation(self, instance: str, expected: str, got: str):
         self.violations.append(
             {"instance": instance, "expected": expected, "got": got})
+
+    def violation_each(self, base: SubsetNet, pres: list, expected: str,
+                       got: str, suffix: str = ""):
+        """One per-cycle finding, reported against the label of each
+        preperiod variant of ``base`` in turn, ``suffix`` appended."""
+        for pre in pres:
+            self.violation(describe_net(base.with_preperiod(pre)) + suffix,
+                           expected, got)
 
     def exhibit(self, label: Callable[[], Tuple[str, str]]):
         """Count one exhibit; ``label()`` gives its (instance, note) and runs
@@ -117,10 +135,9 @@ def random_point(rng: random.Random, dim: int) -> tuple:
     return tuple(coords)
 
 
-def random_space(rng: random.Random, extra_excluded=()) -> RationalPointSpace:
+def random_space(rng: random.Random) -> RationalPointSpace:
     dim = rng.choice((1, 2))
     excluded = {random_point(rng, dim) for _ in range(rng.randint(0, 2))}
-    excluded.update(p for p in extra_excluded if len(p) == dim)
     return RationalPointSpace(dim, excluded)
 
 
@@ -198,11 +215,12 @@ def random_tail_net(rng: random.Random, family: str) -> SubsetNet:
 RULE_FAMILIES = ("periodic", "affine", "geometric", "trap")
 
 
-def rule_net_stream(rng: random.Random, budget: int, nonempty: bool = False,
-                    families=RULE_FAMILIES) -> Iterator[SubsetNet]:
+def rule_net_stream(rng: random.Random, budget: int,
+                    nonempty: bool = False) -> Iterator[SubsetNet]:
     """Deterministic round-robin over the rule families."""
     for i in range(budget):
-        yield random_rule_net(rng, families[i % len(families)], nonempty)
+        yield random_rule_net(rng, RULE_FAMILIES[i % len(RULE_FAMILIES)],
+                              nonempty)
 
 
 def describe_net(net: SubsetNet) -> str:
@@ -216,6 +234,12 @@ def describe_net(net: SubsetNet) -> str:
 
 
 # -- exhaustive families ---------------------------------------------------------
+
+def iter_spaces(max_n: int = 3) -> Iterator[FiniteSpace]:
+    """Every topology on 1..max_n points, fewest points first."""
+    for n in range(1, max_n + 1):
+        yield from enumerate_spaces(n)
+
 
 def iter_periodic_cycles(space: FiniteSpace, max_cycle: int = 2,
                          max_pre: int = 2, nonempty: bool = False
@@ -263,13 +287,12 @@ def cycle_window(net: SubsetNet):
 def iter_directed_posets(max_n: int) -> Iterator[FiniteSpace]:
     """All labeled directed posets with at most max_n elements, as the
     finite spaces whose preorder they are."""
-    for n in range(1, max_n + 1):
-        for space in enumerate_spaces(n):
-            rows = space.rows
-            antisym = all(not (rows[a] >> b & 1 and rows[b] >> a & 1)
-                          for a in range(n) for b in range(a + 1, n))
-            if antisym and reduce(operator.and_, rows):  # a top: directed
-                yield space
+    for space in iter_spaces(max_n):
+        n, rows = space.n, space.rows
+        antisym = all(not (rows[a] >> b & 1 and rows[b] >> a & 1)
+                      for a in range(n) for b in range(a + 1, n))
+        if antisym and reduce(operator.and_, rows):  # a top: directed
+            yield space
 
 
 def iter_finite_assignments(space: FiniteSpace, order: FiniteSpace,
@@ -281,8 +304,29 @@ def iter_finite_assignments(space: FiniteSpace, order: FiniteSpace,
 
 # -- suites ------------------------------------------------------------------------
 
-def suite_limit_set_characterization(budget: int = 1000,
-                                     seed: int = 42) -> SuiteReport:
+SUITES: dict = {}
+
+
+def _suite(body: Callable[[SuiteReport, random.Random], None]):
+    """Register ``suite_<name>(report, rng)`` as suite ``<name>`` and return
+    ``suite_<name>(budget, seed)``, which runs it (see the module docstring)."""
+    name = body.__name__.removeprefix("suite_")
+
+    def run(budget: int = 1000, seed: int = 42) -> SuiteReport:
+        report = SuiteReport(name, seed, budget)
+        start = time.perf_counter()
+        body(report, random.Random(f"{seed}:{name}"))
+        report.elapsed_seconds = time.perf_counter() - start
+        return report.finalize()
+
+    run.__name__ = run.__qualname__ = body.__name__
+    run.__doc__ = body.__doc__
+    SUITES[name] = run
+    return run
+
+
+@_suite
+def suite_limit_set_characterization(report: SuiteReport, rng) -> None:
     """Membership in the limit set versus the convergent-subsequence search.
 
     Exhaustive over all topologies on up to 3 points and all periodic nets
@@ -292,40 +336,27 @@ def suite_limit_set_characterization(budget: int = 1000,
     y the net meets the minimal neighborhood U_y cofinally iff that window
     meets U_y; a hit certifies a monotone final subsequence with
     selections converging to y.  The window starts past every preperiod,
-    so each preperiod variant shares its base net's window, and
-    ``limit_set`` reads only the shared summary (see
-    ``iter_periodic_cycles``): both are worked out once per cycle, and a
-    derived net is built only to label a wrong point, once per preperiod.
+    so both sides are worked out once per cycle (see the module docstring).
     """
-    report = SuiteReport("limit_set_characterization", seed, budget)
-    start = time.perf_counter()
-    for n in (1, 2, 3):
-        for space in enumerate_spaces(n):
-            neighborhoods = [space.minimal_open(y) for y in range(n)]
-            for base, pres in iter_periodic_cycles(space):
-                report.instances += len(pres)
-                ls = limit_set(base)
-                window = cycle_window(base)
-                wrong = [(y, bool(window & uy))
-                         for y, uy in enumerate(neighborhoods)
-                         if bool(ls >> y & 1) != bool(window & uy)]
-                for pre in pres if wrong else ():
-                    label = describe_net(base.with_preperiod(pre))
-                    for y, found in wrong:
-                        report.violation(
-                            f"{label} y={y}",
-                            f"membership {found} from subsequence search",
-                            f"limit_set gives {not found}")
-    report.elapsed_seconds = time.perf_counter() - start
-    return report.finalize()
+    for space in iter_spaces():
+        neighborhoods = [space.minimal_open(y) for y in range(space.n)]
+        for base, pres in iter_periodic_cycles(space):
+            report.instances += len(pres)
+            ls = limit_set(base)
+            window = cycle_window(base)
+            for y, uy in enumerate(neighborhoods):
+                found = bool(window & uy)
+                if bool(ls >> y & 1) != found:
+                    report.violation_each(
+                        base, pres,
+                        f"membership {found} from subsequence search",
+                        f"limit_set gives {not found}", f" y={y}")
 
 
-def suite_kuratowski_equality(budget: int = 1000, seed: int = 42) -> SuiteReport:
+@_suite
+def suite_kuratowski_equality(report: SuiteReport, rng) -> None:
     """limit_set = Kuratowski Limsup on random rule nets over Q^d."""
-    report = SuiteReport("kuratowski_equality", seed, budget)
-    start = time.perf_counter()
-    rng = random.Random(f"{seed}:kuratowski_equality")
-    for net in rule_net_stream(rng, budget):
+    for net in rule_net_stream(rng, report.budget):
         report.instances += 1
         ls = limit_set(net)
         limsup, liminf = kuratowski_limits(net)
@@ -336,12 +367,10 @@ def suite_kuratowski_equality(budget: int = 1000, seed: int = 42) -> SuiteReport
         if not liminf <= limsup:
             report.violation(describe_net(net), "Liminf inside Limsup",
                              "containment fails")
-    report.elapsed_seconds = time.perf_counter() - start
-    return report.finalize()
 
 
-def suite_separation_containments(budget: int = 1000,
-                                  seed: int = 42) -> SuiteReport:
+@_suite
+def suite_separation_containments(report: SuiteReport, rng) -> None:
     """Limit-set containments under separation hypotheses, plus exhibits.
 
     On Hausdorff (= discrete) spaces, convergence from above to a set
@@ -350,56 +379,42 @@ def suite_separation_containments(budget: int = 1000,
     conclusion may fail; such witnesses are reported as exhibits, which
     demonstrate the hypothesis is necessary and never count as failures.
 
-    ``limit_set`` and ``converges_from_above`` read only the summary that
-    every preperiod variant shares with its cycle's base net (see
-    ``iter_periodic_cycles``), so the findings are worked out once per
-    cycle and target.  They are reported once per preperiod, in per-net
-    order; a derived net is built only to label a finding that is kept,
-    and exhibits past ``EXHIBIT_CAP`` are counted in one step.
+    The findings are worked out once per cycle and target (see the module
+    docstring).  Exhibits are met in per-net order (cycle, preperiod,
+    target), and those past ``EXHIBIT_CAP`` are counted in one step.
     """
-    report = SuiteReport("separation_containments", seed, budget)
-    start = time.perf_counter()
-    for n in (1, 2, 3):
-        for space in enumerate_spaces(n):
-            hausdorff = is_hausdorff(space)
-            regular = is_regular(space)
-            for base, pres in iter_periodic_cycles(space):
-                ls = limit_set(base)
-                # targets attracting the net although L is not inside them
-                attracting = [a for a in range(1 << n)
-                              if ls & ~a and converges_from_above(base, a)]
-                escapes = [(a, cls_a) for a in attracting
-                           if ls & ~(cls_a := closure(space, a))]
-                report.instances += len(pres)
-                if not regular and len(report.exhibits) >= EXHIBIT_CAP:
-                    report.exhibit_count += len(pres) * len(escapes)
-                    continue
-                if not (escapes or hausdorff and attracting):
-                    continue  # no finding to report
-                for pre in pres:
-                    label = lambda: describe_net(base.with_preperiod(pre))
-                    if hausdorff:
-                        for a in attracting:
-                            report.violation(
-                                f"{label()} K={a:b}",
-                                "L inside K on a Hausdorff space", f"L={ls:b}")
-                    for a, cls_a in escapes:
-                        if regular:
-                            report.violation(
-                                f"{label()} A={a:b}",
-                                "L inside cls(A) on a regular space",
-                                f"L={ls:b}")
-                        else:
-                            report.exhibit(lambda: (
-                                f"{label()} A={a:b}",
-                                f"L={ls:b} escapes cls(A)={cls_a:b} "
-                                "without regularity"))
-    report.elapsed_seconds = time.perf_counter() - start
-    return report.finalize()
+    for space in iter_spaces():
+        hausdorff = is_hausdorff(space)
+        regular = is_regular(space)
+        for base, pres in iter_periodic_cycles(space):
+            ls = limit_set(base)
+            # targets attracting the net although L is not inside them
+            attracting = [a for a in range(1 << space.n)
+                          if ls & ~a and converges_from_above(base, a)]
+            escapes = [(a, cls_a) for a in attracting
+                       if ls & ~(cls_a := closure(space, a))]
+            report.instances += len(pres)
+            if not regular and len(report.exhibits) >= EXHIBIT_CAP:
+                report.exhibit_count += len(pres) * len(escapes)
+                continue
+            for a in attracting if hausdorff else ():
+                report.violation_each(base, pres,
+                                      "L inside K on a Hausdorff space",
+                                      f"L={ls:b}", f" K={a:b}")
+            for a, _ in escapes if regular else ():
+                report.violation_each(base, pres,
+                                      "L inside cls(A) on a regular space",
+                                      f"L={ls:b}", f" A={a:b}")
+            for pre in pres if escapes and not regular else ():
+                for a, cls_a in escapes:
+                    report.exhibit(lambda: (
+                        f"{describe_net(base.with_preperiod(pre))} A={a:b}",
+                        f"L={ls:b} escapes cls(A)={cls_a:b} "
+                        "without regularity"))
 
 
-def suite_compactness_equivalences(budget: int = 1000,
-                                   seed: int = 42) -> SuiteReport:
+@_suite
+def suite_compactness_equivalences(report: SuiteReport, rng) -> None:
     """Compactness-flavoured implications across both backends.
 
     Finite backend (compact, locally compact): every nonempty-valued net
@@ -411,34 +426,25 @@ def suite_compactness_equivalences(budget: int = 1000,
     asymptotic sequential compactness must force convergence from above
     to the limit set.
 
-    ``is_limit_set_compact`` reads only the summary that every periodic
-    net shares with its cycle's base net (see ``iter_periodic_cycles``),
-    so the periodic block asks it once per cycle and reports a failure
-    against every derived net's own label.
+    The periodic block asks ``is_limit_set_compact`` once per cycle (see
+    the module docstring).
     """
-    report = SuiteReport("compactness_equivalences", seed, budget)
-    start = time.perf_counter()
-    for n in (1, 2, 3):
-        for space in enumerate_spaces(n):
-            for base, pres in iter_periodic_cycles(space, nonempty=True):
-                report.instances += len(pres)
-                if not is_limit_set_compact(base):
-                    for pre in pres:
-                        report.violation(
-                            describe_net(base.with_preperiod(pre)),
-                            "limit set compact on a compact space",
-                            "verdict fails")
+    for space in iter_spaces():
+        for base, pres in iter_periodic_cycles(space, nonempty=True):
+            report.instances += len(pres)
+            if not is_limit_set_compact(base):
+                report.violation_each(base, pres,
+                                      "limit set compact on a compact space",
+                                      "verdict fails")
     for order in iter_directed_posets(3):
-        for n in (1, 2):
-            for space in enumerate_spaces(n):
-                for net in iter_finite_assignments(space, order, nonempty=True):
-                    report.instances += 1
-                    if not is_limit_set_compact(net):
-                        report.violation(describe_net(net),
-                                         "limit set compact on a compact space",
-                                         "verdict fails")
-    rng = random.Random(f"{seed}:compactness_equivalences")
-    for net in rule_net_stream(rng, budget, nonempty=True):
+        for space in iter_spaces(2):
+            for net in iter_finite_assignments(space, order, nonempty=True):
+                report.instances += 1
+                if not is_limit_set_compact(net):
+                    report.violation(describe_net(net),
+                                     "limit set compact on a compact space",
+                                     "verdict fails")
+    for net in rule_net_stream(rng, report.budget, nonempty=True):
         report.instances += 1
         ls = limit_set(net)
         fa = converges_from_above(net, ls)
@@ -460,12 +466,10 @@ def suite_compactness_equivalences(budget: int = 1000,
             report.violation(describe_net(net),
                              "weak asymptotic compactness forces "
                              "convergence from above to L", "fails")
-    report.elapsed_seconds = time.perf_counter() - start
-    return report.finalize()
 
 
-def suite_pseudometrizable_equivalence(budget: int = 1000,
-                                       seed: int = 42) -> SuiteReport:
+@_suite
+def suite_pseudometrizable_equivalence(report: SuiteReport, rng) -> None:
     """The four-way equivalence on nonempty-valued nets over Q^d.
 
     Convergence from above to some nonempty compact set (decided against
@@ -474,9 +478,7 @@ def suite_pseudometrizable_equivalence(budget: int = 1000,
     every instance.  At least ``budget // 10`` instances are excluded-limit
     traps, where all four must fail together.
     """
-    report = SuiteReport("pseudometrizable_equivalence", seed, budget)
-    start = time.perf_counter()
-    rng = random.Random(f"{seed}:pseudometrizable_equivalence")
+    budget = report.budget
     traps = 0
     for i, net in enumerate(rule_net_stream(rng, budget, nonempty=True)):
         report.instances += 1
@@ -498,11 +500,10 @@ def suite_pseudometrizable_equivalence(budget: int = 1000,
     if traps < budget // 10:
         report.violation("trap quota", f">= {budget // 10} excluded-limit traps",
                          str(traps))
-    report.elapsed_seconds = time.perf_counter() - start
-    return report.finalize()
 
 
-def suite_sequential_limits(budget: int = 1000, seed: int = 42) -> SuiteReport:
+@_suite
+def suite_sequential_limits(report: SuiteReport, rng) -> None:
     """Sequential limit sets and first-countable consequences.
 
     L = L_seq on the rational backend (first-countable); weak asymptotic
@@ -511,15 +512,10 @@ def suite_sequential_limits(budget: int = 1000, seed: int = 42) -> SuiteReport:
     Hausdorff-or-regular finite spaces, being attracted by some nonempty
     compact set is equivalent to limit set compactness.
 
-    On the finite spaces both sides read only the summary that every
-    periodic net shares with its cycle's base net (see
-    ``iter_periodic_cycles``), so they are asked once per cycle and a
-    disagreement is reported against every derived net's own label.
+    On the finite spaces both sides are asked once per cycle (see the
+    module docstring).
     """
-    report = SuiteReport("sequential_limits", seed, budget)
-    start = time.perf_counter()
-    rng = random.Random(f"{seed}:sequential_limits")
-    for net in rule_net_stream(rng, budget):
+    for net in rule_net_stream(rng, report.budget):
         report.instances += 1
         ls = limit_set(net)
         seq = sequential_limit_set(net)
@@ -534,47 +530,30 @@ def suite_sequential_limits(budget: int = 1000, seed: int = 42) -> SuiteReport:
                              "from above to L", "fails")
     # singleton nets: attraction by a nonempty compact set yields cluster points
     singleton_families = ("affine", "geometric", "trap")
-    for i in range(budget // 4):
+    for i in range(report.budget // 4):
         family = singleton_families[i % len(singleton_families)]
         net = random_tail_net(rng, family)
         report.instances += 1
-        candidates = [limit_set(net)]
-        candidates.append(frozenset([net.tail.point(0)]))
-        attracted = any(
-            semidistance_convergence_check(net, k) for k in candidates if k)
+        attracted = any(semidistance_convergence_check(net, k)
+                        for k in (limit_set(net), net.at(0)) if k)
         if attracted and not cluster_set(net):
             report.violation(describe_net(net),
                              "nonempty cluster set under attraction",
                              "empty cluster set")
-    for n in (1, 2, 3):
-        for space in enumerate_spaces(n):
-            if not (is_hausdorff(space) or is_regular(space)):
-                continue
-            for base, pres in iter_periodic_cycles(space, nonempty=True):
-                report.instances += len(pres)
-                attracted = any(
-                    converges_from_above(base, k) for k in range(1, 1 << n))
-                lsc = is_limit_set_compact(base)
-                if attracted != lsc:
-                    for pre in pres:
-                        report.violation(
-                            describe_net(base.with_preperiod(pre)),
-                            "attraction by a nonempty compact set iff "
-                            "limit set compact",
-                            f"attracted={attracted}, "
-                            f"limit_set_compact={lsc}")
-    report.elapsed_seconds = time.perf_counter() - start
-    return report.finalize()
-
-
-SUITES: dict = {
-    "limit_set_characterization": suite_limit_set_characterization,
-    "kuratowski_equality": suite_kuratowski_equality,
-    "separation_containments": suite_separation_containments,
-    "compactness_equivalences": suite_compactness_equivalences,
-    "pseudometrizable_equivalence": suite_pseudometrizable_equivalence,
-    "sequential_limits": suite_sequential_limits,
-}
+    for space in iter_spaces():
+        if not (is_hausdorff(space) or is_regular(space)):
+            continue
+        for base, pres in iter_periodic_cycles(space, nonempty=True):
+            report.instances += len(pres)
+            attracted = any(converges_from_above(base, k)
+                            for k in range(1, 1 << space.n))
+            lsc = is_limit_set_compact(base)
+            if attracted != lsc:
+                report.violation_each(
+                    base, pres,
+                    "attraction by a nonempty compact set iff "
+                    "limit set compact",
+                    f"attracted={attracted}, limit_set_compact={lsc}")
 
 
 def run_suite(name: str, budget: int = 1000, seed: int = 42) -> SuiteReport:

@@ -94,3 +94,47 @@ def test_the_scans_see_matrix_parsers_and_imports():
     assert "directed_sets" in imported_modules(tree)
     assert "directed_sets" in imported_modules(
         ast.parse("import limitset_lab.directed_sets\n"))
+
+
+HARNESS_CALLS = {"SuiteReport", "Random"}
+
+
+def calls_outside(tree, names, owner):
+    """(enclosing function, line) of each call to one of ``names`` (a plain
+    name or an attribute such as ``random.Random``) that is not inside the
+    function ``owner``, nested functions included."""
+    found = []
+
+    def visit(node, funcs):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            funcs = funcs + (node.name,)
+        if isinstance(node, ast.Call) and owner not in funcs:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name in names:
+                found.append((funcs[-1] if funcs else None, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, funcs)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_suite_harness_builds_reports_and_seeds():
+    # every suite gets its report and its seeded rng from @_suite, so a
+    # suite body never writes its own name into either
+    tree = ast.parse((SRC / "theoremlab.py").read_text())
+    assert calls_outside(tree, HARNESS_CALLS, "_suite") == []
+
+
+def test_the_scan_sees_reports_and_seeds_built_outside_the_harness():
+    tree = ast.parse("def _suite(body):\n"
+                     "    def run(budget, seed):\n"
+                     "        report = SuiteReport('x', seed, budget)\n"
+                     "        body(report, random.Random(f'{seed}:x'))\n"
+                     "def suite_y(report, rng):\n"
+                     "    return SuiteReport('y', 1, 2), Random('1:y')\n"
+                     "rng = random.Random(0)\n")
+    assert calls_outside(tree, HARNESS_CALLS, "_suite") == [
+        ("suite_y", 6), ("suite_y", 6), (None, 7)]

@@ -203,6 +203,16 @@ class TestCellImage:
             omega_limit_cells(g, flow, 0b1111, samples=samples)
         assert not built
 
+    @pytest.mark.parametrize("table", [(0b10, 0b100), (0b1,) * 5, ()])
+    def test_table_of_the_wrong_length_rejected_before_a_step(self, table):
+        # the CLI checks the length; the library must not index past it
+        g = CellGrid(1, 4)
+        flow = DiscreteSemiflow("table", table=table)
+        with pytest.raises(PreconditionError, match="table size"):
+            cell_image(g, flow, 0b1)
+        with pytest.raises(PreconditionError, match="table size"):
+            omega_limit_cells(g, flow, 0b1)
+
     def test_parameter_validation(self):
         with pytest.raises(MalformedInputError):
             DiscreteSemiflow("logistic", (5,))

@@ -99,6 +99,16 @@ class TestImage:
             SetValuedMap(SIERPINSKI, SIERPINSKI, (0b01,))
 
 
+@pytest.mark.parametrize("check", [is_usc_at, is_lsc_at, lsc_via_semidistance])
+@pytest.mark.parametrize("x", [-1, 2, 10**9, True, 1.0, "0", None])
+def test_a_point_outside_the_domain_is_refused(check, x):
+    m2 = FinitePseudoMetric([[0, 1], [1, 0]])
+    f = SetValuedMap(m2, m2, (0b01, 0b11))
+    with pytest.raises(PreconditionError, match="point"):
+        check(f, x)
+    assert check(f, 1) in (True, False)  # the domain's last point is fine
+
+
 class TestUpperSemicontinuity:
     def test_isolated_point_always_usc(self):
         # 1 is the open point of the Sierpinski space

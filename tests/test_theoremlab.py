@@ -31,6 +31,16 @@ class TestSuiteMachinery:
         with pytest.raises(LimitsetError):
             run_suite("no_such_suite")
 
+    def test_suites_register_in_definition_order(self):
+        assert list(SUITES) == [
+            "limit_set_characterization", "kuratowski_equality",
+            "separation_containments", "compactness_equivalences",
+            "pseudometrizable_equivalence", "sequential_limits"]
+        for name, report in zip(SUITES, run_all(budget=8, seed=42)):
+            assert report.suite == name
+            # perfbench wraps both bindings by name; they must be one object
+            assert SUITES[name] is getattr(theoremlab, f"suite_{name}")
+
     def test_all_suites_pass_at_small_budget(self):
         for report in run_all(budget=60, seed=42):
             assert report.passed, (report.suite, report.violations[:3])
