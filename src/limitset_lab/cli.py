@@ -27,7 +27,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import re
 import sys
 from fractions import Fraction
@@ -36,7 +35,6 @@ from . import jsonio, theoremlab
 from .errors import LimitsetError, MalformedInputError, clip, excerpt
 from .finite_topology import (is_hausdorff, is_pseudometrizable, is_regular)
 from .semiflow_cells import (MAX_SAMPLES, CellGrid, DiscreteSemiflow,
-                             _set_bits, attraction_trace_check,
                              omega_limit_cells)
 from .subset_nets import analyze
 
@@ -62,12 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("space", help="finite-space property checks")
     p.add_argument("action", choices=["check"])
+    p.set_defaults(cmd="cmd_space")
     p.add_argument("--props", default="hausdorff,regular,pseudometrizable")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("net", help="net analysis")
     p.add_argument("action", choices=["analyze"])
+    p.set_defaults(cmd="cmd_net")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--horizon", type=int, default=64)
     p.add_argument("--out", default="-")
@@ -75,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega", help="omega limit sets on a cell grid")
     p.add_argument("--map", dest="map_kind", required=True,
                    choices=["logistic", "tent", "rotation", "henon", "table"])
+    p.set_defaults(cmd="cmd_omega")
     p.add_argument("--param", default=None)
     p.add_argument("--param2", default=None)
     p.add_argument("--cells", type=int, required=True)
@@ -86,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("verify", help="run the theorem verification suites")
+    p.set_defaults(cmd="cmd_verify")
     p.add_argument("--suite", default="all")
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
@@ -101,18 +103,8 @@ def _write(path: str, text: str):
             f.write(text)
 
 
-def _read_json(path: str):
-    """Parse a UTF-8 JSON file.  Bad syntax, non-UTF-8 bytes, nesting past
-    the recursion limit and over-long int literals are malformed input."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except (ValueError, RecursionError) as exc:
-            raise MalformedInputError(f"{path}: {exc}") from exc
-
-
 def cmd_space(args) -> int:
-    space = jsonio.finite_space_from_json(_read_json(args.infile))
+    space = jsonio.finite_space_from_json(jsonio.read_json(args.infile))
     out = {}
     for prop in args.props.split(","):
         prop = prop.strip()
@@ -126,7 +118,7 @@ def cmd_space(args) -> int:
 def cmd_net(args) -> int:
     if args.horizon < 1:
         raise MalformedInputError("--horizon must be positive")
-    net = jsonio.net_from_json(_read_json(args.infile))
+    net = jsonio.net_from_json(jsonio.read_json(args.infile))
     analysis = analyze(net)
     out = jsonio.analysis_to_json(net.ground, analysis)
     out["horizon"] = args.horizon
@@ -171,19 +163,8 @@ def cmd_omega(args) -> int:
             raise MalformedInputError("--map table needs --in table.json")
         if args.param is not None or args.param2 is not None:
             raise MalformedInputError("--map table takes no --param or --param2")
-        rows = _read_json(args.infile)
-        if not isinstance(rows, list):
-            raise MalformedInputError("cell table must be a list of cell lists")
         grid = CellGrid(1, args.cells)
-        if len(rows) != grid.total:
-            raise MalformedInputError("table size must match the grid")
-        if not all(isinstance(row, list) and all(
-                type(c) is int and 0 <= c < grid.total for c in row)
-                for row in rows):
-            raise MalformedInputError(
-                "cell table rows must list cells of the grid")
-        table = tuple(sum(1 << c for c in set(row)) for row in rows)
-        flow = DiscreteSemiflow("table", table=table)
+        flow = jsonio.cell_table_from_json(jsonio.read_json(args.infile), grid)
     else:
         if args.infile is not None:
             raise MalformedInputError(
@@ -209,12 +190,7 @@ def cmd_omega(args) -> int:
     writer.writerow(["n", "cells", "distance"])
     for (n, d), count in zip(result.trace, result.sizes):
         writer.writerow([n, count, float(d)])
-    summary = {
-        "omega": list(_set_bits(result.omega)),
-        "preperiod": result.preperiod,
-        "period": result.period,
-        "attraction_trace_zero_from_preperiod": attraction_trace_check(result),
-    }
+    summary = jsonio.omega_summary_to_json(result)
     if args.out == "-":
         sys.stdout.write(buf.getvalue())
         sys.stderr.write(jsonio.dumps_canonical(summary))
@@ -232,13 +208,8 @@ def cmd_verify(args) -> int:
     else:
         reports = [theoremlab.run_suite(args.suite, budget=args.budget,
                                         seed=args.seed)]
-    payload = {
-        "budget": args.budget,
-        "seed": args.seed,
-        "suites": [theoremlab.report_to_dict(r) for r in reports],
-    }
-    text = jsonio.dumps_canonical(payload)
-    _write(args.out, text)
+    _write(args.out, jsonio.dumps_canonical(
+        jsonio.verify_to_json(args.budget, args.seed, reports)))
     stream = sys.stderr if args.out == "-" else sys.stdout
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -252,15 +223,9 @@ def cmd_verify(args) -> int:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "space":
-            return cmd_space(args)
-        if args.command == "net":
-            return cmd_net(args)
-        if args.command == "omega":
-            return cmd_omega(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise MalformedInputError(f"unknown command: {args.command!r}")
+        # looked up by name on each call, not bound into the cached parser,
+        # so a wrapper later bound over a cmd_* (perfbench's tracing) sees it
+        return globals()[args.cmd](args)
     except SystemExit as exc:  # only --help exits, after printing the help
         return exc.code
     except (LimitsetError, OSError) as exc:

@@ -1,21 +1,26 @@
-"""JSON encoding of every wire-visible structure.
+"""JSON encoding of every wire-visible structure; no other module reads or
+writes JSON.
 
-One canonical shape per type; every encoder round-trips through its
-decoder to an equal value.  Rationals travel as {"num", "den"} string
-pairs, finite point sets as sorted index lists, rational point sets as
-sorted coordinate lists.  Analyses and their verdicts are output only: a
+One canonical shape per type; every encoder of an input round-trips
+through its decoder to an equal value.  Rationals travel as {"num", "den"}
+string pairs, finite point sets as sorted index lists, rational point sets
+as sorted coordinate lists.  Analyses, suite reports and the ``omega``
+summary are output only; the first two read their dataclass's fields.  A
 verdict is a bool, spelled ``{"state": "holds"}`` or ``{"state": "fails"}``.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .errors import MalformedInputError, excerpt
 from .finite_topology import FiniteSpace
 from .pseudometric_core import FinitePseudoMetric, RationalPointSpace
 from .rationals import (fraction_from_json, fraction_to_json, point_from_json,
                         point_to_json)
+from .semiflow_cells import (CellGrid, DiscreteSemiflow, OmegaResult,
+                             attraction_trace_check, set_bits)
 from .setvalued_maps import SetValuedMap
 from .subset_nets import (ZNN, AffineEscape, GeometricConverge, NetAnalysis,
                           Periodic, SubsetNet)
@@ -23,6 +28,16 @@ from .subset_nets import (ZNN, AffineEscape, GeometricConverge, NetAnalysis,
 
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def read_json(path: str):
+    """Parse a UTF-8 JSON file.  Bad syntax, non-UTF-8 bytes, nesting past
+    the recursion limit and over-long int literals are malformed input."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedInputError(f"{path}: {exc}") from exc
 
 
 # -- net indices --------------------------------------------------------------
@@ -219,22 +234,53 @@ def map_from_json(obj) -> SetValuedMap:
     return SetValuedMap(domain, codomain, tuple(graph))
 
 
-# -- verdicts and analyses --------------------------------------------------------------
+# -- verdicts, analyses and reports ------------------------------------------------
 
 def verdict_to_json(flag: bool) -> dict:
     return {"state": "holds" if flag else "fails"}
 
 
 def analysis_to_json(ground, analysis: NetAnalysis) -> dict:
+    """The limit set as a point set, every other field as a verdict."""
+    out = {f.name: verdict_to_json(getattr(analysis, f.name))
+           for f in fields(analysis) if f.name != "limit_set"}
+    out["limit_set"] = pointset_to_json(ground, analysis.limit_set)
+    return out
+
+
+def report_to_json(report) -> dict:
+    """A ``SuiteReport``'s fields but the run-to-run ``elapsed_seconds``."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)
+           if f.name != "elapsed_seconds"}
+    out["passed"] = report.passed
+    return out
+
+
+def verify_to_json(budget: int, seed: int, reports) -> dict:
+    return {"budget": budget, "seed": seed,
+            "suites": [report_to_json(r) for r in reports]}
+
+
+# -- omega cell grids -----------------------------------------------------------------
+
+def cell_table_from_json(obj, grid: CellGrid) -> DiscreteSemiflow:
+    """The flow mapping cell ``i`` onto the cells ``obj[i]`` lists."""
+    if not isinstance(obj, list):
+        raise MalformedInputError("cell table must be a list of cell lists")
+    if not all(isinstance(row, list) and all(
+            type(c) is int and 0 <= c < grid.total for c in row)
+            for row in obj):
+        raise MalformedInputError("cell table rows must list cells of the grid")
+    return DiscreteSemiflow("table", table=tuple(
+        sum(1 << c for c in set(row)) for row in obj))
+
+
+def omega_summary_to_json(result: OmegaResult) -> dict:
     return {
-        "limit_set": pointset_to_json(ground, analysis.limit_set),
-        "limit_set_compact": verdict_to_json(analysis.limit_set_compact),
-        "asympt_seq_compact": verdict_to_json(analysis.asympt_seq_compact),
-        "weakly_asympt_seq_compact":
-            verdict_to_json(analysis.weakly_asympt_seq_compact),
-        "lagrange_stable": verdict_to_json(analysis.lagrange_stable),
-        "converges_above_to_limit":
-            verdict_to_json(analysis.converges_above_to_limit),
+        "omega": list(set_bits(result.omega)),
+        "preperiod": result.preperiod,
+        "period": result.period,
+        "attraction_trace_zero_from_preperiod": attraction_trace_check(result),
     }
 
 

@@ -224,7 +224,7 @@ class _ImageStep:
         row = self.table[i]
         if row & ~self.grid.full_mask:
             raise PreconditionError("table maps a cell outside the grid")
-        return tuple(_set_bits(row))
+        return tuple(set_bits(row))
 
     def __call__(self, cells: int) -> int:
         grid = self.grid
@@ -234,7 +234,7 @@ class _ImageStep:
                 if shift else cells
         hits, hits_of = self.hits, self.hits_of
         out = bytearray((grid.total + 7) >> 3)
-        for i in _set_bits(cells):
+        for i in set_bits(cells):
             hit = hits.get(i)
             if hit is None:
                 hit = hits[i] = hits_of(i)
@@ -244,7 +244,7 @@ class _ImageStep:
         return grid.dilate(image) if self.dilate else image
 
 
-def _set_bits(cells: int):
+def set_bits(cells: int):
     """Indices of the set bits of ``cells``, ascending, in one linear scan."""
     bits = bin(cells)[:1:-1]
     i = bits.find("1")

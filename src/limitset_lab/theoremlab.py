@@ -41,6 +41,7 @@ from typing import Callable, Iterator, List, Tuple
 from .errors import LimitsetError
 from .finite_topology import (FiniteSpace, closure, enumerate_spaces,
                               is_hausdorff, is_regular)
+from .jsonio import verdict_to_json
 from .pseudometric_core import RationalPointSpace
 from .subset_nets import (AffineEscape, GeometricConverge, Periodic,
                           SubsetNet, cluster_set,
@@ -95,24 +96,6 @@ class SuiteReport:
         self.violations.sort(key=lambda v: (v["instance"], v["expected"], v["got"]))
         self.exhibits.sort(key=lambda v: (v["instance"], v["note"]))
         return self
-
-
-def report_to_dict(report: SuiteReport) -> dict:
-    return {
-        "suite": report.suite,
-        "seed": report.seed,
-        "budget": report.budget,
-        "instances": report.instances,
-        "violations": report.violations,
-        "exhibits": report.exhibits,
-        "exhibit_count": report.exhibit_count,
-        "passed": report.passed,
-    }
-
-
-def _state(flag: bool) -> str:
-    """A verdict as reports spell it."""
-    return "holds" if flag else "fails"
 
 
 # -- instance generators -------------------------------------------------------
@@ -495,7 +478,8 @@ def suite_pseudometrizable_equivalence(report: SuiteReport, rng) -> None:
             "limit set compact": is_limit_set_compact(net),
         }
         if len(set(vector.values())) != 1:
-            got = ", ".join(f"{k}={_state(v)}" for k, v in sorted(vector.items()))
+            got = ", ".join(f"{k}={verdict_to_json(v)['state']}"
+                            for k, v in sorted(vector.items()))
             report.violation(describe_net(net), "all four verdicts equal", got)
     if traps < budget // 10:
         report.violation("trap quota", f">= {budget // 10} excluded-limit traps",

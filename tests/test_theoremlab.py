@@ -5,13 +5,14 @@ import pytest
 
 from limitset_lab import theoremlab
 from limitset_lab.errors import LimitsetError
+from limitset_lab.jsonio import report_to_json
 from limitset_lab.finite_topology import discrete_space, enumerate_spaces
 from limitset_lab.subset_nets import (Periodic, SubsetNet,
                                       is_eventually_lagrange_stable)
 from limitset_lab.theoremlab import (EXHIBIT_CAP, SUITES, cycle_window,
                                      describe_net, iter_periodic_cycles,
                                      iter_periodic_nets, random_rule_net,
-                                     report_to_dict, rule_net_stream,
+                                     rule_net_stream,
                                      run_all, run_suite)
 
 # The first exhibits that the per-preperiod loop of separation_containments
@@ -48,8 +49,8 @@ class TestSuiteMachinery:
 
     def test_reports_are_deterministic(self):
         for name in SUITES:
-            first = report_to_dict(run_suite(name, budget=40, seed=7))
-            second = report_to_dict(run_suite(name, budget=40, seed=7))
+            first = report_to_json(run_suite(name, budget=40, seed=7))
+            second = report_to_json(run_suite(name, budget=40, seed=7))
             assert first == second
 
     def test_seed_changes_random_instances(self):
@@ -59,7 +60,7 @@ class TestSuiteMachinery:
 
     def test_elapsed_excluded_from_canonical_dict(self):
         report = run_suite("kuratowski_equality", budget=10, seed=3)
-        d = report_to_dict(report)
+        d = report_to_json(report)
         assert "elapsed_seconds" not in d
         assert report.elapsed_seconds > 0
 
