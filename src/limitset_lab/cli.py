@@ -5,19 +5,21 @@
     limitset-lab omega --map logistic --param 2.0 --cells 64 --init all --out trace.csv
     limitset-lab verify --suite all --budget 1000 --seed 42 --out report.json
 
-Structures travel as JSON, traces as CSV; ``--out -`` streams to stdout.
-Exit codes: 0 success, 1 verification violations, 2 input errors, each
-input error (argument-parser usage errors included) reported as one
-``limitset-lab:`` line on stderr.  One parser, built on first use, serves
-every call in a process.  A net is indexed by a finite directed order or
-by Z+; a ``product`` index is refused.  ``net analyze`` spells each
-verdict ``{"state": "holds"}`` or ``{"state": "fails"}`` and echoes
+This module parses argv, checks the flag grammar (``--param``, ``--init``,
+which flags a map reads), writes the ``omega`` trace CSV and routes each
+output to its stream; ``jsonio`` reads every JSON input and shapes every
+JSON output.  ``--out -`` streams to stdout.  Exit codes: 0 success, 1
+verification violations, 2 input errors, each input error (argument-parser
+usage errors included) reported as one ``limitset-lab:`` line on stderr.
+One parser, built on first use, serves every call in a process; each
+subcommand names its ``cmd_*`` function.  ``net analyze`` echoes
 ``--horizon`` without reading it, since every verdict is exact.  ``space
 check`` refuses the brute-force ``regular`` above ``REGULARITY_CAP``
-points, and ``omega`` a ``--samples`` above ``MAX_SAMPLES``.  ``verify``
-writes one summary line per suite (instances, violations, exhibits and
-seconds) to stdout, or to stderr when the report goes to stdout.
-Evaluation is sequential, and identical argv and inputs produce
+points, and ``omega`` a ``--samples`` above ``MAX_SAMPLES``; ``--map
+table`` refuses ``--param``, ``--param2``, ``--samples`` and ``--dilate``.
+``verify`` writes one summary line per suite (instances, violations,
+exhibits and seconds) to stdout, or to stderr when the report goes to
+stdout.  Evaluation is sequential, and identical argv and inputs produce
 byte-identical outputs.
 """
 
@@ -59,30 +61,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("space", help="finite-space property checks")
-    p.add_argument("action", choices=["check"])
     p.set_defaults(cmd="cmd_space")
+    p.add_argument("action", choices=["check"])
     p.add_argument("--props", default="hausdorff,regular,pseudometrizable")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("net", help="net analysis")
-    p.add_argument("action", choices=["analyze"])
     p.set_defaults(cmd="cmd_net")
+    p.add_argument("action", choices=["analyze"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--horizon", type=int, default=64)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("omega", help="omega limit sets on a cell grid")
+    p.set_defaults(cmd="cmd_omega")
     p.add_argument("--map", dest="map_kind", required=True,
                    choices=["logistic", "tent", "rotation", "henon", "table"])
-    p.set_defaults(cmd="cmd_omega")
     p.add_argument("--param", default=None)
     p.add_argument("--param2", default=None)
     p.add_argument("--cells", type=int, required=True)
     p.add_argument("--init", default="all")
     p.add_argument("--in", dest="infile", default=None,
                    help="cell table JSON for --map table")
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=int, default=None)  # 1 when absent
     p.add_argument("--dilate", action="store_true")
     p.add_argument("--out", default="-")
 
@@ -155,7 +157,8 @@ _PARAM = re.compile(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+")
 
 
 def cmd_omega(args) -> int:
-    if not 1 <= args.samples <= MAX_SAMPLES:
+    samples = 1 if args.samples is None else args.samples
+    if not 1 <= samples <= MAX_SAMPLES:
         raise MalformedInputError(
             f"--samples must be between 1 and {MAX_SAMPLES}")
     if args.map_kind == "table":
@@ -163,6 +166,8 @@ def cmd_omega(args) -> int:
             raise MalformedInputError("--map table needs --in table.json")
         if args.param is not None or args.param2 is not None:
             raise MalformedInputError("--map table takes no --param or --param2")
+        if args.samples is not None or args.dilate:
+            raise MalformedInputError("--map table takes no --samples or --dilate")
         grid = CellGrid(1, args.cells)
         flow = jsonio.cell_table_from_json(jsonio.read_json(args.infile), grid)
     else:
@@ -183,7 +188,7 @@ def cmd_omega(args) -> int:
         grid = CellGrid(flow.dim, args.cells)
     init = _parse_init(args.init, grid)
     result = omega_limit_cells(grid, flow, init,
-                               samples=args.samples, dilate=args.dilate)
+                               samples=samples, dilate=args.dilate)
 
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -24,7 +24,8 @@ import operator
 from functools import reduce
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import (MalformedInputError, PreconditionError, SizeLimitError)
+from .errors import (MalformedInputError, PreconditionError, SizeLimitError,
+                     excerpt)
 
 ENUMERATION_CAP = 5
 REGULARITY_CAP = 10  # is_regular's pair scan grows about 5x per point
@@ -91,7 +92,13 @@ class FiniteSpace:
         """A point set as a checked bitmask; ``s`` is a mask or an iterable
         of points."""
         if not isinstance(s, int):
-            s = sum(1 << int(x) for x in s)
+            mask = 0
+            for x in s:
+                if type(x) is not int or not 0 <= x < self.n:
+                    raise PreconditionError(
+                        f"point {excerpt(x)} outside the space")
+                mask |= 1 << x
+            return mask
         if s & ~self.full_mask:  # check_set, inlined on this hot path
             raise PreconditionError("point set mentions out-of-range points")
         return s

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, FrozenSet, Iterable, List
 
 from .errors import (MalformedInputError, MembershipError, PreconditionError,
-                     UndefinedCaseError)
+                     UndefinedCaseError, excerpt)
 from .finite_topology import FiniteSpace
 from .rationals import (INFINITY, Point, as_point,
                         max_norm_distance)
@@ -186,6 +186,8 @@ class FinitePseudoMetric(FiniteSpace):
         return cls(rows)
 
     def point_to_mask_distance(self, i: int, e: int) -> Fraction:
+        if not 0 <= i < self.n:  # a negative i would index dist from the end
+            raise PreconditionError(f"point {excerpt(i)} outside the space")
         self.check_set(e)
         best = None
         rest = e

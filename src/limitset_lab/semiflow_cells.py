@@ -209,22 +209,21 @@ class _ImageStep:
         if not 1 <= samples <= MAX_SAMPLES:
             raise PreconditionError(
                 f"samples must be between 1 and {MAX_SAMPLES}")
-        self.shift = flow.exact_rotation_shift(grid)
-        if flow.kind != "table" and self.shift is None and flow.dim != grid.dim:
+        table = flow.table
+        if flow.kind == "table":  # a table has no dimension, only a size
+            if len(table) != grid.total:
+                raise PreconditionError("table size must match the grid")
+            # a negative row shifts to -1, so it is refused too
+            if any(row >> grid.total for row in table):
+                raise PreconditionError("table maps a cell outside the grid")
+        elif flow.dim != grid.dim:
             raise PreconditionError("flow and grid dimension mismatch")
-        if flow.kind == "table" and len(flow.table) != grid.total:
-            raise PreconditionError("table size must match the grid")
-        self.grid, self.table = grid, flow.table
+        self.shift = flow.exact_rotation_shift(grid)
+        self.grid = grid
         self.dilate = dilate and flow.kind != "table"
         self.hits: Dict[int, Tuple[int, ...]] = {}
-        self.hits_of = self._table_row if flow.kind == "table" \
-            else _sampler(grid, flow.map_point, samples)
-
-    def _table_row(self, i: int) -> Tuple[int, ...]:
-        row = self.table[i]
-        if row & ~self.grid.full_mask:
-            raise PreconditionError("table maps a cell outside the grid")
-        return tuple(set_bits(row))
+        self.hits_of = (lambda i: tuple(set_bits(table[i]))) \
+            if flow.kind == "table" else _sampler(grid, flow.map_point, samples)
 
     def __call__(self, cells: int) -> int:
         grid = self.grid

@@ -377,6 +377,8 @@ class TestOmega:
         ["--map", "tent", "--param", "2", "--init", "x" * 5000],
         ["--map", "table", "--in", TABLE, "--param", "7"],
         ["--map", "table", "--in", TABLE, "--param2", "x"],
+        ["--map", "table", "--in", TABLE, "--samples", "64"],
+        ["--map", "table", "--in", TABLE, "--dilate"],
         ["--map", "logistic", "--param", "2", "--in", TABLE],
         ["--map", "logistic", "--param", "2", "--in", "nonexistent.json"],
         ["--map", "logistic", "--param", "2", "--samples", "65"],
@@ -384,8 +386,8 @@ class TestOmega:
          "--samples", "100000000"],
     ], ids=["param", "init", "missing-param", "long-param", "long-cell",
             "far-cell", "long-init", "table-param", "table-param2",
-            "builtin-in", "builtin-missing-in", "samples-over-bound",
-            "huge-samples"])
+            "table-samples", "table-dilate", "builtin-in",
+            "builtin-missing-in", "samples-over-bound", "huge-samples"])
     def test_malformed_input_fails_closed(self, argv, capsys, tmp_path):
         # TABLE stands for a valid 8-cell table, so the flag is the only fault
         table = write_json(tmp_path / "table.json",

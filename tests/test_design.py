@@ -138,3 +138,45 @@ def test_the_scan_sees_reports_and_seeds_built_outside_the_harness():
                      "rng = random.Random(0)\n")
     assert calls_outside(tree, HARNESS_CALLS, "_suite") == [
         ("suite_y", 6), ("suite_y", 6), (None, 7)]
+
+
+def wire_format_offences(tree, name):
+    """(what, line) of each ``json`` import in module ``name`` (bar
+    ``jsonio.py``) and of each ``_``-prefixed name it imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            found += [(alias.name, node.lineno) for alias in node.names
+                      if alias.name.startswith("_")]
+        else:
+            continue
+        if name != "jsonio.py":
+            found += [(m, node.lineno) for m in modules
+                      if m.split(".")[0] == "json"]
+    return found
+
+
+def test_only_jsonio_touches_json_and_no_module_imports_a_private_name():
+    # every JSON shape is read and written in one place, and no module
+    # reaches into another's private helpers
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        offenders += [f"{path.name}:{line} {what}"
+                      for what, line in wire_format_offences(tree, path.name)]
+    assert not offenders
+
+
+def test_the_scan_sees_json_imports_and_private_names():
+    tree = ast.parse("import json\n"
+                     "from json import loads\n"
+                     "import json.decoder as d, os\n"
+                     "from .semiflow_cells import CellGrid, _set_bits\n"
+                     "from __future__ import annotations\n"
+                     "import jsonio\n")
+    assert wire_format_offences(tree, "cli.py") == [
+        ("json", 1), ("json", 2), ("json.decoder", 3), ("_set_bits", 4)]
+    assert wire_format_offences(tree, "jsonio.py") == [("_set_bits", 4)]

@@ -12,6 +12,7 @@ from limitset_lab.finite_topology import (REGULARITY_CAP, SIERPINSKI,
                                           is_pseudometrizable, is_regular,
                                           separate_compact_from_point,
                                           top_element)
+from limitset_lab.subset_nets import Periodic, SubsetNet, limit_set
 
 # frozen via the reflexive-transitive matrix filter oracle below; the n=5
 # value was computed once with the same oracle (6942, 4.3 s) and frozen
@@ -72,6 +73,22 @@ class TestClosure:
                     ce = closure(space, e)
                     for f in range(full):
                         assert closure(space, e | f) == ce | closure(space, f)
+
+
+class TestNormalize:
+    def test_a_repeated_point_is_one_point(self):
+        assert discrete_space(3).normalize([1, 1]) == 0b10
+        assert discrete_space(3).normalize([2, 0, 2]) == 0b101
+
+    def test_a_repeated_point_leaves_the_limit_set_alone(self):
+        net = SubsetNet.over_znn(discrete_space(3), [], Periodic(([0, 0],)))
+        assert limit_set(net) == 0b1
+
+    @pytest.mark.parametrize("points", [[1.7], [-1], [3], [True], ["1"],
+                                        [0, 10**30]])
+    def test_a_point_outside_the_space_is_refused(self, points):
+        with pytest.raises(PreconditionError):
+            discrete_space(3).normalize(points)
 
 
 class TestNeighborhoods:

@@ -93,6 +93,14 @@ class TestSemidistance:
         ac = semidistance(Q1, a, c)
         assert ac <= ab + bc
 
+    @pytest.mark.parametrize("i", [-1, -3, 3])
+    def test_point_to_mask_distance_refuses_a_point_outside(self, i):
+        # a negative index would read another point's row of dist
+        m = FinitePseudoMetric.from_points([(0,), (1,), (2,)])
+        with pytest.raises(PreconditionError):
+            m.point_to_mask_distance(i, 0b1)
+        assert m.point_to_mask_distance(2, 0b1) == 2
+
     def test_zero_iff_subset_of_closure_on_finite_metrics(self):
         rng = random.Random(99)
         for _ in range(200):

@@ -205,12 +205,32 @@ class TestCellImage:
 
     @pytest.mark.parametrize("table", [(0b10, 0b100), (0b1,) * 5, ()])
     def test_table_of_the_wrong_length_rejected_before_a_step(self, table):
-        # the CLI checks the length; the library must not index past it
+        # the CLI relies on this check; the library must not index past it
         g = CellGrid(1, 4)
         flow = DiscreteSemiflow("table", table=table)
         with pytest.raises(PreconditionError, match="table size"):
             cell_image(g, flow, 0b1)
         with pytest.raises(PreconditionError, match="table size"):
+            omega_limit_cells(g, flow, 0b1)
+
+    @pytest.mark.parametrize("theta", [F(1, 8), F(1, 24), F(0)])
+    def test_dimension_checked_before_the_exact_rotation_shift(self, theta):
+        # an exact rotation once skipped the check and shifted a 2-D grid
+        g = CellGrid(2, 8)
+        flow = DiscreteSemiflow("rotation", (theta,))
+        with pytest.raises(PreconditionError, match="dimension"):
+            cell_image(g, flow, 1 << 7)
+        with pytest.raises(PreconditionError, match="dimension"):
+            omega_limit_cells(g, flow, 1 << 7)
+
+    @pytest.mark.parametrize("bad", [1 << 9, 1 << 4, -1])
+    def test_every_table_row_checked_before_a_step(self, bad):
+        # the bad row's cell is never visited from cell 0
+        g = CellGrid(1, 4)
+        flow = DiscreteSemiflow("table", table=(1, 1, 1, bad))
+        with pytest.raises(PreconditionError, match="outside the grid"):
+            cell_image(g, flow, 0b1)
+        with pytest.raises(PreconditionError, match="outside the grid"):
             omega_limit_cells(g, flow, 0b1)
 
     def test_parameter_validation(self):
