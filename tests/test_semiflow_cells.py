@@ -215,7 +215,7 @@ class TestCellImage:
 
     @pytest.mark.parametrize("theta", [F(1, 8), F(1, 24), F(0)])
     def test_dimension_checked_before_the_exact_rotation_shift(self, theta):
-        # an exact rotation once skipped the check and shifted a 2-D grid
+        # an exact 1-D rotation shift must not bypass the dimension check
         g = CellGrid(2, 8)
         flow = DiscreteSemiflow("rotation", (theta,))
         with pytest.raises(PreconditionError, match="dimension"):
