@@ -19,8 +19,10 @@ points, and ``omega`` a ``--samples`` above ``MAX_SAMPLES``; ``--map
 table`` refuses ``--param``, ``--param2``, ``--samples`` and ``--dilate``.
 ``verify`` writes one summary line per suite (instances, violations,
 exhibits and seconds) to stdout, or to stderr when the report goes to
-stdout.  Evaluation is sequential, and identical argv and inputs produce
-byte-identical outputs.
+stdout.  An ``--out`` file is written in place and cut to the written
+length, never truncated to zero first; a target that is not a regular file
+(``/dev/null``, a FIFO) is written without truncation.  Evaluation is
+sequential, and identical argv and inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ import argparse
 import csv
 import functools
 import io
+import os
 import re
+import stat
 import sys
 from fractions import Fraction
 
@@ -98,11 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(path: str, text: str):
+    """Write ``text`` to ``path``, or to stdout for ``-``.  The file is
+    written in place and then cut to length, never truncated to zero first:
+    on ext4 and XFS closing a file truncated to zero starts its writeback,
+    which every request would wait on.  A target that is not a regular file
+    (``/dev/null``, a FIFO, a terminal) is written without truncation."""
     if path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as f:
-            f.write(text)
+        return
+    data = text.encode()  # every output is ASCII, so the bytes are unchanged
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate(len(data))
 
 
 def cmd_space(args) -> int:

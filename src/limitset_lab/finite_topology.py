@@ -81,8 +81,10 @@ class FiniteSpace:
                 for x in range(self.n)]
 
     def check_point(self, x: int):
-        if not 0 <= x < self.n:
-            raise PreconditionError(f"point {x} outside the space")
+        """Refuse anything but an ``int`` point of the space; a ``bool`` is
+        no point, and a negative one would index a row from the end."""
+        if type(x) is not int or not 0 <= x < self.n:
+            raise PreconditionError(f"point {excerpt(x)} outside the space")
 
     def check_set(self, e: int):
         if e & ~self.full_mask:

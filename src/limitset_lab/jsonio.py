@@ -24,6 +24,7 @@ from .semiflow_cells import (CellGrid, DiscreteSemiflow, OmegaResult,
 from .setvalued_maps import SetValuedMap
 from .subset_nets import (ZNN, AffineEscape, GeometricConverge, NetAnalysis,
                           Periodic, SubsetNet)
+from .theoremlab import SuiteReport
 
 
 def dumps_canonical(obj) -> str:
@@ -240,18 +241,24 @@ def verdict_to_json(flag: bool) -> dict:
     return {"state": "holds" if flag else "fails"}
 
 
+# the encoded fields, read once from each dataclass
+_VERDICT_FIELDS = tuple(f.name for f in fields(NetAnalysis)
+                        if f.name != "limit_set")
+_REPORT_FIELDS = tuple(f.name for f in fields(SuiteReport)
+                       if f.name != "elapsed_seconds")
+
+
 def analysis_to_json(ground, analysis: NetAnalysis) -> dict:
     """The limit set as a point set, every other field as a verdict."""
-    out = {f.name: verdict_to_json(getattr(analysis, f.name))
-           for f in fields(analysis) if f.name != "limit_set"}
+    out = {name: verdict_to_json(getattr(analysis, name))
+           for name in _VERDICT_FIELDS}
     out["limit_set"] = pointset_to_json(ground, analysis.limit_set)
     return out
 
 
-def report_to_json(report) -> dict:
+def report_to_json(report: SuiteReport) -> dict:
     """A ``SuiteReport``'s fields but the run-to-run ``elapsed_seconds``."""
-    out = {f.name: getattr(report, f.name) for f in fields(report)
-           if f.name != "elapsed_seconds"}
+    out = {name: getattr(report, name) for name in _REPORT_FIELDS}
     out["passed"] = report.passed
     return out
 

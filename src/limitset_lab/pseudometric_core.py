@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, FrozenSet, Iterable, List
 
 from .errors import (MalformedInputError, MembershipError, PreconditionError,
-                     UndefinedCaseError, excerpt)
+                     UndefinedCaseError)
 from .finite_topology import FiniteSpace
 from .rationals import (INFINITY, Point, as_point,
                         max_norm_distance)
@@ -49,7 +49,13 @@ class RationalPointSpace:
         if dim < 1:
             raise MalformedInputError("dimension must be positive")
         self.dim = dim
-        self.excluded = frozenset(map(as_point, excluded))
+        # a frozenset of canonical points is kept as it is, by check_set's
+        # test, so its points are not rebuilt and hashed again
+        if not (type(excluded) is frozenset
+                and all(type(p) is tuple and p is as_point(p)
+                        for p in excluded)):
+            excluded = frozenset(map(as_point, excluded))
+        self.excluded = excluded
         if any(len(p) != dim for p in self.excluded):
             raise MalformedInputError("excluded point of wrong dimension")
 
@@ -186,8 +192,7 @@ class FinitePseudoMetric(FiniteSpace):
         return cls(rows)
 
     def point_to_mask_distance(self, i: int, e: int) -> Fraction:
-        if not 0 <= i < self.n:  # a negative i would index dist from the end
-            raise PreconditionError(f"point {excerpt(i)} outside the space")
+        self.check_point(i)
         self.check_set(e)
         best = None
         rest = e

@@ -46,13 +46,6 @@ def image(f: SetValuedMap, a0: int) -> int:
     return out
 
 
-def _check_point(f: SetValuedMap, x) -> None:
-    if type(x) is not int:  # a bool or a float is no point
-        raise PreconditionError(f"point {x!r} is not an int")
-    if not 0 <= x < f.domain.n:
-        raise PreconditionError(f"point {x} is not a point of the domain")
-
-
 def _open_sets_with(ground: FiniteSpace, member: int) -> List[int]:
     return [u for u in ground.open_sets() if u >> member & 1]
 
@@ -67,7 +60,7 @@ def is_usc_at(f: SetValuedMap, x: int) -> bool:
     For every open U containing F(x) there must be an open V containing x
     with F(V) inside U.
     """
-    _check_point(f, x)
+    f.domain.check_point(x)
     fx = f.graph[x]
     for u in _open_supersets(f.codomain, fx):
         if not any(image(f, v) & ~u == 0
@@ -83,7 +76,7 @@ def is_lsc_at(f: SetValuedMap, x: int) -> bool:
     containing x must have F(x') meet U for all x' in V.  Empty F(x)
     counts as lower semicontinuous.
     """
-    _check_point(f, x)
+    f.domain.check_point(x)
     fx = f.graph[x]
     if fx == 0:
         return True
@@ -113,7 +106,7 @@ def lsc_via_semidistance(f: SetValuedMap, x: int) -> bool:
     if not isinstance(f.domain, FinitePseudoMetric) or \
             not isinstance(f.codomain, FinitePseudoMetric):
         raise PreconditionError("the criterion needs pseudo-metric ground spaces")
-    _check_point(f, x)
+    f.domain.check_point(x)
     fx = f.graph[x]
     if fx == 0:
         raise PreconditionError("F(x) must be nonempty (compactness of the value)")

@@ -41,7 +41,6 @@ from typing import Callable, Iterator, List, Tuple
 from .errors import LimitsetError
 from .finite_topology import (FiniteSpace, closure, enumerate_spaces,
                               is_hausdorff, is_regular)
-from .jsonio import verdict_to_json
 from .pseudometric_core import RationalPointSpace
 from .subset_nets import (AffineEscape, GeometricConverge, Periodic,
                           SubsetNet, cluster_set,
@@ -478,6 +477,8 @@ def suite_pseudometrizable_equivalence(report: SuiteReport, rng) -> None:
             "limit set compact": is_limit_set_compact(net),
         }
         if len(set(vector.values())) != 1:
+            # imported here: jsonio imports this module for SuiteReport
+            from .jsonio import verdict_to_json
             got = ", ".join(f"{k}={verdict_to_json(v)['state']}"
                             for k, v in sorted(vector.items()))
             report.violation(describe_net(net), "all four verdicts equal", got)

@@ -1,7 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import stat
 import time
 from pathlib import Path
 
@@ -452,6 +454,48 @@ class TestVerify:
                   "0 exhibits (")
         assert captured.err.startswith(prefix)
         assert re.fullmatch(r"\d+\.\d\ds\)\n", captured.err[len(prefix):])
+
+
+class TestOutFile:
+    """``--out`` is written in place and cut to length; the bytes are the
+    ones ``--out -`` prints."""
+
+    REQUESTS = {
+        "space": ["space", "check", "--in", str(DEMO / "sierpinski.json")],
+        "net": ["net", "analyze", "--in", str(DEMO / "trap.json")],
+        "omega": ["omega"] + OMEGA_PINNED["readme-rotation"][0],
+        "verify": ["verify", "--suite", "kuratowski_equality",
+                   "--budget", "20", "--seed", "42"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(REQUESTS))
+    def test_a_longer_old_file_is_cut_to_the_streamed_bytes(self, name,
+                                                            tmp_path, capsys):
+        argv = self.REQUESTS[name]
+        assert run(argv + ["--out", "-"]) == 0
+        streamed = capsys.readouterr().out.encode()
+        outfile = tmp_path / "out"
+        outfile.write_bytes(b"x" * 5000)
+        assert run(argv + ["--out", str(outfile)]) == 0
+        assert outfile.read_bytes() == streamed
+
+    def test_dev_null_is_written_without_truncation(self, capsys):
+        assert run(self.REQUESTS["net"] + ["--out", "/dev/null"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_directory_is_one_input_error_line(self, tmp_path, capsys):
+        assert run(self.REQUESTS["net"] + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("limitset-lab: ") and err.count("\n") == 1
+
+    def test_a_new_file_gets_the_umask_mode(self, tmp_path):
+        outfile = tmp_path / "new.json"
+        old = os.umask(0o027)
+        try:
+            assert run(self.REQUESTS["net"] + ["--out", str(outfile)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(outfile.stat().st_mode) == 0o666 & ~0o027
 
 
 def test_argparse_errors_exit_two(capsys):

@@ -180,3 +180,54 @@ def test_the_scan_sees_json_imports_and_private_names():
     assert wire_format_offences(tree, "cli.py") == [
         ("json", 1), ("json", 2), ("json.decoder", 3), ("_set_bits", 4)]
     assert wire_format_offences(tree, "jsonio.py") == [("_set_bits", 4)]
+
+
+def file_writes(tree):
+    """(enclosing function, line) of each ``os.open`` call and of each
+    ``open`` call whose mode may write (holds w, a, x or +, or is not a
+    literal)."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "open"
+                    and isinstance(f.value, ast.Name) and f.value.id == "os"):
+                found.append((func, node.lineno))
+            elif isinstance(f, ast.Name) and f.id == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords
+                                          if k.arg == "mode"]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not (isinstance(mode, ast.Constant)
+                        and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+                    found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_cli_writer_opens_a_file_for_writing():
+    # every output file goes through cli._write, which writes in place
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        offenders += [f"{path.name}:{line} in {func}"
+                      for func, line in file_writes(ast.parse(path.read_text()))
+                      if (path.name, func) != ("cli.py", "_write")]
+    assert not offenders
+
+
+def test_the_scan_sees_writing_opens():
+    tree = ast.parse("def read(p):\n"
+                     "    return open(p), open(p, 'rb'), open(p, mode='r')\n"
+                     "def write(p, m):\n"
+                     "    open(p, 'w'); open(p, mode='ab'); open(p, 'r+')\n"
+                     "    open(p, 'x'); open(p, m)\n"
+                     "fd = os.open('f', os.O_WRONLY)\n"
+                     "path.open('r')\n")
+    assert file_writes(tree) == [("write", 4), ("write", 4), ("write", 4),
+                                 ("write", 5), ("write", 5), (None, 6)]

@@ -91,6 +91,21 @@ class TestNormalize:
             discrete_space(3).normalize(points)
 
 
+class TestCheckPoint:
+    @pytest.mark.parametrize("x", [True, False, 1.5, 1.0, "1", None, -1, 3])
+    def test_only_an_int_point_of_the_space_passes(self, x):
+        space = discrete_space(3)
+        with pytest.raises(PreconditionError, match="point"):
+            space.check_point(x)
+        with pytest.raises(PreconditionError, match="point"):
+            space.minimal_open(x)
+        assert space.minimal_open(1) == 0b10
+
+    def test_separation_refuses_a_bool_point(self):
+        with pytest.raises(PreconditionError, match="point"):
+            separate_compact_from_point(discrete_space(3), 0b1, True)
+
+
 class TestNeighborhoods:
     def test_whole_space_is_neighborhood(self):
         for space in enumerate_spaces(3):

@@ -93,9 +93,11 @@ class TestSemidistance:
         ac = semidistance(Q1, a, c)
         assert ac <= ab + bc
 
-    @pytest.mark.parametrize("i", [-1, -3, 3])
+    @pytest.mark.parametrize("i", [-1, -3, 3, True, False, 1.5, 1.0, "1",
+                                   None])
     def test_point_to_mask_distance_refuses_a_point_outside(self, i):
-        # a negative index would read another point's row of dist
+        # a negative index would read another point's row of dist, a bool
+        # would be read as point 0 or 1, and a float cannot index dist
         m = FinitePseudoMetric.from_points([(0,), (1,), (2,)])
         with pytest.raises(PreconditionError):
             m.point_to_mask_distance(i, 0b1)
@@ -187,6 +189,11 @@ class TestCanonicalPoints:
         assert type(excluded) is frozenset and excluded is not given
         for p in excluded:
             assert type(p) is tuple and all(type(c) is F for c in p)
+
+    def test_canonical_excluded_frozenset_is_kept(self):
+        # its points are neither rebuilt nor hashed again
+        given = frozenset([pt(0, 0), pt(1, F(1, 2))])
+        assert RationalPointSpace(2, given).excluded is given
 
     @pytest.mark.parametrize("given", [
         frozenset([pt(0, 0), pt(1)]), frozenset([pt(0, 0, 0)]), [[1]]],
