@@ -20,7 +20,8 @@ table`` refuses ``--param``, ``--param2``, ``--samples`` and ``--dilate``.
 ``verify`` writes one summary line per suite (instances, violations,
 exhibits and seconds) to stdout, or to stderr when the report goes to
 stdout.  An ``--out`` file is written in place and cut to the written
-length, never truncated to zero first; a target that is not a regular file
+length, never truncated to zero first, so a crash or a concurrent reader
+can see old and new bytes mixed; a target that is not a regular file
 (``/dev/null``, a FIFO) is written without truncation.  Evaluation is
 sequential, and identical argv and inputs produce byte-identical outputs.
 """
@@ -105,8 +106,12 @@ def _write(path: str, text: str):
     """Write ``text`` to ``path``, or to stdout for ``-``.  The file is
     written in place and then cut to length, never truncated to zero first:
     on ext4 and XFS closing a file truncated to zero starts its writeback,
-    which every request would wait on.  A target that is not a regular file
-    (``/dev/null``, a FIFO, a terminal) is written without truncation."""
+    which every request would wait on.  The price is crash consistency: a
+    crash during the write, or a reader that opens the file meanwhile, can
+    see the old bytes, new and old bytes mixed, or the old content cut to
+    the new length, where a file truncated first held nothing or the new
+    output.  A target that is not a regular file (``/dev/null``, a FIFO, a
+    terminal) is written without truncation."""
     if path == "-":
         sys.stdout.write(text)
         return

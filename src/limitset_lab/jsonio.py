@@ -24,7 +24,6 @@ from .semiflow_cells import (CellGrid, DiscreteSemiflow, OmegaResult,
 from .setvalued_maps import SetValuedMap
 from .subset_nets import (ZNN, AffineEscape, GeometricConverge, NetAnalysis,
                           Periodic, SubsetNet)
-from .theoremlab import SuiteReport
 
 
 def dumps_canonical(obj) -> str:
@@ -241,11 +240,9 @@ def verdict_to_json(flag: bool) -> dict:
     return {"state": "holds" if flag else "fails"}
 
 
-# the encoded fields, read once from each dataclass
+# the verdict fields, read once from the dataclass
 _VERDICT_FIELDS = tuple(f.name for f in fields(NetAnalysis)
                         if f.name != "limit_set")
-_REPORT_FIELDS = tuple(f.name for f in fields(SuiteReport)
-                       if f.name != "elapsed_seconds")
 
 
 def analysis_to_json(ground, analysis: NetAnalysis) -> dict:
@@ -256,9 +253,10 @@ def analysis_to_json(ground, analysis: NetAnalysis) -> dict:
     return out
 
 
-def report_to_json(report: SuiteReport) -> dict:
+def report_to_json(report) -> dict:
     """A ``SuiteReport``'s fields but the run-to-run ``elapsed_seconds``."""
-    out = {name: getattr(report, name) for name in _REPORT_FIELDS}
+    out = {f.name: getattr(report, f.name) for f in fields(report)
+           if f.name != "elapsed_seconds"}
     out["passed"] = report.passed
     return out
 

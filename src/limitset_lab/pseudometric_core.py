@@ -49,8 +49,8 @@ class RationalPointSpace:
         if dim < 1:
             raise MalformedInputError("dimension must be positive")
         self.dim = dim
-        # a frozenset of canonical points is kept as it is, by check_set's
-        # test, so its points are not rebuilt and hashed again
+        # a frozenset of canonical points, as theoremlab's generators build,
+        # is kept as it is (check_set's test): its points are not hashed again
         if not (type(excluded) is frozenset
                 and all(type(p) is tuple and p is as_point(p)
                         for p in excluded)):

@@ -41,6 +41,7 @@ from typing import Callable, Iterator, List, Tuple
 from .errors import LimitsetError
 from .finite_topology import (FiniteSpace, closure, enumerate_spaces,
                               is_hausdorff, is_regular)
+from .jsonio import verdict_to_json
 from .pseudometric_core import RationalPointSpace
 from .subset_nets import (AffineEscape, GeometricConverge, Periodic,
                           SubsetNet, cluster_set,
@@ -119,7 +120,8 @@ def random_point(rng: random.Random, dim: int) -> tuple:
 
 def random_space(rng: random.Random) -> RationalPointSpace:
     dim = rng.choice((1, 2))
-    excluded = {random_point(rng, dim) for _ in range(rng.randint(0, 2))}
+    excluded = frozenset(random_point(rng, dim)
+                         for _ in range(rng.randint(0, 2)))
     return RationalPointSpace(dim, excluded)
 
 
@@ -152,7 +154,7 @@ def random_rule_net(rng: random.Random, family: str,
             if family == "trap":
                 dim = rng.choice((1, 2))
                 a = random_point(rng, dim)
-                space = RationalPointSpace(dim, {a})
+                space = RationalPointSpace(dim, frozenset((a,)))
                 b = _random_included_point(rng, space)
                 r = rng.choice(GEOMETRIC_RATIOS)
                 pre = _random_sets(rng, space, rng.randint(0, 2), min_size)
@@ -477,8 +479,6 @@ def suite_pseudometrizable_equivalence(report: SuiteReport, rng) -> None:
             "limit set compact": is_limit_set_compact(net),
         }
         if len(set(vector.values())) != 1:
-            # imported here: jsonio imports this module for SuiteReport
-            from .jsonio import verdict_to_json
             got = ", ".join(f"{k}={verdict_to_json(v)['state']}"
                             for k, v in sorted(vector.items()))
             report.violation(describe_net(net), "all four verdicts equal", got)

@@ -183,9 +183,10 @@ def test_the_scan_sees_json_imports_and_private_names():
 
 
 def file_writes(tree):
-    """(enclosing function, line) of each ``os.open`` call and of each
-    ``open`` call whose mode may write (holds w, a, x or +, or is not a
-    literal)."""
+    """(enclosing function, line) of each call that may open a file for
+    writing: ``os.open``, any ``write_text`` or ``write_bytes``, and an
+    ``open``, ``io.open``, ``os.fdopen`` or ``<path>.open`` whose mode may
+    write (holds w, a, x or +, or is not a literal)."""
     found = []
 
     def visit(node, func):
@@ -193,12 +194,20 @@ def file_writes(tree):
             func = node.name
         if isinstance(node, ast.Call):
             f = node.func
-            if (isinstance(f, ast.Attribute) and f.attr == "open"
-                    and isinstance(f.value, ast.Name) and f.value.id == "os"):
+            owner = (f.value.id if isinstance(f, ast.Attribute)
+                     and isinstance(f.value, ast.Name) else None)
+            name = f.attr if isinstance(f, ast.Attribute) else (
+                f.id if isinstance(f, ast.Name) else None)
+            if name in ("write_text", "write_bytes") or (owner, name) == (
+                    "os", "open"):
                 found.append((func, node.lineno))
-            elif isinstance(f, ast.Name) and f.id == "open":
-                modes = node.args[1:2] + [k.value for k in node.keywords
-                                          if k.arg == "mode"]
+            elif name in ("open", "fdopen"):
+                # open(file, mode), io.open and os.fdopen(fd, mode); a
+                # path's own .open(mode) takes the mode first
+                at = 0 if (isinstance(f, ast.Attribute)
+                           and owner not in ("io", "os")) else 1
+                modes = node.args[at:at + 1] + [k.value for k in node.keywords
+                                                if k.arg == "mode"]
                 mode = modes[0] if modes else ast.Constant("r")
                 if not (isinstance(mode, ast.Constant)
                         and isinstance(mode.value, str)
@@ -227,7 +236,15 @@ def test_the_scan_sees_writing_opens():
                      "def write(p, m):\n"
                      "    open(p, 'w'); open(p, mode='ab'); open(p, 'r+')\n"
                      "    open(p, 'x'); open(p, m)\n"
-                     "fd = os.open('f', os.O_WRONLY)\n"
-                     "path.open('r')\n")
+                     "fd = os.open('f', os.O_RDONLY)\n"
+                     "path.open(), path.open('r'), path.open(mode='rb')\n"
+                     "io.open(p), io.open(p, 'r'), os.fdopen(fd, 'rb')\n"
+                     "path.read_text(), space.minimal_open(1)\n"
+                     "path.open('w'), path.open(mode='a'), path.open(m)\n"
+                     "io.open(p, 'w'), os.fdopen(fd, 'w'), os.fdopen(fd, m)\n"
+                     "path.write_text('x'), path.write_bytes(b'x')\n"
+                     "Path(p).open('w'), Path(p).open()\n")
     assert file_writes(tree) == [("write", 4), ("write", 4), ("write", 4),
-                                 ("write", 5), ("write", 5), (None, 6)]
+                                 ("write", 5), ("write", 5), (None, 6)] + [
+        (None, 10)] * 3 + [(None, 11)] * 3 + [(None, 12)] * 2 + [
+        (None, 13)]

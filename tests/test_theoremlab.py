@@ -314,6 +314,25 @@ class TestGenerators:
         for net, label in cases:
             assert describe_net(net) == label
 
+    def test_generated_spaces_keep_their_excluded_frozenset(self,
+                                                           monkeypatch):
+        # the generators hand RationalPointSpace a frozenset of canonical
+        # points, which it keeps without hashing the points again
+        real = theoremlab.RationalPointSpace
+        kept = []
+
+        def space(dim, excluded=()):
+            made = real(dim, excluded)
+            kept.append(made.excluded is excluded)
+            return made
+
+        monkeypatch.setattr(theoremlab, "RationalPointSpace", space)
+        rng = random.Random(1)
+        for family in theoremlab.RULE_FAMILIES:
+            for _ in range(10):
+                theoremlab.random_rule_net(rng, family)
+        assert len(kept) >= 40 and all(kept)
+
     def test_stream_is_deterministic(self):
         rng1, rng2 = random.Random("x"), random.Random("x")
         nets1 = [describe_net(n) for n in rule_net_stream(rng1, 20)]
