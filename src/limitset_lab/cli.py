@@ -11,8 +11,10 @@ output to its stream; ``jsonio`` reads every JSON input and shapes every
 JSON output.  ``--out -`` streams to stdout.  Exit codes: 0 success, 1
 verification violations, 2 input errors, each input error (argument-parser
 usage errors included) reported as one ``limitset-lab:`` line on stderr.
-One parser, built on first use, serves every call in a process; each
-subcommand names its ``cmd_*`` function.  ``net analyze`` echoes
+The parsers are built once per process, on first use.  A call whose first
+argument names a command is parsed by that command's subparser alone, which
+names its ``cmd_*`` function; ``--help``, a missing and an unknown command
+go through the top-level parser.  ``net analyze`` echoes
 ``--horizon`` without reading it, since every verdict is exact.  ``space
 check`` refuses the brute-force ``regular`` above ``REGULARITY_CAP``
 points, and ``omega`` a ``--samples`` above ``MAX_SAMPLES``; ``--map
@@ -54,7 +56,8 @@ PROP_CHECKS = {
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are input errors, so ``run``
-    reports them as one bounded line; subparsers inherit the class."""
+    reports them as one bounded line; subparsers inherit the class.  The
+    top-level parser's ``commands`` maps each command to its subparser."""
 
     def error(self, message):
         raise MalformedInputError(clip(message))
@@ -99,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="-")
+    parser.commands = sub.choices
     return parser
 
 
@@ -150,7 +154,9 @@ def _parse_init(raw: str, grid: CellGrid) -> int:
         return grid.full_mask
     if raw.startswith("cell:") or raw.startswith("cells:"):
         body = raw.split(":", 1)[1]
-        mask = 0
+        # one bit per cell in a bytearray, read as one int at the end:
+        # OR-ing 1 << i into a grid-sized int copies it for every index
+        bits = bytearray((grid.total + 7) >> 3)
         for part in body.split(","):
             try:
                 # int() alone also takes "1_0", " 1", "+1" and "\u0663"
@@ -162,8 +168,8 @@ def _parse_init(raw: str, grid: CellGrid) -> int:
                     f"bad cell index in --init: {excerpt(part)}")
             if not 0 <= i < grid.total:
                 raise MalformedInputError(f"cell {excerpt(i)} outside the grid")
-            mask |= 1 << i
-        return mask
+            bits[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(bits, "little")
     raise MalformedInputError(
         f"bad --init: {excerpt(raw)} (use all or cell:K)")
 
@@ -243,8 +249,14 @@ def cmd_verify(args) -> int:
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        # a known command goes straight to its subparser; --help, a missing
+        # and an unknown command go through the top-level parser
+        command = parser.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else \
+            parser.parse_args(argv)
         # looked up by name on each call, not bound into the cached parser,
         # so a wrapper later bound over a cmd_* (perfbench's tracing) sees it
         return globals()[args.cmd](args)

@@ -87,13 +87,20 @@ class FiniteSpace:
             raise PreconditionError(f"point {excerpt(x)} outside the space")
 
     def check_set(self, e: int):
+        """Refuse anything but an ``int`` mask of points of the space; a
+        ``bool`` is no point set."""
+        if type(e) is not int:
+            raise PreconditionError(f"point set {excerpt(e)} is not a bitmask")
         if e & ~self.full_mask:
             raise PreconditionError("point set mentions out-of-range points")
 
     def normalize(self, s) -> int:
-        """A point set as a checked bitmask; ``s`` is a mask or an iterable
-        of points."""
-        if not isinstance(s, int):
+        """A point set as a checked bitmask; ``s`` is an ``int`` mask or an
+        iterable of points, and a ``bool`` is neither."""
+        if type(s) is not int:
+            if isinstance(s, int) or not hasattr(s, "__iter__"):
+                raise PreconditionError(
+                    f"point set {excerpt(s)} is not a bitmask")
             mask = 0
             for x in s:
                 if type(x) is not int or not 0 <= x < self.n:

@@ -33,8 +33,13 @@ over one is linear in the grid size:
   samples hit, filled on a cell's first visit, so a run samples each
   visited cell once and a short run on a small grid compiles nothing it
   does not visit.  A flow picks its point map once, when it is built,
-  and a run computes its sub-cell sample offsets once.  ``cell_image``
+  and a run computes its sub-cell sample offsets once.  Each sample is
+  floored and clamped into the grid once; one sample per cell (the
+  default) hits one cell, so no set of hits is built.  ``cell_image``
   is one step with a fresh table.
+
+The CLI parses ``--init cells:K,...`` into one bytearray as well, in time
+linear in the grid size.
 """
 
 from __future__ import annotations
@@ -184,15 +189,28 @@ def _sampler(grid: CellGrid, f, k: int):
     """cell -> the cells hit by f at its k^dim sub-cell midpoints.
 
     Each image point is floored to its cell as ``CellGrid.cell_of_point``
-    does, with the same float operations.
+    does, with the same float operations, and clamped once.  One sample
+    (``k == 1``, offset 0.5) hits one cell, so no set is built.
     """
     n, top = grid.cells_per_axis, grid.cells_per_axis - 1
+
+    def cell(x):
+        c = floor(x * n)
+        return c if 0 <= c <= top else (0 if c < 0 else top)
+
+    if k == 1:
+        if grid.dim == 1:
+            return lambda i: (cell(f((i + 0.5) / n)),)
+
+        def hit(i):
+            u, v = f((i % n + 0.5) / n, (i // n + 0.5) / n)
+            return (cell(u) + n * cell(v),)
+        return hit
     offs = [(j + 0.5) / k for j in range(k)]
     if grid.dim == 1:
-        return lambda i: tuple({min(top, max(0, floor(f((i + o) / n) * n)))
-                                for o in offs})
+        return lambda i: tuple({cell(f((i + o) / n)) for o in offs})
     return lambda i: tuple({
-        min(top, max(0, floor(u * n))) + n * min(top, max(0, floor(v * n)))
+        cell(u) + n * cell(v)
         for u, v in (f((i % n + ox) / n, (i // n + oy) / n)
                      for ox in offs for oy in offs)})
 

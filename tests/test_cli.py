@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import re
 import stat
 import time
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from limitset_lab import jsonio
+from limitset_lab import cli, jsonio
 from limitset_lab.cli import build_parser, cmd_omega, run
 from limitset_lab.errors import MalformedInputError
+from limitset_lab.semiflow_cells import CellGrid
 
 
 def write_json(path, obj):
@@ -328,6 +330,29 @@ class TestOmega:
             "omega": [], "preperiod": 1, "period": 1,
             "attraction_trace_zero_from_preperiod": True}
 
+    def test_init_cells_match_an_or_fold(self):
+        rng = random.Random("init-parse")
+        for _ in range(40):
+            grid = CellGrid(rng.choice((1, 2)), rng.choice((1, 2, 8, 64)))
+            picks = [rng.randrange(grid.total)
+                     for _ in range(rng.randint(1, 2 * grid.total))]
+            expect = 0
+            for i in picks:
+                expect |= 1 << i
+            raw = rng.choice(("cell:", "cells:")) + ",".join(map(str, picks))
+            assert cli._parse_init(raw, grid) == expect
+
+    def test_init_parse_is_linear(self):
+        # OR-ing 1 << i into a 2^24-bit int per index took seconds here
+        grid = CellGrid(2, 4096)
+        picks = random.Random("init-linear").sample(range(grid.total), 16_000)
+        raw = "cells:" + ",".join(map(str, picks))
+        start = time.perf_counter()
+        mask = cli._parse_init(raw, grid)
+        elapsed = time.perf_counter() - start
+        assert mask.bit_count() == len(picks) and mask >> max(picks) == 1
+        assert elapsed < 1, f"16,000 cells on a 4096^2 grid took {elapsed:.1f}s"
+
     def test_bad_init_is_input_error(self, capsys):
         assert run(["omega", "--map", "rotation", "--param", "0.125",
                     "--cells", "8", "--init", "nope"]) == 2
@@ -499,19 +524,30 @@ class TestOutFile:
 
 
 def test_argparse_errors_exit_two(capsys):
-    # a usage error is one bounded input-error line, not usage plus error
-    for argv in (["bogus"],                                 # unknown command
-                 ["space"],                                 # missing action
-                 ["net", "analyze"],                        # missing --in
-                 ["omega", "--map", "nope", "--cells", "8"],  # bad --map
-                 ["omega", "--map", "logistic", "--param", "2",
-                  "--cells", "x" * 5000],                   # long --cells
-                 []):                                       # no command
+    # a usage error is one bounded input-error line, not usage plus error;
+    # each line is the one the single top-level parse wrote, so routing a
+    # command straight to its subparser changes none of them
+    for argv, line in (
+            (["bogus"], "argument command: invalid choice: 'bogus' "
+             "(choose from 'space', 'net', 'omega', 'verify')"),
+            (["space"], "the following arguments are required: action, --in"),
+            (["space", "nope"], "argument action: invalid choice: 'nope' "
+             "(choose from 'check')"),
+            (["net", "analyze"], "the following arguments are required: --in"),
+            (["net", "analyze", "--in", "x", "extra"],
+             "unrecognized arguments: extra"),
+            (["omega", "--map", "nope", "--cells", "8"],
+             "argument --map: invalid choice: 'nope' (choose from "
+             "'logistic', 'tent', 'rotation', 'henon', 'table')"),
+            (["omega", "--map", "logistic", "--param", "2",
+              "--cells", "x" * 5000],
+             "argument --cells: invalid int value: '" + "x" * 79 + "..."),
+            (["--bogus"], "the following arguments are required: command"),
+            ([], "the following arguments are required: command")):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("limitset-lab: ")
-        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.err == f"limitset-lab: {line}\n"
         assert len(captured.err) <= 200
 
 

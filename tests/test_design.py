@@ -248,3 +248,49 @@ def test_the_scan_sees_writing_opens():
                                  ("write", 5), ("write", 5), (None, 6)] + [
         (None, 10)] * 3 + [(None, 11)] * 3 + [(None, 12)] * 2 + [
         (None, 13)]
+
+
+def shifted_bit_folds(tree):
+    """Lines of each ``name |= 1 << ...`` inside a loop: OR-ing one bit at a
+    time into a growing int copies the int for every bit."""
+    found = []
+
+    def visit(node, in_loop):
+        if (in_loop and isinstance(node, ast.AugAssign)
+                and isinstance(node.op, ast.BitOr)
+                and isinstance(node.target, ast.Name)
+                and isinstance(node.value, ast.BinOp)
+                and isinstance(node.value.op, ast.LShift)
+                and isinstance(node.value.left, ast.Constant)
+                and node.value.left.value == 1):
+            found.append(node.lineno)
+        in_loop = in_loop or isinstance(node, (ast.For, ast.While))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_loop)
+
+    visit(tree, False)
+    return found
+
+
+def test_no_grid_sized_int_is_built_one_bit_at_a_time():
+    # cell sets are grid-sized ints: --init and the image step set bits in
+    # a bytearray and read it as one int
+    offenders = []
+    for name in ("cli.py", "semiflow_cells.py"):
+        offenders += [f"{name}:{line}" for line in
+                      shifted_bit_folds(ast.parse((SRC / name).read_text()))]
+    assert not offenders
+
+
+def test_the_scan_sees_bit_folds_in_loops():
+    tree = ast.parse("mask |= 1 << 3\n"
+                     "for i in xs:\n"
+                     "    mask |= 1 << i\n"
+                     "    out[i >> 3] |= 1 << (i & 7)\n"
+                     "    mask |= mask << 1\n"
+                     "    if i:\n"
+                     "        mask |= 1 << (i + 1)\n"
+                     "while xs:\n"
+                     "    mask = mask | 1 << xs.pop()\n"
+                     "    mask |= 1 << xs.pop()\n")
+    assert shifted_bit_folds(tree) == [3, 7, 10]

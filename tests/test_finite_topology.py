@@ -12,6 +12,7 @@ from limitset_lab.finite_topology import (REGULARITY_CAP, SIERPINSKI,
                                           is_pseudometrizable, is_regular,
                                           separate_compact_from_point,
                                           top_element)
+from limitset_lab.pseudometric_core import FinitePseudoMetric
 from limitset_lab.subset_nets import Periodic, SubsetNet, limit_set
 
 # frozen via the reflexive-transitive matrix filter oracle below; the n=5
@@ -89,6 +90,26 @@ class TestNormalize:
     def test_a_point_outside_the_space_is_refused(self, points):
         with pytest.raises(PreconditionError):
             discrete_space(3).normalize(points)
+
+
+class TestCheckSet:
+    @pytest.mark.parametrize("e", [True, False, 1.5, 1.0, "1", None])
+    def test_only_an_int_mask_passes(self, e):
+        space = discrete_space(3)
+        with pytest.raises(PreconditionError, match="point set"):
+            space.check_set(e)
+        with pytest.raises(PreconditionError, match="point"):
+            space.normalize(e)  # "1" is an iterable of one bad point
+        assert space.normalize(0b101) == 0b101
+        space.check_set(0b101)
+
+    def test_a_bool_mask_is_refused_where_sets_are_checked(self):
+        space = discrete_space(3)
+        with pytest.raises(PreconditionError, match="point set"):
+            space.minimal_open_superset(True)
+        metric = FinitePseudoMetric.from_points([(0,), (1,), (2,)])
+        with pytest.raises(PreconditionError, match="point set"):
+            metric.semidistance_masks(True, 2)
 
 
 class TestCheckPoint:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import floor
 
 import pytest
 
@@ -188,6 +189,31 @@ class TestCellImage:
             for i in range(grid.total):
                 assert (cell_image(grid, flow, 1 << i, samples=k)
                         == reference_hits(grid, flow, i, k)), (flow.kind, i)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_sampler_clamps_points_off_the_box(self, k):
+        # the builtin maps stay inside [0, 1], so none of their samples
+        # floors below cell 0; these maps send the box into (-1, 2)^dim
+        maps = {1: lambda x: 3.0 * x - 1.0,
+                2: lambda x, y: (3.0 * x - 1.0, 2.0 - 3.0 * y)}
+        flows = {1: DiscreteSemiflow("logistic", (2,)),
+                 2: DiscreteSemiflow("henon", (F(7, 5), F(3, 10)))}
+        clamped = set()  # (dim, "below" or "above") once a sample is clamped
+        for dim, n in product((1, 2), (1, 4, 64)):
+            grid, flow = CellGrid(dim, n), flows[dim]
+            flow.map_point = point_map = maps[dim]
+            for i in range(grid.total):
+                expect = set()
+                for point in reference_samples(grid, i, k):
+                    image = point_map(*point)
+                    image = image if dim == 2 else (image,)
+                    clamped.update((dim, "below" if floor(x * n) < 0 else
+                                    "above") for x in image
+                                   if not 0 <= floor(x * n) < n)
+                    expect.add(grid.cell_of_point(image))
+                assert (cell_image(grid, flow, 1 << i, samples=k)
+                        == sum(1 << c for c in expect)), (dim, n, i)
+        assert clamped == set(product((1, 2), ("below", "above")))
 
     @pytest.mark.parametrize("samples", [0, -1, 65, 10**9])
     def test_samples_out_of_range_rejected_before_sampling(self, samples,

@@ -909,12 +909,9 @@ class TestGroundOperations:
                 assert ground.size(e) == oracle_size(ground, e)
                 for f in masks:
                     assert_pair_ops_agree(ground, e, f)
-            for b in (False, True):
-                assert ground.normalize(b) == oracle_normalize(ground, b)
-                assert ground.closure(b) == oracle_closure(ground, b)
-                assert ground.size(b) == oracle_size(ground, b)
-                assert_pair_ops_agree(ground, b, ground.full_mask)
-                assert_pair_ops_agree(ground, ground.full_mask, b)
+            for b in (False, True):  # a bool is no point set
+                assert raised(ground.normalize, b)[0] is PreconditionError
+                assert raised(ground.check_set, b)[0] is PreconditionError
             assert ground.union(()) == oracle_union(ground, ()) == 0
             assert ground.union(iter(masks)) == ground.full_mask
 
@@ -972,8 +969,10 @@ class TestGroundOperations:
             SubsetNet.over_znn(D2, [], tail)
 
     def test_periodic_tail_is_reused_only_when_already_normal(self):
-        tail = Periodic((0b01, True))
+        tail = Periodic((0b01, 0b11))
         assert SubsetNet.over_znn(D2, [], tail).tail is tail
+        with pytest.raises(PreconditionError, match="point set"):
+            SubsetNet.over_znn(D2, [], Periodic((0b01, True)))  # no bool set
         listed = Periodic(([0], [0, 1]))
         net = SubsetNet.over_znn(D2, [], listed)
         assert net.tail == Periodic((0b01, 0b11)) and net.tail is not listed
