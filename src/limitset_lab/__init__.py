@@ -1,10 +1,11 @@
 """limitset-lab: executable limit-set theory for nets of subsets.
 
 Exact computation of limit sets, Kuratowski limits, semi-distances and
-asymptotic compactness properties over three backends (finite topological
-spaces, rational pseudo-metric spaces, cell grids), with property-based
+asymptotic compactness properties over three backends, with property-based
 verification suites pairing every symbolic answer with a brute-force
-oracle.
+oracle.  The net verdicts run on finite topological spaces and rational
+pseudo-metric spaces; cell grids serve ``omega`` limit sets of discrete
+semiflows only.
 """
 
 from .errors import (LimitsetError, MalformedInputError, MembershipError,
@@ -17,8 +18,7 @@ from .finite_topology import (SIERPINSKI, FiniteSpace, closure,
                               is_regular, separate_compact_from_point,
                               top_element)
 from .pseudometric_core import (FinitePseudoMetric, RationalPointSpace,
-                                ball_of_set, compact_inner_radius,
-                                point_set_distance, semidistance)
+                                compact_inner_radius, semidistance)
 from .rationals import INFINITY, as_point
 from .semiflow_cells import (CellGrid, DiscreteSemiflow, OmegaResult,
                              attraction_trace_check, cell_image,

@@ -11,7 +11,8 @@ A space owns the point-set operations that nets over it use (``normalize``,
 with the same names as on ``RationalPointSpace``.  Closures and minimal
 open supersets are memoized per space in dicts filled on first ask; a set
 is range-checked before it is stored, so an out-of-range set is never
-cached and raises on every ask.
+cached and raises on every ask.  Only an ``int`` is looked up there: a
+``bool`` equals 0 or 1 and would otherwise read an int's entry.
 
 A finite directed index of a net is a ``FiniteSpace`` too: its preorder
 is the index order, so ``rows[s]`` is the up-set ``{t : s <= t}``, and
@@ -114,7 +115,7 @@ class FiniteSpace:
 
     def closure(self, e: int) -> int:
         """Smallest closed superset: all x with spec[x][y] for some y in e."""
-        out = self._closures.get(e)
+        out = self._closures.get(e) if type(e) is int else None
         if out is None:
             self.check_set(e)
             out = self._closures[e] = sum(
@@ -142,7 +143,7 @@ class FiniteSpace:
 
     def minimal_open_superset(self, e: int) -> int:
         """Intersection of all open supersets of ``e`` (open, since finite)."""
-        out = self._supersets.get(e)
+        out = self._supersets.get(e) if type(e) is int else None
         if out is None:
             self.check_set(e)
             out = 0
@@ -172,9 +173,6 @@ class FiniteSpace:
             self._open_sets = [u for u in range(1 << self.n)
                                if self.is_open(u)]
         return self._open_sets
-
-    def closed_sets(self) -> List[int]:
-        return [e for e in range(1 << self.n) if self.is_closed(e)]
 
     def __eq__(self, other):
         return isinstance(other, FiniteSpace) and self.rows == other.rows

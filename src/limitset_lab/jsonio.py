@@ -12,16 +12,16 @@ verdict is a bool, spelled ``{"state": "holds"}`` or ``{"state": "fails"}``.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
+from fractions import Fraction
 
 from .errors import MalformedInputError, excerpt
 from .finite_topology import FiniteSpace
 from .pseudometric_core import FinitePseudoMetric, RationalPointSpace
-from .rationals import (fraction_from_json, fraction_to_json, point_from_json,
-                        point_to_json)
+from .rationals import Point
 from .semiflow_cells import (CellGrid, DiscreteSemiflow, OmegaResult,
                              attraction_trace_check, set_bits)
-from .setvalued_maps import SetValuedMap
 from .subset_nets import (ZNN, AffineEscape, GeometricConverge, NetAnalysis,
                           Periodic, SubsetNet)
 
@@ -38,6 +38,42 @@ def read_json(path: str):
             return json.load(f)
         except (ValueError, RecursionError) as exc:
             raise MalformedInputError(f"{path}: {exc}") from exc
+
+
+# -- rationals and points ------------------------------------------------------
+# Rationals travel as {"num": "<int>", "den": "<int>"} with string digits so
+# arbitrary precision survives any consumer.  A part must match ASCII
+# -?[0-9]+ after str(); int() alone also takes "1_0", " 1", "+1", "\u0663".
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def fraction_to_json(x: Fraction) -> dict:
+    x = Fraction(x)
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def fraction_from_json(obj) -> Fraction:
+    if type(obj) is int:  # a JSON bool is not a number
+        return Fraction(obj)
+    if isinstance(obj, dict) and "num" in obj and "den" in obj:
+        try:
+            num, den = str(obj["num"]), str(obj["den"])
+            if not (_INTEGER.fullmatch(num) and _INTEGER.fullmatch(den)):
+                raise ValueError("rational parts must be ASCII integers")
+            return Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedInputError(f"bad rational object: {excerpt(obj)}") from exc
+    raise MalformedInputError(f"expected rational, got: {excerpt(obj)}")
+
+
+def point_to_json(p: Point) -> list:
+    return [fraction_to_json(c) for c in p]
+
+
+def point_from_json(obj) -> Point:
+    if not isinstance(obj, list):
+        raise MalformedInputError(f"expected point (list), got: {excerpt(obj)}")
+    return tuple(fraction_from_json(c) for c in obj)
 
 
 # -- net indices --------------------------------------------------------------
@@ -98,16 +134,6 @@ def metric_from_json(obj) -> FinitePseudoMetric:
 def ground_to_json(ground) -> dict:
     if isinstance(ground, RationalPointSpace):
         return rational_space_to_json(ground)
-    return _finite_ground_to_json(ground)
-
-
-def ground_from_json(obj):
-    if isinstance(obj, dict) and "dim" in obj:
-        return rational_space_from_json(obj)
-    return _finite_ground_from_json(obj)
-
-
-def _finite_ground_to_json(ground) -> dict:
     if isinstance(ground, FinitePseudoMetric):  # a metric is a FiniteSpace too
         return metric_to_json(ground)
     if isinstance(ground, FiniteSpace):
@@ -115,9 +141,11 @@ def _finite_ground_to_json(ground) -> dict:
     raise MalformedInputError(f"unencodable ground: {ground!r}")
 
 
-def _finite_ground_from_json(obj):
+def ground_from_json(obj):
     if not isinstance(obj, dict):
         raise MalformedInputError("ground must be an object")
+    if "dim" in obj:
+        return rational_space_from_json(obj)
     if "spec" in obj:
         return finite_space_from_json(obj)
     if "dist" in obj:
@@ -209,29 +237,6 @@ def net_from_json(obj) -> SubsetNet:
     assignment = [pointset_from_json(ground, s)
                   for s in _field(obj, "assignment", list)]
     return SubsetNet.over_finite(ground, index, assignment)
-
-
-# -- set-valued maps -----------------------------------------------------------------
-
-def map_to_json(f: SetValuedMap) -> dict:
-    graph = {str(x): [y for y in range(f.codomain.n) if f.graph[x] >> y & 1]
-             for x in range(f.domain.n)}
-    return {"domain": _finite_ground_to_json(f.domain),
-            "codomain": _finite_ground_to_json(f.codomain),
-            "graph": graph}
-
-
-def map_from_json(obj) -> SetValuedMap:
-    domain = _finite_ground_from_json(_field(obj, "domain"))
-    codomain = _finite_ground_from_json(_field(obj, "codomain"))
-    graph_obj = _field(obj, "graph", dict)
-    graph = []
-    for x in range(domain.n):
-        ys = graph_obj.get(str(x))
-        if ys is None:
-            raise MalformedInputError(f"graph missing domain point {x}")
-        graph.append(pointset_from_json(codomain, ys))
-    return SetValuedMap(domain, codomain, tuple(graph))
 
 
 # -- verdicts, analyses and reports ------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, FrozenSet, Iterable, List
+from typing import FrozenSet, Iterable, List
 
 from .errors import (MalformedInputError, MembershipError, PreconditionError,
                      UndefinedCaseError)
@@ -235,19 +235,6 @@ class FinitePseudoMetric(FiniteSpace):
 
 # -- distances between finite rational point sets ----------------------------
 
-def _nearest(x: Point, a: PointSet) -> Fraction:
-    """d(x, a) for a point and a set already checked; infinity when a is
-    empty."""
-    return min((max_norm_distance(x, p) for p in a), default=INFINITY)
-
-
-def point_set_distance(space: RationalPointSpace, x: Point,
-                       a: Iterable) -> Fraction:
-    """min over a of d(x, .); infinity exactly when a is empty."""
-    x = space.check_point(x)
-    return _nearest(x, space.check_set(a))
-
-
 def semidistance(space: RationalPointSpace, a: Iterable,
                  b: Iterable) -> Fraction:
     """d(a; b) = max over a of d(., b), with the empty-set conventions.
@@ -263,21 +250,7 @@ def semidistance(space: RationalPointSpace, a: Iterable,
         return Fraction(0)
     if not b:
         return INFINITY
-    return max(_nearest(x, b) for x in a)
-
-
-def ball_of_set(space: RationalPointSpace, a: Iterable,
-                r) -> Callable[[Point], bool]:
-    """Membership predicate of B(a; r) = {y : d(y, a) < r}, strict."""
-    r = Fraction(r)
-    if r <= 0:
-        raise PreconditionError("radius must be positive")
-    a = space.check_set(a)
-
-    def member(y: Point) -> bool:
-        return _nearest(space.check_point(y), a) < r
-
-    return member
+    return max(min(max_norm_distance(x, p) for p in b) for x in a)
 
 
 def compact_inner_radius(m: FinitePseudoMetric, k: int, u: int) -> Fraction:

@@ -249,18 +249,6 @@ def iter_periodic_cycles(space: FiniteSpace, max_cycle: int = 2,
             yield SubsetNet.over_znn(space, (), Periodic(cycle)), pres
 
 
-def iter_periodic_nets(space: FiniteSpace, max_cycle: int = 2,
-                       max_pre: int = 2,
-                       nonempty: bool = False) -> Iterator[SubsetNet]:
-    """Every periodic net over ``space`` with cycle <= max_cycle and
-    preperiod <= max_pre, cycle-major: ``iter_periodic_cycles`` flattened,
-    each net derived from its cycle's base net."""
-    for base, pres in iter_periodic_cycles(space, max_cycle, max_pre,
-                                           nonempty):
-        for pre in pres:
-            yield base.with_preperiod(pre)
-
-
 def cycle_window(net: SubsetNet):
     """The union of a periodic net's last full cycle window, X_m for the
     last p indices m <= 12 (p the cycle length), from unrolled values."""

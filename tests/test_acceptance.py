@@ -25,10 +25,10 @@ from limitset_lab.subset_nets import (SubsetNet, below_iff_semidistance,
                                       limit_set_horizon_oracle,
                                       semidistance_convergence_check)
 from limitset_lab.theoremlab import (RULE_FAMILIES, iter_directed_posets,
-                                     iter_periodic_nets, random_rule_net,
-                                     run_suite)
+                                     random_rule_net, run_suite)
 
 from test_setvalued_maps import zero_one_metrics
+from test_theoremlab import iter_periodic_nets
 
 
 def report(number, ok, elapsed, bound, label):

@@ -141,10 +141,16 @@ def test_the_scan_sees_reports_and_seeds_built_outside_the_harness():
 
 
 def wire_format_offences(tree, name):
-    """(what, line) of each ``json`` import in module ``name`` (bar
-    ``jsonio.py``) and of each ``_``-prefixed name it imports."""
+    """(what, line) of each ``json`` import and each ``*_to_json`` or
+    ``*_from_json`` function in module ``name`` (bar ``jsonio.py``), and of
+    each ``_``-prefixed name it imports."""
     found = []
     for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if name != "jsonio.py" and node.name.endswith(
+                    ("_to_json", "_from_json")):
+                found.append((node.name, node.lineno))
+            continue
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -160,8 +166,8 @@ def wire_format_offences(tree, name):
 
 
 def test_only_jsonio_touches_json_and_no_module_imports_a_private_name():
-    # every JSON shape is read and written in one place, and no module
-    # reaches into another's private helpers
+    # every JSON shape, rationals and points included, is read and written
+    # in one place, and no module reaches into another's private helpers
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -176,10 +182,17 @@ def test_the_scan_sees_json_imports_and_private_names():
                      "import json.decoder as d, os\n"
                      "from .semiflow_cells import CellGrid, _set_bits\n"
                      "from __future__ import annotations\n"
-                     "import jsonio\n")
+                     "import jsonio\n"
+                     "def point_to_json(p): pass\n"
+                     "def fraction_from_json(obj): pass\n"
+                     "def to_jsonish(x): pass\n")
     assert wire_format_offences(tree, "cli.py") == [
-        ("json", 1), ("json", 2), ("json.decoder", 3), ("_set_bits", 4)]
+        ("json", 1), ("json", 2), ("json.decoder", 3), ("_set_bits", 4),
+        ("point_to_json", 7), ("fraction_from_json", 8)]
     assert wire_format_offences(tree, "jsonio.py") == [("_set_bits", 4)]
+    nested = ast.parse("class Grid:\n    def grid_to_json(self): pass\n")
+    assert wire_format_offences(nested, "rationals.py") == [
+        ("grid_to_json", 2)]
 
 
 def file_writes(tree):
@@ -294,3 +307,95 @@ def test_the_scan_sees_bit_folds_in_loops():
                      "    mask = mask | 1 << xs.pop()\n"
                      "    mask |= 1 << xs.pop()\n")
     assert shifted_bit_folds(tree) == [3, 7, 10]
+
+
+# public functions that no src code calls yet, kept on purpose
+KEPT_UNCALLED = {
+    # paper lemmas that ROADMAP item 13 wires into a verify suite
+    "separate_compact_from_point", "compact_inner_radius", "eventually_in",
+    "frequently_in", "below_iff_semidistance",
+    # the semicontinuity API: the benchmark drives it, item 6 wires it
+    "is_lsc_at", "is_usc_at", "lsc_via_semidistance",
+    # constructors of the two extreme topologies
+    "discrete_space", "indiscrete_space",
+    # the input encoder of the net round-trip contract
+    "net_to_json",
+    # the brute-force oracle of limit_set, which tests compare it with
+    # (item 3 moves it into an oracle module)
+    "limit_set_horizon_oracle",
+    # the omega backend's one-step image and cell semi-distance, which
+    # tests drive; item 14 makes them the cell grid's ground operations
+    "cell_image", "cellset_semidistance",
+}
+
+
+def uncalled_functions(trees):
+    """(module, name) of each public module-level function in ``trees`` (a
+    dict from module name to tree) that no other code names, outside its
+    own body: as a plain name, as ``<module>.<name>`` or as a string equal
+    to the name (``cli`` dispatches ``cmd_*`` by the name its subparsers
+    store).  A ``@_suite`` body is registered by its decorator, and
+    ``cli.main`` is the console script, so both count as called."""
+    defined, named = [], set()
+
+    def visit(node, owner):  # owner: the enclosing module-level function
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and owner is None):
+            owner = node.name
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Constant):
+            name = node.value if isinstance(node.value, str) else None
+        else:
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in trees else None)
+        if name is not None and name != owner:
+            named.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for module, tree in trees.items():
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")
+                    and not any(isinstance(d, ast.Name) and d.id == "_suite"
+                                for d in node.decorator_list)
+                    and (module, node.name) != ("cli", "main")]
+        visit(tree, None)
+    return [(module, name) for module, name in defined if name not in named]
+
+
+def test_every_public_function_is_called_or_kept_on_purpose():
+    # a public function that nothing in src calls is wired into a suite,
+    # a command or another function, or deleted
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    uncalled = uncalled_functions(trees)
+    assert [f"{m}.{n}" for m, n in uncalled if n not in KEPT_UNCALLED] == []
+    assert {n for _, n in uncalled} == KEPT_UNCALLED  # no stale entry
+
+
+def test_the_scan_sees_uncalled_functions():
+    trees = {
+        "a": ast.parse("def used(): pass\n"
+                       "def by_module(): pass\n"
+                       "def recursive(n):\n"
+                       "    return recursive(n - 1)\n"
+                       "def _private(): pass\n"
+                       "def caller():\n"
+                       "    def inner():\n"
+                       "        return used\n"
+                       "    return b.helper, inner, 'by_name'\n"
+                       "def by_name(): pass\n"
+                       "@_suite\n"
+                       "def suite_x(report, rng): pass\n"
+                       "class C:\n"
+                       "    def method(self):\n"
+                       "        return a.by_module(), x.unused(), 'recursive!'\n"),
+        "b": ast.parse("def helper(): pass\n"
+                       "def unused(): pass\n"),
+        "cli": ast.parse("def main(): pass\n"),
+    }
+    assert uncalled_functions(trees) == [
+        ("a", "recursive"), ("a", "caller"), ("b", "unused")]

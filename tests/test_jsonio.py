@@ -7,10 +7,9 @@ from limitset_lab import jsonio
 from limitset_lab.errors import MalformedInputError
 from limitset_lab.finite_topology import (SIERPINSKI, FiniteSpace,
                                           discrete_space, enumerate_spaces)
+from limitset_lab.jsonio import fraction_from_json, fraction_to_json
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace)
-from limitset_lab.rationals import (fraction_from_json, fraction_to_json)
-from limitset_lab.setvalued_maps import SetValuedMap
 from limitset_lab.subset_nets import (ZNN, AffineEscape, GeometricConverge,
                                       Periodic, SubsetNet, analyze)
 from limitset_lab.theoremlab import iter_periodic_cycles
@@ -103,8 +102,6 @@ class TestGrounds:
         (jsonio.rational_space_from_json, {"dim": 1, "excluded": 5}),
         (jsonio.metric_from_json, {"dist": 5}),
         (jsonio.metric_from_json, {"dist": [5]}),
-        (jsonio.map_from_json, {"domain": 5, "codomain": {"spec": [[True]]},
-                                "graph": {}}),
         # a JSON bool is not a number, and a number is not a relation entry
         (fraction_from_json, True),
         (fraction_from_json, {"num": True, "den": "1"}),
@@ -115,10 +112,6 @@ class TestGrounds:
                                                  [False, True]]},
                                 "tail": {"kind": "periodic",
                                          "cycle": [[True]]}}),
-        (jsonio.map_from_json, {"domain": {"spec": [[True]]},
-                                "codomain": {"spec": [[True, True],
-                                                      [False, True]]},
-                                "graph": {"0": [True]}}),
     ])
     def test_mistyped_fields_rejected(self, decode, obj):
         with pytest.raises(MalformedInputError):
@@ -146,6 +139,9 @@ class TestNets:
         assert back.preperiod == net.preperiod
         assert back.tail == net.tail
         assert jsonio.net_to_json(back) == j
+        # a repeated point is still that one point, not the sum of its bits
+        j["tail"]["cycle"] = [[1, 1], [0, 1, 0]]
+        assert jsonio.net_from_json(j).tail == net.tail
 
     def test_derived_preperiods_survive_json(self):
         # a net read from JSON is built by over_znn, never by with_preperiod,
@@ -208,33 +204,7 @@ class TestNets:
         assert net.is_znn
 
 
-class TestMapsAndVerdicts:
-    def test_map_round_trip(self):
-        m = FinitePseudoMetric([[0, 1], [1, 0]])
-        f = SetValuedMap(m, SIERPINSKI, (0b01, 0b11))
-        j = jsonio.map_to_json(f)
-        back = jsonio.map_from_json(j)
-        assert back.graph == f.graph
-        assert jsonio.map_to_json(back) == j
-        # a repeated point is still that one point, not the sum of its bits
-        j["graph"]["1"] = [1, 1, 0]
-        assert jsonio.map_from_json(j).graph == f.graph
-
-    def test_metric_grounds_keep_their_distances(self):
-        dom = FinitePseudoMetric([[0, 0], [0, 0]])
-        cod = FinitePseudoMetric([[0, F(1, 2)], [F(1, 2), 0]])
-        f = SetValuedMap(dom, cod, (0b01, 0b11))
-        j = jsonio.map_to_json(f)
-        assert "dist" in j["domain"] and "dist" in j["codomain"]
-        assert jsonio.map_from_json(j) == f
-
-    def test_graph_must_cover_domain(self):
-        j = {"domain": {"n": 2, "spec": [[True, False], [False, True]]},
-             "codomain": {"n": 1, "spec": [[True]]},
-             "graph": {"0": [0]}}
-        with pytest.raises(MalformedInputError):
-            jsonio.map_from_json(j)
-
+class TestVerdicts:
     def test_verdicts_spell_holds_or_fails(self):
         assert jsonio.verdict_to_json(True) == {"state": "holds"}
         assert jsonio.verdict_to_json(False) == {"state": "fails"}

@@ -12,9 +12,8 @@ from limitset_lab.errors import (MalformedInputError, MembershipError,
 from limitset_lab.finite_topology import (FiniteSpace, closure,
                                           discrete_space)
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
-                                            RationalPointSpace, ball_of_set,
-                                            compact_inner_radius,
-                                            point_set_distance, semidistance)
+                                            RationalPointSpace,
+                                            compact_inner_radius, semidistance)
 from limitset_lab.rationals import INFINITY, as_point, max_norm_distance
 from limitset_lab.semiflow_cells import (CellGrid, DiscreteSemiflow,
                                          cellset_semidistance,
@@ -36,27 +35,29 @@ def pt(*coords):
 
 
 class TestPointSetDistance:
+    """d(x, a) is the semi-distance d({x}; a)."""
+
     def test_distance_to_own_singleton(self):
-        assert point_set_distance(Q1, pt(3), [pt(3)]) == 0
+        assert semidistance(Q1, [pt(3)], [pt(3)]) == 0
 
     def test_distance_to_empty_is_infinite(self):
-        assert point_set_distance(Q1, pt(0), []) == INFINITY
+        assert semidistance(Q1, [pt(0)], []) == INFINITY
 
     def test_min_over_pairs(self):
         # oracle: enumerate the pairs
         a = [pt(3), pt(4)]
         expected = min(abs(F(3) - F(0)), abs(F(4) - F(0)))
-        assert point_set_distance(Q1, pt(0), a) == expected == 3
+        assert semidistance(Q1, [pt(0)], a) == expected == 3
 
     def test_excluded_point_rejected(self):
         space = RationalPointSpace(1, [pt(0)])
         with pytest.raises(MembershipError):
-            point_set_distance(space, pt(0), [pt(1)])
+            semidistance(space, [pt(0)], [pt(1)])
 
     @given(point1, point1, st.sets(point1, min_size=1, max_size=4))
     def test_lipschitz_in_the_point_argument(self, x, y, a):
-        dx = point_set_distance(Q1, x, a)
-        dy = point_set_distance(Q1, y, a)
+        dx = semidistance(Q1, [x], a)
+        dy = semidistance(Q1, [y], a)
         assert abs(dx - dy) <= abs(x[0] - y[0])
 
 
@@ -116,22 +117,6 @@ class TestSemidistance:
                 cls_b = sum(1 << i for i in range(m.n)
                             if m.point_to_mask_distance(i, b) == 0)
                 assert (m.semidistance_masks(a, b) == 0) == (a & ~cls_b == 0)
-
-
-class TestBalls:
-    def test_center_in_own_ball(self):
-        assert ball_of_set(Q1, [pt(7)], F(1, 100))(pt(7))
-
-    def test_strict_inequality_at_radius(self):
-        assert not ball_of_set(Q1, [pt(0)], 1)(pt(1))
-
-    def test_containment_check(self):
-        ball = ball_of_set(Q1, [pt(0)], 2)
-        assert all(ball(p) for p in [pt(-1), pt(0), pt(F(3, 2))])
-
-    def test_radius_must_be_positive(self):
-        with pytest.raises(PreconditionError):
-            ball_of_set(Q1, [pt(0)], 0)
 
 
 class Half(F):
@@ -217,12 +202,9 @@ class TestCanonicalPoints:
         routes = [
             lambda: Q2_ORIGIN.check_set(a),
             lambda: Q2_ORIGIN.check_point(bad),
-            lambda: point_set_distance(Q2_ORIGIN, good, a),
-            lambda: point_set_distance(Q2_ORIGIN, bad, [good]),
+            lambda: semidistance(Q2_ORIGIN, [bad], [good]),
             lambda: semidistance(Q2_ORIGIN, a, [good]),
             lambda: semidistance(Q2_ORIGIN, [good], a),
-            lambda: ball_of_set(Q2_ORIGIN, a, 1),
-            lambda: ball_of_set(Q2_ORIGIN, [good], 1)(bad),
         ]
         for route in routes:
             with pytest.raises(MembershipError, match=f"^{re.escape(message)}$"):
@@ -283,12 +265,12 @@ class TestValidateOnce:
             semidistance(Q2_ORIGIN, x, y)
             assert len(checked) <= len(a) + len(b)
 
-    def test_point_set_distance_checks_each_argument_once(self, checked):
+    def test_point_to_set_semidistance_checks_each_argument_once(self, checked):
         a = [pt(1, 1), pt(4, 0), pt(-1, F(3, 4)), pt(7, 7)]
         for x, y in ((pt(0, 1), a), ([0, 1], self.loose(a)),
                      (pt(0, 1), frozenset(a))):
             checked.clear()
-            point_set_distance(Q2_ORIGIN, x, y)
+            semidistance(Q2_ORIGIN, [x], y)
             assert len(checked) <= 1 + len(a)
 
     def test_agree_with_brute_force_on_random_sets(self):
@@ -312,16 +294,12 @@ class TestValidateOnce:
                     == expected
             nearest = min((max_norm_distance(x, y) for y in b),
                           default=INFINITY)
-            assert point_set_distance(space, x, frozenset(b)) == nearest
-            assert point_set_distance(space, list(x), self.loose(b)) \
-                == nearest
-            r = F(rng.randint(1, 8), 2)
-            assert ball_of_set(space, self.loose(b), r)(list(x)) \
-                == (nearest < r)
+            assert semidistance(space, [x], frozenset(b)) == nearest
+            assert semidistance(space, [list(x)], self.loose(b)) == nearest
         # the empty-set conventions are among the draws
         assert semidistance(Q1, frozenset(), frozenset([pt(1)])) == 0
         assert semidistance(Q1, [pt(1)], frozenset()) == INFINITY
-        assert point_set_distance(Q1, pt(1), frozenset()) == INFINITY
+        assert semidistance(Q1, [pt(1)], frozenset()) == INFINITY
 
     @pytest.mark.parametrize("empty", [frozenset(), []])
     def test_both_empty_is_still_undefined(self, empty):
@@ -760,8 +738,7 @@ def test_every_distance_is_a_fraction_or_infinity():
     answers = []
     a, b = [pt(0), pt(F(5, 2))], [pt(1), pt(-3)]
     for x in (pt(0), pt(F(7, 3))):
-        answers += [point_set_distance(Q1, x, b),
-                    point_set_distance(Q1, x, [])]
+        answers += [semidistance(Q1, [x], b), semidistance(Q1, [x], [])]
     answers += [semidistance(Q1, a, b), semidistance(Q1, [], b),
                 semidistance(Q1, a, [])]
     path = FinitePseudoMetric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])

@@ -33,9 +33,10 @@ from limitset_lab.subset_nets import (LOST, AffineEscape,
                                       _check_geometric_avoids_excluded)
 from limitset_lab.theoremlab import (GEOMETRIC_RATIOS, RULE_FAMILIES,
                                      describe_net, iter_directed_posets,
-                                     iter_periodic_cycles,
-                                     iter_periodic_nets, random_point,
+                                     iter_periodic_cycles, random_point,
                                      random_rule_net, random_space)
+
+from test_theoremlab import iter_periodic_nets
 
 Q1 = RationalPointSpace(1)
 D2 = discrete_space(2)

@@ -11,8 +11,7 @@ from limitset_lab.subset_nets import (Periodic, SubsetNet,
                                       is_eventually_lagrange_stable)
 from limitset_lab.theoremlab import (EXHIBIT_CAP, SUITES, cycle_window,
                                      describe_net, iter_periodic_cycles,
-                                     iter_periodic_nets, random_rule_net,
-                                     rule_net_stream,
+                                     random_rule_net, rule_net_stream,
                                      run_all, run_suite)
 
 # The first exhibits that the per-preperiod loop of separation_containments
@@ -226,6 +225,16 @@ class TestSuiteMachinery:
             report = run_suite("pseudometrizable_equivalence", budget=budget,
                                seed=seed)
             assert report.passed, (budget, report.violations)
+
+
+def iter_periodic_nets(space, max_cycle=2, max_pre=2, nonempty=False):
+    """Every periodic net over ``space`` with cycle <= max_cycle and
+    preperiod <= max_pre, cycle-major: ``iter_periodic_cycles`` flattened,
+    each net derived from its cycle's base net."""
+    for base, pres in iter_periodic_cycles(space, max_cycle, max_pre,
+                                           nonempty):
+        for pre in pres:
+            yield base.with_preperiod(pre)
 
 
 def per_net_periodic_nets(space, nonempty=False):
