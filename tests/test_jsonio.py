@@ -128,6 +128,48 @@ class TestGrounds:
         with pytest.raises(MalformedInputError):
             jsonio.ground_from_json(5)
 
+    @pytest.mark.parametrize("ground, key", [
+        (SIERPINSKI, "spec"),
+        (discrete_space(3), "spec"),
+        # a metric is a FiniteSpace too, but must travel as its distances
+        (FinitePseudoMetric([[0, 0], [0, 0]]), "dist"),
+        (FinitePseudoMetric([[0, F(1, 2)], [F(1, 2), 0]]), "dist"),
+        (RationalPointSpace(2, [pt(1, 2), pt(0, 0)]), "dim"),
+    ], ids=["sierpinski", "discrete", "zero-metric", "metric", "rational"])
+    def test_ground_round_trip(self, ground, key):
+        j = jsonio.ground_to_json(ground)
+        assert key in j
+        back = jsonio.ground_from_json(j)
+        assert type(back) is type(ground) and back == ground
+        assert jsonio.ground_to_json(back) == j
+
+    def test_unencodable_ground_refused(self):
+        for ground in (ZNN, object()):
+            with pytest.raises(MalformedInputError,
+                               match="^unencodable ground"):
+                jsonio.ground_to_json(ground)
+
+
+class TestPointSets:
+    @pytest.mark.parametrize("entry", [True, 2, -1, "0", 1.0],
+                             ids=["bool", "too-big", "negative", "str",
+                                  "float"])
+    def test_finite_entries_are_indices_below_n(self, entry):
+        with pytest.raises(MalformedInputError,
+                           match="^finite point sets hold indices below 2"):
+            jsonio.pointset_from_json(SIERPINSKI, [0, entry])
+
+    def test_point_set_must_be_a_list(self):
+        for ground in (SIERPINSKI, RationalPointSpace(1)):
+            for obj in (5, {"0": 1}, None):
+                with pytest.raises(MalformedInputError,
+                                   match="^point set must be a list$"):
+                    jsonio.pointset_from_json(ground, obj)
+
+    def test_repeated_index_is_one_point(self):
+        assert jsonio.pointset_from_json(SIERPINSKI, [1, 1, 0, 1]) == 0b11
+        assert jsonio.pointset_to_json(SIERPINSKI, 0b11) == [0, 1]
+
 
 class TestNets:
     def test_periodic_finite_ground(self):

@@ -98,6 +98,14 @@ class TestImage:
         with pytest.raises(MalformedInputError):
             SetValuedMap(SIERPINSKI, SIERPINSKI, (0b01,))
 
+    def test_graph_values_inside_codomain_checked(self):
+        with pytest.raises(MalformedInputError,
+                           match="^graph value outside the codomain$"):
+            SetValuedMap(SIERPINSKI, SIERPINSKI, (0b01, 0b100))
+        d3 = discrete_space(3)
+        assert SetValuedMap(SIERPINSKI, d3, (0b001, 0b100)).graph \
+            == (0b001, 0b100)
+
 
 @pytest.mark.parametrize("check", [is_usc_at, is_lsc_at, lsc_via_semidistance])
 @pytest.mark.parametrize("x", [-1, 2, 10**9, True, 1.0, "0", None])
