@@ -28,15 +28,20 @@ over one is linear in the grid size:
   for the least k with I_n inside D_k.  An empty omega is never dilated;
   every nonempty I_n is at distance inf from it.  A semi-distance is an
   exact ``Fraction`` k/n, or ``INFINITY`` (``math.inf``) from an empty set;
-* an image step scans the set bits once and writes the image into one
-  bytearray.  Each run keeps one transition table, cell -> the cells its
-  samples hit, filled on a cell's first visit, so a run samples each
-  visited cell once and a short run on a small grid compiles nothing it
-  does not visit.  A flow picks its point map once, when it is built,
-  and a run computes its sub-cell sample offsets once.  Each sample is
-  floored and clamped into the grid once; one sample per cell (the
-  default) hits one cell, so no set of hits is built.  ``cell_image``
-  is one step with a fresh table.
+* an image step walks the cells that changed since the last step: it
+  keeps, for every cell, how many cells of the last set hit it, and flips
+  an image bit when that count crosses zero.  When the set moved (at least
+  two thirds as many cells changed as it holds), the step scans the whole
+  set once instead, without counting.  Either way the flips or hits go
+  into one bytearray.  Each run keeps one transition table, cell -> the
+  cells its samples hit, filled on a cell's first visit, so a run
+  samples each visited cell once and a short run on a small grid
+  compiles nothing it does not visit.  A flow picks its point map once,
+  when it is built, and a run computes its sub-cell sample offsets once.
+  Each sample is floored and clamped into the grid once; one sample per
+  cell (the default) hits one cell, so no set of hits is built.
+  ``cell_image`` is one step with a fresh table, so it scans the whole
+  set.
 
 The CLI parses ``--init cells:K,...`` into one bytearray as well, in time
 linear in the grid size.
@@ -51,7 +56,7 @@ from math import floor
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (MalformedInputError, PreconditionError,
-                     UndefinedCaseError, UnsupportedRuleError)
+                     UndefinedCaseError, UnsupportedRuleError, excerpt)
 from .rationals import INFINITY
 
 MAX_CELLS_PER_AXIS = 4096
@@ -103,6 +108,15 @@ class CellGrid:
             i = floor(x * n)
             coords.append(min(n - 1, max(0, i)))
         return self.index(tuple(coords))
+
+    def check_set(self, cells: int):
+        """Refuse anything but an ``int`` mask of cells of the grid; a
+        ``bool`` is no cell set."""
+        if type(cells) is not int:
+            raise PreconditionError(
+                f"cell set {excerpt(cells)} is not a bitmask")
+        if cells & ~self.full_mask:
+            raise PreconditionError("cell set outside the grid")
 
     def center(self, index: int) -> Tuple[Fraction, ...]:
         n = self.cells_per_axis
@@ -216,17 +230,24 @@ def _sampler(grid: CellGrid, f, k: int):
 
 
 class _ImageStep:
-    """The cell image map of one run.
+    """The cell image map of one run, updated by the cells that changed.
 
     ``hits`` maps a cell to the cells its samples (or its table row) hit,
     filled on the cell's first visit by ``hits_of``, picked once per run.
+    A step keeps its input ``last`` and that input's undilated ``image``.
+    When fewer than two thirds as many cells changed as the new set holds,
+    it walks only the added cells, then the removed ones, keeping
+    ``counts``: cell j -> how many cells of the set hit j.  Image bit j
+    flips each time counts[j] crosses zero.  Otherwise the set moved, and
+    the step walks the whole set without counting and drops ``counts``;
+    the next step with a small change rebuilds them from its whole set.
     """
 
     def __init__(self, grid: CellGrid, flow: DiscreteSemiflow, samples: int,
                  dilate: bool):
-        if not 1 <= samples <= MAX_SAMPLES:
+        if type(samples) is not int or not 1 <= samples <= MAX_SAMPLES:
             raise PreconditionError(
-                f"samples must be between 1 and {MAX_SAMPLES}")
+                f"samples must be an int between 1 and {MAX_SAMPLES}")
         table = flow.table
         if flow.kind == "table":  # a table has no dimension, only a size
             if len(table) != grid.total:
@@ -242,6 +263,8 @@ class _ImageStep:
         self.hits: Dict[int, Tuple[int, ...]] = {}
         self.hits_of = (lambda i: tuple(set_bits(table[i]))) \
             if flow.kind == "table" else _sampler(grid, flow.map_point, samples)
+        self.last = self.image = 0
+        self.counts: Optional[Dict[int, int]] = None
 
     def __call__(self, cells: int) -> int:
         grid = self.grid
@@ -249,16 +272,54 @@ class _ImageStep:
             n, shift = grid.cells_per_axis, self.shift
             return ((cells << shift) | (cells >> (n - shift))) & grid.full_mask \
                 if shift else cells
+        changed = cells ^ self.last
+        # a counted cell costs about 1.3 walked ones, so counting pays only
+        # while fewer than two thirds as many cells changed as the set holds
+        if 3 * changed.bit_count() >= 2 * cells.bit_count():
+            image, self.counts = self._walk(cells), None
+        elif self.counts is None:
+            self.counts = {}
+            image = self._flips(cells, 0)
+        else:
+            image = self.image ^ self._flips(cells & changed,
+                                             self.last & changed)
+        self.last, self.image = cells, image
+        return grid.dilate(image) if self.dilate else image
+
+    def _walk(self, cells: int) -> int:
+        """The union of the hits of every cell of ``cells``."""
         hits, hits_of = self.hits, self.hits_of
-        out = bytearray((grid.total + 7) >> 3)
+        out = bytearray((self.grid.total + 7) >> 3)
         for i in set_bits(cells):
             hit = hits.get(i)
             if hit is None:
                 hit = hits[i] = hits_of(i)
             for j in hit:
                 out[j >> 3] |= 1 << (j & 7)
-        image = int.from_bytes(out, "little")
-        return grid.dilate(image) if self.dilate else image
+        return int.from_bytes(out, "little")
+
+    def _flips(self, added: int, removed: int) -> int:
+        """Count the hits of ``added`` in and those of ``removed`` out; the
+        image bits whose count crossed zero.  Added cells go first, so no
+        count goes negative, and every removed cell was walked before."""
+        hits, hits_of, counts = self.hits, self.hits_of, self.counts
+        out = bytearray((self.grid.total + 7) >> 3)
+        for i in set_bits(added):
+            hit = hits.get(i)
+            if hit is None:
+                hit = hits[i] = hits_of(i)
+            for j in hit:
+                c = counts.get(j, 0)
+                if not c:
+                    out[j >> 3] ^= 1 << (j & 7)
+                counts[j] = c + 1
+        for i in set_bits(removed):
+            for j in hits[i]:
+                c = counts[j] - 1
+                if not c:
+                    out[j >> 3] ^= 1 << (j & 7)
+                counts[j] = c
+        return int.from_bytes(out, "little")
 
 
 def set_bits(cells: int):
@@ -279,8 +340,7 @@ def cell_image(grid: CellGrid, flow: DiscreteSemiflow, cells: int,
     cells_per_axis an integer) reduce to a cyclic bitset shift and skip
     both sampling and dilation.
     """
-    if cells & ~grid.full_mask:
-        raise PreconditionError("cell set outside the grid")
+    grid.check_set(cells)
     return _ImageStep(grid, flow, samples, dilate)(cells)
 
 
@@ -301,10 +361,9 @@ def omega_limit_cells(grid: CellGrid, flow: DiscreteSemiflow, e: int,
     of the cycle's cell sets and the trace records d(I_n; omega) for every
     step up to preperiod + period.
     """
+    grid.check_set(e)
     if e == 0:
         raise PreconditionError("initial cell set must be nonempty")
-    if e & ~grid.full_mask:
-        raise PreconditionError("cell set outside the grid")
     step = _ImageStep(grid, flow, samples, dilate)
     states: List[int] = [e]
     seen = {e: 0}
@@ -340,7 +399,8 @@ def _dilation_distances(grid: CellGrid, cell_sets: List[int],
     even from an empty base; ``cellset_semidistance`` refuses that pair.
     The sets must lie in the grid, where the chain reaches every cell.
     """
-    dist = [INFINITY if a else Fraction(0) for a in cell_sets]
+    at_k = Fraction(0)  # k/n, built once per k
+    dist = [INFINITY if a else at_k for a in cell_sets]
     pending = [i for i, a in enumerate(cell_sets) if a] if base else []
     k = 0
     while pending:
@@ -350,10 +410,11 @@ def _dilation_distances(grid: CellGrid, cell_sets: List[int],
             if cell_sets[i] & outside:
                 left.append(i)
             else:
-                dist[i] = Fraction(k, grid.cells_per_axis)
+                dist[i] = at_k
         if left:
             base = grid.dilate(base)
             k += 1
+            at_k = Fraction(k, grid.cells_per_axis)
         pending = left
     return dist
 
@@ -366,8 +427,8 @@ def cellset_semidistance(grid: CellGrid, a: int, b: int) -> Fraction:
     Chebyshev cell distance over n.  d(emptyset; emptyset) is not
     defined, as for ``semidistance``.
     """
-    if (a | b) & ~grid.full_mask:
-        raise PreconditionError("cell set outside the grid")
+    grid.check_set(a)
+    grid.check_set(b)
     if not a and not b:
         raise UndefinedCaseError("d(emptyset; emptyset) is not defined")
     return _dilation_distances(grid, [a], b)[0]

@@ -381,6 +381,16 @@ class TestOmega:
                     "--cells", "16", "--init", "cell:1", "--out",
                     str(tmp_path / "t.csv")]) == 0
 
+    def test_negative_param_needs_an_equals_sign(self, tmp_path, capsys):
+        # argparse reads a separate "-1/8" as a flag, not as the value
+        out = str(tmp_path / "t.csv")
+        assert run(["omega", "--map", "rotation", "--param", "-1/8",
+                    "--cells", "16", "--init", "cell:1", "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            "limitset-lab: argument --param: expected one argument\n"
+        assert run(["omega", "--map", "rotation", "--param=-1/8",
+                    "--cells", "16", "--init", "cell:1", "--out", out]) == 0
+
     def test_table_size_checked(self, tmp_path):
         table = write_json(tmp_path / "table.json", [[0]])
         assert run(["omega", "--map", "table", "--in", table,

@@ -215,7 +215,8 @@ class TestCellImage:
                         == sum(1 << c for c in expect)), (dim, n, i)
         assert clamped == set(product((1, 2), ("below", "above")))
 
-    @pytest.mark.parametrize("samples", [0, -1, 65, 10**9])
+    @pytest.mark.parametrize("samples", [0, -1, 65, 10**9,
+                                         True, 2.5, 2.0, "2", F(2)])
     def test_samples_out_of_range_rejected_before_sampling(self, samples,
                                                            monkeypatch):
         built = []
@@ -228,6 +229,21 @@ class TestCellImage:
         with pytest.raises(PreconditionError, match="samples"):
             omega_limit_cells(g, flow, 0b1111, samples=samples)
         assert not built
+
+    @pytest.mark.parametrize("cells", [True, False, 3.0, "3", F(3), None])
+    def test_cell_sets_must_be_ints(self, cells):
+        # an exact rotation shifts without sampling, so it must not slip by
+        g = CellGrid(1, 8)
+        for flow in (DiscreteSemiflow("logistic", (2,)),
+                     DiscreteSemiflow("rotation", (F(1, 8),))):
+            with pytest.raises(PreconditionError, match="is not a bitmask"):
+                cell_image(g, flow, cells)
+            with pytest.raises(PreconditionError, match="is not a bitmask"):
+                omega_limit_cells(g, flow, cells)
+        with pytest.raises(PreconditionError, match="is not a bitmask"):
+            cellset_semidistance(g, cells, 0b1)
+        with pytest.raises(PreconditionError, match="is not a bitmask"):
+            cellset_semidistance(g, 0b1, cells)
 
     @pytest.mark.parametrize("table", [(0b10, 0b100), (0b1,) * 5, ()])
     def test_table_of_the_wrong_length_rejected_before_a_step(self, table):
@@ -444,6 +460,127 @@ class TestOmegaLimitCells:
                 omega_centers = frozenset(g.center(i)
                                           for i in cells_of(res.omega))
                 assert limit_set(net) == omega_centers
+
+
+def shared_target_table(rng, total):
+    """A table flow whose rows hit 1-3 of the first eight cells, so many
+    rows share targets and a hit count goes above 1."""
+    return tuple(sum(1 << j for j in rng.sample(range(8), rng.randint(1, 3)))
+                 for _ in range(total))
+
+
+def delta_walk_sequence(rng, total):
+    """Cell sets for one image step, in rounds: each round jumps to a set
+    disjoint from the last (the empty set in one round), which forces a
+    whole walk, then changes it a little for a few steps, which the step
+    walks by deltas.  The rounds shrink nested sets, move a set by one
+    cell, alternate two sets and grow from the empty set."""
+    full = (1 << total) - 1
+    cells, seq = 0, []
+
+    def toggles(k):
+        return sum(1 << rng.randrange(total) for _ in range(k))
+
+    for family in ("shrinking", "moving", "alternating", "growing") * 2:
+        cells = 0 if family == "growing" else \
+            rng.getrandbits(total) & ~cells & full
+        seq.append(cells)
+        other = cells ^ toggles(rng.randint(1, 3))
+        for _ in range(6):
+            if family == "shrinking":
+                cells &= ~toggles(rng.randint(1, 3))
+            elif family == "moving":
+                cells = (cells << 1 | cells >> (total - 1)) & full
+            elif family == "alternating":
+                cells, other = other, cells
+            else:
+                cells |= toggles(rng.randint(1, 4))
+            seq.append(cells)
+    return seq
+
+
+class TestIncrementalStep:
+    @pytest.mark.parametrize("grid, flow", [
+        (CellGrid(1, 64), DiscreteSemiflow("logistic", (F(39, 10),))),
+        (CellGrid(1, 64), DiscreteSemiflow("tent", (F(3, 2),))),
+        (CellGrid(1, 64), DiscreteSemiflow("rotation", (F(1, 192),))),
+        (CellGrid(2, 8), DiscreteSemiflow("henon", (F(7, 5), F(3, 10)))),
+        (CellGrid(1, 64), "table"),
+    ], ids=["logistic", "tent", "rotation", "henon", "table"])
+    @pytest.mark.parametrize("samples, dilate", [(1, False), (3, False),
+                                                 (1, True), (3, True)])
+    def test_every_step_equals_a_fresh_step(self, grid, flow, samples,
+                                            dilate):
+        kind = flow if flow == "table" else flow.kind
+        rng = random.Random(f"{grid.total}:{kind}:{samples}:{dilate}")
+        if flow == "table":
+            flow = DiscreteSemiflow(
+                "table", table=shared_target_table(rng, grid.total))
+        step = semiflow_cells._ImageStep(grid, flow, samples, dilate)
+        paths, top_count = [], 0
+        for cells in delta_walk_sequence(rng, grid.total):
+            assert step(cells) == cell_image(grid, flow, cells,
+                                             samples=samples, dilate=dilate)
+            paths.append("whole" if step.counts is None else "delta")
+            if step.counts:
+                top_count = max(top_count, max(step.counts.values()))
+        # whole walks and delta walks take turns, more than once
+        runs = "".join(p[0] for i, p in enumerate(paths)
+                       if i == 0 or p != paths[i - 1])
+        assert "wdwd" in runs, paths
+        # a rotation sampled once per cell is one-to-one on cells
+        assert (top_count > 1) == (kind != "rotation" or samples > 1)
+
+
+def count_walked_cells(monkeypatch):
+    """Count the cells that ``set_bits`` yields to the image step."""
+    walked = [0]
+    set_bits = semiflow_cells.set_bits
+
+    def counting(cells):
+        for i in set_bits(cells):
+            walked[0] += 1
+            yield i
+    monkeypatch.setattr(semiflow_cells, "set_bits", counting)
+    return walked
+
+
+def random_half(seed, total):
+    """The omega benchmark's initial set: cell 0 and a seeded random half."""
+    rng = random.Random(f"omega:{seed}")
+    return sum(1 << i for i in
+               [0] + rng.sample(range(1, total), total // 2 - 1))
+
+
+class TestWalkCount:
+    def test_contracting_run_walks_at_most_half_its_states(self,
+                                                          monkeypatch):
+        walked = count_walked_cells(monkeypatch)
+        g = CellGrid(1, 4096)
+        res = omega_limit_cells(g, DiscreteSemiflow("logistic", (F(39, 10),)),
+                                random_half(1, g.total))
+        assert sum(res.sizes) == 18_631  # what a whole walk per step costs
+        assert walked[0] <= sum(res.sizes) // 2
+
+    @pytest.mark.parametrize("grid, flow, samples, dilate", [
+        (CellGrid(2, 64), DiscreteSemiflow("henon", (F(7, 5), F(3, 10))), 1,
+         False),
+        (CellGrid(1, 1024), DiscreteSemiflow("logistic", (F(39, 10),)), 8,
+         True),
+        (CellGrid(1, 256), DiscreteSemiflow("rotation", (F(77, 768),)), 1,
+         False),
+        (CellGrid(1, 256), DiscreteSemiflow("rotation", (F(77, 768),)), 2,
+         True),
+        (CellGrid(1, 256), DiscreteSemiflow("tent", (F(3, 2),)), 1, False),
+    ], ids=["henon", "logistic-dilated", "sampled-rotation",
+            "sampled-rotation-dilated", "tent"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_no_run_walks_more_than_its_states(self, grid, flow, samples,
+                                               dilate, seed, monkeypatch):
+        walked = count_walked_cells(monkeypatch)
+        res = omega_limit_cells(grid, flow, random_half(seed, grid.total),
+                                samples=samples, dilate=dilate)
+        assert 0 < walked[0] <= sum(res.sizes)
 
 
 class TestCellsetSemidistance:
