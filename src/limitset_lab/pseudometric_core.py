@@ -284,6 +284,7 @@ def compact_inner_radius(m: FinitePseudoMetric, k: int, u: int) -> Fraction:
     for y in range(m.n):
         if m.point_to_mask_distance(y, k) < delta:
             ball |= 1 << y
-    assert ball & ~u == 0
+    if ball & ~u:  # a fault of this function, not of its input
+        raise RuntimeError("the delta-ball of k leaves u")
     return delta
 

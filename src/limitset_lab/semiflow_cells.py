@@ -144,6 +144,16 @@ def _henon(a, b):
     return henon
 
 
+def _finite_float(p: Fraction) -> float:
+    """``p`` as the float a builtin map computes with; a parameter too
+    large for any float is malformed input."""
+    try:
+        return float(p)
+    except OverflowError:
+        raise MalformedInputError(
+            f"map parameter {excerpt(p)} has no finite float value") from None
+
+
 class DiscreteSemiflow:
     """A discrete-time semiflow: a builtin interval/plane map or a cell table.
 
@@ -174,7 +184,7 @@ class DiscreteSemiflow:
         else:
             self.dim, want, point_map = self.BUILTINS[kind]
             self._validate_params(want)
-            self.map_point = point_map(*(float(p) for p in self.params))
+            self.map_point = point_map(*map(_finite_float, self.params))
 
     def _validate_params(self, want: int):
         if len(self.params) != want:

@@ -155,11 +155,12 @@ class AffineEscape(TailRule):
             raise MalformedInputError("tail rule of wrong dimension")
         if all(vi == 0 for vi in v):
             raise MalformedInputError("escape direction must be nonzero")
+        hits = []
         for e in ground.excluded:
             n = _line_parameter(c, v, e)
             if n is not None and n.denominator == 1 and n >= pre_len:
-                raise MalformedInputError(
-                    f"escape tail hits excluded point {e} at n={n}")
+                hits.append((n, e))
+        _refuse_least_hit("escape", hits)
         return AffineEscape(c, v), LOST
 
     def label(self, ground) -> str:
@@ -208,7 +209,9 @@ class GeometricConverge(TailRule):
                pre_len: int) -> Tuple[GeometricConverge, TailSummary]:
         """The tail converges to ``a`` if the space holds it, else is lost."""
         _need_rational(ground)
-        a, r = as_point(self.a), Fraction(self.r)
+        a, r = as_point(self.a), self.r
+        if type(r) is not Fraction:
+            r = Fraction(r)
         targets = self.targets
         if len(a) != ground.dim or any(len(b) != ground.dim for b in targets):
             raise MalformedInputError("tail rule of wrong dimension")
@@ -220,7 +223,8 @@ class GeometricConverge(TailRule):
         if not ground.contains(a):
             return rule, LOST  # Cauchy toward a point the space lacks
         limit = frozenset([a])
-        return rule, TailSummary((limit,), limit, set(targets) == {a})
+        return rule, TailSummary((limit,), limit,
+                                 all(b == a for b in targets))
 
     def label(self, ground) -> str:
         return f"geometric(a={self.a}, b={self.b}, r={self.r})"
@@ -356,12 +360,19 @@ def _line_parameter(c: Point, v: Point, e: Point) -> Optional[Fraction]:
     """The s with c + s*v = e (v nonzero), or None when e is off that line.
 
     e must equal c on every coordinate v fixes and give one shared ratio
-    (e_i - c_i) / v_i on every coordinate it moves.
+    (e_i - c_i) / v_i on every coordinate it moves; each ratio is compared
+    with the first, so none is hashed.
     """
-    if any(vi == 0 and ci != ei for ci, vi, ei in zip(c, v, e)):
-        return None
-    ratios = {(ei - ci) / vi for ci, vi, ei in zip(c, v, e) if vi}
-    return ratios.pop() if len(ratios) == 1 else None
+    s = None
+    for ci, vi, ei in zip(c, v, e):
+        if not vi:
+            if ci != ei:
+                return None
+        elif s is None:
+            s = (ei - ci) / vi
+        elif (ei - ci) / vi != s:
+            return None
+    return s
 
 
 def _check_geometric_avoids_excluded(ground: RationalPointSpace,
@@ -381,10 +392,16 @@ def _check_geometric_avoids_excluded(ground: RationalPointSpace,
         n = _geometric_exponent(rule.r, t) if t else None
         if n is not None and n >= n0:
             hits.append((n, e))
+    _refuse_least_hit("geometric", hits)
+
+
+def _refuse_least_hit(kind: str, hits: list):
+    """Refuse a tail that hits excluded points, naming the first it hits;
+    ``hits`` lists (n, e), and no two share an n."""
     if hits:
         n, e = min(hits)
         raise MalformedInputError(
-            f"geometric tail hits excluded point {e} at n={n}")
+            f"{kind} tail hits excluded point {e} at n={n}")
 
 
 def _geometric_exponent(r: Fraction, t: Fraction) -> Optional[int]:

@@ -100,7 +100,17 @@ class SuiteReport:
 
 # -- instance generators -------------------------------------------------------
 
+# A random coordinate is p/q with q drawn from COORD_DENOMS and p from
+# [-COORD_SPAN * q, COORD_SPAN * q].  COORDS interns every such coordinate
+# once, one row per denominator in COORD_DENOMS order, so a draw builds no
+# Fraction.  rng.choice(row) and randint(-k, k) both draw one
+# _randbelow(2k + 1), so a draw consumes the same bits and returns the same
+# value as choosing q and calling randint.
 COORD_DENOMS = (1, 2, 4, 8)
+COORD_SPAN = 8
+COORDS = tuple(tuple(Fraction(p, q) for p in
+                     range(-COORD_SPAN * q, COORD_SPAN * q + 1))
+               for q in COORD_DENOMS)
 GEOMETRIC_RATIOS = tuple(
     Fraction(p, q) for p, q in
     ((1, 2), (-1, 2), (1, 3), (-1, 3), (2, 3), (-2, 3), (1, 4), (-1, 4),
@@ -110,12 +120,8 @@ ESCAPE_STEPS = (Fraction(-2), Fraction(-1), Fraction(-1, 2),
 
 
 def random_point(rng: random.Random, dim: int) -> tuple:
-    coords = []
-    for _ in range(dim):
-        q = rng.choice(COORD_DENOMS)
-        p = rng.randint(-8 * q, 8 * q)
-        coords.append(Fraction(p, q))
-    return tuple(coords)
+    choice = rng.choice
+    return tuple([choice(choice(COORDS)) for _ in range(dim)])
 
 
 def random_space(rng: random.Random) -> RationalPointSpace:

@@ -391,6 +391,18 @@ class TestOmega:
         assert run(["omega", "--map", "rotation", "--param=-1/8",
                     "--cells", "16", "--init", "cell:1", "--out", out]) == 0
 
+    @pytest.mark.parametrize("params", [
+        ["--map", "rotation", "--param", "9" * 400],
+        ["--map", "henon", "--param", "1/2", "--param2", "9" * 400],
+        ["--map", "henon", "--param", "1/2", "--param2=-" + "9" * 400 + "/7"]])
+    def test_parameter_too_large_for_a_float_exits_2(self, params, tmp_path,
+                                                     capsys):
+        assert run(["omega", *params, "--cells", "16", "--init", "all",
+                    "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"limitset-lab: map parameter .{1,120} has no "
+                            r"finite float value\n", err), err
+
     def test_table_size_checked(self, tmp_path):
         table = write_json(tmp_path / "table.json", [[0]])
         assert run(["omega", "--map", "table", "--in", table,

@@ -399,3 +399,28 @@ def test_the_scan_sees_uncalled_functions():
     }
     assert uncalled_functions(trees) == [
         ("a", "recursive"), ("a", "caller"), ("b", "unused")]
+
+
+def assert_statements(tree):
+    """Lines of each ``assert`` statement: ``python -O`` strips them, so a
+    check in src must raise explicitly."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
+def test_no_check_in_src_is_an_assert():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        offenders += [f"{path.name}:{line}" for line in
+                      assert_statements(ast.parse(path.read_text()))]
+    assert not offenders
+
+
+def test_the_scan_sees_asserts():
+    tree = ast.parse("assert x\n"
+                     "def f(ball, u):\n"
+                     "    if ball & ~u:\n"
+                     "        raise RuntimeError('assert')\n"
+                     "    assert ball & ~u == 0, 'leaves u'\n"
+                     "    return AssertionError\n")
+    assert assert_statements(tree) == [1, 5]

@@ -1,12 +1,17 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import limitset_lab
 from limitset_lab.errors import (MalformedInputError, MembershipError,
                                  PreconditionError, UndefinedCaseError)
 from limitset_lab.finite_topology import (FiniteSpace, closure,
@@ -349,6 +354,25 @@ class TestCompactInnerRadius:
             ball = sum(1 << y for y in range(m.n)
                        if m.point_to_mask_distance(y, k) < delta)
             assert ball & ~u == 0
+
+    def test_broken_postcondition_raises_under_python_O(self):
+        # a distance that puts every point in the ball of k, the point
+        # outside u too; the check must not be an assert, which -O strips
+        code = (
+            "from limitset_lab.pseudometric_core import (FinitePseudoMetric,"
+            " compact_inner_radius)\n"
+            "m = FinitePseudoMetric([[0, 1], [1, 0]])\n"
+            "m.point_to_mask_distance = lambda x, mask: int(mask != 0b01)\n"
+            "try:\n"
+            "    compact_inner_radius(m, 0b01, 0b01)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+        src = str(Path(limitset_lab.__file__).parent.parent)
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "the delta-ball of k leaves u\n"
 
 
 # -- Kuratowski limits ---------------------------------------------------------

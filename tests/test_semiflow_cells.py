@@ -144,6 +144,25 @@ class TestCellGrid:
             assert g.index(g.coords(i)) == i
 
 
+class TestDiscreteSemiflow:
+    @pytest.mark.parametrize("kind, params", [
+        ("rotation", (10 ** 400 - 1,)),
+        ("rotation", (F(-10 ** 400, 3),)),
+        ("henon", (F(1, 2), 10 ** 400 - 1)),
+        ("henon", (10 ** 5000, F(3, 10)))])
+    def test_parameter_without_a_finite_float_refused(self, kind, params):
+        with pytest.raises(MalformedInputError,
+                           match=r"^map parameter .{1,120} has no finite "
+                                 r"float value$"):
+            DiscreteSemiflow(kind, params)
+
+    def test_tiny_parameter_is_kept_exact(self):
+        tiny = F(1, 10 ** 400)  # its float is 0.0, which is finite
+        flow = DiscreteSemiflow("rotation", (tiny,))
+        assert flow.params == (tiny,)
+        assert flow.map_point(0.25) == 0.25
+
+
 class TestCellImage:
     def test_identity_table_flow(self):
         g = CellGrid(1, 4)

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitset_lab.errors import (MalformedInputError, MembershipError,
                                  PreconditionError, UnsupportedRuleError)
@@ -30,8 +32,10 @@ from limitset_lab.subset_nets import (LOST, AffineEscape,
                                       limit_set_horizon_oracle,
                                       semidistance_convergence_check,
                                       sequential_limit_set,
-                                      _check_geometric_avoids_excluded)
-from limitset_lab.theoremlab import (GEOMETRIC_RATIOS, RULE_FAMILIES,
+                                      _check_geometric_avoids_excluded,
+                                      _line_parameter)
+from limitset_lab.theoremlab import (ESCAPE_STEPS, GEOMETRIC_RATIOS,
+                                     RULE_FAMILIES,
                                      describe_net, iter_directed_posets,
                                      iter_periodic_cycles, random_point,
                                      random_rule_net, random_space)
@@ -690,6 +694,119 @@ class TestGeometricExclusionCheck:
             SubsetNet.over_znn(RationalPointSpace(1, [pt(r ** 5)]),
                                [frozenset()] * 2, rule)
         assert time.perf_counter() - start < 1
+
+
+def stepping_affine_outcome(ground, rule, n0):
+    """The error message of the affine exclusion proof, or None, found by
+    stepping n from n0: a hit at n puts (e_i - c_i) / v_i = n on every
+    moving coordinate, so no excluded point is hit past the largest
+    |e_i - c_i| over the least nonzero |v_i|."""
+    c, v = rule.c, rule.v
+    step = min(abs(vi) for vi in v if vi)
+    reach = max((max_norm_distance(e, c) for e in ground.excluded),
+                default=0)
+    for n in range(n0, n0 + 1 + int(reach / step)):
+        p = rule.point(n)
+        if p in ground.excluded:
+            return f"escape tail hits excluded point {p} at n={n}"
+    return None
+
+
+def random_affine_case(rng):
+    """An escape, a space excluding points on its line at integer n below,
+    at and above the tail start, between two integers, off the line and on
+    it in one coordinate only, and a tail start n0 in 0..3."""
+    dim = rng.choice((1, 2))
+    c = random_point(rng, dim)
+    v = tuple(rng.choice(ESCAPE_STEPS) for _ in range(dim))
+    if dim == 2 and rng.random() < 0.4:
+        v = (v[0], F(0)) if rng.random() < 0.5 else (F(0), v[1])
+    rule = AffineEscape(c, v)
+    excluded = set()
+    for _ in range(rng.randint(0, 3)):
+        n = F(rng.randint(-3, 8))
+        if rng.random() < 0.15:
+            n += F(1, 2)  # on the line between two tail points
+        p = rule.point(n)
+        if dim == 2 and rng.random() < 0.25:
+            i = rng.randrange(2)
+            p = tuple(x + (k == i) for k, x in enumerate(p))
+        excluded.add(p)
+    if rng.random() < 0.3:
+        excluded.add(random_point(rng, dim))
+    return RationalPointSpace(dim, excluded), rule, rng.randint(0, 3)
+
+
+def affine_outcome(ground, rule, n0):
+    """The error message over_znn raises for the escape, or None."""
+    try:
+        SubsetNet.over_znn(ground, [frozenset()] * n0, rule)
+    except MalformedInputError as exc:
+        return str(exc)
+    return None
+
+
+coordinate = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def line_cases(draw):
+    """(c, v, e) with v nonzero; e is anywhere, on the line c + s*v, or on
+    it but for one coordinate."""
+    dim = draw(st.integers(1, 3))
+    c = tuple(draw(st.lists(coordinate, min_size=dim, max_size=dim)))
+    v = tuple(draw(st.lists(st.sampled_from(
+        [F(0), F(1, 2), F(-1, 2), F(1), F(-1), F(2), F(3)]),
+        min_size=dim, max_size=dim).filter(any)))
+    how = draw(st.sampled_from(["anywhere", "on", "one coordinate off"]))
+    if how == "anywhere":
+        e = tuple(draw(st.lists(coordinate, min_size=dim, max_size=dim)))
+    else:
+        s = draw(coordinate)
+        e = tuple(ci + s * vi for ci, vi in zip(c, v))
+        if how == "one coordinate off":
+            i = draw(st.integers(0, dim - 1))
+            e = tuple(x + F(1, 3) * (k == i) for k, x in enumerate(e))
+    return c, v, e
+
+
+class TestAffineExclusionCheck:
+    """The closed-form affine proof against the stepping oracle above."""
+
+    def test_agrees_with_the_stepping_oracle(self):
+        rng = random.Random("affine-exclusion")
+        raised = 0
+        for _ in range(4_000):
+            ground, rule, n0 = random_affine_case(rng)
+            want = stepping_affine_outcome(ground, rule, n0)
+            assert affine_outcome(ground, rule, n0) == want, (ground, rule,
+                                                              n0)
+            raised += want is not None
+        # both outcomes are well represented
+        assert 0.25 < raised / 4_000 < 0.75
+
+    def test_least_hit_is_reported(self):
+        rule = AffineEscape(pt(0), pt(1))
+        space = RationalPointSpace(1, [pt(n) for n in range(9, 1, -1)])
+        with pytest.raises(MalformedInputError, match=r"point \(Fraction"
+                           r"\(4, 1\),\) at n=4$"):
+            SubsetNet.over_znn(space, [frozenset()] * 4, rule)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_cases())
+    def test_line_parameter_solves_the_line_exactly(self, case):
+        c, v, e = case
+        s = _line_parameter(c, v, e)
+        if s is not None:
+            assert tuple(ci + s * vi for ci, vi in zip(c, v)) == e
+        else:
+            # a solution s equals (e_i - c_i) / v_i on every moving
+            # coordinate; none of those candidates solves the line
+            for ci, vi, ei in zip(c, v, e):
+                if vi:
+                    t = (ei - ci) / vi
+                    assert tuple(cj + t * vj
+                                 for cj, vj in zip(c, v)) != e
 
 
 def inline_value(net, s):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 from itertools import product
 
 import pytest
@@ -277,8 +278,6 @@ class TestGenerators:
                 assert list(got) == list(want)
 
     def test_labels_are_pinned(self):
-        from fractions import Fraction as F
-
         from limitset_lab.finite_topology import SIERPINSKI, FiniteSpace
         from limitset_lab.pseudometric_core import RationalPointSpace
         from limitset_lab.subset_nets import AffineEscape, GeometricConverge
@@ -341,6 +340,28 @@ class TestGenerators:
             for _ in range(10):
                 theoremlab.random_rule_net(rng, family)
         assert len(kept) >= 40 and all(kept)
+
+    def test_interned_draws_match_randint_bit_for_bit(self):
+        # the reference route: a denominator, then randint over its range
+        def reference_point(rng, dim):
+            coords = []
+            for _ in range(dim):
+                q = rng.choice(theoremlab.COORD_DENOMS)
+                coords.append(F(rng.randint(-8 * q, 8 * q), q))
+            return tuple(coords)
+
+        interned = {id(c) for row in theoremlab.COORDS for c in row}
+        assert len(interned) == 17 + 33 + 65 + 129
+        for seed in range(200):
+            for dim in (1, 2):
+                rng, twin = random.Random(seed), random.Random(seed)
+                for _ in range(5):
+                    got = theoremlab.random_point(rng, dim)
+                    assert got == reference_point(twin, dim)
+                    assert type(got) is tuple and len(got) == dim
+                    assert all(type(c) is F and id(c) in interned
+                               for c in got)
+                assert rng.getstate() == twin.getstate()
 
     def test_stream_is_deterministic(self):
         rng1, rng2 = random.Random("x"), random.Random("x")
