@@ -4,7 +4,29 @@ import reprlib
 
 EXCERPT_CHARS = 120
 
-_excerpt = reprlib.Repr()
+
+class _Excerpt(reprlib.Repr):
+    """``reprlib`` showing an int past Python's int-to-str digit limit by
+    its bit length, alone or in a ``Fraction``: no raise, no address."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            return f"{'-' if x < 0 else ''}<int of {x.bit_length()} bits>"
+
+    def repr_Fraction(self, x, level):
+        """``repr(x)`` spelled from its ints, cut as any other object is."""
+        text = (f"Fraction({self.repr_int(x.numerator, level)}, "
+                f"{self.repr_int(x.denominator, level)})")
+        if len(text) <= self.maxother:
+            return text
+        head = (self.maxother - 3) // 2
+        tail = self.maxother - 3 - head
+        return text[:head] + self.fillvalue + text[-tail:]
+
+
+_excerpt = _Excerpt()
 _excerpt.maxlevel = 2
 _excerpt.maxstring = _excerpt.maxlong = _excerpt.maxother = 40
 

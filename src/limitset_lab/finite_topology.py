@@ -4,7 +4,11 @@ A finite topology on ``{0, ..., n-1}`` is stored as one boolean matrix:
 ``spec[x][y]`` holds iff ``x`` lies in the closure of ``{y}``.  Rows are
 kept as int bitmasks; ``row(x)`` doubles as the minimal open set of ``x``
 (the up-set of ``x`` in the specialization preorder), and closed sets are
-exactly the down-sets.  Point sets throughout are int bitmasks.
+exactly the down-sets.  Point sets throughout are int bitmasks, and
+``set_bits`` is the one walk over their points, here and in every module
+above.  A mask below 256 reads a precomputed tuple: on the semicontinuity
+sets (at most 5 bits) a generator would cost more than the walk.  A larger
+one, such as an ``omega`` set of 4,096 cells, is one linear scan.
 
 A space owns the point-set operations that nets over it use (``normalize``,
 ``closure``, ``union``, ``size``, ``subset``, ``in_every_neighborhood``),
@@ -32,17 +36,21 @@ ENUMERATION_CAP = 5
 REGULARITY_CAP = 10  # is_regular's pair scan grows about 5x per point
 
 
-def _rows_reflexive_transitive(rows: Sequence[int], n: int) -> bool:
-    for a in range(n):
-        if not rows[a] >> a & 1:
-            return False
-        rest = rows[a]
-        while rest:
-            b = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if rows[b] & ~rows[a]:
-                return False
-    return True
+def _scan_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending, in one linear scan."""
+    bits = bin(mask)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
+
+
+_SMALL_BITS = tuple(tuple(_scan_bits(m)) for m in range(256))
+
+
+def set_bits(mask: int) -> Iterable[int]:
+    """Indices of the set bits of the nonnegative ``mask``, ascending."""
+    return _SMALL_BITS[mask] if 0 <= mask < 256 else _scan_bits(mask)
 
 
 class FiniteSpace:
@@ -53,14 +61,15 @@ class FiniteSpace:
     def __init__(self, rows: Sequence[int]):
         """``rows[x]`` = bitmask of ``{y : x in cls({y})}``; must be a preorder."""
         self.n = len(rows)
-        self.rows = tuple(rows)
+        self.rows = rows = tuple(rows)
         self.full_mask = full = (1 << self.n) - 1
-        for r in self.rows:
+        for r in rows:
             if r & ~full:
                 raise MalformedInputError("relation row mentions out-of-range points")
-        if not _rows_reflexive_transitive(self.rows, self.n):
-            raise MalformedInputError(
-                "relation matrix must be reflexive and transitive")
+        for a, row in enumerate(rows):  # transitive: each row is open
+            if not (row >> a & 1 and self.is_open(row)):
+                raise MalformedInputError(
+                    "relation matrix must be reflexive and transitive")
         # filled on first ask: minimal_open_superset, closure, open_sets
         self._supersets = {}
         self._closures = {}
@@ -126,7 +135,7 @@ class FiniteSpace:
         return reduce(operator.or_, sets, 0)
 
     def size(self, s: int) -> int:
-        return bin(s).count("1")
+        return s.bit_count()
 
     def subset(self, a: int, b: int) -> bool:
         return a & ~b == 0
@@ -146,27 +155,19 @@ class FiniteSpace:
         out = self._supersets.get(e) if type(e) is int else None
         if out is None:
             self.check_set(e)
-            out = 0
-            rest = e
-            while rest:
-                x = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                out |= self.rows[x]
-            self._supersets[e] = out
+            out = self._supersets[e] = self.union(
+                self.rows[x] for x in set_bits(e))
         return out
 
     def is_open(self, u: int) -> bool:
         self.check_set(u)
-        rest = u
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for x in set_bits(u):
             if self.rows[x] & ~u:
                 return False
         return True
 
     def is_closed(self, e: int) -> bool:
-        return closure(self, e) == e
+        return closure(self, e) == e  # the wrapper perfbench traces
 
     def open_sets(self) -> List[int]:
         if self._open_sets is None:
@@ -203,7 +204,7 @@ def top_element(index: FiniteSpace) -> int:
     tops = reduce(operator.and_, index.rows, index.full_mask)
     if not tops:
         raise PreconditionError("index order must be directed")
-    return (tops & -tops).bit_length() - 1  # least set bit
+    return next(iter(set_bits(tops)))  # the least set bit
 
 
 def closure(space: FiniteSpace, e: int) -> int:

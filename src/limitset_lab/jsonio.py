@@ -17,11 +17,11 @@ from dataclasses import fields
 from fractions import Fraction
 
 from .errors import MalformedInputError, excerpt
-from .finite_topology import FiniteSpace
+from .finite_topology import FiniteSpace, set_bits
 from .pseudometric_core import FinitePseudoMetric, RationalPointSpace
 from .rationals import Point
 from .semiflow_cells import (CellGrid, DiscreteSemiflow, OmegaResult,
-                             attraction_trace_check, set_bits)
+                             attraction_trace_check)
 from .subset_nets import (ZNN, AffineEscape, GeometricConverge, NetAnalysis,
                           Periodic, SubsetNet)
 
@@ -158,7 +158,7 @@ def ground_from_json(obj):
 
 def pointset_to_json(ground, s):
     if isinstance(ground, FiniteSpace):
-        return [x for x in range(ground.n) if s >> x & 1]
+        return list(set_bits(s))
     return [point_to_json(p) for p in sorted(s)]
 
 

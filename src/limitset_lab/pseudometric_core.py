@@ -33,7 +33,7 @@ from typing import FrozenSet, Iterable, List
 
 from .errors import (MalformedInputError, MembershipError, PreconditionError,
                      UndefinedCaseError)
-from .finite_topology import FiniteSpace
+from .finite_topology import FiniteSpace, set_bits
 from .rationals import (INFINITY, Point, as_point,
                         max_norm_distance)
 
@@ -194,14 +194,8 @@ class FinitePseudoMetric(FiniteSpace):
     def point_to_mask_distance(self, i: int, e: int) -> Fraction:
         self.check_point(i)
         self.check_set(e)
-        best = None
-        rest = e
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if best is None or self.dist[i][j] < best:
-                best = self.dist[i][j]
-        return INFINITY if best is None else best
+        row = self.dist[i]
+        return min(row[j] for j in set_bits(e)) if e else INFINITY
 
     def semidistance_masks(self, a: int, b: int) -> Fraction:
         """d(a; b) on bitmask sets with the usual empty-set conventions."""
@@ -213,15 +207,7 @@ class FinitePseudoMetric(FiniteSpace):
             return Fraction(0)
         if b == 0:
             return INFINITY
-        worst = Fraction(0)
-        rest = a
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            d = self.point_to_mask_distance(i, b)
-            if worst < d:
-                worst = d
-        return worst
+        return max(self.point_to_mask_distance(i, b) for i in set_bits(a))
 
     def __eq__(self, other):
         return isinstance(other, FinitePseudoMetric) and self.dist == other.dist
@@ -269,22 +255,12 @@ def compact_inner_radius(m: FinitePseudoMetric, k: int, u: int) -> Fraction:
     comp = m.full_mask & ~u
     if comp == 0:
         return Fraction(1)
-    delta = None
-    rest = k
-    while rest:
-        x = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        d = m.point_to_mask_distance(x, comp)
-        if delta is None or d < delta:
-            delta = d
+    delta = min(m.point_to_mask_distance(x, comp) for x in set_bits(k))
     if delta == 0:
         raise PreconditionError("u is not a neighborhood of k in the metric topology")
-    # postcondition: the open delta-ball of k stays inside u
-    ball = 0
-    for y in range(m.n):
-        if m.point_to_mask_distance(y, k) < delta:
-            ball |= 1 << y
-    if ball & ~u:  # a fault of this function, not of its input
+    # postcondition: the open delta-ball of k stays inside u; a point of
+    # the complement in it is a fault of this function, not of its input
+    if any(m.point_to_mask_distance(y, k) < delta for y in set_bits(comp)):
         raise RuntimeError("the delta-ball of k leaves u")
     return delta
 

@@ -16,7 +16,8 @@ Cell-set operations are exact bitmask work; floating point only enters
 through map evaluation, with samples rounded to cells via floor.
 
 Cell sets are never walked bit by bit on a growing int, and every pass
-over one is linear in the grid size:
+over one is linear in the grid size (``finite_topology.set_bits`` walks a
+set's cells in one scan of its binary string, or reads a table below 256):
 
 * ``CellGrid.dilate`` is a handful of whole-bitset shifts, with the first
   and last column masked out of the sideways shifts in 2-D;
@@ -57,6 +58,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import (MalformedInputError, PreconditionError,
                      UndefinedCaseError, UnsupportedRuleError, excerpt)
+from .finite_topology import set_bits
 from .rationals import INFINITY
 
 MAX_CELLS_PER_AXIS = 4096
@@ -330,15 +332,6 @@ class _ImageStep:
                     out[j >> 3] ^= 1 << (j & 7)
                 counts[j] = c
         return int.from_bytes(out, "little")
-
-
-def set_bits(cells: int):
-    """Indices of the set bits of ``cells``, ascending, in one linear scan."""
-    bits = bin(cells)[:1:-1]
-    i = bits.find("1")
-    while i >= 0:
-        yield i
-        i = bits.find("1", i + 1)
 
 
 def cell_image(grid: CellGrid, flow: DiscreteSemiflow, cells: int,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List
 
 from .errors import MalformedInputError, PreconditionError
-from .finite_topology import FiniteSpace
+from .finite_topology import FiniteSpace, set_bits
 from .pseudometric_core import FinitePseudoMetric
 from .rationals import INFINITY
 
@@ -38,10 +38,7 @@ def image(f: SetValuedMap, a0: int) -> int:
     """Union of the values over a0."""
     f.domain.check_set(a0)
     out = 0
-    rest = a0
-    while rest:
-        x = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
+    for x in set_bits(a0):
         out |= f.graph[x]
     return out
 
@@ -61,12 +58,9 @@ def is_usc_at(f: SetValuedMap, x: int) -> bool:
     with F(V) inside U.
     """
     f.domain.check_point(x)
-    fx = f.graph[x]
-    for u in _open_supersets(f.codomain, fx):
-        if not any(image(f, v) & ~u == 0
-                   for v in _open_sets_with(f.domain, x)):
-            return False
-    return True
+    vs = _open_sets_with(f.domain, x)
+    return all(any(image(f, v) & ~u == 0 for v in vs)
+               for u in _open_supersets(f.codomain, f.graph[x]))
 
 
 def is_lsc_at(f: SetValuedMap, x: int) -> bool:
@@ -74,20 +68,15 @@ def is_lsc_at(f: SetValuedMap, x: int) -> bool:
 
     For every y in F(x) and every open U containing y, some open V
     containing x must have F(x') meet U for all x' in V.  Empty F(x)
-    counts as lower semicontinuous.
+    counts as lower semicontinuous: there is no y to check.
     """
     f.domain.check_point(x)
-    fx = f.graph[x]
-    if fx == 0:
-        return True
-    ys = [y for y in range(f.codomain.n) if fx >> y & 1]
     vs = _open_sets_with(f.domain, x)
-    vs.sort(key=lambda v: bin(v).count("1"))  # small neighborhoods decide fastest
-    for y in ys:
+    vs.sort(key=int.bit_count)  # small neighborhoods decide fastest
+    for y in set_bits(f.graph[x]):
         for u in _open_sets_with(f.codomain, y):
             for v in vs:
-                if all(f.graph[xp] & u for xp in range(f.domain.n)
-                       if v >> xp & 1):
+                if all(f.graph[xp] & u for xp in set_bits(v)):
                     break
             else:
                 return False

@@ -62,7 +62,7 @@ from typing import (FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
 
 from .errors import (MalformedInputError, PreconditionError,
                      UnsupportedRuleError)
-from .finite_topology import FiniteSpace, top_element
+from .finite_topology import FiniteSpace, set_bits, top_element
 from .pseudometric_core import RationalPointSpace, semidistance
 from .rationals import Point, as_point
 
@@ -309,7 +309,7 @@ class SubsetNet:
             raise MalformedInputError("assignment must cover every index element")
         values = tuple(map(ground.normalize, assignment))
         # the tails above the top element stabilize on the top class
-        phases = _up_set_values(values, index.rows[top])
+        phases = tuple(values[t] for t in set_bits(index.rows[top]))
         return cls(ground, index,
                    TailSummary(phases, ground.union(phases), True),
                    assignment=values)
@@ -419,15 +419,6 @@ def _geometric_exponent(r: Fraction, t: Fraction) -> Optional[int]:
 
 # -- limit sets ---------------------------------------------------------------
 
-def _up_set_values(values: tuple, up: int) -> tuple:
-    """The values at the index elements in the up-set bitmask ``up``."""
-    return tuple(v for t, v in enumerate(values) if up >> t & 1)
-
-
-def _finite_tail_union(net: SubsetNet, s: int) -> SetValue:
-    return net.ground.union(_up_set_values(net.assignment, net.index.rows[s]))
-
-
 def limit_set(net: SubsetNet) -> SetValue:
     """The exact limit set: intersection over s of cls(union of the s-tail).
 
@@ -453,7 +444,9 @@ def limit_set_horizon_oracle(net: SubsetNet, h: int = 8,
     if not net.is_znn:
         out = None
         for s in range(net.index.n):
-            layer = net.ground.closure(_finite_tail_union(net, s))
+            tail_union = net.ground.union(
+                net.assignment[t] for t in set_bits(net.index.rows[s]))
+            layer = net.ground.closure(tail_union)
             out = layer if out is None else out & layer
         return out
     if not isinstance(net.tail, Periodic):

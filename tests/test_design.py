@@ -424,3 +424,87 @@ def test_the_scan_sees_asserts():
                      "    assert ball & ~u == 0, 'leaves u'\n"
                      "    return AssertionError\n")
     assert assert_statements(tree) == [1, 5]
+
+
+# a point-set walk belongs to finite_topology's bit-walk helper alone
+BIT_WALK_HELPER = {("finite_topology.py", "set_bits"),
+                   ("finite_topology.py", "_scan_bits")}
+
+
+def hand_rolled_bit_walks(tree):
+    """(enclosing function, line) of each lowest-set-bit step: ``x & -x``
+    or ``x &= -x``, or clearing it in place with ``x &= x - 1`` or
+    ``x = x & (x - 1)``; and of each ``bin(...).count("1")`` popcount.  A plain ``n & (n - 1)``
+    is a power-of-two test, not a walk."""
+    found = []
+
+    def same(a, b):
+        return ast.unparse(a) == ast.unparse(b)
+
+    def negated(node, of):
+        return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                and same(node.operand, of))
+
+    def cleared(node, of):  # of & (of - 1)
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                and same(node.left, of) and isinstance(node.right, ast.BinOp)
+                and isinstance(node.right.op, ast.Sub)
+                and same(node.right.left, of)
+                and ast.unparse(node.right.right) == "1")
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+            step = negated(node.right, node.left) or negated(node.left,
+                                                             node.right)
+        elif isinstance(node, ast.AugAssign):
+            step = isinstance(node.op, ast.BitAnd) and (
+                negated(node.value, node.target) or cleared(
+                    ast.BinOp(node.target, ast.BitAnd(), node.value),
+                    node.target))
+        elif isinstance(node, ast.Assign):
+            step = len(node.targets) == 1 and cleared(node.value,
+                                                      node.targets[0])
+        else:
+            step = (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "count"
+                    and isinstance(node.func.value, ast.Call)
+                    and isinstance(node.func.value.func, ast.Name)
+                    and node.func.value.func.id == "bin"
+                    and [ast.unparse(a) for a in node.args] == ["'1'"])
+        if step:
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_point_set_walk_goes_through_set_bits():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        offenders += [f"{path.name}:{line} in {func}" for func, line in
+                      hand_rolled_bit_walks(ast.parse(path.read_text()))
+                      if (path.name, func) not in BIT_WALK_HELPER]
+    assert not offenders
+
+
+def test_the_scan_sees_hand_rolled_bit_walks():
+    tree = ast.parse("def walk(e):\n"
+                     "    rest = e\n"
+                     "    while rest:\n"
+                     "        x = (rest & -rest).bit_length() - 1\n"
+                     "        rest &= rest - 1\n"
+                     "    return -e & e\n"
+                     "size = bin(s).count('1') + bin(s).count('0')\n"
+                     "ok = e & -f, e & (e - 1), e & ~e, s.count('1')\n"
+                     "self.m &= self.m - 1\n"
+                     "m = m & (m - 1)\n"
+                     "m &= m - 2; m = e & (m - 1); m &= -m\n"
+                     "set_bits(e), e.bit_count(), e >> 1 & 1\n")
+    assert hand_rolled_bit_walks(tree) == [
+        ("walk", 4), ("walk", 5), ("walk", 6), (None, 7), (None, 9),
+        (None, 10), (None, 11)]

@@ -1,7 +1,9 @@
+import random
 from itertools import combinations, product
 
 import pytest
 
+from limitset_lab import finite_topology
 from limitset_lab.errors import (MalformedInputError, PreconditionError,
                                  SizeLimitError)
 from limitset_lab.finite_topology import (REGULARITY_CAP, SIERPINSKI,
@@ -11,7 +13,7 @@ from limitset_lab.finite_topology import (REGULARITY_CAP, SIERPINSKI,
                                           is_neighborhood,
                                           is_pseudometrizable, is_regular,
                                           separate_compact_from_point,
-                                          top_element)
+                                          set_bits, top_element)
 from limitset_lab.pseudometric_core import FinitePseudoMetric
 from limitset_lab.subset_nets import Periodic, SubsetNet, limit_set
 
@@ -439,6 +441,24 @@ def oracle_minimal_open_superset(space, e):
         if e >> x & 1:
             out |= space.rows[x]
     return out
+
+
+def oracle_set_bits(m):
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+class TestSetBits:
+    def test_matches_the_bit_test_scan(self):
+        wide = random.Random(0).getrandbits(1 << 16) | 1 << (1 << 16) - 1
+        for m in [*range(1 << 10), 255, 256, 257, wide]:
+            assert list(set_bits(m)) == oracle_set_bits(m)
+
+    def test_small_masks_read_the_table(self):
+        for m in range(256):
+            table = set_bits(m)
+            assert type(table) is tuple
+            assert table == tuple(finite_topology._scan_bits(m))
+        assert type(set_bits(256)) is not tuple  # the scan past the table
 
 
 class TestMinimalOpenSuperset:

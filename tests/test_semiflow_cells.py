@@ -156,6 +156,15 @@ class TestDiscreteSemiflow:
                                  r"float value$"):
             DiscreteSemiflow(kind, params)
 
+    def test_refusal_quotes_a_huge_parameter_by_its_bit_length(
+            self, default_int_digit_limit):
+        # past the limit repr raises, and a plain reprlib excerpt falls back
+        # to a memory address, which differs from run to run
+        with pytest.raises(MalformedInputError) as exc:
+            DiscreteSemiflow("rotation", (F(10 ** 5000),))
+        assert str(exc.value) == ("map parameter Fraction(<int of 16610 "
+                                  "bits>, 1) has no finite float value")
+
     def test_tiny_parameter_is_kept_exact(self):
         tiny = F(1, 10 ** 400)  # its float is 0.0, which is finite
         flow = DiscreteSemiflow("rotation", (tiny,))
