@@ -3,9 +3,9 @@
 Exact computation of limit sets, Kuratowski limits, semi-distances and
 asymptotic compactness properties over three backends, with property-based
 verification suites pairing every symbolic answer with a brute-force
-oracle.  The net verdicts run on finite topological spaces and rational
-pseudo-metric spaces; cell grids serve ``omega`` limit sets of discrete
-semiflows only.
+oracle.  The net verdicts run on all three: finite topological spaces,
+rational pseudo-metric spaces and cell grids, where ``omega`` reads the
+omega limit set of a discrete semiflow as the limit set of its run.
 """
 
 from .errors import (LimitsetError, MalformedInputError, MembershipError,

@@ -11,12 +11,13 @@ sets (at most 5 bits) a generator would cost more than the walk.  A larger
 one, such as an ``omega`` set of 4,096 cells, is one linear scan.
 
 A space owns the point-set operations that nets over it use (``normalize``,
-``closure``, ``union``, ``size``, ``subset``, ``in_every_neighborhood``),
-with the same names as on ``RationalPointSpace``.  Closures and minimal
-open supersets are memoized per space in dicts filled on first ask; a set
-is range-checked before it is stored, so an out-of-range set is never
-cached and raises on every ask.  Only an ``int`` is looked up there: a
-``bool`` equals 0 or 1 and would otherwise read an int's entry.
+``closure``, ``in_every_neighborhood``) and inherits the bitmask algebra
+(``union``, ``size``, ``subset``, ``show_sets``) from ``BitmaskGround``,
+as ``CellGrid`` does; the names match ``RationalPointSpace``'s.  Closures
+and minimal open supersets are memoized per space in dicts filled on first
+ask; a set is range-checked before it is stored, so an out-of-range set is
+never cached and raises on every ask.  Only an ``int`` is looked up there:
+a ``bool`` equals 0 or 1 and would otherwise read an int's entry.
 
 A finite directed index of a net is a ``FiniteSpace`` too: its preorder
 is the index order, so ``rows[s]`` is the up-set ``{t : s <= t}``, and
@@ -53,10 +54,27 @@ def set_bits(mask: int) -> Iterable[int]:
     return _SMALL_BITS[mask] if 0 <= mask < 256 else _scan_bits(mask)
 
 
-class FiniteSpace:
-    """A finite topological space encoded by its specialization preorder."""
+class BitmaskGround:
+    """The point-set algebra of every ground whose point sets are bitmasks."""
 
     rational = False  # point sets are bitmasks, not rational point sets
+
+    def union(self, sets: Iterable[int]) -> int:
+        return reduce(operator.or_, sets, 0)
+
+    def size(self, s: int) -> int:
+        return s.bit_count()
+
+    def subset(self, a: int, b: int) -> bool:
+        return a & ~b == 0
+
+    def show_sets(self, sets) -> str:
+        """Point sets as report labels spell them: a tuple of bitmasks."""
+        return str(tuple(sets))
+
+
+class FiniteSpace(BitmaskGround):
+    """A finite topological space encoded by its specialization preorder."""
 
     def __init__(self, rows: Sequence[int]):
         """``rows[x]`` = bitmask of ``{y : x in cls({y})}``; must be a preorder."""
@@ -131,15 +149,6 @@ class FiniteSpace:
                 1 << x for x, row in enumerate(self.rows) if row & e)
         return out
 
-    def union(self, sets: Iterable[int]) -> int:
-        return reduce(operator.or_, sets, 0)
-
-    def size(self, s: int) -> int:
-        return s.bit_count()
-
-    def subset(self, a: int, b: int) -> bool:
-        return a & ~b == 0
-
     def in_every_neighborhood(self, s: int, a: int) -> bool:
         """Whether ``s`` lies inside every neighborhood of ``a``: inside the
         smallest one, its minimal open superset."""
@@ -187,10 +196,6 @@ class FiniteSpace:
     def __str__(self):
         """The space as report labels spell it."""
         return f"space{self.rows}"
-
-    def show_sets(self, sets) -> str:
-        """Point sets as report labels spell them: a tuple of bitmasks."""
-        return str(tuple(sets))
 
 
 def top_element(index: FiniteSpace) -> int:

@@ -4,8 +4,10 @@ The box [0,1]^dim is cut into ``cells_per_axis`` half-open cells per axis
 (the last cell per axis is closed at 1).  A flow acts on cell sets by
 mapping sample points of each cell and collecting the cells they land in;
 ``omega_limit_cells`` iterates that image map until the (finite) state
-space repeats and reports the cycle union together with an attraction
-trace of semi-distances between cell-center sets.
+space repeats.  The run is a periodic ``SubsetNet`` over the grid, a
+ground whose sets stand for their cell centers: omega is its
+``limit_set``, and a trace of semi-distances between center sets shows
+omega attracting the run.
 
 Sampling defaults to the single cell midpoint without dilation: that is
 the variant under which the image iteration contracts transient blocks
@@ -58,15 +60,18 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import (MalformedInputError, PreconditionError,
                      UndefinedCaseError, UnsupportedRuleError, excerpt)
-from .finite_topology import set_bits
+from .finite_topology import BitmaskGround, set_bits
 from .rationals import INFINITY
+from .subset_nets import Periodic, SubsetNet, limit_set
 
 MAX_CELLS_PER_AXIS = 4096
 MAX_SAMPLES = 64  # sub-cell samples per axis: samples^dim map calls a cell
 MAX_OMEGA_STEPS = 10_000
 
 
-class CellGrid:
+class CellGrid(BitmaskGround):
+    """A ground whose point sets are cell sets, read as their cell centers."""
+
     def __init__(self, dim: int, cells_per_axis: int):
         if dim not in (1, 2):
             raise MalformedInputError("grid dimension must be 1 or 2")
@@ -111,7 +116,7 @@ class CellGrid:
             coords.append(min(n - 1, max(0, i)))
         return self.index(tuple(coords))
 
-    def check_set(self, cells: int):
+    def check_set(self, cells: int) -> int:
         """Refuse anything but an ``int`` mask of cells of the grid; a
         ``bool`` is no cell set."""
         if type(cells) is not int:
@@ -119,6 +124,24 @@ class CellGrid:
                 f"cell set {excerpt(cells)} is not a bitmask")
         if cells & ~self.full_mask:
             raise PreconditionError("cell set outside the grid")
+        return cells
+
+    normalize = check_set
+
+    def closure(self, cells: int) -> int:
+        return cells  # a finite set of centers is closed under the max-norm
+
+    in_every_neighborhood = BitmaskGround.subset  # distance 0 is inclusion
+
+    def semidistance(self, a: int, b: int) -> Fraction:
+        """Max-norm d(a; b) between the center sets of two cell sets: k/n
+        for the least k whose k-fold dilation of ``b`` covers ``a``, as the
+        module docstring derives.  d(emptyset; emptyset) is not defined."""
+        self.check_set(a)
+        self.check_set(b)
+        if not a and not b:
+            raise UndefinedCaseError("d(emptyset; emptyset) is not defined")
+        return _dilation_distances(self, [a], b)[0]
 
     def center(self, index: int) -> Tuple[Fraction, ...]:
         n = self.cells_per_axis
@@ -360,9 +383,9 @@ def omega_limit_cells(grid: CellGrid, flow: DiscreteSemiflow, e: int,
                       samples: int = 1, dilate: bool = False) -> OmegaResult:
     """Iterate the cell image from ``e`` until the state repeats.
 
-    The finite state space forces eventual periodicity; omega is the union
-    of the cycle's cell sets and the trace records d(I_n; omega) for every
-    step up to preperiod + period.
+    The finite state space forces eventual periodicity; omega is the limit
+    set of the run as a net over the grid, and the trace records
+    d(I_n; omega) for every step up to preperiod + period.
     """
     grid.check_set(e)
     if e == 0:
@@ -380,14 +403,11 @@ def omega_limit_cells(grid: CellGrid, flow: DiscreteSemiflow, e: int,
         states.append(current)
     else:
         raise PreconditionError("no cycle within the step limit")
-    preperiod = start
-    period = len(states) - start
-    omega = 0
-    for state in states[start:]:
-        omega |= state
+    omega = limit_set(SubsetNet.over_znn(grid, states[:start],
+                                         Periodic(tuple(states[start:]))))
     trace = tuple(enumerate(_dilation_distances(grid, states, omega)))
-    return OmegaResult(omega=omega, preperiod=preperiod, period=period,
-                       trace=trace,
+    return OmegaResult(omega=omega, preperiod=start,
+                       period=len(states) - start, trace=trace,
                        sizes=tuple(state.bit_count() for state in states))
 
 
@@ -399,7 +419,7 @@ def _dilation_distances(grid: CellGrid, cell_sets: List[int],
     the least k with a inside D_k.  An empty a is at distance 0 and a
     nonempty a at distance inf from an empty base, which is never dilated.
     This is the omega trace's convention, so an empty a is at distance 0
-    even from an empty base; ``cellset_semidistance`` refuses that pair.
+    even from an empty base; ``CellGrid.semidistance`` refuses that pair.
     The sets must lie in the grid, where the chain reaches every cell.
     """
     at_k = Fraction(0)  # k/n, built once per k
@@ -420,21 +440,6 @@ def _dilation_distances(grid: CellGrid, cell_sets: List[int],
             at_k = Fraction(k, grid.cells_per_axis)
         pending = left
     return dist
-
-
-def cellset_semidistance(grid: CellGrid, a: int, b: int) -> Fraction:
-    """Max-norm semi-distance between the center sets of two cell sets.
-
-    Equal to k/n for the least k whose k-fold dilation of ``b`` covers
-    ``a``: centers sit on a 1/(2n) lattice, so two centers lie at their
-    Chebyshev cell distance over n.  d(emptyset; emptyset) is not
-    defined, as for ``semidistance``.
-    """
-    grid.check_set(a)
-    grid.check_set(b)
-    if not a and not b:
-        raise UndefinedCaseError("d(emptyset; emptyset) is not defined")
-    return _dilation_distances(grid, [a], b)[0]
 
 
 def attraction_trace_check(result: OmegaResult) -> bool:

@@ -1,4 +1,4 @@
-"""Nets of subsets over the finite and rational backends, in tail normal form.
+"""Nets of subsets over three kinds of ground, in tail normal form.
 
 A ``SubsetNet`` is either indexed by a finite directed order (with an
 explicit assignment of a point set to every index element) or by Z+ (with
@@ -43,13 +43,14 @@ a plain ``bool``, spelled ``holds``/``fails`` only in JSON.
 ``limit_set_horizon_oracle`` never reads the summary: it intersects
 closures of raw ``net.at(n)`` data, an independent route to check against.
 
-Point sets are int bitmasks over ``FiniteSpace`` grounds and frozensets
-of rational coordinate tuples over ``RationalPointSpace`` grounds.  Each
-ground owns its point-set operations (``normalize``, ``closure``,
-``union``, ``size``, ``subset``, ``in_every_neighborhood``), so the
-functions below never ask which kind of ground they hold; the ground's
-``rational`` flag only guards the rules and limits that exist on Q^d
-alone.
+Point sets are int bitmasks over ``BitmaskGround`` grounds (a
+``FiniteSpace``, or a ``CellGrid`` whose cells stand for their centers)
+and frozensets of rational coordinate tuples over ``RationalPointSpace``
+grounds.  Each ground owns its point-set operations (``normalize``,
+``closure``, ``union``, ``size``, ``subset``, ``in_every_neighborhood``),
+so the functions below never ask which kind of ground they hold; the
+ground's ``rational`` flag only guards the rules and limits that exist on
+Q^d alone.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ from typing import (FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
 
 from .errors import (MalformedInputError, PreconditionError,
                      UnsupportedRuleError)
-from .finite_topology import FiniteSpace, set_bits, top_element
+from .finite_topology import (BitmaskGround, FiniteSpace, set_bits,
+                              top_element)
 from .pseudometric_core import RationalPointSpace, semidistance
 from .rationals import Point, as_point
 
-Ground = Union[FiniteSpace, RationalPointSpace]
+Ground = Union[BitmaskGround, RationalPointSpace]
 SetValue = Union[int, FrozenSet[Point]]
 
 

@@ -4,6 +4,10 @@ import ast
 from pathlib import Path
 
 import limitset_lab
+from limitset_lab.finite_topology import BitmaskGround, FiniteSpace
+from limitset_lab.pseudometric_core import (FinitePseudoMetric,
+                                            RationalPointSpace)
+from limitset_lab.semiflow_cells import CellGrid
 
 SRC = Path(limitset_lab.__file__).parent
 RULES = {"Periodic", "AffineEscape", "GeometricConverge"}
@@ -323,9 +327,8 @@ KEPT_UNCALLED = {
     # the brute-force oracle of limit_set, which tests compare it with
     # (item 3 moves it into an oracle module)
     "limit_set_horizon_oracle",
-    # the omega backend's one-step image and cell semi-distance, which
-    # tests drive; item 14 makes them the cell grid's ground operations
-    "cell_image", "cellset_semidistance",
+    # the omega backend's one-step image, which tests drive
+    "cell_image",
 }
 
 
@@ -508,3 +511,27 @@ def test_the_scan_sees_hand_rolled_bit_walks():
     assert hand_rolled_bit_walks(tree) == [
         ("walk", 4), ("walk", 5), ("walk", 6), (None, 7), (None, 9),
         (None, 10), (None, 11)]
+
+
+# the point-set operations the net layer calls on its ground
+GROUND_OPERATIONS = ("rational", "normalize", "closure", "union", "size",
+                     "subset", "in_every_neighborhood", "show_sets")
+
+
+def missing_ground_operations(cls):
+    """The ground operations that ``cls`` neither defines nor inherits."""
+    return [op for op in GROUND_OPERATIONS if not hasattr(cls, op)]
+
+
+def test_every_ground_has_every_operation_the_nets_call():
+    grounds = (FiniteSpace, FinitePseudoMetric, RationalPointSpace, CellGrid)
+    assert {g.__name__: missing_ground_operations(g) for g in grounds} == {
+        g.__name__: [] for g in grounds}
+
+
+def test_the_check_sees_a_missing_ground_operation():
+    class NoClosure(BitmaskGround):
+        normalize = in_every_neighborhood = BitmaskGround.subset
+
+    assert missing_ground_operations(NoClosure) == ["closure"]
+    assert missing_ground_operations(object) == list(GROUND_OPERATIONS)

@@ -21,7 +21,6 @@ from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             compact_inner_radius, semidistance)
 from limitset_lab.rationals import INFINITY, as_point, max_norm_distance
 from limitset_lab.semiflow_cells import (CellGrid, DiscreteSemiflow,
-                                         cellset_semidistance,
                                          omega_limit_cells)
 from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
                                       Periodic, SubsetNet, kuratowski_limits)
@@ -775,7 +774,7 @@ def test_every_distance_is_a_fraction_or_infinity():
     answers += [compact_inner_radius(path, 0b001, 0b011),
                 compact_inner_radius(path, 0b001, 0b111)]  # the sentinel 1
     g = CellGrid(2, 4)
-    answers += [cellset_semidistance(g, x, y)
+    answers += [g.semidistance(x, y)
                 for x, y in ((0b1, 1 << 15), (0, 0b1), (0b1, 0))]
     for flow, init in ((DiscreteSemiflow("rotation", (F(1, 3),)), 0b1),
                        (DiscreteSemiflow("table", table=(0,) * 4), 0b11)):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from math import floor
@@ -8,13 +9,12 @@ import pytest
 from limitset_lab.errors import (MalformedInputError, PreconditionError,
                                  UndefinedCaseError)
 from limitset_lab import semiflow_cells
-from limitset_lab.pseudometric_core import RationalPointSpace
+from limitset_lab.pseudometric_core import RationalPointSpace, semidistance
 from limitset_lab.rationals import INFINITY
 from limitset_lab.semiflow_cells import (CellGrid, DiscreteSemiflow,
                                          attraction_trace_check, cell_image,
-                                         cellset_semidistance,
                                          omega_limit_cells)
-from limitset_lab.subset_nets import Periodic, SubsetNet, limit_set
+from limitset_lab.subset_nets import Periodic, SubsetNet, analyze, limit_set
 
 
 def cells_of(mask, total=None):
@@ -269,9 +269,9 @@ class TestCellImage:
             with pytest.raises(PreconditionError, match="is not a bitmask"):
                 omega_limit_cells(g, flow, cells)
         with pytest.raises(PreconditionError, match="is not a bitmask"):
-            cellset_semidistance(g, cells, 0b1)
+            g.semidistance(cells, 0b1)
         with pytest.raises(PreconditionError, match="is not a bitmask"):
-            cellset_semidistance(g, 0b1, cells)
+            g.semidistance(0b1, cells)
 
     @pytest.mark.parametrize("table", [(0b10, 0b100), (0b1,) * 5, ()])
     def test_table_of_the_wrong_length_rejected_before_a_step(self, table):
@@ -465,29 +465,47 @@ class TestOmegaLimitCells:
         assert img & ~res.omega == 0
 
     def test_cross_module_limit_set_consistency(self):
-        # the iterate sequence, read as a periodic subset net of exact cell
-        # centers, has the same limit set as the reported omega
+        # the run, read as a periodic subset net of exact cell centers, has
+        # the limit set, verdicts and trace of the run as a net over the
+        # grid: pairwise Fraction distances on one side, the grid's
+        # dilation chain on the other
         rng = random.Random(14)
-        g = CellGrid(1, 32)
-        flows = [DiscreteSemiflow("logistic", (2,)),
-                 DiscreteSemiflow("tent", (F(3, 2),)),
-                 DiscreteSemiflow("rotation", (F(1, 4),)),
-                 DiscreteSemiflow("tent", (2,))]
-        space = RationalPointSpace(1)
-        for flow in flows:
+        line = CellGrid(1, 32)
+        henon = DiscreteSemiflow("henon", (F(7, 5), F(3, 10)))
+        runs = [(line, DiscreteSemiflow("logistic", (2,)), 1, False),
+                (line, DiscreteSemiflow("tent", (F(3, 2),)), 1, False),
+                (line, DiscreteSemiflow("rotation", (F(1, 4),)), 1, False),
+                (line, DiscreteSemiflow("tent", (2,)), 1, False),
+                (CellGrid(2, 8), henon, 1, False),
+                (line, DiscreteSemiflow("logistic", (F(39, 10),)), 8, True)]
+        for grid, flow, samples, dilate in runs:
+            space = RationalPointSpace(grid.dim)
+
+            def centers(cells):
+                return frozenset(grid.center(i) for i in cells_of(cells))
+
             for _ in range(5):
-                init = rng.randrange(1, 1 << 32)
-                res = omega_limit_cells(g, flow, init)
+                init = rng.randrange(1, 1 << grid.total)
+                res = omega_limit_cells(grid, flow, init, samples=samples,
+                                        dilate=dilate)
                 states = [init]
-                for _ in range(res.preperiod + res.period):
-                    states.append(cell_image(g, flow, states[-1]))
-                cycle = states[res.preperiod:res.preperiod + res.period]
-                centers = [frozenset(g.center(i) for i in cells_of(s))
-                           for s in cycle]
-                net = SubsetNet.over_znn(space, [], Periodic(tuple(centers)))
-                omega_centers = frozenset(g.center(i)
-                                          for i in cells_of(res.omega))
-                assert limit_set(net) == omega_centers
+                for _ in range(res.preperiod + res.period - 1):
+                    states.append(cell_image(grid, flow, states[-1],
+                                             samples=samples, dilate=dilate))
+                pre, cycle = states[:res.preperiod], states[res.preperiod:]
+                cell_net = SubsetNet.over_znn(grid, pre,
+                                              Periodic(tuple(cycle)))
+                center_net = SubsetNet.over_znn(
+                    space, list(map(centers, pre)),
+                    Periodic(tuple(map(centers, cycle))))
+                omega = centers(res.omega)
+                assert limit_set(center_net) == omega
+                assert (replace(analyze(cell_net), limit_set=None)
+                        == replace(analyze(center_net), limit_set=None))
+                assert len(res.trace) == len(states)
+                for (n, d), state in zip(res.trace, states):
+                    assert d == (semidistance(space, centers(state), omega)
+                                 if state else 0), (flow.kind, init, n)
 
 
 def shared_target_table(rng, total):
@@ -611,27 +629,27 @@ class TestWalkCount:
         assert 0 < walked[0] <= sum(res.sizes)
 
 
-class TestCellsetSemidistance:
+class TestGridSemidistance:
     def test_subset_gives_zero(self):
         g = CellGrid(1, 8)
-        assert cellset_semidistance(g, 0b0011, 0b0111) == 0
+        assert g.semidistance(0b0011, 0b0111) == 0
 
     def test_directed_distance(self):
         g = CellGrid(1, 8)
         # cells 0 and 4: centers 1/16 and 9/16
-        assert cellset_semidistance(g, 0b00001, 0b10000) == F(1, 2)
-        assert cellset_semidistance(g, 0b10001, 0b10000) == F(1, 2)
+        assert g.semidistance(0b00001, 0b10000) == F(1, 2)
+        assert g.semidistance(0b10001, 0b10000) == F(1, 2)
 
     def test_empty_conventions(self):
         g = CellGrid(1, 8)
-        assert cellset_semidistance(g, 0, 0b1) == 0
-        assert cellset_semidistance(g, 0b1, 0) == INFINITY
+        assert g.semidistance(0, 0b1) == 0
+        assert g.semidistance(0b1, 0) == INFINITY
 
     @pytest.mark.parametrize("grid", [CellGrid(1, 8), CellGrid(2, 4)])
     def test_empty_to_empty_is_undefined(self, grid):
         with pytest.raises(UndefinedCaseError,
                            match=r"^d\(emptyset; emptyset\) is not defined$"):
-            cellset_semidistance(grid, 0, 0)
+            grid.semidistance(0, 0)
 
     def test_matches_pairwise_centers(self):
         rng = random.Random(22)
@@ -641,17 +659,17 @@ class TestCellsetSemidistance:
                 for x, y in ((a, b), (b, a), (0, b), (a, 0)):
                     if not x and not y:
                         continue  # undefined; see the test above
-                    assert (cellset_semidistance(grid, x, y)
+                    assert (grid.semidistance(x, y)
                             == pairwise_semidistance(grid, x, y)), (grid.dim, x, y)
 
     def test_opposite_corners(self):
         for grid in GRIDS:
             far = grid.index((grid.cells_per_axis - 1,) * grid.dim)
-            d = cellset_semidistance(grid, 1 << far, 1)
+            d = grid.semidistance(1 << far, 1)
             assert d == F(grid.cells_per_axis - 1, grid.cells_per_axis)
             assert d == pairwise_semidistance(grid, 1 << far, 1)
 
     def test_cells_outside_the_grid_rejected(self):
         g = CellGrid(1, 4)
         with pytest.raises(PreconditionError):
-            cellset_semidistance(g, 1 << 4, 1)
+            g.semidistance(1 << 4, 1)
