@@ -28,9 +28,15 @@ set's cells in one scan of its binary string, or reads a table below 256):
   distance over n, and d(a; b) = k/n for the least k with a inside the
   k-fold dilation of b (king-move paths stay in the box).  All rows of
   the attraction trace read one chain D_0 = omega, D_1, ...: row n is k/n
-  for the least k with I_n inside D_k.  An empty omega is never dilated;
-  every nonempty I_n is at distance inf from it.  A semi-distance is an
-  exact ``Fraction`` k/n, or ``INFINITY`` (``math.inf``) from an empty set;
+  for the least k with I_n inside D_k.  A row inside omega (every row
+  from the preperiod on) reads 0 after one test.  The chain is held in
+  windows of at most ``DILATION_WINDOW`` states: a pending row is tested
+  once per window, against its last state, and a row that state covers
+  is bisected inside the window; a window stops growing once it covers
+  every pending row, so omega is dilated exactly max_n k times.  An empty
+  omega is never dilated; every nonempty I_n is at distance inf from it.
+  A semi-distance is an exact ``Fraction`` k/n, or ``INFINITY``
+  (``math.inf``) from an empty set;
 * an image step walks the cells that changed since the last step: it
   keeps, for every cell, how many cells of the last set hit it, and flips
   an image bit when that count crosses zero.  When the set moved (at least
@@ -39,7 +45,9 @@ set's cells in one scan of its binary string, or reads a table below 256):
   into one bytearray.  Each run keeps one transition table, cell -> the
   cells its samples hit, filled on a cell's first visit, so a run
   samples each visited cell once and a short run on a small grid
-  compiles nothing it does not visit.  A flow picks its point map once,
+  compiles nothing it does not visit.  The table and the counts are
+  lists indexed by cell, so a run holds one or two pointer slots per
+  cell of the grid, visited or not.  A flow picks its point map once,
   when it is built, and a run computes its sub-cell sample offsets once.
   Each sample is floored and clamped into the grid once; one sample per
   cell (the default) hits one cell, so no set of hits is built.
@@ -52,11 +60,12 @@ linear in the grid size.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import (MalformedInputError, PreconditionError,
                      UndefinedCaseError, UnsupportedRuleError, excerpt)
@@ -67,6 +76,11 @@ from .subset_nets import Periodic, SubsetNet, limit_set
 MAX_CELLS_PER_AXIS = 4096
 MAX_SAMPLES = 64  # sub-cell samples per axis: samples^dim map calls a cell
 MAX_OMEGA_STEPS = 10_000
+# Chain states held at once by ``_dilation_distances``.  It bounds the
+# grid-sized ints in memory (64 MB on a 4096 x 4096 grid) and a row's
+# bisection to about log2(32) = 5 subset tests, on top of one test per
+# window the row waited through.
+DILATION_WINDOW = 32
 
 
 class CellGrid(BitmaskGround):
@@ -238,44 +252,59 @@ def _sampler(grid: CellGrid, f, k: int):
     """cell -> the cells hit by f at its k^dim sub-cell midpoints.
 
     Each image point is floored to its cell as ``CellGrid.cell_of_point``
-    does, with the same float operations, and clamped once.  One sample
-    (``k == 1``, offset 0.5) hits one cell, so no set is built.
+    does, with the same float operations, and clamped once, inline.  One
+    sample (``k == 1``, offset 0.5) hits one cell, so no set is built.
     """
     n, top = grid.cells_per_axis, grid.cells_per_axis - 1
-
-    def cell(x):
-        c = floor(x * n)
-        return c if 0 <= c <= top else (0 if c < 0 else top)
-
     if k == 1:
         if grid.dim == 1:
-            return lambda i: (cell(f((i + 0.5) / n)),)
+            def hit(i):
+                c = floor(f((i + 0.5) / n) * n)
+                return (c if 0 <= c <= top else 0 if c < 0 else top,)
+            return hit
 
         def hit(i):
             u, v = f((i % n + 0.5) / n, (i // n + 0.5) / n)
-            return (cell(u) + n * cell(v),)
+            c, r = floor(u * n), floor(v * n)
+            return ((c if 0 <= c <= top else 0 if c < 0 else top)
+                    + n * (r if 0 <= r <= top else 0 if r < 0 else top),)
         return hit
     offs = [(j + 0.5) / k for j in range(k)]
     if grid.dim == 1:
-        return lambda i: tuple({cell(f((i + o) / n)) for o in offs})
-    return lambda i: tuple({
-        cell(u) + n * cell(v)
-        for u, v in (f((i % n + ox) / n, (i // n + oy) / n)
-                     for ox in offs for oy in offs)})
+        def hits(i):
+            out = set()
+            for o in offs:
+                c = floor(f((i + o) / n) * n)
+                out.add(c if 0 <= c <= top else 0 if c < 0 else top)
+            return tuple(out)
+        return hits
+
+    def hits(i):
+        out, x, y = set(), i % n, i // n
+        for ox in offs:
+            for oy in offs:
+                u, v = f((x + ox) / n, (y + oy) / n)
+                c, r = floor(u * n), floor(v * n)
+                out.add((c if 0 <= c <= top else 0 if c < 0 else top)
+                        + n * (r if 0 <= r <= top else 0 if r < 0 else top))
+        return tuple(out)
+    return hits
 
 
 class _ImageStep:
     """The cell image map of one run, updated by the cells that changed.
 
-    ``hits`` maps a cell to the cells its samples (or its table row) hit,
-    filled on the cell's first visit by ``hits_of``, picked once per run.
-    A step keeps its input ``last`` and that input's undilated ``image``.
-    When fewer than two thirds as many cells changed as the new set holds,
-    it walks only the added cells, then the removed ones, keeping
-    ``counts``: cell j -> how many cells of the set hit j.  Image bit j
-    flips each time counts[j] crosses zero.  Otherwise the set moved, and
-    the step walks the whole set without counting and drops ``counts``;
-    the next step with a small change rebuilds them from its whole set.
+    ``hits[i]`` is the tuple of cells that cell i's samples (or its table
+    row) hit, filled on the cell's first visit by ``hits_of``, picked once
+    per run, and ``None`` before.  A step keeps its input ``last`` and
+    that input's undilated ``image``.  When fewer than two thirds as many
+    cells changed as the new set holds, it walks only the added cells,
+    then the removed ones, keeping ``counts``: counts[j] is how many cells
+    of the set hit j.  Image bit j flips each time counts[j] crosses zero.
+    Otherwise the set moved, and the step walks the whole set without
+    counting and drops ``counts``; the next step with a small change
+    rebuilds them from its whole set.  Both tables are lists indexed by
+    cell, which a step reads faster than a dict.
     """
 
     def __init__(self, grid: CellGrid, flow: DiscreteSemiflow, samples: int,
@@ -295,11 +324,11 @@ class _ImageStep:
         self.shift = flow.exact_rotation_shift(grid)
         self.grid = grid
         self.dilate = dilate and flow.kind != "table"
-        self.hits: Dict[int, Tuple[int, ...]] = {}
+        self.hits: List[Optional[Tuple[int, ...]]] = [None] * grid.total
         self.hits_of = (lambda i: tuple(set_bits(table[i]))) \
             if flow.kind == "table" else _sampler(grid, flow.map_point, samples)
         self.last = self.image = 0
-        self.counts: Optional[Dict[int, int]] = None
+        self.counts: Optional[List[int]] = None
 
     def __call__(self, cells: int) -> int:
         grid = self.grid
@@ -308,12 +337,13 @@ class _ImageStep:
             return ((cells << shift) | (cells >> (n - shift))) & grid.full_mask \
                 if shift else cells
         changed = cells ^ self.last
-        # a counted cell costs about 1.3 walked ones, so counting pays only
-        # while fewer than two thirds as many cells changed as the set holds
+        # a counted cell costs about 1.03 walked ones, so counting pays while
+        # fewer cells changed than the set holds; two thirds keeps a margin,
+        # and only moving sets step past it often
         if 3 * changed.bit_count() >= 2 * cells.bit_count():
             image, self.counts = self._walk(cells), None
         elif self.counts is None:
-            self.counts = {}
+            self.counts = [0] * grid.total
             image = self._flips(cells, 0)
         else:
             image = self.image ^ self._flips(cells & changed,
@@ -326,7 +356,7 @@ class _ImageStep:
         hits, hits_of = self.hits, self.hits_of
         out = bytearray((self.grid.total + 7) >> 3)
         for i in set_bits(cells):
-            hit = hits.get(i)
+            hit = hits[i]
             if hit is None:
                 hit = hits[i] = hits_of(i)
             for j in hit:
@@ -340,11 +370,11 @@ class _ImageStep:
         hits, hits_of, counts = self.hits, self.hits_of, self.counts
         out = bytearray((self.grid.total + 7) >> 3)
         for i in set_bits(added):
-            hit = hits.get(i)
+            hit = hits[i]
             if hit is None:
                 hit = hits[i] = hits_of(i)
             for j in hit:
-                c = counts.get(j, 0)
+                c = counts[j]
                 if not c:
                     out[j >> 3] ^= 1 << (j & 7)
                 counts[j] = c + 1
@@ -412,33 +442,43 @@ def omega_limit_cells(grid: CellGrid, flow: DiscreteSemiflow, e: int,
 
 
 def _dilation_distances(grid: CellGrid, cell_sets: List[int],
-                       base: int) -> List[Fraction]:
+                        base: int) -> List[Fraction]:
     """d(a; base) for every cell set a, read off one dilation chain of base.
 
     D_0 = base, and D_{k+1} is the dilation of D_k; d(a; base) = k/n for
-    the least k with a inside D_k.  An empty a is at distance 0 and a
-    nonempty a at distance inf from an empty base, which is never dilated.
-    This is the omega trace's convention, so an empty a is at distance 0
-    even from an empty base; ``CellGrid.semidistance`` refuses that pair.
-    The sets must lie in the grid, where the chain reaches every cell.
+    the least k with a inside D_k, found in windows of the chain as the
+    module docstring says.  An empty a is at distance 0 and a nonempty a at
+    distance inf from an empty base, which is never dilated.  This is the
+    omega trace's convention, so an empty a is at distance 0 even from an
+    empty base; ``CellGrid.semidistance`` refuses that pair.  The sets
+    must lie in the grid, where the chain reaches every cell.
     """
-    at_k = Fraction(0)  # k/n, built once per k
-    dist = [INFINITY if a else at_k for a in cell_sets]
-    pending = [i for i, a in enumerate(cell_sets) if a] if base else []
-    k = 0
+    n, zero = grid.cells_per_axis, Fraction(0)
+    dist = [zero if a & base == a else INFINITY for a in cell_sets]
+    # the sets outside base are pending, or at inf from an empty base
+    pending = [i for i, d in enumerate(dist) if d] if base else []
+    at = {}  # k -> k/n, built once per k
+    # window[j] is D_{k+j}; window[0] covers no pending set, so a
+    # bisection starts at 1
+    window, k = [base], 0
     while pending:
-        # a nonnegative mask: & with ~base goes through two's complement
-        outside, left = grid.full_mask ^ base, []
+        union = 0
         for i in pending:
-            if cell_sets[i] & outside:
+            union |= cell_sets[i]
+        while union & window[-1] != union and len(window) < DILATION_WINDOW:
+            window.append(grid.dilate(window[-1]))
+        last, left = window[-1], []
+        for i in pending:
+            a = cell_sets[i]
+            if a & last != a:
                 left.append(i)
             else:
-                dist[i] = at_k
-        if left:
-            base = grid.dilate(base)
-            k += 1
-            at_k = Fraction(k, grid.cells_per_axis)
-        pending = left
+                j = k + bisect_left(window, True, 1, key=lambda d: a & d == a)
+                if j not in at:
+                    at[j] = Fraction(j, n)
+                dist[i] = at[j]
+        k += len(window) - 1
+        window, pending = [last], left
     return dist
 
 

@@ -569,7 +569,7 @@ class TestIncrementalStep:
                                              samples=samples, dilate=dilate)
             paths.append("whole" if step.counts is None else "delta")
             if step.counts:
-                top_count = max(top_count, max(step.counts.values()))
+                top_count = max(top_count, max(step.counts))
         # whole walks and delta walks take turns, more than once
         runs = "".join(p[0] for i, p in enumerate(paths)
                        if i == 0 or p != paths[i - 1])
@@ -673,3 +673,156 @@ class TestGridSemidistance:
         g = CellGrid(1, 4)
         with pytest.raises(PreconditionError):
             g.semidistance(1 << 4, 1)
+
+
+def shift_down_table(total):
+    """Cell i -> cell i - 1, and cell 0 -> itself: every run ends on cell 0."""
+    return tuple(1 << max(i - 1, 0) for i in range(total))
+
+
+def cells_at_distance(grid, k, rng):
+    """A cell at Chebyshev distance exactly k from cell 0, and, in 2-D, a
+    second cell no farther from it."""
+    if grid.dim == 1:
+        return 1 << k
+    return (1 << grid.index((k, rng.randrange(k + 1)))
+            | 1 << grid.index((rng.randrange(k + 1), rng.randrange(k + 1))))
+
+
+# With 32 states a window holds D_{31j} through D_{31(j+1)}: rows at both
+# ends of the first two windows, and at k = 64.
+WINDOW = semiflow_cells.DILATION_WINDOW
+WINDOW_EDGES = tuple(sorted({0, 1, WINDOW - 2, WINDOW - 1, WINDOW, WINDOW + 1,
+                             2 * WINDOW - 2, 2 * WINDOW - 1, 2 * WINDOW}))
+
+
+class TestDilationWindows:
+    """Rows whose least k lies past the first window of the dilation chain,
+    against pairwise ``Fraction`` center distances."""
+
+    @pytest.mark.parametrize("grid", [CellGrid(1, 256), CellGrid(2, 64)],
+                             ids=["1d-256", "2d-64x64"])
+    def test_rows_at_window_edges(self, grid):
+        rng = random.Random(28 + grid.dim)
+        n = grid.cells_per_axis
+        ks = [k for k in WINDOW_EDGES if k < n] + [n - 1]
+        rows = [cells_at_distance(grid, k, rng) for k in ks]
+        # empty rows, rows spread over two windows, and a repeated row
+        rows += [0, rows[2] | rows[5], 0, rows[-1] | rows[3], rows[4]]
+        dist = semiflow_cells._dilation_distances(grid, rows, 1)
+        assert dist[:len(ks)] == [F(k, n) for k in ks]
+        for row, d in zip(rows, dist):
+            assert d == pairwise_semidistance(grid, row, 1)
+            if row:
+                assert grid.semidistance(row, 1) == d
+        # a base that is not one cell: the far corner and the middle
+        base = 1 << grid.index((n - 1,) * grid.dim) | 1 << grid.index(
+            (n // 2,) * grid.dim)
+        dist = semiflow_cells._dilation_distances(grid, rows, base)
+        for row, d in zip(rows, dist):
+            assert d == pairwise_semidistance(grid, row, base)
+        assert semiflow_cells._dilation_distances(grid, rows, 0) == [
+            INFINITY if row else 0 for row in rows]
+
+    def test_table_flow_onto_one_cell(self):
+        grid = CellGrid(1, 256)
+        flow = DiscreteSemiflow("table", table=shift_down_table(256))
+        rng = random.Random(280)
+        inits = [1 << 255, 1 << 64, 1 << 33 | 1 << 31, 1 << 32 | 1,
+                 random_cells(rng, grid) | 1 << 200]
+        for init in inits:
+            res = omega_limit_cells(grid, flow, init)
+            assert res.omega == 1 and res.period == 1
+            state = init
+            for n, d in res.trace:
+                assert d == pairwise_semidistance(grid, state, 1), (init, n)
+                state = cell_image(grid, flow, state)
+        # the first run's rows read 255/256, 254/256, ..., 0
+        assert omega_limit_cells(grid, flow, 1 << 255).trace == tuple(
+            (n, F(255 - n, 256)) for n in range(256))
+        # a table onto no cell: an empty omega, every nonempty row at inf
+        dying = DiscreteSemiflow("table", table=(0,) * 256)
+        res = omega_limit_cells(grid, dying, 1 << 100 | 1 << 7)
+        assert res.omega == 0 and res.trace == ((0, INFINITY), (1, 0))
+
+    @pytest.mark.parametrize("samples, dilate", [(1, False), (2, False),
+                                                 (1, True)])
+    def test_two_dimensional_runs(self, samples, dilate):
+        grid = CellGrid(2, 64)
+        flow = DiscreteSemiflow("henon", (F(7, 5), F(3, 10)))
+        rng = random.Random(281 + samples + 10 * dilate)
+        last = grid.cells_per_axis - 1
+        inits = [1 << grid.index((last, last)),
+                 1 << grid.index((last, 0)) | 1 << grid.index((0, last))]
+        if samples == 1 and not dilate:  # small omegas keep pairs cheap
+            inits += [sum(1 << rng.randrange(grid.total) for _ in range(6))
+                      for _ in range(3)]
+        farthest = 0
+        for init in inits:
+            res = omega_limit_cells(grid, flow, init, samples=samples,
+                                    dilate=dilate)
+            state = init
+            for n, d in res.trace:
+                assert d == pairwise_semidistance(grid, state, res.omega), \
+                    (init, n)
+                farthest = max(farthest, d)
+                state = cell_image(grid, flow, state, samples=samples,
+                                   dilate=dilate)
+        assert farthest * grid.cells_per_axis > 32  # past the first window
+
+
+def count_dilations(monkeypatch):
+    """Count the calls of ``CellGrid.dilate``."""
+    calls = [0]
+    dilate = CellGrid.dilate
+
+    def counting(grid, cells):
+        calls[0] += 1
+        return dilate(grid, cells)
+    monkeypatch.setattr(CellGrid, "dilate", counting)
+    return calls
+
+
+class TestDilationCount:
+    """The chain is dilated to the farthest row and no further."""
+
+    def test_omega_run_dilates_max_k_times(self, monkeypatch):
+        calls = count_dilations(monkeypatch)
+        henon = DiscreteSemiflow("henon", (F(7, 5), F(3, 10)))
+        table = DiscreteSemiflow("table", table=shift_down_table(256))
+        g256, g64 = CellGrid(1, 256), CellGrid(2, 64)
+        runs = [(g256, table, 1 << k) for k in (31, 32, 33, 64, 255)]
+        runs += [(CellGrid(1, 4096),
+                  DiscreteSemiflow("logistic", (F(39, 10),)),
+                  random_half(1, 4096)),
+                 (g64, henon, 1 << g64.index((63, 63))),
+                 (g64, henon, random_half(2, g64.total)),
+                 (g256, DiscreteSemiflow("table", table=(0,) * 256),
+                  random_half(3, 256))]
+        counted = []
+        for grid, flow, init in runs:
+            calls[0] = 0
+            res = omega_limit_cells(grid, flow, init)
+            finite = [d for _, d in res.trace if d != INFINITY]
+            k = max(finite) * grid.cells_per_axis if res.omega else 0
+            assert calls[0] == k, (flow.kind, init)
+            counted.append(calls[0])
+        assert counted[:5] == [31, 32, 33, 64, 255]
+        assert counted[5] == 411  # the omega benchmark's seed-1 logistic run
+        assert counted[-1] == 0  # an empty omega is never dilated
+
+    @pytest.mark.parametrize("grid", [CellGrid(1, 256), CellGrid(2, 64)],
+                             ids=["1d-256", "2d-64x64"])
+    def test_semidistance_dilates_d_times_n(self, grid, monkeypatch):
+        rng = random.Random(282 + grid.dim)
+        n = grid.cells_per_axis
+        pairs = [(cells_at_distance(grid, k, rng), 1)
+                 for k in WINDOW_EDGES if k < n]
+        pairs += [(random_cells(rng, grid), random_cells(rng, grid) or 1)
+                  for _ in range(20)]
+        pairs += [(0, 1), (1, 0)]
+        calls = count_dilations(monkeypatch)
+        for a, b in pairs:
+            calls[0] = 0
+            d = grid.semidistance(a, b)
+            assert calls[0] == (0 if d == INFINITY else d * n), (a, b)
