@@ -18,7 +18,7 @@ from .finite_topology import (SIERPINSKI, FiniteSpace, closure,
                               is_regular, separate_compact_from_point,
                               top_element)
 from .pseudometric_core import (FinitePseudoMetric, RationalPointSpace,
-                                compact_inner_radius, semidistance)
+                                compact_inner_radius)
 from .rationals import INFINITY, as_point
 from .semiflow_cells import (CellGrid, DiscreteSemiflow, OmegaResult,
                              attraction_trace_check, cell_image,

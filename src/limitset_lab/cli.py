@@ -63,6 +63,16 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInputError(clip(message))
 
 
+def _ascii_int(raw: str) -> int:
+    """An integer flag in ASCII digits; int() also takes "1_6", " 16", "+2"."""
+    try:
+        if re.fullmatch("-?[0-9]+", raw):
+            return int(raw)
+    except ValueError:  # more digits than int() reads
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="limitset-lab")
@@ -79,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(cmd="cmd_net")
     p.add_argument("action", choices=["analyze"])
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--horizon", type=int, default=64)
+    p.add_argument("--horizon", type=_ascii_int, default=64)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("omega", help="omega limit sets on a cell grid")
@@ -88,19 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["logistic", "tent", "rotation", "henon", "table"])
     p.add_argument("--param", default=None)
     p.add_argument("--param2", default=None)
-    p.add_argument("--cells", type=int, required=True)
+    p.add_argument("--cells", type=_ascii_int, required=True)
     p.add_argument("--init", default="all")
     p.add_argument("--in", dest="infile", default=None,
                    help="cell table JSON for --map table")
-    p.add_argument("--samples", type=int, default=None)  # 1 when absent
+    p.add_argument("--samples", type=_ascii_int, default=None)  # 1 when absent
     p.add_argument("--dilate", action="store_true")
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("verify", help="run the theorem verification suites")
     p.set_defaults(cmd="cmd_verify")
     p.add_argument("--suite", default="all")
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--budget", type=_ascii_int, default=1000)
+    p.add_argument("--seed", type=_ascii_int, default=42)
     p.add_argument("--out", default="-")
     parser.commands = sub.choices
     return parser

@@ -114,13 +114,13 @@ class FiniteSpace(BitmaskGround):
         if type(x) is not int or not 0 <= x < self.n:
             raise PreconditionError(f"point {excerpt(x)} outside the space")
 
-    def check_set(self, e: int):
-        """Refuse anything but an ``int`` mask of points of the space; a
-        ``bool`` is no point set."""
+    def check_set(self, e: int) -> int:
+        """``e``, if it is an ``int`` mask of points of the space (no ``bool``)."""
         if type(e) is not int:
             raise PreconditionError(f"point set {excerpt(e)} is not a bitmask")
         if e & ~self.full_mask:
             raise PreconditionError("point set mentions out-of-range points")
+        return e
 
     def normalize(self, s) -> int:
         """A point set as a checked bitmask; ``s`` is an ``int`` mask or an

@@ -16,12 +16,10 @@ points coerce and check their arguments once; a canonical frozenset of
 points of the space passes ``check_set`` as the same object, and any other
 sequence is coerced and checked point by point.  Point sets over
 ``FinitePseudoMetric`` are int bitmasks.  Both grounds own the point-set
-operations nets use, under the same names.
+operations nets use, ``semidistance`` included, under the same names.
 
 Every distance on either ground, between points or from a point or a set
-to a set, is an exact ``Fraction``; a distance to the empty set is
-``INFINITY`` (``math.inf``), which compares exactly with every
-``Fraction``.
+to a set, is an exact ``Fraction``, or ``INFINITY`` as ``rationals`` says.
 """
 
 from __future__ import annotations
@@ -31,11 +29,10 @@ import operator
 from fractions import Fraction
 from typing import FrozenSet, Iterable, List
 
-from .errors import (MalformedInputError, MembershipError, PreconditionError,
-                     UndefinedCaseError)
+from .errors import MalformedInputError, MembershipError, PreconditionError
 from .finite_topology import FiniteSpace, set_bits
-from .rationals import (INFINITY, Point, as_point,
-                        max_norm_distance)
+from .rationals import (INFINITY, Point, as_point, max_norm_distance,
+                        semidistance_with)
 
 PointSet = FrozenSet[Point]
 
@@ -46,8 +43,8 @@ class RationalPointSpace:
     rational = True  # point sets are frozensets of rational points
 
     def __init__(self, dim: int, excluded: Iterable = ()):
-        if dim < 1:
-            raise MalformedInputError("dimension must be positive")
+        if type(dim) is not int or dim < 1:  # a bool is no dimension
+            raise MalformedInputError("dimension must be a positive int")
         self.dim = dim
         # a frozenset of canonical points, as theoremlab's generators build,
         # is kept as it is (check_set's test): its points are not hashed again
@@ -102,6 +99,13 @@ class RationalPointSpace:
         """Whether ``s`` lies inside every eps-ball around the finite ``a``:
         at distance zero from it, which under a metric is inclusion."""
         return s <= a
+
+    def semidistance(self, a: Iterable, b: Iterable) -> Fraction:
+        """d(a; b) = max over a of the max-norm distance to b."""
+        return semidistance_with(
+            self.check_set(a), self.check_set(b),
+            lambda a, b: max(min(max_norm_distance(x, p) for p in b)
+                             for x in a))
 
     def __eq__(self, other):
         return (isinstance(other, RationalPointSpace)
@@ -197,17 +201,12 @@ class FinitePseudoMetric(FiniteSpace):
         row = self.dist[i]
         return min(row[j] for j in set_bits(e)) if e else INFINITY
 
-    def semidistance_masks(self, a: int, b: int) -> Fraction:
-        """d(a; b) on bitmask sets with the usual empty-set conventions."""
-        self.check_set(a)
-        self.check_set(b)
-        if a == 0 and b == 0:
-            raise UndefinedCaseError("d(emptyset; emptyset) is not defined")
-        if a == 0:
-            return Fraction(0)
-        if b == 0:
-            return INFINITY
-        return max(self.point_to_mask_distance(i, b) for i in set_bits(a))
+    def semidistance(self, a: int, b: int) -> Fraction:
+        """d(a; b) = max over a of the distance to b, on bitmask sets."""
+        return semidistance_with(
+            self.check_set(a), self.check_set(b),
+            lambda a, b: max(self.point_to_mask_distance(i, b)
+                             for i in set_bits(a)))
 
     def __eq__(self, other):
         return isinstance(other, FinitePseudoMetric) and self.dist == other.dist
@@ -217,26 +216,6 @@ class FinitePseudoMetric(FiniteSpace):
 
     def __repr__(self):
         return f"FinitePseudoMetric(n={self.n})"
-
-
-# -- distances between finite rational point sets ----------------------------
-
-def semidistance(space: RationalPointSpace, a: Iterable,
-                 b: Iterable) -> Fraction:
-    """d(a; b) = max over a of d(., b), with the empty-set conventions.
-
-    d(emptyset; b) = 0 and d(a; emptyset) = infinity for nonempty sides;
-    d(emptyset; emptyset) is an error.
-    """
-    a = space.check_set(a)
-    b = space.check_set(b)
-    if not a and not b:
-        raise UndefinedCaseError("d(emptyset; emptyset) is not defined")
-    if not a:
-        return Fraction(0)
-    if not b:
-        return INFINITY
-    return max(min(max_norm_distance(x, p) for p in b) for x in a)
 
 
 def compact_inner_radius(m: FinitePseudoMetric, k: int, u: int) -> Fraction:

@@ -4,7 +4,9 @@ A distance is a plain ``fractions.Fraction``, or ``INFINITY`` where the
 empty-set convention d(x, emptyset) = inf demands one.  ``INFINITY`` is
 ``math.inf``, which a ``Fraction`` compares with exactly: every finite
 distance is below it, and ``max`` and ``+`` absorb it.  No other number
-type carries a distance.
+type carries a distance.  Every metric ground's semi-distance d(a; b) =
+max over x in a of d(x, b) follows ``semidistance_with``: d(emptyset; b) =
+0, d(a; emptyset) = inf, and d(emptyset; emptyset) is not defined.
 
 A rational point is *canonical* when it is a ``tuple`` whose coordinates
 all have type exactly ``Fraction``.  Library entry points coerce a point
@@ -17,9 +19,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, UndefinedCaseError
 
 INFINITY = math.inf
+
+
+def semidistance_with(a, b, farthest) -> Fraction:
+    """d(a; b) of two checked point sets: ``farthest(a, b)``, the greatest
+    distance from a point of a to b, if both are nonempty, else as above."""
+    if a and b:
+        return farthest(a, b)
+    if a or b:
+        return INFINITY if a else Fraction(0)
+    raise UndefinedCaseError("d(emptyset; emptyset) is not defined")
 
 
 # -- rational points under the max-norm ------------------------------------

@@ -34,9 +34,9 @@ set's cells in one scan of its binary string, or reads a table below 256):
   once per window, against its last state, and a row that state covers
   is bisected inside the window; a window stops growing once it covers
   every pending row, so omega is dilated exactly max_n k times.  An empty
-  omega is never dilated; every nonempty I_n is at distance inf from it.
-  A semi-distance is an exact ``Fraction`` k/n, or ``INFINITY``
-  (``math.inf``) from an empty set;
+  omega is never dilated; every nonempty I_n is at distance inf from it,
+  and an empty I_n at 0.  A semi-distance is an exact ``Fraction`` k/n, or
+  ``INFINITY`` (``math.inf``) from an empty set;
 * an image step walks the cells that changed since the last step: it
   keeps, for every cell, how many cells of the last set hit it, and flips
   an image bit when that count crosses zero.  When the set moved (at least
@@ -68,9 +68,9 @@ from math import floor
 from typing import List, Optional, Tuple
 
 from .errors import (MalformedInputError, PreconditionError,
-                     UndefinedCaseError, UnsupportedRuleError, excerpt)
+                     UnsupportedRuleError, excerpt)
 from .finite_topology import BitmaskGround, set_bits
-from .rationals import INFINITY
+from .rationals import INFINITY, semidistance_with
 from .subset_nets import Periodic, SubsetNet, limit_set
 
 MAX_CELLS_PER_AXIS = 4096
@@ -87,10 +87,10 @@ class CellGrid(BitmaskGround):
     """A ground whose point sets are cell sets, read as their cell centers."""
 
     def __init__(self, dim: int, cells_per_axis: int):
-        if dim not in (1, 2):
+        if type(dim) is not int or dim not in (1, 2):
             raise MalformedInputError("grid dimension must be 1 or 2")
         n = cells_per_axis
-        if n < 1 or n & (n - 1) or n > MAX_CELLS_PER_AXIS:
+        if type(n) is not int or n < 1 or n & (n - 1) or n > MAX_CELLS_PER_AXIS:
             raise MalformedInputError(
                 f"cells_per_axis must be a power of two <= {MAX_CELLS_PER_AXIS}")
         self.dim = dim
@@ -150,12 +150,10 @@ class CellGrid(BitmaskGround):
     def semidistance(self, a: int, b: int) -> Fraction:
         """Max-norm d(a; b) between the center sets of two cell sets: k/n
         for the least k whose k-fold dilation of ``b`` covers ``a``, as the
-        module docstring derives.  d(emptyset; emptyset) is not defined."""
-        self.check_set(a)
-        self.check_set(b)
-        if not a and not b:
-            raise UndefinedCaseError("d(emptyset; emptyset) is not defined")
-        return _dilation_distances(self, [a], b)[0]
+        module docstring derives."""
+        return semidistance_with(
+            self.check_set(a), self.check_set(b),
+            lambda a, b: _dilation_distances(self, [a], b)[0])
 
     def center(self, index: int) -> Tuple[Fraction, ...]:
         n = self.cells_per_axis
@@ -447,11 +445,11 @@ def _dilation_distances(grid: CellGrid, cell_sets: List[int],
 
     D_0 = base, and D_{k+1} is the dilation of D_k; d(a; base) = k/n for
     the least k with a inside D_k, found in windows of the chain as the
-    module docstring says.  An empty a is at distance 0 and a nonempty a at
-    distance inf from an empty base, which is never dilated.  This is the
-    omega trace's convention, so an empty a is at distance 0 even from an
-    empty base; ``CellGrid.semidistance`` refuses that pair.  The sets
-    must lie in the grid, where the chain reaches every cell.
+    module docstring says.  An empty a is at distance 0, even from an empty
+    base (the omega trace's convention; ``CellGrid.semidistance`` leaves
+    that pair undefined), and a nonempty a at distance inf from an empty
+    base, which is never dilated.  The sets must lie in the grid, where the
+    chain reaches every cell.
     """
     n, zero = grid.cells_per_axis, Fraction(0)
     dist = [zero if a & base == a else INFINITY for a in cell_sets]

@@ -100,7 +100,7 @@ def lsc_via_semidistance(f: SetValuedMap, x: int) -> bool:
     if fx == 0:
         raise PreconditionError("F(x) must be nonempty (compactness of the value)")
 
-    rhos = [f.codomain.semidistance_masks(fx, value) for value in f.graph]
+    rhos = [f.codomain.semidistance(fx, value) for value in f.graph]
     finite_values = sorted({r for r in rhos if r != INFINITY})
     eps_grid = _midpoint_grid(finite_values)
 

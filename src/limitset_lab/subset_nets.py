@@ -47,10 +47,10 @@ Point sets are int bitmasks over ``BitmaskGround`` grounds (a
 ``FiniteSpace``, or a ``CellGrid`` whose cells stand for their centers)
 and frozensets of rational coordinate tuples over ``RationalPointSpace``
 grounds.  Each ground owns its point-set operations (``normalize``,
-``closure``, ``union``, ``size``, ``subset``, ``in_every_neighborhood``),
-so the functions below never ask which kind of ground they hold; the
-ground's ``rational`` flag only guards the rules and limits that exist on
-Q^d alone.
+``closure``, ``union``, ``size``, ``subset``, ``in_every_neighborhood``,
+``semidistance`` on a metric ground), so the functions below never ask
+which kind of ground they hold; the ground's ``rational`` flag only guards
+the rules and limits of Q^d alone, and for now the semi-distance criteria.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .errors import (MalformedInputError, PreconditionError,
                      UnsupportedRuleError)
 from .finite_topology import (BitmaskGround, FiniteSpace, set_bits,
                               top_element)
-from .pseudometric_core import RationalPointSpace, semidistance
+from .pseudometric_core import RationalPointSpace
 from .rationals import Point, as_point
 
 Ground = Union[BitmaskGround, RationalPointSpace]
@@ -525,20 +525,24 @@ def converges_from_above(net: SubsetNet, a) -> bool:
     return ground.in_every_neighborhood(summary.union, a)
 
 
-def semidistance_convergence_check(net: SubsetNet, k) -> bool:
-    """Whether d(X_n; k) -> 0, decided from the closed-form distance sequence.
-
-    The sequence cycles through, or tends to, d(phase; k), so a zero limit
-    needs d(phase union; k) = 0; on a lost tail it grows or stays positive.
-    """
+def _semidistance_target(net: SubsetNet, k) -> SetValue:
     if not net.ground.rational:
         raise PreconditionError("semidistance criterion needs the rational backend")
     k = net.ground.check_set(k)
     if not k:
         raise PreconditionError("target set must be nonempty")
+    return k
+
+
+def semidistance_convergence_check(net: SubsetNet, k) -> bool:
+    """Whether d(X_n; k) -> 0, read off the ground's ``semidistance``.
+
+    The sequence cycles through, or tends to, d(phase; k), so a zero limit
+    needs d(phase union; k) = 0; on a lost tail it grows or stays positive.
+    """
+    k = _semidistance_target(net, k)
     summary = net.summary
-    return (not summary.lost
-            and semidistance(net.ground, summary.union, k) == 0)
+    return not summary.lost and net.ground.semidistance(summary.union, k) == 0
 
 
 # -- convergence from below ------------------------------------------------------
@@ -564,20 +568,16 @@ def converges_from_below(net: SubsetNet, a) -> bool:
 def below_iff_semidistance(net: SubsetNet, k) -> Tuple[bool, bool]:
     """(convergence from below, d(k; X_n) -> 0) for a nonempty compact target.
 
-    The two components are computed along different routes; their equality
-    on compact targets is one of the verified statements.
+    The two routes differ (the second reads the ground's ``semidistance``);
+    their equality on compact targets is one of the verified statements.
     """
-    if not net.ground.rational:
-        raise PreconditionError("semidistance criterion needs the rational backend")
-    k = net.ground.check_set(k)
-    if not k:
-        raise PreconditionError("target set must be nonempty")
+    k = _semidistance_target(net, k)
     below = converges_from_below(net, k)
     # d(k; X_n) cycles through, or tends to, d(k; phase); empty phases give
     # infinity and a lost tail has no phase to approach
     summary = net.summary
     dist = not summary.lost and all(
-        semidistance(net.ground, k, phase) == 0 for phase in summary.phases)
+        net.ground.semidistance(k, phase) == 0 for phase in summary.phases)
     return below, dist
 
 

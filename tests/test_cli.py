@@ -375,6 +375,26 @@ class TestOmega:
         assert err.startswith(f"limitset-lab: {message}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["1_6", " 16", "+2", "\u0661\u0666"])
+    @pytest.mark.parametrize("flag, argv", [
+        ("--cells", ["omega", "--map", "tent", "--param", "2"]),
+        ("--samples", ["omega", "--map", "tent", "--param", "2",
+                       "--cells", "16"]),
+        ("--budget", ["verify", "--suite", "kuratowski_equality"]),
+        ("--seed", ["verify", "--suite", "kuratowski_equality",
+                    "--budget", "2"]),
+        ("--horizon", ["net", "analyze", "--in", str(DEMO / "escape.json")]),
+    ])
+    def test_loose_integer_flags_fail_closed(self, flag, argv, value,
+                                             tmp_path, capsys):
+        # int() alone reads each of these values as an integer
+        out = str(tmp_path / "out")
+        assert run(argv + [flag, value, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"limitset-lab: argument {flag}: invalid int value: "
+                       f"{value!r}\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("param", ["7", "-0.125", "39/10", "-1/8"])
     def test_ascii_params_accepted(self, param, tmp_path):
         assert run(["omega", "--map", "rotation", f"--param={param}",

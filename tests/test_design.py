@@ -527,6 +527,9 @@ def test_every_ground_has_every_operation_the_nets_call():
     grounds = (FiniteSpace, FinitePseudoMetric, RationalPointSpace, CellGrid)
     assert {g.__name__: missing_ground_operations(g) for g in grounds} == {
         g.__name__: [] for g in grounds}
+    # a metric ground also answers the semi-distance criteria
+    assert [g.__name__ for g in grounds[1:]
+            if not callable(getattr(g, "semidistance", None))] == []
 
 
 def test_the_check_sees_a_missing_ground_operation():
@@ -535,3 +538,63 @@ def test_the_check_sees_a_missing_ground_operation():
 
     assert missing_ground_operations(NoClosure) == ["closure"]
     assert missing_ground_operations(object) == list(GROUND_OPERATIONS)
+
+
+# the empty-set conventions of the semi-distance, written once
+CONVENTION = ("rationals.py", "semidistance_with")
+
+
+def undefined_case_raises(tree):
+    """(enclosing function, line) of each ``raise UndefinedCaseError``,
+    called or not, plain or as a module attribute."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else \
+                exc.attr if isinstance(exc, ast.Attribute) else None
+            if name == "UndefinedCaseError":
+                found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def module_functions(tree, name):
+    """Lines of each module-level function ``name`` in ``tree``."""
+    return [node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == name]
+
+
+def test_the_semidistance_conventions_are_written_once():
+    # every metric ground answers semidistance(a, b) as a method, and only
+    # the convention function refuses d(emptyset; emptyset)
+    raises, functions = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        raises += [f"{path.name}:{line} in {func}"
+                   for func, line in undefined_case_raises(tree)
+                   if (path.name, func) != CONVENTION]
+        functions += [f"{path.name}:{line}"
+                      for line in module_functions(tree, "semidistance")]
+    assert raises == [] and functions == []
+
+
+def test_the_scans_see_undefined_case_raises_and_semidistance_functions():
+    tree = ast.parse("def semidistance(space, a, b):\n"
+                     "    raise UndefinedCaseError('d(0; 0)')\n"
+                     "class Grid:\n"
+                     "    def semidistance(self, a, b):\n"
+                     "        raise errors.UndefinedCaseError\n"
+                     "raise UndefinedCaseErrorish()\n"
+                     "def semidistance_with(a, b, farthest):\n"
+                     "    raise UndefinedCaseError('undefined')\n")
+    assert undefined_case_raises(tree) == [
+        ("semidistance", 2), ("semidistance", 5), ("semidistance_with", 8)]
+    assert module_functions(tree, "semidistance") == [1]

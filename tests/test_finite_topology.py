@@ -112,7 +112,7 @@ class TestCheckSet:
             space.minimal_open_superset(True)
         metric = FinitePseudoMetric.from_points([(0,), (1,), (2,)])
         with pytest.raises(PreconditionError, match="point set"):
-            metric.semidistance_masks(True, 2)
+            metric.semidistance(True, 2)
 
 
 class TestCheckPoint:

@@ -18,7 +18,7 @@ from limitset_lab.finite_topology import (FiniteSpace, closure,
                                           discrete_space)
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace,
-                                            compact_inner_radius, semidistance)
+                                            compact_inner_radius)
 from limitset_lab.rationals import INFINITY, as_point, max_norm_distance
 from limitset_lab.semiflow_cells import (CellGrid, DiscreteSemiflow,
                                          omega_limit_cells)
@@ -42,60 +42,60 @@ class TestPointSetDistance:
     """d(x, a) is the semi-distance d({x}; a)."""
 
     def test_distance_to_own_singleton(self):
-        assert semidistance(Q1, [pt(3)], [pt(3)]) == 0
+        assert Q1.semidistance([pt(3)], [pt(3)]) == 0
 
     def test_distance_to_empty_is_infinite(self):
-        assert semidistance(Q1, [pt(0)], []) == INFINITY
+        assert Q1.semidistance([pt(0)], []) == INFINITY
 
     def test_min_over_pairs(self):
         # oracle: enumerate the pairs
         a = [pt(3), pt(4)]
         expected = min(abs(F(3) - F(0)), abs(F(4) - F(0)))
-        assert semidistance(Q1, [pt(0)], a) == expected == 3
+        assert Q1.semidistance([pt(0)], a) == expected == 3
 
     def test_excluded_point_rejected(self):
         space = RationalPointSpace(1, [pt(0)])
         with pytest.raises(MembershipError):
-            semidistance(space, [pt(0)], [pt(1)])
+            space.semidistance([pt(0)], [pt(1)])
 
     @given(point1, point1, st.sets(point1, min_size=1, max_size=4))
     def test_lipschitz_in_the_point_argument(self, x, y, a):
-        dx = semidistance(Q1, [x], a)
-        dy = semidistance(Q1, [y], a)
+        dx = Q1.semidistance([x], a)
+        dy = Q1.semidistance([y], a)
         assert abs(dx - dy) <= abs(x[0] - y[0])
 
 
 class TestSemidistance:
     def test_self_distance_zero(self):
         a = [pt(1), pt(5)]
-        assert semidistance(Q1, a, a) == 0
+        assert Q1.semidistance(a, a) == 0
 
     def test_empty_first_argument(self):
-        assert semidistance(Q1, [], [pt(2)]) == 0
+        assert Q1.semidistance([], [pt(2)]) == 0
 
     def test_empty_second_argument(self):
-        assert semidistance(Q1, [pt(2)], []) == INFINITY
+        assert Q1.semidistance([pt(2)], []) == INFINITY
 
     def test_both_empty_undefined(self):
         with pytest.raises(UndefinedCaseError):
-            semidistance(Q1, [], [])
+            Q1.semidistance([], [])
 
     def test_max_min_enumeration(self):
         a, b = [pt(0), pt(10)], [pt(1), pt(9)]
         expected = max(min(abs(x[0] - y[0]) for y in b) for x in a)
-        assert semidistance(Q1, a, b) == expected == 1
+        assert Q1.semidistance(a, b) == expected == 1
 
     def test_asymmetry(self):
-        assert semidistance(Q1, [pt(0)], [pt(0), pt(5)]) == 0
-        assert semidistance(Q1, [pt(0), pt(5)], [pt(0)]) == 5
+        assert Q1.semidistance([pt(0)], [pt(0), pt(5)]) == 0
+        assert Q1.semidistance([pt(0), pt(5)], [pt(0)]) == 5
 
     @given(st.sets(point1, min_size=1, max_size=3),
            st.sets(point1, min_size=1, max_size=3),
            st.sets(point1, min_size=1, max_size=3))
     def test_triangle_property(self, a, b, c):
-        ab = semidistance(Q1, a, b)
-        bc = semidistance(Q1, b, c)
-        ac = semidistance(Q1, a, c)
+        ab = Q1.semidistance(a, b)
+        bc = Q1.semidistance(b, c)
+        ac = Q1.semidistance(a, c)
         assert ac <= ab + bc
 
     @pytest.mark.parametrize("i", [-1, -3, 3, True, False, 1.5, 1.0, "1",
@@ -120,7 +120,7 @@ class TestSemidistance:
                 b = rng.choice(list(masks))
                 cls_b = sum(1 << i for i in range(m.n)
                             if m.point_to_mask_distance(i, b) == 0)
-                assert (m.semidistance_masks(a, b) == 0) == (a & ~cls_b == 0)
+                assert (m.semidistance(a, b) == 0) == (a & ~cls_b == 0)
 
 
 class Half(F):
@@ -206,9 +206,9 @@ class TestCanonicalPoints:
         routes = [
             lambda: Q2_ORIGIN.check_set(a),
             lambda: Q2_ORIGIN.check_point(bad),
-            lambda: semidistance(Q2_ORIGIN, [bad], [good]),
-            lambda: semidistance(Q2_ORIGIN, a, [good]),
-            lambda: semidistance(Q2_ORIGIN, [good], a),
+            lambda: Q2_ORIGIN.semidistance([bad], [good]),
+            lambda: Q2_ORIGIN.semidistance(a, [good]),
+            lambda: Q2_ORIGIN.semidistance([good], a),
         ]
         for route in routes:
             with pytest.raises(MembershipError, match=f"^{re.escape(message)}$"):
@@ -266,7 +266,7 @@ class TestValidateOnce:
         for x, y in ((a, b), (self.loose(a), self.loose(b)),
                      (frozenset(a), frozenset(b))):
             checked.clear()
-            semidistance(Q2_ORIGIN, x, y)
+            Q2_ORIGIN.semidistance(x, y)
             assert len(checked) <= len(a) + len(b)
 
     def test_point_to_set_semidistance_checks_each_argument_once(self, checked):
@@ -274,7 +274,7 @@ class TestValidateOnce:
         for x, y in ((pt(0, 1), a), ([0, 1], self.loose(a)),
                      (pt(0, 1), frozenset(a))):
             checked.clear()
-            semidistance(Q2_ORIGIN, [x], y)
+            Q2_ORIGIN.semidistance([x], y)
             assert len(checked) <= 1 + len(a)
 
     def test_agree_with_brute_force_on_random_sets(self):
@@ -292,23 +292,23 @@ class TestValidateOnce:
             x = next(iter(x))
             if a or b:
                 expected = brute_semidistance(a, b)
-                assert semidistance(space, frozenset(a), frozenset(b)) \
+                assert space.semidistance(frozenset(a), frozenset(b)) \
                     == expected
-                assert semidistance(space, self.loose(a), self.loose(b)) \
+                assert space.semidistance(self.loose(a), self.loose(b)) \
                     == expected
             nearest = min((max_norm_distance(x, y) for y in b),
                           default=INFINITY)
-            assert semidistance(space, [x], frozenset(b)) == nearest
-            assert semidistance(space, [list(x)], self.loose(b)) == nearest
+            assert space.semidistance([x], frozenset(b)) == nearest
+            assert space.semidistance([list(x)], self.loose(b)) == nearest
         # the empty-set conventions are among the draws
-        assert semidistance(Q1, frozenset(), frozenset([pt(1)])) == 0
-        assert semidistance(Q1, [pt(1)], frozenset()) == INFINITY
-        assert semidistance(Q1, [pt(1)], frozenset()) == INFINITY
+        assert Q1.semidistance(frozenset(), frozenset([pt(1)])) == 0
+        assert Q1.semidistance([pt(1)], frozenset()) == INFINITY
+        assert Q1.semidistance([pt(1)], frozenset()) == INFINITY
 
     @pytest.mark.parametrize("empty", [frozenset(), []])
     def test_both_empty_is_still_undefined(self, empty):
         with pytest.raises(UndefinedCaseError):
-            semidistance(Q1, empty, empty)
+            Q1.semidistance(empty, empty)
 
 
 class TestCompactInnerRadius:
@@ -482,6 +482,12 @@ class TestKuratowskiLimits:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("dim", [True, 1.5, 2.0, "2", 0])
+    def test_dimension_must_be_a_positive_int(self, dim):
+        with pytest.raises(MalformedInputError,
+                           match="^dimension must be a positive int$"):
+            RationalPointSpace(dim)
+
     def test_metric_axioms_checked(self):
         with pytest.raises(MalformedInputError):
             FinitePseudoMetric([[0, 5], [4, 0]])  # asymmetric
@@ -761,15 +767,15 @@ def test_every_distance_is_a_fraction_or_infinity():
     answers = []
     a, b = [pt(0), pt(F(5, 2))], [pt(1), pt(-3)]
     for x in (pt(0), pt(F(7, 3))):
-        answers += [semidistance(Q1, [x], b), semidistance(Q1, [x], [])]
-    answers += [semidistance(Q1, a, b), semidistance(Q1, [], b),
-                semidistance(Q1, a, [])]
+        answers += [Q1.semidistance([x], b), Q1.semidistance([x], [])]
+    answers += [Q1.semidistance(a, b), Q1.semidistance([], b),
+                Q1.semidistance(a, [])]
     path = FinitePseudoMetric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     for m in (path,
               FinitePseudoMetric.from_points([pt(0), pt(F(1, 2)), pt(0)])):
         for i in range(m.n):
             answers += [m.point_to_mask_distance(i, e) for e in range(8)]
-        answers += [m.semidistance_masks(x, y)
+        answers += [m.semidistance(x, y)
                     for x in range(8) for y in range(8) if x or y]
     answers += [compact_inner_radius(path, 0b001, 0b011),
                 compact_inner_radius(path, 0b001, 0b111)]  # the sentinel 1

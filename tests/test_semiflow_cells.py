@@ -9,7 +9,7 @@ import pytest
 from limitset_lab.errors import (MalformedInputError, PreconditionError,
                                  UndefinedCaseError)
 from limitset_lab import semiflow_cells
-from limitset_lab.pseudometric_core import RationalPointSpace, semidistance
+from limitset_lab.pseudometric_core import RationalPointSpace
 from limitset_lab.rationals import INFINITY
 from limitset_lab.semiflow_cells import (CellGrid, DiscreteSemiflow,
                                          attraction_trace_check, cell_image,
@@ -124,6 +124,13 @@ class TestCellGrid:
             CellGrid(1, 8192)
         with pytest.raises(MalformedInputError):
             CellGrid(3, 8)
+
+    @pytest.mark.parametrize("dim, n", [(2.0, 8), (1, True), (1, 8.0),
+                                        (True, 8), (1, "8")])
+    def test_sizes_must_be_ints(self, dim, n):
+        # a bool equals 1 and a float 2.0 equals 2, but neither is a size
+        with pytest.raises(MalformedInputError):
+            CellGrid(dim, n)
 
     def test_floor_rounding_and_closed_right_edge(self):
         g = CellGrid(1, 4)
@@ -504,7 +511,7 @@ class TestOmegaLimitCells:
                         == replace(analyze(center_net), limit_set=None))
                 assert len(res.trace) == len(states)
                 for (n, d), state in zip(res.trace, states):
-                    assert d == (semidistance(space, centers(state), omega)
+                    assert d == (space.semidistance(centers(state), omega)
                                  if state else 0), (flow.kind, init, n)
 
 
