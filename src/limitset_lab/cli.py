@@ -159,6 +159,27 @@ def cmd_net(args) -> int:
     return 0
 
 
+# the characters of a --init cell list: int() alone also takes "1_0", " 1",
+# "+1" and "\u0663", and refuses an empty index.  A repeated group such as
+# "[0-9]+(,[0-9]+)*" would hold a backtracking stack of about 180 B per index.
+_CELL_CHARS = re.compile("[0-9,]+")
+
+
+def _first_bad_cell(body: str, total: int) -> MalformedInputError:
+    """The error for the first bad index of a ``cell:`` body, in order: not
+    ASCII digits, more digits than int() reads, or outside the grid."""
+    for part in body.split(","):
+        if not (part.isascii() and part.isdigit()):
+            break
+        try:
+            i = int(part)
+        except ValueError:  # more digits than int() reads
+            break
+        if i >= total:
+            return MalformedInputError(f"cell {excerpt(i)} outside the grid")
+    return MalformedInputError(f"bad cell index in --init: {excerpt(part)}")
+
+
 def _parse_init(raw: str, grid: CellGrid) -> int:
     if raw == "all":
         return grid.full_mask
@@ -167,19 +188,19 @@ def _parse_init(raw: str, grid: CellGrid) -> int:
         # one bit per cell in a bytearray, read as one int at the end:
         # OR-ing 1 << i into a grid-sized int copies it for every index
         bits = bytearray((grid.total + 7) >> 3)
-        for part in body.split(","):
+        if _CELL_CHARS.fullmatch(body):
+            # int() refuses an empty index and a run past its digit limit;
+            # an index past the last byte raises IndexError
             try:
-                # int() alone also takes "1_0", " 1", "+1" and "\u0663"
-                if not (part.isascii() and part.isdigit()):
-                    raise ValueError("cell indices must be ASCII digits")
-                i = int(part)
-            except ValueError:
-                raise MalformedInputError(
-                    f"bad cell index in --init: {excerpt(part)}")
-            if not 0 <= i < grid.total:
-                raise MalformedInputError(f"cell {excerpt(i)} outside the grid")
-            bits[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(bits, "little")
+                for i in map(int, body.split(",")):
+                    bits[i >> 3] |= 1 << (i & 7)
+            except (ValueError, IndexError):
+                pass
+            else:
+                mask = int.from_bytes(bits, "little")
+                if not mask >> grid.total:
+                    return mask
+        raise _first_bad_cell(body, grid.total)
     raise MalformedInputError(
         f"bad --init: {excerpt(raw)} (use all or cell:K)")
 

@@ -18,8 +18,9 @@ Cell-set operations are exact bitmask work; floating point only enters
 through map evaluation, with samples rounded to cells via floor.
 
 Cell sets are never walked bit by bit on a growing int, and every pass
-over one is linear in the grid size (``finite_topology.set_bits`` walks a
-set's cells in one scan of its binary string, or reads a table below 256):
+over one is linear in the grid size (``finite_topology.set_bits`` reads a
+dense set's cells a byte at a time, a sparse set's in one scan of its
+binary string, and a set below 256 from a table):
 
 * ``CellGrid.dilate`` is a handful of whole-bitset shifts, with the first
   and last column masked out of the sideways shifts in 2-D;

@@ -1,18 +1,22 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import random
 import re
 import stat
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from limitset_lab import cli, jsonio
 from limitset_lab.cli import build_parser, cmd_omega, run
-from limitset_lab.errors import MalformedInputError
+from limitset_lab.errors import MalformedInputError, excerpt
 from limitset_lab.semiflow_cells import CellGrid
 
 
@@ -287,6 +291,61 @@ class TestNetAnalyze:
         assert run(["net", "analyze", "--in", infile, "--horizon", "0"]) == 2
 
 
+def oracle_parse_init(raw, grid):
+    """The token-by-token ``--init`` parser that the one-pass one replaced."""
+    if raw == "all":
+        return grid.full_mask
+    if raw.startswith("cell:") or raw.startswith("cells:"):
+        body = raw.split(":", 1)[1]
+        bits = bytearray((grid.total + 7) >> 3)
+        for part in body.split(","):
+            try:
+                # int() alone also takes "1_0", " 1", "+1" and "\u0663"
+                if not (part.isascii() and part.isdigit()):
+                    raise ValueError("cell indices must be ASCII digits")
+                i = int(part)
+            except ValueError:
+                raise MalformedInputError(
+                    f"bad cell index in --init: {excerpt(part)}")
+            if not 0 <= i < grid.total:
+                raise MalformedInputError(f"cell {excerpt(i)} outside the grid")
+            bits[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(bits, "little")
+    raise MalformedInputError(
+        f"bad --init: {excerpt(raw)} (use all or cell:K)")
+
+
+def parse_outcome(parse, raw, grid):
+    """The mask a parser returns, or the message of the error it raises."""
+    try:
+        return parse(raw, grid)
+    except MalformedInputError as exc:
+        return str(exc)
+
+
+def init_strings(total):
+    """--init strings for a grid of ``total`` cells: index lists over the
+    characters and spellings int() reads more loosely than --init does,
+    indices up to just past the grid, and digit runs on both sides of
+    int()'s 4,300-digit limit; and any text."""
+    token = st.one_of(
+        st.integers(0, total + 1).map(str),
+        st.text(alphabet="0123456789_ +-\u0663", max_size=6),
+        st.sampled_from(["1_0", " 1", "+1", "-1", "\u0663", "",
+                         "9" * 5000, "0" * 5000, "1" + "0" * 4299,
+                         "0" * 4300, "0" * 4301]))
+    body = st.one_of(st.text(alphabet="0123456789,_ +-\u0663", max_size=24),
+                     st.lists(token, min_size=1, max_size=6).map(",".join),
+                     st.lists(st.integers(0, total), min_size=1, max_size=4)
+                     .map(lambda cells: ",".join(map(str, cells))))
+    prefix = st.sampled_from(["cell:", "cells:", "cell", "cells:cell:", ""])
+    return st.one_of(st.just("all"), st.tuples(prefix, body).map("".join),
+                     st.text(max_size=12))
+
+
+GRIDS = (CellGrid(1, 4), CellGrid(1, 16), CellGrid(2, 4), CellGrid(1, 64))
+
+
 class TestOmega:
     def test_rotation_example(self, tmp_path, capsys):
         outfile = tmp_path / "trace.csv"
@@ -352,6 +411,38 @@ class TestOmega:
         elapsed = time.perf_counter() - start
         assert mask.bit_count() == len(picks) and mask >> max(picks) == 1
         assert elapsed < 1, f"16,000 cells on a 4096^2 grid took {elapsed:.1f}s"
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.sampled_from(GRIDS).flatmap(
+        lambda grid: st.tuples(st.just(grid), init_strings(grid.total))))
+    @example(case=(GRIDS[1], "cells:\u0663,5"))
+    @example(case=(GRIDS[0], "cells:0,4"))  # a spare bit of the last byte
+    @example(case=(GRIDS[1], "cells:99," + "9" * 5000))
+    @example(case=(GRIDS[1], "cells:" + "9" * 5000 + ",99"))
+    def test_init_parse_matches_the_token_by_token_oracle(
+            self, default_int_digit_limit, case):
+        grid, raw = case
+        # the same mask, or the same message for the first bad index
+        assert parse_outcome(cli._parse_init, raw, grid) == \
+            parse_outcome(oracle_parse_init, raw, grid)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=init_strings(16))
+    def test_any_init_exits_0_or_2_with_one_line(self, tmp_path, raw):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["omega", "--map", "rotation", "--param", "1/8",
+                        "--cells", "16", "--init", raw,
+                        "--out", str(tmp_path / "t.csv")])
+        err = err.getvalue()
+        if code == 0:
+            assert err == "" and "omega" in json.loads(out.getvalue())
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert err.startswith("limitset-lab: ") and \
+                err.count("\n") == 1 and err.endswith("\n"), err
 
     def test_bad_init_is_input_error(self, capsys):
         assert run(["omega", "--map", "rotation", "--param", "0.125",

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from limitset_lab import finite_topology
 from limitset_lab.errors import (MalformedInputError, PreconditionError,
                                  SizeLimitError)
-from limitset_lab.finite_topology import (REGULARITY_CAP, SIERPINSKI,
+from limitset_lab.finite_topology import (DENSE_CHUNK, REGULARITY_CAP,
+                                          SIERPINSKI,
                                           FiniteSpace, closure,
                                           discrete_space, enumerate_spaces,
                                           indiscrete_space, is_hausdorff,
@@ -459,6 +461,39 @@ class TestSetBits:
             assert type(table) is tuple
             assert table == tuple(finite_topology._scan_bits(m))
         assert type(set_bits(256)) is not tuple  # the scan past the table
+
+    @pytest.mark.parametrize("width", [
+        256, 257, 1000, DENSE_CHUNK - 1, DENSE_CHUNK, DENSE_CHUNK + 1,
+        DENSE_CHUNK + 8, 3 * DENSE_CHUNK + 5, (1 << 16) + 1, (1 << 17) + 1])
+    def test_both_paths_match_the_oracle_across_the_chunk_bound(self, width):
+        # one bit in ``spread`` set: the dense path takes one in 24 or more
+        rng = random.Random(width)
+        for spread in (2, 8, 20, 28, 1000):
+            picks = rng.sample(range(width - 1), (width - 1) // spread)
+            bits = bytearray((width + 7) >> 3)
+            for i in picks + [width - 1]:
+                bits[i >> 3] |= 1 << (i & 7)
+            m = int.from_bytes(bits, "little")
+            assert list(set_bits(m)) == oracle_set_bits(m)
+
+    @pytest.mark.parametrize("width", [256, DENSE_CHUNK + 1, (1 << 17) + 1])
+    def test_empty_full_and_lone_high_bit(self, width):
+        assert list(set_bits(0)) == []
+        assert list(set_bits((1 << width) - 1)) == list(range(width))
+        assert list(set_bits(1 << width - 1)) == [width - 1]
+
+    def test_a_dense_walk_holds_one_chunk_at_a_time(self):
+        # a list of all 2^20 indices takes 42 MB, the bytes of the mask
+        # 128 kB and one chunk 160 kB
+        full = (1 << (1 << 20)) - 1
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in set_bits(full))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 1 << 20
+        assert peak < 1_000_000, f"walking 2^20 bits peaked at {peak} B"
 
 
 class TestMinimalOpenSuperset:

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -580,7 +581,11 @@ def stepping_geometric_check(ground, rule, b, n0, horizon=64):
     """The stepping exclusion check that the closed form replaced, as an oracle.
 
     It walks the branch from n0 for ``horizon`` steps, then on until the
-    branch is closer to the limit point than any excluded point is.
+    branch is closer to the limit point than any excluded point is.  It
+    steps integers: with r^n = num/den and every coordinate of a and b
+    over one denominator ``scale``, the branch point a + r^n (b - a) has
+    numerators a_i den + (b_i - a_i) num over ``scale * den``, and each
+    test cross-multiplies instead of reducing a ``Fraction``.
     """
     if b == rule.a:
         if rule.a in ground.excluded:
@@ -590,16 +595,29 @@ def stepping_geometric_check(ground, rule, b, n0, horizon=64):
     gaps = [max_norm_distance(e, rule.a) for e in ground.excluded]
     floor = min((g for g in gaps if g > 0), default=None)
     span = max_norm_distance(b, rule.a)
+    scale = lcm(*(c.denominator for c in rule.a + b))
+    base = [int(ai * scale) for ai in rule.a]
+    step = [int((bi - ai) * scale) for ai, bi in zip(rule.a, b)]
+    excluded = [[(c.numerator, c.denominator) for c in e]
+                for e in ground.excluded]
+    if floor is not None:  # |r^n| span < floor reads |num| below < above den
+        below = span.numerator * floor.denominator
+        above = floor.numerator * span.denominator
     n = n0
-    rn = rule.r ** n0
+    num, den = rule.r.numerator ** n0, rule.r.denominator ** n0
     while True:
-        p = tuple(ai + rn * (bi - ai) for ai, bi in zip(rule.a, b))
-        if p in ground.excluded:
+        at = [ai * den + vi * num for ai, vi in zip(base, step)]
+        over = scale * den  # the branch point is at[i] / over
+        if any(all(x * ed == en * over for x, (en, ed) in zip(at, e))
+               for e in excluded):
+            p = tuple(F(x, over) for x in at)
             raise MalformedInputError(
                 f"geometric tail hits excluded point {p} at n={n}")
         n += 1
-        rn *= rule.r
-        if n >= n0 + horizon and (floor is None or abs(rn) * span < floor):
+        num *= rule.r.numerator
+        den *= rule.r.denominator
+        if n >= n0 + horizon and (floor is None
+                                  or abs(num) * below < above * den):
             break
 
 
