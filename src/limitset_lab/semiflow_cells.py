@@ -14,8 +14,9 @@ the variant under which the image iteration contracts transient blocks
 and reproduces the expected attractors at the tested resolutions.  Denser
 sampling plus one-cell dilation (``samples=8, dilate=True``) gives the
 outer-cover behaviour instead; both are non-rigorous for steep maps.
-Cell-set operations are exact bitmask work; floating point only enters
-through map evaluation, with samples rounded to cells via floor.
+No floating point enters: cell sets are bitmasks, and a sample's cell
+is the exact floor of its image, computed in integers from the
+parameters' numerators and denominators (``DiscreteSemiflow``).
 
 Cell sets are never walked bit by bit on a growing int, and every pass
 over one is linear in the grid size (``finite_topology.set_bits`` reads a
@@ -48,10 +49,9 @@ binary string, and a set below 256 from a table):
   samples each visited cell once and a short run on a small grid
   compiles nothing it does not visit.  The table and the counts are
   lists indexed by cell, so a run holds one or two pointer slots per
-  cell of the grid, visited or not.  A flow picks its point map once,
-  when it is built, and a run computes its sub-cell sample offsets once.
-  Each sample is floored and clamped into the grid once; one sample per
-  cell (the default) hits one cell, so no set of hits is built.
+  cell of the grid, visited or not.  A run builds its flow's integer
+  cell map once, for its grid and sample count; one sample per cell (the
+  default) hits one cell, so no set of hits is built.
   ``cell_image`` is one step with a fresh table, so it scans the whole
   set.
 
@@ -65,7 +65,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor
 from typing import List, Optional, Tuple
 
 from .errors import (MalformedInputError, PreconditionError,
@@ -122,15 +121,6 @@ class CellGrid(BitmaskGround):
             return (index,)
         return (index % self.cells_per_axis, index // self.cells_per_axis)
 
-    def cell_of_point(self, point) -> int:
-        """Floor-rounding of a point in [0,1]^dim to its cell index."""
-        n = self.cells_per_axis
-        coords = []
-        for x in point:
-            i = floor(x * n)
-            coords.append(min(n - 1, max(0, i)))
-        return self.index(tuple(coords))
-
     def check_set(self, cells: int) -> int:
         """Refuse anything but an ``int`` mask of cells of the grid; a
         ``bool`` is no cell set."""
@@ -170,49 +160,66 @@ class CellGrid(BitmaskGround):
         return (row | row << n | row >> n) & self.full_mask
 
 
-def _henon(a, b):
-    def henon(x, y):
-        # classic map on [-1.5, 1.5] x [-0.4, 0.4], rescaled and clamped
-        x = 3.0 * x - 1.5
-        y = 0.8 * y - 0.4
-        xn = 1.0 - a * x * x + y
-        yn = b * x
-        return (min(1.0, max(0.0, (xn + 1.5) / 3.0)),
-                min(1.0, max(0.0, (yn + 0.4) / 0.8)))
-    return henon
+def _logistic(n: int, k: int, r: Fraction):
+    p, q, d = r.numerator, r.denominator, 2 * n * k
+    den = 2 * k * q * d
+    return lambda m: p * m * (d - m) // den
 
 
-def _finite_float(p: Fraction) -> float:
-    """``p`` as the float a builtin map computes with; a parameter too
-    large for any float is malformed input."""
-    try:
-        return float(p)
-    except OverflowError:
-        raise MalformedInputError(
-            f"map parameter {excerpt(p)} has no finite float value") from None
+def _tent(n: int, k: int, mu: Fraction):
+    p, den, d = mu.numerator, 2 * k * mu.denominator, 2 * n * k
+    return lambda m: p * (m if 2 * m < d else d - m) // den
+
+
+def _rotation(n: int, k: int, theta: Fraction):
+    q, d = theta.denominator, 2 * n * k
+    shift, period, den = theta.numerator * d, q * d, 2 * k * q
+    return lambda m: (m * q + shift) % period // den
+
+
+def _henon(n: int, k: int, a: Fraction, b: Fraction):
+    """The classic map on [-3/2, 3/2] x [-2/5, 2/5], at x = X/(2D) and
+    y = Y/(5D) with X = 6 m1 - 3D and Y = 4 m2 - 2D, its image rescaled to
+    the box: u = (x' + 3/2)/3 and v = (y' + 2/5) 5/4, each floored over
+    the grid and clamped into it."""
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    d, top = 2 * n * k, n - 1
+    u0, ux, uy, uden = 50 * qa * d * d, 5 * pa, 4 * qa * d, 120 * k * qa * d
+    v0, vx, vden = 4 * qb * d, 5 * pb, 16 * k * qb
+
+    def cell(m1, m2):
+        x = 6 * m1 - 3 * d
+        u = (u0 - ux * x * x + uy * (4 * m2 - 2 * d)) // uden
+        v = (vx * x + v0) // vden
+        return ((u if 0 <= u <= top else 0 if u < 0 else top)
+                + n * (v if 0 <= v <= top else 0 if v < 0 else top))
+    return cell
 
 
 class DiscreteSemiflow:
     """A discrete-time semiflow: a builtin interval/plane map or a cell table.
 
-    ``map_point`` is the builtin's point map on float parameters, picked
-    once here: ``x -> x'`` on the interval, ``(x, y) -> (x', y')`` on the
-    plane.  Table flows have none.
+    A builtin has an integer ``cell_map``: ``cell_map(n, k, *params)``
+    sends each sample of a grid of n cells per axis, k samples per cell
+    and axis, to the cell its image lies in, exactly.  A sample sits at
+    m/D on each axis, with D = 2nk and m odd, and a parameter p/q enters
+    as the integers p and q, so floor(n f(m/D)) is one floor division of
+    integer products (n/D = 1/(2k)).  On the interval the result reaches
+    n only at an image of 1, in the last cell, which is closed; henon
+    clamps its image into the box and returns the grid index of its
+    cell.  Table flows have none.
     """
 
-    # map -> (dimension, parameter count, point map of the float parameters)
-    BUILTINS = {
-        "logistic": (1, 1, lambda r: lambda x: r * x * (1.0 - x)),
-        "tent": (1, 1, lambda mu: lambda x: mu * (x if x < 0.5 else 1.0 - x)),
-        "rotation": (1, 1, lambda theta: lambda x: (x + theta) % 1.0),
-        "henon": (2, 2, _henon)}
+    # map -> (dimension, parameter count, integer cell map)
+    BUILTINS = {"logistic": (1, 1, _logistic), "tent": (1, 1, _tent),
+                "rotation": (1, 1, _rotation), "henon": (2, 2, _henon)}
 
     def __init__(self, kind: str, params: tuple = (),
                  table: Optional[tuple] = None):
         self.kind = kind
         self.params = tuple(Fraction(p) for p in params)
         self.table = table
-        self.map_point = None
+        self.cell_map = None
         if kind == "table":
             if table is None:
                 raise MalformedInputError("table flow needs a table")
@@ -220,9 +227,8 @@ class DiscreteSemiflow:
         elif kind not in self.BUILTINS:
             raise UnsupportedRuleError(f"unknown map: {kind}")
         else:
-            self.dim, want, point_map = self.BUILTINS[kind]
+            self.dim, want, self.cell_map = self.BUILTINS[kind]
             self._validate_params(want)
-            self.map_point = point_map(*map(_finite_float, self.params))
 
     def _validate_params(self, want: int):
         if len(self.params) != want:
@@ -247,45 +253,38 @@ class DiscreteSemiflow:
         return int(step) % grid.cells_per_axis
 
 
-def _sampler(grid: CellGrid, f, k: int):
-    """cell -> the cells hit by f at its k^dim sub-cell midpoints.
+def _sampler(grid: CellGrid, flow: DiscreteSemiflow, k: int):
+    """cell -> the cells hit by the flow at its k^dim sub-cell midpoints.
 
-    Each image point is floored to its cell as ``CellGrid.cell_of_point``
-    does, with the same float operations, and clamped once, inline.  One
-    sample (``k == 1``, offset 0.5) hits one cell, so no set is built.
+    Sub-cell j of cell i sits at m/D on its axis, m = 2(ik + j) + 1, and
+    the flow's cell map floors its image exactly.  On the interval the
+    last cell is closed at 1, so a sample mapped to 1 is clamped into it.
+    One sample (``k == 1``) hits one cell, so no set is built.
     """
     n, top = grid.cells_per_axis, grid.cells_per_axis - 1
+    cell = flow.cell_map(n, k, *flow.params)
     if k == 1:
         if grid.dim == 1:
             def hit(i):
-                c = floor(f((i + 0.5) / n) * n)
-                return (c if 0 <= c <= top else 0 if c < 0 else top,)
+                c = cell(2 * i + 1)
+                return (c if c < n else top,)
             return hit
-
-        def hit(i):
-            u, v = f((i % n + 0.5) / n, (i // n + 0.5) / n)
-            c, r = floor(u * n), floor(v * n)
-            return ((c if 0 <= c <= top else 0 if c < 0 else top)
-                    + n * (r if 0 <= r <= top else 0 if r < 0 else top),)
-        return hit
-    offs = [(j + 0.5) / k for j in range(k)]
+        return lambda i: (cell(2 * (i % n) + 1, 2 * (i // n) + 1),)
     if grid.dim == 1:
         def hits(i):
             out = set()
-            for o in offs:
-                c = floor(f((i + o) / n) * n)
-                out.add(c if 0 <= c <= top else 0 if c < 0 else top)
+            for m in range(2 * i * k + 1, 2 * (i + 1) * k, 2):
+                c = cell(m)
+                out.add(c if c < n else top)
             return tuple(out)
         return hits
 
     def hits(i):
         out, x, y = set(), i % n, i // n
-        for ox in offs:
-            for oy in offs:
-                u, v = f((x + ox) / n, (y + oy) / n)
-                c, r = floor(u * n), floor(v * n)
-                out.add((c if 0 <= c <= top else 0 if c < 0 else top)
-                        + n * (r if 0 <= r <= top else 0 if r < 0 else top))
+        ms = range(2 * x * k + 1, 2 * (x + 1) * k, 2)
+        for m2 in range(2 * y * k + 1, 2 * (y + 1) * k, 2):
+            for m1 in ms:
+                out.add(cell(m1, m2))
         return tuple(out)
     return hits
 
@@ -325,7 +324,7 @@ class _ImageStep:
         self.dilate = dilate and flow.kind != "table"
         self.hits: List[Optional[Tuple[int, ...]]] = [None] * grid.total
         self.hits_of = (lambda i: tuple(set_bits(table[i]))) \
-            if flow.kind == "table" else _sampler(grid, flow.map_point, samples)
+            if flow.kind == "table" else _sampler(grid, flow, samples)
         self.last = self.image = 0
         self.counts: Optional[List[int]] = None
 

@@ -8,6 +8,7 @@ import re
 import stat
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 from limitset_lab import cli, jsonio
 from limitset_lab.cli import build_parser, cmd_omega, run
 from limitset_lab.errors import MalformedInputError, excerpt
-from limitset_lab.semiflow_cells import CellGrid
+from limitset_lab.semiflow_cells import (CellGrid, DiscreteSemiflow,
+                                         omega_limit_cells)
+from test_semiflow_cells import reference_hits
 
 
 def write_json(path, obj):
@@ -502,17 +505,26 @@ class TestOmega:
         assert run(["omega", "--map", "rotation", "--param=-1/8",
                     "--cells", "16", "--init", "cell:1", "--out", out]) == 0
 
-    @pytest.mark.parametrize("params", [
-        ["--map", "rotation", "--param", "9" * 400],
-        ["--map", "henon", "--param", "1/2", "--param2", "9" * 400],
-        ["--map", "henon", "--param", "1/2", "--param2=-" + "9" * 400 + "/7"]])
-    def test_parameter_too_large_for_a_float_exits_2(self, params, tmp_path,
-                                                     capsys):
-        assert run(["omega", *params, "--cells", "16", "--init", "all",
-                    "--out", str(tmp_path / "t.csv")]) == 2
-        err = capsys.readouterr().err
-        assert re.fullmatch(r"limitset-lab: map parameter .{1,120} has no "
-                            r"finite float value\n", err), err
+    @pytest.mark.parametrize("argv, kind, params", [
+        (["--map", "rotation", "--param", "9" * 400], "rotation",
+         (10 ** 400 - 1,)),
+        (["--map", "henon", "--param", "1/2", "--param2", "9" * 400], "henon",
+         (Fraction(1, 2), 10 ** 400 - 1)),
+        (["--map", "henon", "--param", "1/2",
+          "--param2=-" + "9" * 400 + "/7"], "henon",
+         (Fraction(1, 2), Fraction(1 - 10 ** 400, 7)))])
+    def test_parameter_beyond_every_float_runs_exactly(self, argv, kind, params,
+                                                       tmp_path, capsys):
+        assert run(["omega", *argv, "--cells", "16", "--init", "all",
+                    "--out", str(tmp_path / "t.csv")]) == 0
+        # omega of the table whose rows are the exact Fraction images
+        flow = DiscreteSemiflow(kind, params)
+        grid = CellGrid(flow.dim, 16)
+        table = DiscreteSemiflow("table", table=tuple(
+            reference_hits(grid, flow, i, 1) for i in range(grid.total)))
+        omega = omega_limit_cells(grid, table, grid.full_mask).omega
+        assert json.loads(capsys.readouterr().out)["omega"] == [
+            i for i in range(grid.total) if omega >> i & 1]
 
     def test_table_size_checked(self, tmp_path):
         table = write_json(tmp_path / "table.json", [[0]])

@@ -598,3 +598,53 @@ def test_the_scans_see_undefined_case_raises_and_semidistance_functions():
     assert undefined_case_raises(tree) == [
         ("semidistance", 2), ("semidistance", 5), ("semidistance_with", 8)]
     assert module_functions(tree, "semidistance") == [1]
+
+
+def float_offences(tree):
+    """(what, line) of each float literal, ``float(...)`` call, true
+    division, ``floor`` import or use, and mention of ``map_point`` in
+    ``tree``.  ``INFINITY``, an imported name, is none of these."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value,
+                                                         (float, complex)):
+            found.append((repr(node.value), node.lineno))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append(("float(", node.lineno))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.Div):
+            found.append(("/", node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(alias.name, node.lineno) for alias in node.names
+                      if "floor" in alias.name.split(".")]
+        else:
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, (ast.FunctionDef,
+                                                   ast.AsyncFunctionDef))
+                    else node.arg if isinstance(node, ast.arg) else None)
+            if name in ("floor", "map_point"):
+                found.append((name, node.lineno))
+    return found
+
+
+def test_cell_sampling_computes_no_floats():
+    # every sample is floored to its cell exactly, in integers
+    tree = ast.parse((SRC / "semiflow_cells.py").read_text())
+    assert float_offences(tree) == []
+
+
+def test_the_scan_sees_floats_floors_and_map_points():
+    tree = ast.parse("from math import floor, inf\n"
+                     "import math, numpy.floor\n"
+                     "x = 0.5 + 1e3 + 2j + INFINITY + math.inf + 7 // 2\n"
+                     "c = math.floor(float(x) / 2)\n"
+                     "c /= 2; c //= 2\n"
+                     "def map_point(map_point): pass\n"
+                     "flow.map_point, floor\n")
+    assert sorted(float_offences(tree)) == sorted([
+        ("floor", 1), ("numpy.floor", 2), ("0.5", 3), ("1000.0", 3),
+        ("2j", 3), ("floor", 4), ("float(", 4), ("/", 4), ("/", 5),
+        ("map_point", 6), ("map_point", 6), ("map_point", 7),
+        ("floor", 7)])

@@ -5,6 +5,8 @@ from itertools import product
 from math import floor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from limitset_lab.errors import (MalformedInputError, PreconditionError,
                                  UndefinedCaseError)
@@ -55,47 +57,102 @@ def neighbour_box_dilate(grid, cells):
 
 
 def reference_samples(grid, index, k):
-    """k^dim sample points of a cell, at sub-cell midpoints."""
+    """k^dim sample points of a cell, at sub-cell midpoints, as fractions."""
     n = grid.cells_per_axis
-    base = grid.coords(index)
-    offs = [(j + 0.5) / k for j in range(k)]
-    if grid.dim == 1:
-        return [((base[0] + o) / n,) for o in offs]
-    return [((base[0] + ox) / n, (base[1] + oy) / n)
-            for ox in offs for oy in offs]
+    return list(product(*([F(2 * (c * k + j) + 1, 2 * n * k)
+                           for j in range(k)] for c in grid.coords(index))))
 
 
-def reference_map_point(flow, point):
-    """The builtin point maps, written out once more on float parameters."""
-    params = tuple(float(p) for p in flow.params)
+def exact_map_point(flow, point):
+    """The builtin point maps on fractions; henon's image is left off the
+    box where it falls there, for the cell floor to clamp."""
     if flow.kind == "logistic":
-        (r,) = params
-        x = point[0]
-        return (r * x * (1.0 - x),)
+        (r,), (x,) = flow.params, point
+        return (r * x * (1 - x),)
     if flow.kind == "tent":
-        (mu,) = params
-        x = point[0]
-        return (mu * (x if x < 0.5 else 1.0 - x),)
+        (mu,), (x,) = flow.params, point
+        return (mu * min(x, 1 - x),)
     if flow.kind == "rotation":
-        (theta,) = params
-        return ((point[0] + theta) % 1.0,)
+        return ((point[0] + flow.params[0]) % 1,)
     if flow.kind == "henon":
-        a, b = params
-        x = 3.0 * point[0] - 1.5
-        y = 0.8 * point[1] - 0.4
-        xn = 1.0 - a * x * x + y
-        yn = b * x
-        u = min(1.0, max(0.0, (xn + 1.5) / 3.0))
-        v = min(1.0, max(0.0, (yn + 0.4) / 0.8))
-        return (u, v)
+        # the classic map on [-3/2, 3/2] x [-2/5, 2/5], rescaled to the box
+        a, b = flow.params
+        x = 3 * point[0] - F(3, 2)
+        y = F(4, 5) * point[1] - F(2, 5)
+        return ((1 - a * x * x + y + F(3, 2)) / 3, (b * x + F(2, 5)) / F(4, 5))
     raise AssertionError(f"no point map for {flow.kind}")
 
 
+def cell_of(grid, image):
+    """The cell holding an image point: floor(u n) along each axis, clamped
+    into the grid (off the box to the nearest cell, and 1 into the last
+    cell, which is closed)."""
+    n = grid.cells_per_axis
+    return grid.index(tuple(min(n - 1, max(0, floor(u * n))) for u in image))
+
+
 def reference_hits(grid, flow, index, k):
-    """Cells hit from one cell, one sample at a time through cell_of_point."""
+    """Cells hit from one cell, one exact sample at a time."""
     return sum(1 << c for c in {
-        grid.cell_of_point(reference_map_point(flow, point))
+        cell_of(grid, exact_map_point(flow, point))
         for point in reference_samples(grid, index, k)})
+
+
+def float_hits(grid, flow, index, k):
+    """Cells hit from one cell by the float route the sampler once took:
+    float parameters and sample points, each image floored from a float."""
+    n = grid.cells_per_axis
+    offs = [(j + 0.5) / k for j in range(k)]
+    params = tuple(float(p) for p in flow.params)
+    out = set()
+    for point in product(*([(c + o) / n for o in offs]
+                           for c in grid.coords(index))):
+        x = point[0]
+        if flow.kind == "logistic":
+            image = (params[0] * x * (1.0 - x),)
+        elif flow.kind == "tent":
+            image = (params[0] * (x if x < 0.5 else 1.0 - x),)
+        elif flow.kind == "rotation":
+            image = ((x + params[0]) % 1.0,)
+        else:
+            a, b = params
+            x, y = 3.0 * x - 1.5, 0.8 * point[1] - 0.4
+            image = (min(1.0, max(0.0, (1.0 - a * x * x + y + 1.5) / 3.0)),
+                     min(1.0, max(0.0, (b * x + 0.4) / 0.8)))
+        out.add(cell_of(grid, image))
+    return sum(1 << c for c in out)
+
+
+# Where the float route floors a sample a cell too low: (map, parameters,
+# cells per axis, samples, cell) -> n f(x) of the sample, exactly an
+# integer, whose float falls just below it.
+FLOAT_ROUNDING = {
+    ("tent", (F(36, 25),), 64, 3, 20): 30,  # float 29.999999999999996
+    ("tent", (F(36, 25),), 64, 3, 34): 42,  # float 41.99999999999999
+    ("tent", (F(36, 25),), 64, 3, 59): 6,  # float 5.9999999999999964
+    ("tent", (F(48, 25),), 128, 3, 20): 40,  # float 39.99999999999999
+}
+
+
+def assert_sampled_exactly(grid, flow, index, k):
+    """``cell_image`` of one cell hits what the exact reference hits.  So
+    does the float route, except on a listed case, where it floors the one
+    sample at the listed integer a cell too low."""
+    n = grid.cells_per_axis
+    key = (flow.kind, flow.params, n, k, index)
+    images = [exact_map_point(flow, p) for p in reference_samples(grid, index, k)]
+    exact = sum(1 << c for c in {cell_of(grid, image) for image in images})
+    assert cell_image(grid, flow, 1 << index, samples=k) == exact, key
+    value = FLOAT_ROUNDING.get(key)
+    if value is None:
+        assert float_hits(grid, flow, index, k) == exact, (
+            "a float rounding case missing from FLOAT_ROUNDING", key,
+            [tuple(u * n for u in image) for image in images])
+    else:
+        assert [image[0] * n for image in images].count(value) == 1, key
+        cells = {value - 1 if image[0] * n == value else cell_of(grid, image)
+                 for image in images}
+        assert float_hits(grid, flow, index, k) == sum(1 << c for c in cells)
 
 
 def random_cells(rng, grid):
@@ -116,6 +173,28 @@ def random_cells(rng, grid):
 GRIDS = [CellGrid(dim, n) for dim in (1, 2) for n in (1, 2, 4, 8, 16)]
 
 
+@st.composite
+def sampled_cells(draw):
+    """A builtin flow with parameters p/q, q <= 1000, on a 1-D grid of at
+    most 64 cells or a plane grid of at most 16 x 16; samples 1 to 9; and
+    a few cells of the grid."""
+    kind = draw(st.sampled_from(["logistic", "tent", "rotation", "henon"]))
+    # parameter ranges: logistic [0, 4], tent [0, 2], and any rotation;
+    # henon a and b of both signs, around the classic 7/5 and 3/10
+    spans = {"logistic": [(0, 4)], "tent": [(0, 2)], "rotation": [(-3, 3)],
+             "henon": [(-2, 2), (-1, 1)]}[kind]
+    params = []
+    for lo, hi in spans:
+        q = draw(st.integers(1, 1000))
+        params.append(F(draw(st.integers(lo * q, hi * q)), q))
+    flow = DiscreteSemiflow(kind, params)
+    dim = flow.dim
+    grid = CellGrid(dim, 1 << draw(st.integers(0, 6 if dim == 1 else 4)))
+    cells = draw(st.lists(st.integers(0, grid.total - 1), min_size=1,
+                          max_size=4, unique=True))
+    return grid, flow, draw(st.integers(1, 9)), cells
+
+
 class TestCellGrid:
     def test_power_of_two_enforced(self):
         with pytest.raises(MalformedInputError):
@@ -132,13 +211,6 @@ class TestCellGrid:
         with pytest.raises(MalformedInputError):
             CellGrid(dim, n)
 
-    def test_floor_rounding_and_closed_right_edge(self):
-        g = CellGrid(1, 4)
-        assert g.cell_of_point((0.0,)) == 0
-        assert g.cell_of_point((0.25,)) == 1
-        assert g.cell_of_point((0.999,)) == 3
-        assert g.cell_of_point((1.0,)) == 3  # last cell closed at 1
-
     def test_centers_are_exact(self):
         g = CellGrid(1, 4)
         assert g.center(2) == (F(5, 8),)
@@ -154,29 +226,25 @@ class TestCellGrid:
 class TestDiscreteSemiflow:
     @pytest.mark.parametrize("kind, params", [
         ("rotation", (10 ** 400 - 1,)),
+        ("rotation", (F(10 ** 400 - 1, 7),)),
         ("rotation", (F(-10 ** 400, 3),)),
         ("henon", (F(1, 2), 10 ** 400 - 1)),
         ("henon", (10 ** 5000, F(3, 10)))])
-    def test_parameter_without_a_finite_float_refused(self, kind, params):
-        with pytest.raises(MalformedInputError,
-                           match=r"^map parameter .{1,120} has no finite "
-                                 r"float value$"):
-            DiscreteSemiflow(kind, params)
-
-    def test_refusal_quotes_a_huge_parameter_by_its_bit_length(
-            self, default_int_digit_limit):
-        # past the limit repr raises, and a plain reprlib excerpt falls back
-        # to a memory address, which differs from run to run
-        with pytest.raises(MalformedInputError) as exc:
-            DiscreteSemiflow("rotation", (F(10 ** 5000),))
-        assert str(exc.value) == ("map parameter Fraction(<int of 16610 "
-                                  "bits>, 1) has no finite float value")
+    def test_parameter_beyond_every_float_runs_exactly(self, kind, params):
+        flow = DiscreteSemiflow(kind, params)
+        grid = CellGrid(flow.dim, 8)
+        for i in range(grid.total):
+            assert (cell_image(grid, flow, 1 << i, samples=2)
+                    == reference_hits(grid, flow, i, 2)), i
 
     def test_tiny_parameter_is_kept_exact(self):
-        tiny = F(1, 10 ** 400)  # its float is 0.0, which is finite
-        flow = DiscreteSemiflow("rotation", (tiny,))
-        assert flow.params == (tiny,)
-        assert flow.map_point(0.25) == 0.25
+        tiny = F(1, 10 ** 400)  # 2 - tiny is 2.0 as a float
+        flow = DiscreteSemiflow("tent", (2 - tiny,))
+        assert flow.params == (2 - tiny,)
+        # tent 2 sends cell 0's midpoint 1/8 to 1/4, the left end of cell 1
+        g = CellGrid(1, 4)
+        assert cell_image(g, DiscreteSemiflow("tent", (2,)), 0b1) == 0b10
+        assert cell_image(g, flow, 0b1) == 0b1
 
 
 class TestCellImage:
@@ -193,10 +261,32 @@ class TestCellImage:
         assert cell_image(g, flow, 0b1000) == 0b0001
         # oracle: direct computation of each cell's image
         for i in range(4):
-            lo, hi = i / 4, (i + 1) / 4
-            expect = {g.cell_of_point(((x + 0.25) % 1.0,))
-                      for x in (lo, (lo + hi) / 2, hi - 1e-9)}
+            lo, hi = F(i, 4), F(i + 1, 4)
+            expect = {cell_of(g, ((x + F(1, 4)) % 1,))
+                      for x in (lo, (lo + hi) / 2, hi - F(1, 10 ** 9))}
             assert set(cells_of(cell_image(g, flow, 1 << i))) == expect
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_exact_rotation_shift_is_the_sampled_image(self, k):
+        # every angle s/n the shift takes, on every grid up to 256 cells
+        for n in (1 << e for e in range(9)):
+            grid = CellGrid(1, n)
+            for s in range(-2 * n, 2 * n + 1):
+                flow = DiscreteSemiflow("rotation", (F(s, n),))
+                shift = flow.exact_rotation_shift(grid)
+                hits = semiflow_cells._sampler(grid, flow, k)
+                assert [hits(i) for i in range(n)] == [
+                    ((i + shift) % n,) for i in range(n)], (n, s)
+
+    def test_floor_rounding_and_closed_right_edge(self):
+        # tent 2 sends the midpoint of cell i of 4 to n f(x) = 2i + 1 or
+        # 7 - 2i, the left end of cell 1 or 3: each lands in that cell
+        g = CellGrid(1, 4)
+        flow = DiscreteSemiflow("tent", (2,))
+        assert [cell_image(g, flow, 1 << i) for i in range(4)] == [
+            0b10, 0b1000, 0b1000, 0b10]
+        # on one cell, the midpoint maps to 1, in the last cell, closed at 1
+        assert cell_image(CellGrid(1, 1), flow, 0b1) == 0b1
 
     def test_logistic_fixed_point_cell(self):
         # f(x) = 2x(1-x) fixes 0.5; the midpoint sample of its cell maps
@@ -222,33 +312,64 @@ class TestCellImage:
         for grid, flow in runs:
             assert flow.exact_rotation_shift(grid) is None
             for i in range(grid.total):
-                assert (cell_image(grid, flow, 1 << i, samples=k)
-                        == reference_hits(grid, flow, i, k)), (flow.kind, i)
+                assert_sampled_exactly(grid, flow, i, k)
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_sampler_clamps_points_off_the_box(self, k):
-        # the builtin maps stay inside [0, 1], so none of their samples
-        # floors below cell 0; these maps send the box into (-1, 2)^dim
-        maps = {1: lambda x: 3.0 * x - 1.0,
-                2: lambda x, y: (3.0 * x - 1.0, 2.0 - 3.0 * y)}
-        flows = {1: DiscreteSemiflow("logistic", (2,)),
-                 2: DiscreteSemiflow("henon", (F(7, 5), F(3, 10)))}
-        clamped = set()  # (dim, "below" or "above") once a sample is clamped
-        for dim, n in product((1, 2), (1, 4, 64)):
-            grid, flow = CellGrid(dim, n), flows[dim]
-            flow.map_point = point_map = maps[dim]
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=sampled_cells())
+    @example(case=(CellGrid(1, 64), DiscreteSemiflow("tent", (F(36, 25),)),
+                   3, [20, 34, 59]))
+    @example(case=(CellGrid(1, 128), DiscreteSemiflow("tent", (F(48, 25),)),
+                   3, [20]))
+    def test_sampler_matches_exact_samples(self, case):
+        grid, flow, k, cells = case
+        for i in cells:
+            assert_sampled_exactly(grid, flow, i, k)
+
+    def test_float_rounding_cases_are_listed_exactly(self):
+        # each listed case is one the float route gets wrong, and the exact
+        # sample lands on the left end of its cell
+        for (kind, params, n, k, i), value in FLOAT_ROUNDING.items():
+            grid, flow = CellGrid(1, n), DiscreteSemiflow(kind, params)
+            assert float_hits(grid, flow, i, k) != reference_hits(
+                grid, flow, i, k)
+            assert cell_image(grid, flow, 1 << i, samples=k) >> value & 1
+            assert_sampled_exactly(grid, flow, i, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sampler_clamps_images_off_the_grid(self, k):
+        # (map, axis, side) -> the (parameters, cells per axis) whose
+        # exact samples fall off the grid there, floored before the clamp
+        henon = [(F(7, 5), F(3, 10)), (F(-7, 5), F(3, 10))]
+        runs = [(CellGrid(2, n), DiscreteSemiflow("henon", params))
+                for n in (1, 4, 16) for params in henon]
+        runs += [(CellGrid(1, n), DiscreteSemiflow(kind, (param,)))
+                 for n in (1, 2, 64)
+                 for kind, param in [("logistic", 4), ("tent", 2),
+                                     ("rotation", F(-1, 3))]]
+        reached = {}
+        for grid, flow in runs:
+            n = grid.cells_per_axis
             for i in range(grid.total):
-                expect = set()
                 for point in reference_samples(grid, i, k):
-                    image = point_map(*point)
-                    image = image if dim == 2 else (image,)
-                    clamped.update((dim, "below" if floor(x * n) < 0 else
-                                    "above") for x in image
-                                   if not 0 <= floor(x * n) < n)
-                    expect.add(grid.cell_of_point(image))
+                    for axis, u in enumerate(exact_map_point(flow, point)):
+                        if not 0 <= floor(u * n) < n:
+                            side = "below" if u < 0 else "above"
+                            reached.setdefault((flow.kind, axis, side),
+                                               set()).add((flow.params, n))
                 assert (cell_image(grid, flow, 1 << i, samples=k)
-                        == sum(1 << c for c in expect)), (dim, n, i)
-        assert clamped == set(product((1, 2), ("below", "above")))
+                        == reference_hits(grid, flow, i, k)), (flow.kind, n, i)
+        # henon 7/5 3/10 clamps x below and y on both sides, a negative a x
+        # above; the interval maps reach only the top, at 1, on one cell
+        tops = {("logistic", 0, "above"): {((4,), 1)},
+                ("tent", 0, "above"): {((2,), 1)}} if k % 2 else {}
+        assert set(reached) == {("henon", axis, side) for axis in (0, 1)
+                                for side in ("below", "above")} | set(tops)
+        assert all(any(p == henon[0] for p, _ in reached[("henon", axis,
+                                                          side)])
+                   for axis, side in [(0, "below"), (1, "below"),
+                                      (1, "above")])
+        assert {p for p, _ in reached[("henon", 0, "above")]} == {henon[1]}
+        assert {key: reached[key] for key in tops} == tops
 
     @pytest.mark.parametrize("samples", [0, -1, 65, 10**9,
                                          True, 2.5, 2.0, "2", F(2)])

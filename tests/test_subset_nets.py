@@ -673,6 +673,25 @@ class TestGeometricExclusionCheck:
         # both outcomes are well represented
         assert cases > 20_000 and 0.25 < raised / cases < 0.75
 
+    @pytest.mark.parametrize("a, b, r, hit, n0", [
+        (pt(0), pt(1), F(1, 2), 70, 0),
+        (pt(0), pt(1), F(-1, 2), 65, 1),
+        (pt(F(1, 3), 0), pt(1, F(-2, 7)), F(1, 2), 90, 3),
+        (pt(0), pt(1), F(99, 100), 300, 0),
+        (pt(F(1, 2)), pt(0), F(-999, 1000), 100, 5)])
+    def test_hits_past_the_horizon_agree_with_the_stepping_oracle(
+            self, a, b, r, hit, n0):
+        # the random cases put excluded points at n <= 8; the oracle finds
+        # these only by stepping past its 64-step horizon, until its floor
+        # rule stops it
+        rule = GeometricConverge(a, b, r)
+        space = RationalPointSpace(len(a), [rule.point(hit, b),
+                                            rule.point(hit + 2, b)])
+        want = exclusion_outcome(stepping_geometric_check, space, rule, b, n0)
+        assert want is not None and want.endswith(f" at n={hit}")
+        assert exclusion_outcome(_check_geometric_avoids_excluded,
+                                 space, rule, b, n0) == want
+
     def test_hit_exactly_at_the_tail_start(self):
         rule = GeometricConverge(pt(0), pt(1), F(-1, 2))
         space = RationalPointSpace(1, [pt(F(-1, 8))])
