@@ -20,6 +20,8 @@ operations nets use, ``semidistance`` included, under the same names.
 
 Every distance on either ground, between points or from a point or a set
 to a set, is an exact ``Fraction``, or ``INFINITY`` as ``rationals`` says.
+A Q^d semi-distance is a max-min-max on ints, both sets scaled once by the
+LCM of their coordinate denominators, and one ``Fraction`` divides it back.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import FrozenSet, Iterable, List
 
 from .errors import MalformedInputError, MembershipError, PreconditionError
 from .finite_topology import FiniteSpace, set_bits
-from .rationals import (INFINITY, Point, as_point, max_norm_distance,
+from .rationals import (INFINITY, Point, as_point, scale_points,
                         semidistance_with)
 
 PointSet = FrozenSet[Point]
@@ -74,11 +76,13 @@ class RationalPointSpace:
         """``a`` as a frozenset of checked canonical points.  A frozenset
         of canonical points of the space is returned as it is: the
         exclusion test reads the hashes it already stores."""
-        dim = self.dim
-        if (type(a) is frozenset and self.excluded.isdisjoint(a)
-                and all(type(p) is tuple and len(p) == dim
-                        and p is as_point(p) for p in a)):
-            return a
+        if type(a) is frozenset and self.excluded.isdisjoint(a):
+            dim = self.dim
+            for p in a:
+                if type(p) is not tuple or len(p) != dim or p is not as_point(p):
+                    break
+            else:
+                return a
         return frozenset(self.check_point(p) for p in a)
 
     normalize = check_set
@@ -101,11 +105,10 @@ class RationalPointSpace:
         return s <= a
 
     def semidistance(self, a: Iterable, b: Iterable) -> Fraction:
-        """d(a; b) = max over a of the max-norm distance to b."""
-        return semidistance_with(
-            self.check_set(a), self.check_set(b),
-            lambda a, b: max(min(max_norm_distance(x, p) for p in b)
-                             for x in a))
+        """d(a; b) = max over a of the max-norm distance to b, on ints
+        (see the module docstring)."""
+        return semidistance_with(self.check_set(a), self.check_set(b),
+                                 _farthest)
 
     def __eq__(self, other):
         return (isinstance(other, RationalPointSpace)
@@ -124,6 +127,13 @@ class RationalPointSpace:
     def show_sets(self, sets) -> str:
         """Point sets as report labels spell them: sorted point strings."""
         return str(tuple(tuple(sorted(map(str, s))) for s in sets))
+
+
+def _farthest(a: PointSet, b: PointSet) -> Fraction:
+    scale, points = scale_points((*a, *b))
+    xs, ys = points[:len(a)], points[len(a):]
+    return Fraction(max(min(max(map(abs, map(operator.sub, x, y)))
+                            for y in ys) for x in xs), scale)
 
 
 class FinitePseudoMetric(FiniteSpace):
@@ -181,9 +191,7 @@ class FinitePseudoMetric(FiniteSpace):
             if len(p) != len(pts[0]):
                 raise MalformedInputError(
                     f"dimension mismatch: {len(pts[0])} vs {len(p)}")
-        scale = math.lcm(*(c.denominator for p in pts for c in p))
-        coords = [[c.numerator * (scale // c.denominator) for c in p]
-                  for p in pts]
+        scale, coords = scale_points(pts)
         exact = {0: Fraction(0)}
         rows = [[exact[0]] * len(pts) for _ in pts]
         for i, p in enumerate(coords):

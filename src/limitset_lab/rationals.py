@@ -12,6 +12,8 @@ A rational point is *canonical* when it is a ``tuple`` whose coordinates
 all have type exactly ``Fraction``.  Library entry points coerce a point
 once, with ``as_point``; a canonical point passes through unchanged, so a
 point the library has already checked is neither rebuilt nor hashed again.
+The Q^d kernels compute on the ints ``scale_points`` gives and build a
+``Fraction`` only for the value they return.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import MalformedInputError, UndefinedCaseError
+from .errors import UndefinedCaseError
 
 INFINITY = math.inf
 
@@ -42,13 +44,19 @@ Point = tuple  # tuple of Fraction, one entry per dimension
 def as_point(coords) -> Point:
     """Coerce a coordinate sequence to a canonical point (a tuple of exact
     ``Fraction``s); a canonical point is returned as it is."""
-    if type(coords) is tuple and all(type(c) is Fraction for c in coords):
-        return coords
-    return tuple(Fraction(c) for c in coords)
+    if type(coords) is tuple:
+        for c in coords:
+            if type(c) is not Fraction:
+                break
+        else:
+            return coords
+    return tuple(map(Fraction, coords))
 
 
-def max_norm_distance(p: Point, q: Point) -> Fraction:
-    if len(p) != len(q):
-        raise MalformedInputError(
-            f"dimension mismatch: {len(p)} vs {len(q)}")
-    return max((abs(a - b) for a, b in zip(p, q)), default=Fraction(0))
+def scale_points(points) -> tuple:
+    """(scale, numerators): the LCM of the points' coordinate denominators,
+    and each canonical point's coordinates times it, as a list of ints."""
+    # a list: unpacking a generator strands resized tuples in free lists
+    scale = math.lcm(*[c.denominator for p in points for c in p])
+    return scale, [[c.numerator * (scale // c.denominator) for c in p]
+                   for p in points]

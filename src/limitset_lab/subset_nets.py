@@ -55,6 +55,7 @@ the rules and limits of Q^d alone, and for now the semi-distance criteria.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,7 +67,7 @@ from .errors import (MalformedInputError, PreconditionError,
 from .finite_topology import (BitmaskGround, FiniteSpace, set_bits,
                               top_element)
 from .pseudometric_core import RationalPointSpace
-from .rationals import Point, as_point
+from .rationals import Point, as_point, scale_points
 
 Ground = Union[BitmaskGround, RationalPointSpace]
 SetValue = Union[int, FrozenSet[Point]]
@@ -157,12 +158,14 @@ class AffineEscape(TailRule):
             raise MalformedInputError("tail rule of wrong dimension")
         if all(vi == 0 for vi in v):
             raise MalformedInputError("escape direction must be nonzero")
-        hits = []
-        for e in ground.excluded:
-            n = _line_parameter(c, v, e)
-            if n is not None and n.denominator == 1 and n >= pre_len:
-                hits.append((n, e))
-        _refuse_least_hit("escape", hits)
+        if ground.excluded:
+            scale, (cs, vs) = scale_points((c, v))
+            hits = []
+            for e in ground.excluded:
+                t = _line_parameter(cs, vs, scale, e)
+                if t is not None and t[1] == 1 and t[0] >= pre_len:
+                    hits.append((t[0], e))
+            _refuse_least_hit("escape", hits)
         return AffineEscape(c, v), LOST
 
     def label(self, ground) -> str:
@@ -358,23 +361,26 @@ def _check_index(s):
         raise PreconditionError(f"index {s!r} is not an int")
 
 
-def _line_parameter(c: Point, v: Point, e: Point) -> Optional[Fraction]:
-    """The s with c + s*v = e (v nonzero), or None when e is off that line.
-
-    e must equal c on every coordinate v fixes and give one shared ratio
-    (e_i - c_i) / v_i on every coordinate it moves; each ratio is compared
-    with the first, so none is hashed.
+def _line_parameter(c, v, scale: int, e: Point) -> Optional[Tuple[int, int]]:
+    """The s with c + s*v = e as (num, den) in lowest terms, den > 0, or
+    None when e is off that line; c and v (nonzero) are int numerators over
+    ``scale``.  Each coordinate p/q of e must give p*scale = c_i*q where v
+    is fixed, and one ratio (p*scale - c_i*q) / (q*v_i) where v moves; the
+    ratios are compared with the first by cross-multiplication.
     """
-    s = None
+    num = den = 0
     for ci, vi, ei in zip(c, v, e):
+        q = ei.denominator
+        top = ei.numerator * scale - ci * q
         if not vi:
-            if ci != ei:
+            if top:
                 return None
-        elif s is None:
-            s = (ei - ci) / vi
-        elif (ei - ci) / vi != s:
+        elif not den:
+            num, den = top, q * vi
+        elif top * den != num * q * vi:
             return None
-    return s
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
 
 
 def _check_geometric_avoids_excluded(ground: RationalPointSpace,
@@ -385,13 +391,16 @@ def _check_geometric_avoids_excluded(ground: RationalPointSpace,
             raise MalformedInputError(
                 "constant geometric tail sits on an excluded point")
         return
+    if not ground.excluded:
+        return
     # the branch meets e at n iff r^n = t, the line parameter of e (t = 0
-    # is e = a, which it only approaches)
-    v = tuple(bi - ai for ai, bi in zip(rule.a, b))
+    # is e = a, which it only approaches and no power of r equals)
+    scale, (a, b) = scale_points((rule.a, b))
+    v = list(map(operator.sub, b, a))
     hits = []
     for e in ground.excluded:
-        t = _line_parameter(rule.a, v, e)
-        n = _geometric_exponent(rule.r, t) if t else None
+        t = _line_parameter(a, v, scale, e)
+        n = _geometric_exponent(rule.r, *t) if t else None
         if n is not None and n >= n0:
             hits.append((n, e))
     _refuse_least_hit("geometric", hits)
@@ -406,17 +415,18 @@ def _refuse_least_hit(kind: str, hits: list):
             f"{kind} tail hits excluded point {e} at n={n}")
 
 
-def _geometric_exponent(r: Fraction, t: Fraction) -> Optional[int]:
-    """The n >= 0 with r^n = t, or None; r = p/q in lowest terms, q >= 2.
+def _geometric_exponent(r: Fraction, num: int, den: int) -> Optional[int]:
+    """The n >= 0 with r^n = num/den, or None; num/den and r = p/q are in
+    lowest terms, with den > 0 and q >= 2.
 
-    p^n/q^n is in lowest terms too, so r^n = t iff t's denominator is q^n
-    and its numerator p^n: n is the number of times q divides it.
+    p^n/q^n is in lowest terms too, so r^n = num/den iff den is q^n and
+    num is p^n: n is the number of times q divides den.
     """
-    den, n = t.denominator, 0
-    while den % r.denominator == 0:
-        den //= r.denominator
+    q, n = r.denominator, 0
+    while den % q == 0:
+        den //= q
         n += 1
-    return n if den == 1 and t.numerator == r.numerator ** n else None
+    return n if den == 1 and num == r.numerator ** n else None
 
 
 # -- limit sets ---------------------------------------------------------------
@@ -495,15 +505,14 @@ def kuratowski_limits(net: SubsetNet) -> Tuple[FrozenSet[Point],
                                                FrozenSet[Point]]:
     """Exact Kuratowski (limsup, liminf) of a subset net over Q^d.
 
-    Limsup is the phase union (finite, hence closed); liminf keeps the
-    points lying in every phase.  A convergent tail has both equal to its
-    limit point; a lost tail has both empty.
+    Limsup is the phase union (finite, hence closed); liminf intersects it
+    with every phase, reading the hashes the frozensets store.  A convergent
+    tail has both equal to its limit point; a lost tail has both empty.
     """
     if not net.ground.rational:
         raise PreconditionError("Kuratowski limits need the rational backend")
     summary = net.summary
-    return summary.union, frozenset(
-        y for y in summary.union if all(y in p for p in summary.phases))
+    return summary.union, summary.union.intersection(*summary.phases)
 
 
 # -- convergence from above ----------------------------------------------------

@@ -5,7 +5,10 @@ import json
 import os
 import random
 import re
+import shutil
 import stat
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -20,6 +23,7 @@ from limitset_lab.cli import build_parser, cmd_omega, run
 from limitset_lab.errors import MalformedInputError, excerpt
 from limitset_lab.semiflow_cells import (CellGrid, DiscreteSemiflow,
                                          omega_limit_cells)
+from test_acceptance import VERIFY_ALL_SEED42_SHA256
 from test_semiflow_cells import reference_hits
 
 
@@ -589,7 +593,44 @@ class TestOmega:
             assert elapsed < 10, f"henon 256/axis took {elapsed:.1f}s"
 
 
+def other_interpreters():
+    """(minor, path) of each ``python3.<minor>`` on PATH, minor >= 10, that
+    starts, reports that version and is not the running interpreter's."""
+    found = []
+    for minor in range(10, 20):
+        exe = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or exe is None:
+            continue
+        try:
+            done = subprocess.run(
+                [exe, "-c", "import sys; print(sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue  # e.g. a version manager's shim with no install behind
+        if done.returncode == 0 and done.stdout.strip() == f"(3, {minor})":
+            found.append((minor, exe))
+    return found
+
+
 class TestVerify:
+    def test_pinned_report_under_other_interpreters(self, tmp_path):
+        # requires-python >= 3.10: every other such interpreter on PATH
+        # must write the acceptance #8 report byte for byte
+        interpreters = other_interpreters()
+        if not interpreters:
+            pytest.skip("no other python3.1x (x >= 10) on PATH")
+        src = str(Path(cli.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        for minor, exe in interpreters:
+            out = tmp_path / f"3.{minor}.json"
+            done = subprocess.run(
+                [exe, "-m", "limitset_lab.cli", "verify", "--suite", "all",
+                 "--budget", "1000", "--seed", "42", "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=600)
+            assert done.returncode == 0, (exe, done.stderr)
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert digest == VERIFY_ALL_SEED42_SHA256, exe
+
     def test_single_suite_writes_report(self, tmp_path, capsys):
         outfile = tmp_path / "report.json"
         code = run(["verify", "--suite", "kuratowski_equality",

@@ -19,12 +19,13 @@ from limitset_lab.finite_topology import (FiniteSpace, closure,
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace,
                                             compact_inner_radius)
-from limitset_lab.rationals import INFINITY, as_point, max_norm_distance
+from limitset_lab.rationals import INFINITY, as_point
 from limitset_lab.semiflow_cells import (CellGrid, DiscreteSemiflow,
                                          omega_limit_cells)
 from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
                                       Periodic, SubsetNet, kuratowski_limits)
-from limitset_lab.theoremlab import RULE_FAMILIES, random_rule_net
+from limitset_lab.theoremlab import (RULE_FAMILIES, random_rule_net,
+                                     rule_net_stream)
 
 from test_setvalued_maps import zero_one_metrics
 
@@ -228,6 +229,28 @@ class TestCanonicalPoints:
         assert space.contains(pt(4)) and not space.contains((5,))
 
 
+def max_norm_distance(p, q):
+    """The max-norm distance of two points, in ``Fraction`` arithmetic: the
+    oracle of the integer kernels in src."""
+    if len(p) != len(q):
+        raise MalformedInputError(
+            f"dimension mismatch: {len(p)} vs {len(q)}")
+    return max((abs(a - b) for a, b in zip(p, q)), default=F(0))
+
+
+# coordinates over coprime denominators (powers of 2, small primes and any
+# denominator up to 1,000), some with numerators up to 10^300
+coprime = st.builds(
+    F, st.integers(-50, 50) | st.integers(-10**300, 10**300),
+    st.integers(0, 10).map(lambda k: 2 ** k) | st.sampled_from([3, 5, 7])
+    | st.integers(1, 1000))
+
+
+def coprime_points(dim):
+    """Lists of 0 to 6 points of Q^dim with ``coprime`` coordinates."""
+    return st.lists(st.tuples(*[coprime] * dim), max_size=6)
+
+
 def brute_semidistance(a, b):
     """max over a of min over b of the max-norm distance, enumerated."""
     if not a and not b:
@@ -304,6 +327,21 @@ class TestValidateOnce:
         assert Q1.semidistance(frozenset(), frozenset([pt(1)])) == 0
         assert Q1.semidistance([pt(1)], frozenset()) == INFINITY
         assert Q1.semidistance([pt(1)], frozenset()) == INFINITY
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda dim: st.tuples(
+        st.just(dim), coprime_points(dim), coprime_points(dim))))
+    def test_integer_kernel_matches_the_fraction_oracle(self, case):
+        dim, a, b = case
+        space = RationalPointSpace(dim)
+        if not a and not b:
+            with pytest.raises(UndefinedCaseError):
+                space.semidistance(a, b)
+            return
+        expected = brute_semidistance(a, b)
+        for x, y in ((a, b), (frozenset(a), frozenset(b))):
+            got = space.semidistance(x, y)
+            assert got == expected and type(got) is type(expected)
 
     @pytest.mark.parametrize("empty", [frozenset(), []])
     def test_both_empty_is_still_undefined(self, empty):
@@ -428,6 +466,21 @@ def _dist_to_set(y, s):
     return min(max(abs(a - b) for a, b in zip(y, p)) for p in s)
 
 
+@st.composite
+def pooled_cycle_nets(draw):
+    """Periodic nets over Q^1 or Q^2 whose sets are drawn from a pool of two
+    or three points, so that the nonempty phases overlap and liminf is often
+    nonempty and strictly inside limsup (in about a third of the draws)."""
+    dim = draw(st.integers(1, 2))
+    pool = st.sampled_from(draw(st.lists(st.tuples(*[rational] * dim),
+                                         min_size=2, max_size=3, unique=True)))
+    pre = draw(st.lists(st.frozensets(pool), max_size=2))
+    cycle = draw(st.lists(st.frozensets(pool, min_size=1), min_size=1,
+                          max_size=4))
+    return SubsetNet.over_znn(RationalPointSpace(dim), pre,
+                              Periodic(tuple(cycle)))
+
+
 class TestKuratowskiLimits:
     def test_constant_net(self):
         e = frozenset({pt(1), pt(2)})
@@ -473,6 +526,50 @@ class TestKuratowskiLimits:
             limsup, liminf = kuratowski_limits(net)
             assert kuratowski_horizon_oracle(net) == (limsup, liminf)
             assert liminf <= limsup
+
+    def test_agrees_with_horizon_oracle_on_the_verify_stream(self):
+        # the nets the verify suites draw, round-robin over the families
+        for net in rule_net_stream(random.Random("kuratowski-stream"), 400):
+            assert kuratowski_horizon_oracle(net) == kuratowski_limits(net)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pooled_cycle_nets())
+    def test_agrees_with_horizon_oracle_on_pooled_cycles(self, net):
+        limsup, liminf = kuratowski_limits(net)
+        assert kuratowski_horizon_oracle(net) == (limsup, liminf)
+        assert liminf <= limsup
+
+    def test_liminf_strictly_inside_limsup(self):
+        # a liminf strictly between the empty set and limsup, which the
+        # rule-net stream never draws
+        net = SubsetNet.over_znn(Q1, [], Periodic((
+            frozenset({pt(1), pt(2)}), frozenset({pt(1), pt(3)}))))
+        assert kuratowski_limits(net) == ({pt(1), pt(2), pt(3)}, {pt(1)})
+        assert kuratowski_horizon_oracle(net) == kuratowski_limits(net)
+
+    def test_liminf_hashes_no_point(self, monkeypatch):
+        # three overlapping 2-D phases: the liminf reads the hashes the
+        # phase frozensets store, and hashes no coordinate again
+        phases = (frozenset({pt(0, 0), pt(F(1, 2), 3), pt(2, F(-1, 3))}),
+                  frozenset({pt(0, 0), pt(2, F(-1, 3)), pt(5, 5)}),
+                  frozenset({pt(2, F(-1, 3)), pt(0, 0), pt(F(1, 2), 3)}))
+        net = SubsetNet.over_znn(RationalPointSpace(2), [], Periodic(phases))
+        calls = []
+        fraction_hash = F.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(F, "__hash__", counting)
+        hash(pt(7, 7))
+        assert len(calls) == 2  # the count sees tuple hashing
+        calls.clear()
+        limsup, liminf = kuratowski_limits(net)
+        assert calls == []
+        monkeypatch.undo()
+        assert liminf == {pt(0, 0), pt(2, F(-1, 3))}
+        assert limsup == phases[0] | phases[1]
 
     def test_wrong_backend_rejected(self):
         from limitset_lab.finite_topology import SIERPINSKI

@@ -16,7 +16,7 @@ from limitset_lab.finite_topology import (SIERPINSKI, FiniteSpace, closure,
                                           indiscrete_space, top_element)
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace)
-from limitset_lab.rationals import max_norm_distance
+from limitset_lab.rationals import scale_points
 from limitset_lab.subset_nets import (LOST, AffineEscape,
                                       GeometricConverge,
                                       NetAnalysis, Periodic, SubsetNet,
@@ -34,13 +34,14 @@ from limitset_lab.subset_nets import (LOST, AffineEscape,
                                       semidistance_convergence_check,
                                       sequential_limit_set,
                                       _check_geometric_avoids_excluded,
-                                      _line_parameter)
+                                      _geometric_exponent, _line_parameter)
 from limitset_lab.theoremlab import (ESCAPE_STEPS, GEOMETRIC_RATIOS,
                                      RULE_FAMILIES,
                                      describe_net, iter_directed_posets,
                                      iter_periodic_cycles, random_point,
                                      random_rule_net, random_space)
 
+from test_pseudometric_core import max_norm_distance
 from test_theoremlab import iter_periodic_nets
 
 Q1 = RationalPointSpace(1)
@@ -692,6 +693,20 @@ class TestGeometricExclusionCheck:
         assert exclusion_outcome(_check_geometric_avoids_excluded,
                                  space, rule, b, n0) == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(GEOMETRIC_RATIOS
+                           + (F(5, 7), F(-999, 1000), F(1, 1024))),
+           st.integers(0, 40),
+           st.sampled_from(["power", "negated", "nudged", "zero", "any"]),
+           st.fractions(max_denominator=10**6))
+    def test_exponent_agrees_with_the_fraction_oracle(self, r, n, how, x):
+        t = {"power": r ** n, "negated": -r ** n, "nudged": r ** n + F(1, 3),
+             "zero": F(0), "any": x}[how]
+        got = _geometric_exponent(r, t.numerator, t.denominator)
+        assert got == fraction_geometric_exponent(r, t)
+        if how == "power":
+            assert got == n
+
     def test_hit_exactly_at_the_tail_start(self):
         rule = GeometricConverge(pt(0), pt(1), F(-1, 2))
         space = RationalPointSpace(1, [pt(F(-1, 8))])
@@ -784,17 +799,20 @@ def affine_outcome(ground, rule, n0):
 
 
 coordinate = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+steps = st.sampled_from([F(0), F(1, 2), F(-1, 2), F(1), F(-1), F(2), F(3)])
+# negative numerators over coprime denominators, some of them large
+coprime_coordinate = st.builds(
+    F, st.integers(-10**6, 10**6),
+    st.sampled_from([1, 2, 4, 8, 1024, 3, 9, 5, 7, 11, 13, 997, 1000]))
 
 
 @st.composite
-def line_cases(draw):
+def line_cases(draw, coordinate=coordinate, steps=steps):
     """(c, v, e) with v nonzero; e is anywhere, on the line c + s*v, or on
     it but for one coordinate."""
     dim = draw(st.integers(1, 3))
     c = tuple(draw(st.lists(coordinate, min_size=dim, max_size=dim)))
-    v = tuple(draw(st.lists(st.sampled_from(
-        [F(0), F(1, 2), F(-1, 2), F(1), F(-1), F(2), F(3)]),
-        min_size=dim, max_size=dim).filter(any)))
+    v = tuple(draw(st.lists(steps, min_size=dim, max_size=dim).filter(any)))
     how = draw(st.sampled_from(["anywhere", "on", "one coordinate off"]))
     if how == "anywhere":
         e = tuple(draw(st.lists(coordinate, min_size=dim, max_size=dim)))
@@ -805,6 +823,32 @@ def line_cases(draw):
             i = draw(st.integers(0, dim - 1))
             e = tuple(x + F(1, 3) * (k == i) for k, x in enumerate(e))
     return c, v, e
+
+
+def fraction_line_parameter(c, v, e):
+    """The ``Fraction`` route that ``_line_parameter`` replaced, as an
+    oracle: the s with c + s*v = e (v nonzero), or None when e is off that
+    line; each ratio (e_i - c_i) / v_i is compared with the first."""
+    s = None
+    for ci, vi, ei in zip(c, v, e):
+        if not vi:
+            if ci != ei:
+                return None
+        elif s is None:
+            s = (ei - ci) / vi
+        elif (ei - ci) / vi != s:
+            return None
+    return s
+
+
+def fraction_geometric_exponent(r, t):
+    """The ``Fraction`` route that ``_geometric_exponent`` replaced, as an
+    oracle: the n >= 0 with r^n = t, or None."""
+    den, n = t.denominator, 0
+    while den % r.denominator == 0:
+        den //= r.denominator
+        n += 1
+    return n if den == 1 and t.numerator == r.numerator ** n else None
 
 
 class TestAffineExclusionCheck:
@@ -830,10 +874,15 @@ class TestAffineExclusionCheck:
             SubsetNet.over_znn(space, [frozenset()] * 4, rule)
 
     @settings(max_examples=300, deadline=None)
-    @given(line_cases())
+    @given(st.one_of(line_cases(), line_cases(coprime_coordinate),
+                     line_cases(coprime_coordinate,
+                                coprime_coordinate | steps)))
     def test_line_parameter_solves_the_line_exactly(self, case):
         c, v, e = case
-        s = _line_parameter(c, v, e)
+        scale, (cs, vs) = scale_points((c, v))
+        t = _line_parameter(cs, vs, scale, e)
+        s = fraction_line_parameter(c, v, e)
+        assert t == (None if s is None else (s.numerator, s.denominator))
         if s is not None:
             assert tuple(ci + s * vi for ci, vi in zip(c, v)) == e
         else:
