@@ -119,8 +119,8 @@ def rational_space_from_json(obj) -> RationalPointSpace:
 
 
 def metric_to_json(m: FinitePseudoMetric) -> dict:
-    return {"n": m.n,
-            "dist": [[fraction_to_json(d) for d in row] for row in m.dist]}
+    return {"n": m.n, "dist": [[fraction_to_json(Fraction(k, m.scale))
+                                for k in row] for row in m.scaled]}
 
 
 def metric_from_json(obj) -> FinitePseudoMetric:

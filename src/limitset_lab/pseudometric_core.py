@@ -5,10 +5,10 @@ backend: points of Q^d under the max-norm, minus a finite excluded set.
 ``FinitePseudoMetric`` is a distance matrix on finitely many points (zero
 off-diagonal entries allowed), used for semicontinuity checks and
 inner-radius sweeps.  It is scaled once to an integer matrix over the LCM
-of its entry denominators; every metric axiom is validated on those ints,
-and ``dist`` is the exact ``Fraction`` view of the same matrix.  It is a
-``FiniteSpace`` (its metric topology, whose minimal open sets are the
-zero-sets) that also carries the distance.
+of its entry denominators, the only matrix it holds: every metric axiom is
+validated on those ints, and each distance it returns is one ``Fraction``.
+It is a ``FiniteSpace`` (its metric topology, whose minimal open sets are
+the zero-sets) that also carries the distance.
 
 Point sets over ``RationalPointSpace`` are frozensets of canonical
 points: tuples whose coordinates all have type exactly ``Fraction``.  Entry
@@ -140,10 +140,9 @@ class FinitePseudoMetric(FiniteSpace):
     """An explicit pseudo-metric on ``{0, ..., n-1}``, validated at construction.
 
     ``scaled[i][j]`` is the distance times ``scale``, the LCM of the entry
-    denominators, so ``scaled`` is an exact integer matrix; squareness, the
-    zero diagonal, signs, symmetry and the triangle inequality are all
-    checked on it.  ``dist[i][j]`` is the same distance as an exact
-    ``Fraction``.
+    denominators, so ``scaled`` is an exact integer matrix, and the only
+    one held; squareness, the zero diagonal, signs, symmetry and the
+    triangle inequality are all checked on it.
 
     It is the finite space of its metric topology: the minimal open set of
     ``i`` is its zero-set ``{j : d(i, j) = 0}``, which the triangle
@@ -151,17 +150,18 @@ class FinitePseudoMetric(FiniteSpace):
     """
 
     def __init__(self, dist: List[List]):
-        self.n = n = len(dist)
-        exact = tuple(tuple(x if type(x) is Fraction else Fraction(x)
-                            for x in row) for row in dist)
+        n = len(dist)
+        exact = [[x if type(x) is Fraction else Fraction(x) for x in row]
+                 for row in dist]
         for row in exact:
             if len(row) != n:
                 raise MalformedInputError("distance matrix is not square")
-        self.scale = scale = math.lcm(*(x.denominator
-                                        for row in exact for x in row))
-        self.scaled = d = tuple(
-            tuple(x.numerator * (scale // x.denominator) for x in row)
-            for row in exact)
+        scale = math.lcm(*[x.denominator for row in exact for x in row])
+        self._adopt(scale, [[x.numerator * (scale // x.denominator)
+                             for x in row] for row in exact])
+
+    def _adopt(self, scale: int, d: List[List[int]]):
+        """Check the axioms on ``d``, the distances times ``scale``; keep both."""
         for i, row in enumerate(d):
             if row[i] != 0:
                 raise MalformedInputError("diagonal must be zero")
@@ -175,7 +175,7 @@ class FinitePseudoMetric(FiniteSpace):
                 for dik, djk in zip(row, d[j]):
                     if dik > dij + djk:
                         raise MalformedInputError("triangle inequality violated")
-        self.dist = exact
+        self.scale, self.scaled = scale, tuple(map(tuple, d))
         super().__init__([sum(1 << j for j, v in enumerate(row) if not v)
                           for row in d])
 
@@ -184,7 +184,8 @@ class FinitePseudoMetric(FiniteSpace):
         """Max-norm distance matrix of a point list (duplicates give zeros).
 
         Coordinates are scaled to ints over their common denominator, so the
-        distances are int maxima; each distinct one becomes one ``Fraction``.
+        distances are int maxima; dividing them and the scale by their gcd
+        gives the scale of ``__init__``: the LCM of the reduced denominators.
         """
         pts = [as_point(p) for p in points]
         for p in pts:
@@ -192,35 +193,33 @@ class FinitePseudoMetric(FiniteSpace):
                 raise MalformedInputError(
                     f"dimension mismatch: {len(pts[0])} vs {len(p)}")
         scale, coords = scale_points(pts)
-        exact = {0: Fraction(0)}
-        rows = [[exact[0]] * len(pts) for _ in pts]
-        for i, p in enumerate(coords):
-            for j in range(i):
-                v = max(map(abs, map(operator.sub, p, coords[j])), default=0)
-                x = exact.get(v)
-                if x is None:
-                    x = exact[v] = Fraction(v, scale)
-                rows[i][j] = rows[j][i] = x
-        return cls(rows)
+        d = [[max(map(abs, map(operator.sub, p, q)), default=0)
+              for q in coords] for p in coords]
+        g = math.gcd(scale, *[v for row in d for v in row])
+        m = cls.__new__(cls)
+        m._adopt(scale // g, [[v // g for v in row] for row in d])
+        return m
 
     def point_to_mask_distance(self, i: int, e: int) -> Fraction:
         self.check_point(i)
         self.check_set(e)
-        row = self.dist[i]
-        return min(row[j] for j in set_bits(e)) if e else INFINITY
+        return Fraction(min(map(self.scaled[i].__getitem__, set_bits(e))),
+                        self.scale) if e else INFINITY
 
     def semidistance(self, a: int, b: int) -> Fraction:
         """d(a; b) = max over a of the distance to b, on bitmask sets."""
+        d = self.scaled
         return semidistance_with(
             self.check_set(a), self.check_set(b),
-            lambda a, b: max(self.point_to_mask_distance(i, b)
-                             for i in set_bits(a)))
+            lambda a, b: Fraction(max(min(d[i][j] for j in set_bits(b))
+                                      for i in set_bits(a)), self.scale))
 
     def __eq__(self, other):
-        return isinstance(other, FinitePseudoMetric) and self.dist == other.dist
+        return (isinstance(other, FinitePseudoMetric)
+                and (self.scale, self.scaled) == (other.scale, other.scaled))
 
     def __hash__(self):
-        return hash(("metric", self.dist))
+        return hash(("metric", self.scale, self.scaled))
 
     def __repr__(self):
         return f"FinitePseudoMetric(n={self.n})"

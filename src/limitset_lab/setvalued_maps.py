@@ -104,7 +104,7 @@ def lsc_via_semidistance(f: SetValuedMap, x: int) -> bool:
     finite_values = sorted({r for r in rhos if r != INFINITY})
     eps_grid = _midpoint_grid(finite_values)
 
-    row = f.domain.dist[x]
+    row = f.domain.scaled[x]
     balls = [[xp for xp in range(f.domain.n) if row[xp] <= rad]
              for rad in sorted(set(row))]
     return all(any(all(rhos[xp] < eps for xp in ball) for ball in balls)

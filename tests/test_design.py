@@ -1,6 +1,7 @@
 """Structural checks on the package source."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import limitset_lab
@@ -648,3 +649,80 @@ def test_the_scan_sees_floats_floors_and_map_points():
         ("2j", 3), ("floor", 4), ("float(", 4), ("/", 4), ("/", 5),
         ("map_point", 6), ("map_point", 6), ("map_point", 7),
         ("floor", 7)])
+
+
+def fractions_held(obj, path="m", seen=None):
+    """Paths of each ``Fraction`` reachable from ``obj`` through instance
+    attributes (``vars``) and the items of tuples, lists, sets and dicts."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, Fraction):
+        return [path]
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        items = [(f"{path}[{k!r}]", v) for k, v in obj.items()]
+        items += [(f"{path} key {k!r}", k) for k in obj]
+    elif isinstance(obj, (tuple, list)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(obj)]
+    elif isinstance(obj, (set, frozenset)):
+        items = [(f"{path} item", v) for v in obj]
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        items = [(f"{path}.{k}", v) for k, v in vars(obj).items()]
+    else:
+        return []
+    return [p for at, v in items for p in fractions_held(v, at, seen)]
+
+
+def test_a_finite_metric_holds_no_fraction():
+    # the integer matrix over its scale is the only matrix a metric keeps;
+    # a Fraction is built only for a distance it returns, and the memos
+    # its queries fill hold masks
+    third = Fraction(1, 3)
+    for m in (FinitePseudoMetric([[0, third, 1], [third, 0, 1],
+                                  [1, 1, 0]]),
+              FinitePseudoMetric.from_points([(0,), (third,), (0,)]),
+              FinitePseudoMetric.from_points([])):
+        for a in range(1 << m.n):
+            m.closure(a), m.minimal_open_superset(a)
+            for b in range(1 << m.n):
+                if a or b:
+                    m.semidistance(a, b)
+        m.open_sets()
+        assert fractions_held(m) == []
+
+
+def test_the_scan_sees_fractions_held():
+    m = FinitePseudoMetric([[0, 1], [1, 0]])
+    m.dist = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+    m.memo = {Fraction(1, 2): [{Fraction(2)}], "x": m}
+    m.inner = FinitePseudoMetric([[0]])
+    m.inner.kept = [Fraction(3)]
+    assert sorted(fractions_held(m)) == sorted([
+        "m.dist[0][0]", "m.dist[0][1]", "m.dist[1][0]", "m.dist[1][1]",
+        "m.memo key Fraction(1, 2)", "m.memo[Fraction(1, 2)][0] item",
+        "m.inner.kept[0]"])
+
+
+def unpacked_generators(tree):
+    """Lines of each call that unpacks a generator expression into its
+    arguments: CPython builds that argument tuple at a guessed length and
+    resizes it, which strands tuples in the interpreter's free lists, so
+    ``math.lcm`` and ``math.gcd`` unpack a list."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for arg in node.args if isinstance(arg, ast.Starred)
+            and isinstance(arg.value, ast.GeneratorExp)]
+
+
+def test_no_call_unpacks_a_generator():
+    assert {path.name: unpacked_generators(ast.parse(path.read_text()))
+            for path in sorted(SRC.glob("*.py"))} == {
+        path.name: [] for path in sorted(SRC.glob("*.py"))}
+
+
+def test_the_scan_sees_unpacked_generators():
+    tree = ast.parse("math.lcm(*(x.denominator for x in row))\n"
+                     "math.gcd(*[v for v in row], *row)\n"
+                     "f(a, *(b for b in c), d)\n"
+                     "g((b for b in c))\n")
+    assert unpacked_generators(tree) == [1, 3]

@@ -115,7 +115,8 @@ def zero_one_metric_grounds():
         for m in zero_one_metrics(n):
             yield (m, range(1 << n),
                    *zero_distance(lambda e: list(set_bits(e)),
-                                  lambda i, j, m=m: m.dist[i][j]))
+                                  lambda i, j, m=m: F(m.scaled[i][j],
+                                                      m.scale)))
 
 
 def rational_grounds():

@@ -83,7 +83,11 @@ class TestGrounds:
     def test_metric_round_trip(self):
         m = FinitePseudoMetric([[0, F(1, 3)], [F(1, 3), 0]])
         j = jsonio.metric_to_json(m)
-        assert jsonio.metric_from_json(j).dist == m.dist
+        assert j == {"n": 2, "dist": [
+            [{"num": "0", "den": "1"}, {"num": "1", "den": "3"}],
+            [{"num": "1", "den": "3"}, {"num": "0", "den": "1"}]]}
+        back = jsonio.metric_from_json(j)
+        assert back == m and (back.scale, back.scaled) == (3, ((0, 1), (1, 0)))
 
     def test_metric_mismatched_n_rejected(self):
         with pytest.raises(MalformedInputError,

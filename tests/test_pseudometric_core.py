@@ -603,10 +603,13 @@ class TestValidation:
 
 
 class FractionOracleMetric(FinitePseudoMetric):
-    """The constructor as it ran on ``Fraction`` entries, kept as a reference.
+    """The constructor and readers as they ran on ``Fraction`` entries, kept
+    as a reference.
 
     Every axiom is checked with ``Fraction`` arithmetic on the matrix as
-    given, and ``from_points`` takes ``max_norm_distance`` of each pair.
+    given, ``from_points`` takes ``max_norm_distance`` of each pair, and
+    the distances to a set are mins and maxes over ``dist``.  ``scale`` and
+    ``scaled``, which equality and hashing read, are set by definition.
     """
 
     def __init__(self, dist):
@@ -632,11 +635,29 @@ class FractionOracleMetric(FinitePseudoMetric):
                             "triangle inequality violated")
         FiniteSpace.__init__(self, [sum(1 << j for j, d in enumerate(row)
                                         if not d) for row in self.dist])
+        self.scale = math.lcm(*[x.denominator
+                                for row in self.dist for x in row])
+        self.scaled = tuple(tuple((x * self.scale).numerator for x in row)
+                            for row in self.dist)
 
     @classmethod
     def from_points(cls, points):
         pts = [as_point(p) for p in points]
         return cls([[max_norm_distance(p, q) for q in pts] for p in pts])
+
+    def point_to_mask_distance(self, i, e):
+        self.check_point(i)
+        self.check_set(e)
+        return min((self.dist[i][j] for j in range(self.n) if e >> j & 1),
+                   default=INFINITY)
+
+    def semidistance(self, a, b):
+        self.check_set(a)
+        self.check_set(b)
+        if a == b == 0:
+            raise UndefinedCaseError("d(emptyset; emptyset) is not defined")
+        return max((self.point_to_mask_distance(i, b)
+                    for i in range(self.n) if a >> i & 1), default=F(0))
 
 
 # large coprime denominators make the LCM scale, and the scaled ints, big
@@ -723,20 +744,21 @@ def construction_outcome(build, arg):
         return type(exc), str(exc)
 
 
+def fraction_view(m):
+    """The distances of ``m`` as exact ``Fraction``s, read off ``scaled``."""
+    return tuple(tuple(F(k, m.scale) for k in row) for row in m.scaled)
+
+
 def assert_same_construction(new, old):
     """Same accept/reject and message; same distances, topology and identity."""
     if isinstance(old, tuple) or isinstance(new, tuple):
         assert new == old
         return
     assert type(new) is FinitePseudoMetric
-    assert new.dist == old.dist and new.rows == old.rows
-    assert all(type(x) is F for row in new.dist for x in row)
-    assert new == old and old == new and hash(new) == hash(old)
-    assert new.scale == math.lcm(*(x.denominator
-                                   for row in old.dist for x in row))
-    assert new.scaled == tuple(tuple(x * new.scale for x in row)
-                               for row in old.dist)
+    assert fraction_view(new) == old.dist and new.rows == old.rows
+    assert (new.scale, new.scaled) == (old.scale, old.scaled)
     assert all(type(v) is int for row in new.scaled for v in row)
+    assert new == old and old == new and hash(new) == hash(old)
 
 
 class TestIntegerConstruction:
@@ -783,12 +805,73 @@ class TestIntegerConstruction:
                                             pt(F(-1, 6))])
         assert m.scale == 12
         assert m.scaled == ((0, 5, 5), (5, 0, 10), (5, 10, 0))
-        assert m.dist[1][2] == F(5, 6)
+        assert m.point_to_mask_distance(1, 0b100) == F(5, 6)
+
+    @pytest.mark.parametrize("points, scale, scaled", [
+        ([pt(F(1, 2)), pt(F(3, 2))], 1, ((0, 1), (1, 0))),
+        ([pt(F(1, 6)), pt(F(5, 6)), pt(F(1, 2))], 3,
+         ((0, 2, 1), (2, 0, 1), (1, 1, 0))),
+        ([pt(F(1, 4), 0), pt(F(1, 4), 0)], 1, ((0, 0), (0, 0))),
+        ([], 1, ()),
+    ])
+    def test_from_points_divides_by_the_gcd(self, points, scale, scaled):
+        # the coordinates' common denominator is not the distances' one:
+        # dividing it out leaves the scale the matrix itself gives
+        m = FinitePseudoMetric.from_points(points)
+        same = FinitePseudoMetric(fraction_view(m))
+        assert (m.scale, m.scaled) == (same.scale, same.scaled) == (scale,
+                                                                    scaled)
+        assert m == same and hash(m) == hash(same)
+
+
+BUILDS = {"matrix": (FinitePseudoMetric, FractionOracleMetric),
+          "points": (FinitePseudoMetric.from_points,
+                     FractionOracleMetric.from_points)}
+
+
+def call_outcome(f, *args):
+    """The type and value of ``f(*args)``, or the type and message of its
+    refusal."""
+    try:
+        value = f(*args)
+    except (ValueError, TypeError) as exc:  # the library's errors included
+        return type(exc), str(exc)
+    return type(value), value
+
+
+class TestIntegerReaders:
+    """The readers of ``scaled`` against the ``Fraction`` reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(st.just("matrix"), distance_matrices()),
+                     st.tuples(st.just("points"), point_lists())),
+           st.data())
+    def test_readers_agree_with_fraction_oracle(self, source, data):
+        build, oracle_build = BUILDS[source[0]]
+        m = construction_outcome(build, source[1])
+        oracle = construction_outcome(oracle_build, source[1])
+        assert_same_construction(m, oracle)
+        if isinstance(m, tuple):
+            return  # refused alike
+        # masks reach one point past the space, which every reader refuses
+        mask = st.integers(0, (2 << m.n) - 1)
+        full = m.full_mask
+        pairs = [(0, 0), (0, full), (full, 0), (full, full)] + data.draw(
+            st.lists(st.tuples(mask, mask), max_size=12))
+        for a, b in pairs:
+            assert (call_outcome(m.semidistance, a, b)
+                    == call_outcome(oracle.semidistance, a, b))
+            for u in (b, a | b):  # u need not contain k; a | b does
+                assert (call_outcome(compact_inner_radius, m, a, u)
+                        == call_outcome(compact_inner_radius, oracle, a, u))
+            for i in range(m.n + 1):
+                assert (call_outcome(m.point_to_mask_distance, i, b)
+                        == call_outcome(oracle.point_to_mask_distance, i, b))
 
 
 def zeroset_oracle(m, i):
     """Points at distance 0 from i, read off the distance matrix."""
-    return sum(1 << j for j in range(m.n) if m.dist[i][j] == 0)
+    return sum(1 << j for j in range(m.n) if m.scaled[i][j] == 0)
 
 
 def zeroset_is_open(m, u):
@@ -836,6 +919,10 @@ class TestMetricEquality:
         b = FinitePseudoMetric([[0, 2], [2, 0]])
         assert a.rows == b.rows
         assert a != b and b != a
+        # the same integer matrix over another scale is another metric
+        c = FinitePseudoMetric([[0, F(1, 2)], [F(1, 2), 0]])
+        assert a.scaled == c.scaled and a.scale != c.scale
+        assert a != c and c != a
 
     def test_never_equal_to_a_plain_finite_space(self):
         m = FinitePseudoMetric([[0, 1], [1, 0]])

@@ -239,7 +239,7 @@ class TestApproachNetCharacterization:
                         for i in others:
                             row = 0
                             for j, pj in enumerate(others):
-                                if dom.dist[x][i] >= dom.dist[x][pj]:
+                                if dom.scaled[x][i] >= dom.scaled[x][pj]:
                                     row |= 1 << j
                             rows.append(row)
                         order = FiniteSpace(rows)
