@@ -78,12 +78,12 @@ def set_bits(mask: int) -> Iterable[int]:
     Below 256 the tuple is read from a table.  A wider mask with fewer
     than one bit in 24 set is scanned as a binary string, one ``find`` per
     index.  A denser one is read as bytes, each nonzero byte expanded
-    through the same table: a list, or past ``DENSE_CHUNK`` bits a
-    generator of such lists, one per ``DENSE_CHUNK`` bits.  The crossover,
-    walking masks of 512 to 2^20 random bits on a 2-CPU Xeon VM: with one
-    bit in 16 to one in 32 set, the byte walk took 0.7-1.2 of the scan's
-    time, so 24 splits the tie; with one bit in 8 it took 0.55-0.75, with
-    one in two 0.3-0.45, and with one in 64 1.4-1.5.
+    through the same table: a list, or past ``DENSE_CHUNK`` bits one flat
+    generator of the indices, which expands ``DENSE_CHUNK`` bits at a time.
+    The crossover, walking masks of 512 to 2^20 random bits on a 2-CPU
+    Xeon VM: with one bit in 16 to one in 32 set, the byte walk took
+    0.7-1.2 of the scan's time, so 24 splits the tie; with one bit in 8 it
+    took 0.55-0.75, with one in two 0.3-0.45, and with one in 64 1.4-1.5.
     """
     if 0 <= mask < 256:
         return _SMALL_BITS[mask]

@@ -193,8 +193,11 @@ class FinitePseudoMetric(FiniteSpace):
                 raise MalformedInputError(
                     f"dimension mismatch: {len(pts[0])} vs {len(p)}")
         scale, coords = scale_points(pts)
-        d = [[max(map(abs, map(operator.sub, p, q)), default=0)
-              for q in coords] for p in coords]
+        d = [[0] * len(coords) for _ in coords]
+        for i, p in enumerate(coords):  # the lower triangle, mirrored
+            for j in range(i):
+                d[i][j] = d[j][i] = max(
+                    map(abs, map(operator.sub, p, coords[j])), default=0)
         g = math.gcd(scale, *[v for row in d for v in row])
         m = cls.__new__(cls)
         m._adopt(scale // g, [[v // g for v in row] for row in d])

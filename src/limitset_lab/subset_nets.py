@@ -17,8 +17,11 @@ Each tail rule is a ``TailRule``: it evaluates and unrolls its values (a
 periodic tail slices its cycle), says whether each is one point, labels
 itself for reports and, in ``reduce``, validates itself against the ground,
 proving with exact closed forms that an affine or geometric tail never hits
-an excluded point.  ``SubsetNet.over_znn`` asks no rule its type: it
-reduces the tail, once, to a ``TailSummary`` of one of three shapes:
+an excluded point.  Validation reads integers: a geometric ratio p/q passes
+when 0 < |p| < q, the proofs run on numerators over a common denominator,
+and a geometric limit point is hashed once, for its limit set.
+``SubsetNet.over_znn`` asks no rule its type: it reduces the tail, once,
+to a ``TailSummary`` of one of three shapes:
 
 * **recurring** -- the tail returns forever to a fixed tuple of *phases*:
   the cycle of a periodic tail, the values at and above the top element of
@@ -156,7 +159,7 @@ class AffineEscape(TailRule):
         c, v = as_point(self.c), as_point(self.v)
         if len(c) != ground.dim or len(v) != ground.dim:
             raise MalformedInputError("tail rule of wrong dimension")
-        if all(vi == 0 for vi in v):
+        if not any(v):
             raise MalformedInputError("escape direction must be nonzero")
         if ground.excluded:
             scale, (cs, vs) = scale_points((c, v))
@@ -220,14 +223,14 @@ class GeometricConverge(TailRule):
         targets = self.targets
         if len(a) != ground.dim or any(len(b) != ground.dim for b in targets):
             raise MalformedInputError("tail rule of wrong dimension")
-        if not 0 < abs(r) < 1:
+        if not 0 < abs(r.numerator) < r.denominator:  # 0 < |r| < 1
             raise MalformedInputError("geometric ratio needs 0 < |r| < 1")
         rule = GeometricConverge(a, targets, r)
         for b in targets:
             _check_geometric_avoids_excluded(ground, rule, b, pre_len)
-        if not ground.contains(a):
+        limit = frozenset([a])  # the one hash of a; isdisjoint reads it
+        if not ground.excluded.isdisjoint(limit):
             return rule, LOST  # Cauchy toward a point the space lacks
-        limit = frozenset([a])
         return rule, TailSummary((limit,), limit,
                                  all(b == a for b in targets))
 
@@ -386,12 +389,12 @@ def _line_parameter(c, v, scale: int, e: Point) -> Optional[Tuple[int, int]]:
 def _check_geometric_avoids_excluded(ground: RationalPointSpace,
                                      rule: GeometricConverge, b: Point,
                                      n0: int):
+    if not ground.excluded:
+        return
     if b == rule.a:
         if rule.a in ground.excluded:
             raise MalformedInputError(
                 "constant geometric tail sits on an excluded point")
-        return
-    if not ground.excluded:
         return
     # the branch meets e at n iff r^n = t, the line parameter of e (t = 0
     # is e = a, which it only approaches and no power of r equals)

@@ -25,6 +25,10 @@ of unrolled values starts past every preperiod.  Ask once per cycle,
 report per preperiod: a finding is reported against every preperiod
 variant's own label (``SuiteReport.violation_each``), and a derived net
 is built only to label what is reported.
+
+The rational suites draw random rule nets (``random_rule_net``) from
+interned coordinates, and hash each point they draw once, rejected draws
+included; the same seed draws the same nets from the same bits.
 """
 
 from __future__ import annotations
@@ -121,6 +125,8 @@ ESCAPE_STEPS = (Fraction(-2), Fraction(-1), Fraction(-1, 2),
 
 def random_point(rng: random.Random, dim: int) -> tuple:
     choice = rng.choice
+    if dim == 1:  # half the draws: build the tuple without a list
+        return (choice(choice(COORDS)),)
     return tuple([choice(choice(COORDS)) for _ in range(dim)])
 
 
@@ -131,18 +137,33 @@ def random_space(rng: random.Random) -> RationalPointSpace:
     return RationalPointSpace(dim, excluded)
 
 
+# A drawn point is canonical and has the space's dimension, so it is tested
+# against ``space.excluded`` directly, not by ``contains``.  A point drawn
+# for a set is drawn as its singleton: ``isdisjoint`` and the set's union
+# read the hash the singleton stores, so each point is hashed once.
+
 def _random_included_point(rng: random.Random,
                            space: RationalPointSpace) -> tuple:
+    excluded = space.excluded
     while True:
         p = random_point(rng, space.dim)
-        if space.contains(p):
+        if not excluded or p not in excluded:
             return p
+
+
+def _random_included_singleton(rng: random.Random,
+                               space: RationalPointSpace) -> frozenset:
+    excluded = space.excluded
+    while True:
+        s = frozenset([random_point(rng, space.dim)])
+        if excluded.isdisjoint(s):
+            return s
 
 
 def _random_sets(rng: random.Random, space: RationalPointSpace, count: int,
                  min_size: int) -> list:
-    return [frozenset(_random_included_point(rng, space)
-                      for _ in range(rng.randint(min_size, 2)))
+    return [frozenset().union(*[_random_included_singleton(rng, space)
+                                for _ in range(rng.randint(min_size, 2))])
             for _ in range(count)]
 
 

@@ -113,6 +113,46 @@ class TestConstruction:
         with pytest.raises(MalformedInputError):
             SubsetNet.over_znn(Q1, [], GeometricConverge(pt(0), pt(1), F(1)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.builds(F, st.integers(-2000, 2000),
+                               st.integers(1, 1000)),
+                     st.integers(-2, 2),
+                     st.sampled_from([0.5, -0.5, 0.0, 1.0, -1.5])))
+    def test_geometric_ratio_range_read_on_integers(self, r):
+        # reduce reads 0 < |r| < 1 off r's numerator and denominator: it
+        # accepts exactly the ratios the Fraction predicate accepts
+        rule = GeometricConverge(pt(0), pt(1), r)
+        if 0 < abs(F(r)) < 1:
+            assert rule.reduce(Q1, 0)[0].r == F(r)
+        else:
+            with pytest.raises(MalformedInputError,
+                               match=r"^geometric ratio needs 0 < \|r\| < 1$"):
+                rule.reduce(Q1, 0)
+
+    def test_geometric_reduce_hashes_a_once(self, monkeypatch):
+        # over a 2-D ground excluding points on and off the branch, a
+        # convergent and a trapped tail hash a's coordinates once, for the
+        # limit set, and make no Fraction comparison or abs call
+        a, b = pt(F(1, 2), -1), pt(F(5, 2), 1)
+        on_branch = pt(F(7, 2), 2)  # line parameter 3/2, no power of r
+        names = ("__hash__", "__abs__", "__lt__", "__gt__", "__le__",
+                 "__ge__")
+        for excluded in ([on_branch, pt(5, 5)], [on_branch, a]):
+            ground = RationalPointSpace(2, excluded)
+            rule = GeometricConverge(a, b, F(-2, 3))
+            calls = {name: [] for name in names}
+            for name in names:
+                def counting(self, *args, _real=getattr(F, name),
+                             _seen=calls[name]):
+                    _seen.append(self)
+                    return _real(self, *args)
+                monkeypatch.setattr(F, name, counting)
+            _, summary = rule.reduce(ground, 0)
+            monkeypatch.undo()
+            assert calls.pop("__hash__") == list(a)
+            assert calls == {name: [] for name in names[1:]}
+            assert summary.lost == (a in excluded)
+
     def test_unknown_tail_rule_is_unsupported(self):
         for tail in (object(), (0b01,), None):
             with pytest.raises(UnsupportedRuleError, match="unknown tail rule"):

@@ -8,12 +8,68 @@ from limitset_lab import theoremlab
 from limitset_lab.errors import LimitsetError
 from limitset_lab.jsonio import report_to_json
 from limitset_lab.finite_topology import discrete_space, enumerate_spaces
-from limitset_lab.subset_nets import (Periodic, SubsetNet,
+from limitset_lab.pseudometric_core import RationalPointSpace
+from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
+                                      Periodic, SubsetNet,
                                       is_eventually_lagrange_stable)
 from limitset_lab.theoremlab import (EXHIBIT_CAP, SUITES, cycle_window,
                                      describe_net, iter_periodic_cycles,
                                      random_rule_net, rule_net_stream,
                                      run_all, run_suite)
+
+# The draw helpers as they were when each drawn point was hashed twice (by
+# ``space.contains`` and by its set): the oracle the draws that hash each
+# point once must match draw for draw, bit for bit.
+
+def oracle_random_included_point(rng, space):
+    while True:
+        p = theoremlab.random_point(rng, space.dim)
+        if space.contains(p):
+            return p
+
+
+def oracle_random_sets(rng, space, count, min_size):
+    return [frozenset(oracle_random_included_point(rng, space)
+                      for _ in range(rng.randint(min_size, 2)))
+            for _ in range(count)]
+
+
+def oracle_random_rule_net(rng, family, nonempty=False):
+    min_size = 1 if nonempty else 0
+    for _ in range(64):
+        try:
+            if family == "trap":
+                dim = rng.choice((1, 2))
+                a = theoremlab.random_point(rng, dim)
+                space = RationalPointSpace(dim, frozenset((a,)))
+                b = oracle_random_included_point(rng, space)
+                r = rng.choice(theoremlab.GEOMETRIC_RATIOS)
+                pre = oracle_random_sets(rng, space, rng.randint(0, 2),
+                                         min_size)
+                return SubsetNet.over_znn(space, pre,
+                                          GeometricConverge(a, b, r))
+            space = theoremlab.random_space(rng)
+            pre = oracle_random_sets(rng, space, rng.randint(0, 2), min_size)
+            if family == "periodic":
+                cycle = oracle_random_sets(rng, space, rng.randint(1, 3),
+                                           min_size)
+                return SubsetNet.over_znn(space, pre, Periodic(tuple(cycle)))
+            if family == "affine":
+                c = oracle_random_included_point(rng, space)
+                v = tuple(rng.choice(theoremlab.ESCAPE_STEPS)
+                          for _ in range(space.dim))
+                return SubsetNet.over_znn(space, pre, AffineEscape(c, v))
+            if family == "geometric":
+                a = oracle_random_included_point(rng, space)
+                b = oracle_random_included_point(rng, space)
+                r = rng.choice(theoremlab.GEOMETRIC_RATIOS)
+                return SubsetNet.over_znn(space, pre,
+                                          GeometricConverge(a, b, r))
+            raise ValueError(f"unknown family: {family}")
+        except LimitsetError:
+            continue  # tail crossed an excluded point; redraw
+    raise RuntimeError("could not draw a valid instance")
+
 
 # The first exhibits that the per-preperiod loop of separation_containments
 # (one exhibit call per derived net and escaping target) met at budget 1000,
@@ -362,6 +418,42 @@ class TestGenerators:
                     assert all(type(c) is F and id(c) in interned
                                for c in got)
                 assert rng.getstate() == twin.getstate()
+
+    def test_draws_match_the_twice_hashing_oracle(self):
+        # same nets, same labels and summaries, same bits consumed
+        for seed, nonempty, family in product(
+                range(50), (False, True), theoremlab.RULE_FAMILIES):
+            rng, twin = random.Random(seed), random.Random(seed)
+            for _ in range(40):
+                got = random_rule_net(rng, family, nonempty)
+                want = oracle_random_rule_net(twin, family, nonempty)
+                assert describe_net(got) == describe_net(want)
+                assert got.summary == want.summary
+                assert rng.getstate() == twin.getstate()
+
+    def test_drawn_sets_hash_each_coordinate_once(self, monkeypatch):
+        # each point drawn for a set is hashed once, for its singleton,
+        # whether the exclusion test keeps it or rejects it
+        space = RationalPointSpace(1, [(F(0),), (F(1),)])
+        real_point, drawn, calls = theoremlab.random_point, [], []
+        fraction_hash = F.__hash__
+
+        def recording(rng, dim):
+            drawn.append(real_point(rng, dim))
+            return drawn[-1]
+
+        def counting(self):
+            calls.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(theoremlab, "random_point", recording)
+        monkeypatch.setattr(F, "__hash__", counting)
+        sets = theoremlab._random_sets(random.Random(3), space, 400, 1)
+        monkeypatch.undo()
+        assert len(calls) == len(drawn)
+        kept = [p for p in drawn if space.contains(p)]
+        assert len(kept) < len(drawn)  # some draws were rejected
+        assert frozenset().union(*sets) == frozenset(kept)
 
     def test_stream_is_deterministic(self):
         rng1, rng2 = random.Random("x"), random.Random("x")
