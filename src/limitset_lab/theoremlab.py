@@ -28,7 +28,9 @@ is built only to label what is reported.
 
 The rational suites draw random rule nets (``random_rule_net``) from
 interned coordinates, and hash each point they draw once, rejected draws
-included; the same seed draws the same nets from the same bits.
+included; the same seed draws the same nets from the same bits.  Every
+draw is one exact kernel on ``rng.getrandbits`` (``_pick``, inlined in
+``random_point``), bit for bit with ``Random.choice`` and ``randint``.
 """
 
 from __future__ import annotations
@@ -104,17 +106,42 @@ class SuiteReport:
 
 # -- instance generators -------------------------------------------------------
 
+# Every draw is one exact kernel on ``rng.getrandbits``.  ``_pick(rng, seq)``
+# is ``Random._randbelow_with_getrandbits(len(seq))`` line for line: with
+# k = len(seq).bit_length() it draws r = getrandbits(k) until r < len(seq)
+# and returns seq[r].  ``Random.choice(seq)`` is seq[_randbelow(len(seq))],
+# and ``randint(a, b)`` is a + _randbelow(b - a + 1), so a pick from seq, or
+# from an interned range(a, b + 1), consumes the same bits, rejected words
+# included, and returns the same value; ``rng.getstate()`` after it is the
+# same too (CPython 3.10 to 3.13).  The wrappers' frames are what it saves.
+
+def _pick(rng: random.Random, seq):
+    n = len(seq)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return seq[r]
+
+
+DIMS = (1, 2)
+UP_TO_TWO, ONE_TO_THREE = range(3), range(1, 4)
+SET_SIZES = (UP_TO_TWO, range(1, 3))  # randint(min_size, 2), by min_size
+
 # A random coordinate is p/q with q drawn from COORD_DENOMS and p from
 # [-COORD_SPAN * q, COORD_SPAN * q].  COORDS interns every such coordinate
 # once, one row per denominator in COORD_DENOMS order, so a draw builds no
-# Fraction.  rng.choice(row) and randint(-k, k) both draw one
-# _randbelow(2k + 1), so a draw consumes the same bits and returns the same
-# value as choosing q and calling randint.
+# Fraction.  Picking a row and then an index within it is choosing q and
+# calling randint(-k, k), k = COORD_SPAN * q: the index is one
+# _randbelow(2k + 1).  ``random_point`` inlines both picks, with each row's
+# length and bit width in COORD_ROWS.
 COORD_DENOMS = (1, 2, 4, 8)
 COORD_SPAN = 8
 COORDS = tuple(tuple(Fraction(p, q) for p in
                      range(-COORD_SPAN * q, COORD_SPAN * q + 1))
                for q in COORD_DENOMS)
+COORD_ROWS = tuple((row, len(row), len(row).bit_length()) for row in COORDS)
+ROW_COUNT, ROW_BITS = len(COORDS), len(COORDS).bit_length()
 GEOMETRIC_RATIOS = tuple(
     Fraction(p, q) for p, q in
     ((1, 2), (-1, 2), (1, 3), (-1, 3), (2, 3), (-2, 3), (1, 4), (-1, 4),
@@ -124,16 +151,24 @@ ESCAPE_STEPS = (Fraction(-2), Fraction(-1), Fraction(-1, 2),
 
 
 def random_point(rng: random.Random, dim: int) -> tuple:
-    choice = rng.choice
-    if dim == 1:  # half the draws: build the tuple without a list
-        return (choice(choice(COORDS)),)
-    return tuple([choice(choice(COORDS)) for _ in range(dim)])
+    getrandbits = rng.getrandbits
+    point = []
+    for _ in range(dim):
+        i = getrandbits(ROW_BITS)
+        while i >= ROW_COUNT:
+            i = getrandbits(ROW_BITS)
+        row, n, k = COORD_ROWS[i]
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        point.append(row[j])
+    return tuple(point)
 
 
 def random_space(rng: random.Random) -> RationalPointSpace:
-    dim = rng.choice((1, 2))
+    dim = _pick(rng, DIMS)
     excluded = frozenset(random_point(rng, dim)
-                         for _ in range(rng.randint(0, 2)))
+                         for _ in range(_pick(rng, UP_TO_TWO)))
     return RationalPointSpace(dim, excluded)
 
 
@@ -162,8 +197,9 @@ def _random_included_singleton(rng: random.Random,
 
 def _random_sets(rng: random.Random, space: RationalPointSpace, count: int,
                  min_size: int) -> list:
+    sizes = SET_SIZES[min_size]
     return [frozenset().union(*[_random_included_singleton(rng, space)
-                                for _ in range(rng.randint(min_size, 2))])
+                                for _ in range(_pick(rng, sizes))])
             for _ in range(count)]
 
 
@@ -179,27 +215,28 @@ def random_rule_net(rng: random.Random, family: str,
     for _ in range(64):
         try:
             if family == "trap":
-                dim = rng.choice((1, 2))
+                dim = _pick(rng, DIMS)
                 a = random_point(rng, dim)
                 space = RationalPointSpace(dim, frozenset((a,)))
                 b = _random_included_point(rng, space)
-                r = rng.choice(GEOMETRIC_RATIOS)
-                pre = _random_sets(rng, space, rng.randint(0, 2), min_size)
+                r = _pick(rng, GEOMETRIC_RATIOS)
+                pre = _random_sets(rng, space, _pick(rng, UP_TO_TWO), min_size)
                 return SubsetNet.over_znn(space, pre,
                                           GeometricConverge(a, b, r))
             space = random_space(rng)
-            pre = _random_sets(rng, space, rng.randint(0, 2), min_size)
+            pre = _random_sets(rng, space, _pick(rng, UP_TO_TWO), min_size)
             if family == "periodic":
-                cycle = _random_sets(rng, space, rng.randint(1, 3), min_size)
+                cycle = _random_sets(rng, space, _pick(rng, ONE_TO_THREE),
+                                     min_size)
                 return SubsetNet.over_znn(space, pre, Periodic(tuple(cycle)))
             if family == "affine":
                 c = _random_included_point(rng, space)
-                v = tuple(rng.choice(ESCAPE_STEPS) for _ in range(space.dim))
+                v = tuple(_pick(rng, ESCAPE_STEPS) for _ in range(space.dim))
                 return SubsetNet.over_znn(space, pre, AffineEscape(c, v))
             if family == "geometric":
                 a = _random_included_point(rng, space)
                 b = _random_included_point(rng, space)
-                r = rng.choice(GEOMETRIC_RATIOS)
+                r = _pick(rng, GEOMETRIC_RATIOS)
                 return SubsetNet.over_znn(space, pre,
                                           GeometricConverge(a, b, r))
             raise ValueError(f"unknown family: {family}")
@@ -277,10 +314,14 @@ def iter_periodic_cycles(space: FiniteSpace, max_cycle: int = 2,
 
 
 def cycle_window(net: SubsetNet):
-    """The union of a periodic net's last full cycle window, X_m for the
-    last p indices m <= 12 (p the cycle length), from unrolled values."""
-    values = net.values(12)
-    return net.ground.union(values[len(values) - len(net.tail.cycle):])
+    """The union of a periodic net's last full cycle window, from unrolled
+    values: X_m for the last p indices m <= h (p the cycle length), at the
+    horizon h = max(12, preperiod length + p - 1), so that the window is a
+    whole cycle past the preperiod.  It reads the lengths, not the
+    summary."""
+    p = len(net.tail.cycle)
+    values = net.values(max(12, len(net.preperiod) + p - 1))
+    return net.ground.union(values[-p:])
 
 
 def iter_directed_posets(max_n: int) -> Iterator[FiniteSpace]:

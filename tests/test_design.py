@@ -726,3 +726,35 @@ def test_the_scan_sees_unpacked_generators():
                      "f(a, *(b for b in c), d)\n"
                      "g((b for b in c))\n")
     assert unpacked_generators(tree) == [1, 3]
+
+
+RANDOM_WRAPPERS = {"choice", "randint", "randrange", "random"}
+
+
+def random_wrapper_calls(tree):
+    """Lines of each ``.choice``, ``.randint``, ``.randrange`` or ``.random``
+    attribute, called there or bound for a later call: every draw goes
+    through ``theoremlab._pick`` or the coordinate draw beside it, both on
+    ``rng.getrandbits``, so that the draws stay one exact route, bit for
+    bit with these wrappers."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in RANDOM_WRAPPERS)
+
+
+def test_every_draw_goes_through_the_getrandbits_kernel():
+    assert {path.name: random_wrapper_calls(ast.parse(path.read_text()))
+            for path in sorted(SRC.glob("*.py"))} == {
+        path.name: [] for path in sorted(SRC.glob("*.py"))}
+
+
+def test_the_scan_sees_random_wrapper_calls():
+    tree = ast.parse("dim = rng.choice((1, 2))\n"
+                     "n = rng.randint(0, 2)\n"
+                     "x = _pick(rng, DIMS) + rng.getrandbits(3)\n"
+                     "i = self.rng.randrange(7)\n"
+                     "u = random.random()\n"
+                     "rng = random.Random(seed)\n"
+                     "choice = rng.choice\n"
+                     "choice(seq)\n")
+    assert random_wrapper_calls(tree) == [1, 2, 4, 5, 7]

@@ -321,6 +321,15 @@ class TestWindowOracle:
                     checked += len(pres)
         assert checked == 154_146
 
+    @pytest.mark.parametrize("pre, cycle", [
+        # X_12 and X_13 were preperiod values: the window read 0b100
+        ([0b100] * 14, (0b001, 0b010)),
+        # 13 unrolled values cannot hold 15: the slice wrapped to X_11, X_12
+        ((), (0b010,) + (0b001,) * 14)])
+    def test_the_window_is_a_whole_cycle_past_horizon_12(self, pre, cycle):
+        net = SubsetNet.over_znn(discrete_space(3), pre, Periodic(cycle))
+        assert cycle_window(net) == 0b11
+
 
 class TestGenerators:
     @pytest.mark.parametrize("nonempty", [False, True])
@@ -396,6 +405,27 @@ class TestGenerators:
             for _ in range(10):
                 theoremlab.random_rule_net(rng, family)
         assert len(kept) >= 40 and all(kept)
+
+    def test_the_kernel_matches_choice_and_randint_bit_for_bit(self):
+        # every sequence the generators pick from against Random.choice,
+        # every interned range against the randint it stands for
+        seqs = [theoremlab.DIMS, theoremlab.UP_TO_TWO, theoremlab.COORDS,
+                theoremlab.ESCAPE_STEPS, theoremlab.GEOMETRIC_RATIOS,
+                *theoremlab.COORDS]
+        assert [len(seq) for seq in seqs] == [2, 3, 4, 6, 10, 17, 33, 65, 129]
+        cases = [(seq, lambda twin, seq=seq: twin.choice(seq))
+                 for seq in seqs]
+        cases += [
+            (theoremlab.UP_TO_TWO, lambda twin: twin.randint(0, 2)),
+            (theoremlab.SET_SIZES[1], lambda twin: twin.randint(1, 2)),
+            (theoremlab.ONE_TO_THREE, lambda twin: twin.randint(1, 3))]
+        assert theoremlab.SET_SIZES[0] is theoremlab.UP_TO_TWO
+        for seq, reference in cases:
+            for seed in range(200):
+                rng, twin = random.Random(seed), random.Random(seed)
+                for _ in range(50):
+                    assert theoremlab._pick(rng, seq) == reference(twin)
+                    assert rng.getstate() == twin.getstate()
 
     def test_interned_draws_match_randint_bit_for_bit(self):
         # the reference route: a denominator, then randint over its range
