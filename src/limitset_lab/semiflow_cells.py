@@ -17,6 +17,14 @@ outer-cover behaviour instead; both are non-rigorous for steep maps.
 No floating point enters: cell sets are bitmasks, and a sample's cell
 is the exact floor of its image, computed in integers from the
 parameters' numerators and denominators (``DiscreteSemiflow``).
+Henon's cell map tables the terms of its floor that depend on one axis
+alone, once per run.  Logistic and tent are monotone on every cell of a
+grid of two cells or more, and their slope is at most their parameter:
+with k >= parameter samples per cell, consecutive samples land at most
+one cell apart, so a cell's hits are the run of cells between its first
+and last samples', and only those two are mapped.  The hits are the same
+exact sets either way.  Exact rotations shift the set, then dilate it
+under ``dilate``; table flows refuse both ``samples`` and ``dilate``.
 
 Cell sets are never walked bit by bit on a growing int, and every pass
 over one is linear in the grid size (``finite_topology.set_bits`` reads a
@@ -181,19 +189,34 @@ def _henon(n: int, k: int, a: Fraction, b: Fraction):
     """The classic map on [-3/2, 3/2] x [-2/5, 2/5], at x = X/(2D) and
     y = Y/(5D) with X = 6 m1 - 3D and Y = 4 m2 - 2D, its image rescaled to
     the box: u = (x' + 3/2)/3 and v = (y' + 2/5) 5/4, each floored over
-    the grid and clamped into it."""
+    the grid and clamped into it.
+
+    The numerator of u is u0 - ux X^2 + uy Y, and v depends on X alone, so
+    the terms are tabled once per run over the nk odd m of each axis
+    (index m >> 1): ``col_u`` and ``col_v``, v's clamped row offset, by
+    m1, and ``row_u`` by m2.  A cell is then one sum, one floor division
+    and one clamp."""
     pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
     d, top = 2 * n * k, n - 1
     u0, ux, uy, uden = 50 * qa * d * d, 5 * pa, 4 * qa * d, 120 * k * qa * d
     v0, vx, vden = 4 * qb * d, 5 * pb, 16 * k * qb
+    xs = range(6 - 3 * d, 3 * d, 12)  # X = 6 m1 - 3D, m1 = 1, 3, ...
+    col_u = [u0 - ux * x * x for x in xs]
+    col_v = [n * (v if 0 <= v <= top else 0 if v < 0 else top)
+             for v in ((vx * x + v0) // vden for x in xs)]
+    row_u = [uy * y for y in range(4 - 2 * d, 2 * d, 8)]  # Y = 4 m2 - 2D
 
     def cell(m1, m2):
-        x = 6 * m1 - 3 * d
-        u = (u0 - ux * x * x + uy * (4 * m2 - 2 * d)) // uden
-        v = (vx * x + v0) // vden
-        return ((u if 0 <= u <= top else 0 if u < 0 else top)
-                + n * (v if 0 <= v <= top else 0 if v < 0 else top))
+        j = m1 >> 1
+        u = (col_u[j] + row_u[m2 >> 1]) // uden
+        return (u if 0 <= u <= top else 0 if u < 0 else top) + col_v[j]
     return cell
+
+
+def _parameter_slope(p: Fraction) -> Fraction:
+    """sup |f'| on [0, 1] of logistic r x(1 - x) and tent mu min(x, 1 - x):
+    their parameter."""
+    return p
 
 
 class DiscreteSemiflow:
@@ -208,18 +231,26 @@ class DiscreteSemiflow:
     n only at an image of 1, in the last cell, which is closed; henon
     clamps its image into the box and returns the grid index of its
     cell.  Table flows have none.
+
+    ``slope`` bounds |f'| on [0, 1] for an interval map that is monotone
+    on [0, 1/2] and on [1/2, 1] (logistic and tent: their parameter), so
+    ``_sampler`` may read a cell's hits off its two end samples; it is
+    ``None`` for rotation, which wraps, for henon and for tables.
     """
 
-    # map -> (dimension, parameter count, integer cell map)
-    BUILTINS = {"logistic": (1, 1, _logistic), "tent": (1, 1, _tent),
-                "rotation": (1, 1, _rotation), "henon": (2, 2, _henon)}
+    # map -> (dimension, parameter count, integer cell map, slope bound of
+    # the parameters, or None)
+    BUILTINS = {"logistic": (1, 1, _logistic, _parameter_slope),
+                "tent": (1, 1, _tent, _parameter_slope),
+                "rotation": (1, 1, _rotation, None),
+                "henon": (2, 2, _henon, None)}
 
     def __init__(self, kind: str, params: tuple = (),
                  table: Optional[tuple] = None):
         self.kind = kind
         self.params = tuple(Fraction(p) for p in params)
         self.table = table
-        self.cell_map = None
+        self.cell_map = self.slope = None
         if kind == "table":
             if table is None:
                 raise MalformedInputError("table flow needs a table")
@@ -227,8 +258,10 @@ class DiscreteSemiflow:
         elif kind not in self.BUILTINS:
             raise UnsupportedRuleError(f"unknown map: {kind}")
         else:
-            self.dim, want, self.cell_map = self.BUILTINS[kind]
+            self.dim, want, self.cell_map, slope = self.BUILTINS[kind]
             self._validate_params(want)
+            if slope is not None:
+                self.slope = slope(*self.params)
 
     def _validate_params(self, want: int):
         if len(self.params) != want:
@@ -260,6 +293,14 @@ def _sampler(grid: CellGrid, flow: DiscreteSemiflow, k: int):
     the flow's cell map floors its image exactly.  On the interval the
     last cell is closed at 1, so a sample mapped to 1 is clamped into it.
     One sample (``k == 1``) hits one cell, so no set is built.
+
+    An interval map with a ``slope`` bound of at most k, on two cells or
+    more, hits a run of cells, read off the first and last samples.  Its
+    turning point 1/2 is a cell boundary, so it is monotone on each cell;
+    samples 1/(nk) apart move n f by at most slope/k <= 1, so consecutive
+    samples' floors differ by at most 1 and fill the run between the two
+    ends.  The clamp into the last cell is monotone, so it keeps the run.
+    Every other case floors all k samples.
     """
     n, top = grid.cells_per_axis, grid.cells_per_axis - 1
     cell = flow.cell_map(n, k, *flow.params)
@@ -270,6 +311,12 @@ def _sampler(grid: CellGrid, flow: DiscreteSemiflow, k: int):
                 return (c if c < n else top,)
             return hit
         return lambda i: (cell(2 * (i % n) + 1, 2 * (i // n) + 1),)
+    if flow.slope is not None and n > 1 and flow.slope <= k:
+        def run(i):
+            a, b = cell(2 * i * k + 1), cell(2 * (i + 1) * k - 1)
+            a, b = a if a < n else top, b if b < n else top
+            return tuple(range(a, b + 1) if a <= b else range(b, a + 1))
+        return run
     if grid.dim == 1:
         def hits(i):
             out = set()
@@ -312,6 +359,9 @@ class _ImageStep:
                 f"samples must be an int between 1 and {MAX_SAMPLES}")
         table = flow.table
         if flow.kind == "table":  # a table has no dimension, only a size
+            if samples != 1 or dilate:
+                raise PreconditionError(
+                    "a table flow takes no samples or dilation")
             if len(table) != grid.total:
                 raise PreconditionError("table size must match the grid")
             # a negative row shifts to -1, so it is refused too
@@ -321,7 +371,7 @@ class _ImageStep:
             raise PreconditionError("flow and grid dimension mismatch")
         self.shift = flow.exact_rotation_shift(grid)
         self.grid = grid
-        self.dilate = dilate and flow.kind != "table"
+        self.dilate = dilate
         self.hits: List[Optional[Tuple[int, ...]]] = [None] * grid.total
         self.hits_of = (lambda i: tuple(set_bits(table[i]))) \
             if flow.kind == "table" else _sampler(grid, flow, samples)
@@ -332,8 +382,9 @@ class _ImageStep:
         grid = self.grid
         if self.shift is not None:
             n, shift = grid.cells_per_axis, self.shift
-            return ((cells << shift) | (cells >> (n - shift))) & grid.full_mask \
-                if shift else cells
+            image = ((cells << shift) | (cells >> (n - shift))) \
+                & grid.full_mask if shift else cells
+            return grid.dilate(image) if self.dilate else image
         changed = cells ^ self.last
         # a counted cell costs about 1.03 walked ones, so counting pays while
         # fewer cells changed than the set holds; two thirds keeps a margin,
@@ -390,9 +441,10 @@ def cell_image(grid: CellGrid, flow: DiscreteSemiflow, cells: int,
     """Cells hit by mapping sample points of every input cell.
 
     One step of the image map ``omega_limit_cells`` iterates.  Table flows
-    read their table directly.  Exact rotations (angle times
-    cells_per_axis an integer) reduce to a cyclic bitset shift and skip
-    both sampling and dilation.
+    read their table directly and refuse ``samples`` other than 1 and
+    ``dilate``.  Exact rotations (angle times cells_per_axis an integer)
+    reduce to a cyclic bitset shift, which is every sample's image, and
+    skip sampling; ``dilate`` dilates the shifted set.
     """
     grid.check_set(cells)
     return _ImageStep(grid, flow, samples, dilate)(cells)

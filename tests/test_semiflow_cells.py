@@ -278,6 +278,29 @@ class TestCellImage:
                 assert [hits(i) for i in range(n)] == [
                     ((i + shift) % n,) for i in range(n)], (n, s)
 
+    def test_exact_rotation_dilates_its_shift(self):
+        # the shift is every sample's image, so the outer cover dilates it
+        rng = random.Random(283)
+        for n in (1 << e for e in range(7)):
+            grid = CellGrid(1, n)
+            sets = [1 << i for i in range(n)]
+            sets += [rng.randrange(1, 1 << n) for _ in range(4)]
+            for s in range(-n, 2 * n + 1):
+                flow = DiscreteSemiflow("rotation", (F(s, n),))
+                assert flow.exact_rotation_shift(grid) is not None
+                for cells in sets:
+                    assert (cell_image(grid, flow, cells, dilate=True)
+                            == grid.dilate(cell_image(grid, flow, cells))), \
+                        (n, s, cells)
+        # angle 1/8 on 8 cells steps cell 0 to cell 1, dilated to 0b111,
+        # as the sampled angle 1/9 does
+        g = CellGrid(1, 8)
+        for theta in (F(1, 8), F(1, 9)):
+            flow = DiscreteSemiflow("rotation", (theta,))
+            assert cell_image(g, flow, 0b1, dilate=True) == 0b111, theta
+            assert omega_limit_cells(g, flow, 0b1, dilate=True).omega \
+                == g.full_mask, theta
+
     def test_floor_rounding_and_closed_right_edge(self):
         # tent 2 sends the midpoint of cell i of 4 to n f(x) = 2i + 1 or
         # 7 - 2i, the left end of cell 1 or 3: each lands in that cell
@@ -371,6 +394,18 @@ class TestCellImage:
         assert {p for p, _ in reached[("henon", 0, "above")]} == {henon[1]}
         assert {key: reached[key] for key in tops} == tops
 
+    @pytest.mark.parametrize("samples, dilate", [(8, True), (2, False),
+                                                 (1, True)])
+    def test_table_flow_refuses_samples_and_dilation(self, samples, dilate):
+        # a table row is the image; sampling or dilating it would be ignored
+        g = CellGrid(1, 4)
+        flow = DiscreteSemiflow("table", table=(0b10, 0b100, 0b1000, 0b1))
+        with pytest.raises(PreconditionError, match="table"):
+            cell_image(g, flow, 0b1, samples=samples, dilate=dilate)
+        with pytest.raises(PreconditionError, match="table"):
+            omega_limit_cells(g, flow, 0b1, samples=samples, dilate=dilate)
+        assert cell_image(g, flow, 0b1) == 0b10
+
     @pytest.mark.parametrize("samples", [0, -1, 65, 10**9,
                                          True, 2.5, 2.0, "2", F(2)])
     def test_samples_out_of_range_rejected_before_sampling(self, samples,
@@ -458,6 +493,86 @@ class TestCellImage:
         assert g.dilate(right_edge) == right_edge | right_edge >> 1
 
 
+def counted_cell_map(flow):
+    """Count the cell map calls of every sampler built for ``flow``."""
+    calls = [0]
+    build = flow.cell_map
+
+    def counting(n, k, *params):
+        cell = build(n, k, *params)
+
+        def counted(*m):
+            calls[0] += 1
+            return cell(*m)
+        return counted
+    flow.cell_map = counting
+    return calls
+
+
+class TestSampledRuns:
+    """Logistic and tent cells read their hits off two end samples when the
+    slope bound covers the run between them; henon tables its terms."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_runs_match_reference_hits(self, k):
+        eps = F(1, 1000)
+        for kind, top in (("logistic", 4), ("tent", 2)):
+            params = {p for p in (k - eps, F(k), k + eps, F(top), F(1))
+                      if 0 <= p <= top}
+            for param, n in product(sorted(params), (1, 2, 4, 64)):
+                grid = CellGrid(1, n)
+                flow = DiscreteSemiflow(kind, (param,))
+                calls = counted_cell_map(flow)
+                hits = semiflow_cells._sampler(grid, flow, k)
+                for i in range(n):
+                    assert (sum(1 << c for c in hits(i))
+                            == reference_hits(grid, flow, i, k)), \
+                        (kind, param, n, i)
+                certified = n > 1 and param <= k
+                assert calls[0] == n * (2 if certified else k), (kind, param)
+
+    @pytest.mark.parametrize("param, k, hits", [(4, 2, 0b101),
+                                                (F(39, 10), 3, 0b1011)])
+    def test_steep_cells_keep_their_gaps(self, param, k, hits):
+        # slope above k: consecutive samples skip a cell, so the hits of
+        # cell 0 are no run and every sample is floored
+        grid, flow = CellGrid(1, 64), DiscreteSemiflow("logistic", (param,))
+        assert reference_hits(grid, flow, 0, k) == hits
+        assert cell_image(grid, flow, 0b1, samples=k) == hits
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tabled_henon_matches_reference_hits(self, k):
+        for params in ((F(7, 5), F(3, 10)), (F(-7, 5), F(3, 10)),
+                       (F(-1, 3), F(-9, 10))):
+            flow = DiscreteSemiflow("henon", params)
+            for n in (1, 2, 8, 16):
+                grid = CellGrid(2, n)
+                hits = semiflow_cells._sampler(grid, flow, k)
+                for i in range(grid.total):
+                    assert (sum(1 << c for c in hits(i))
+                            == reference_hits(grid, flow, i, k)), (params, n, i)
+
+    def test_two_evaluations_per_visited_cell(self, monkeypatch):
+        # the omega benchmark's dilated logistic run: 39/10 <= 8 samples
+        visited = [0]
+        sampler = semiflow_cells._sampler
+
+        def counting_sampler(*args):
+            hits = sampler(*args)
+
+            def counted(i):
+                visited[0] += 1
+                return hits(i)
+            return counted
+        monkeypatch.setattr(semiflow_cells, "_sampler", counting_sampler)
+        grid = CellGrid(1, 1024)
+        flow = DiscreteSemiflow("logistic", (F(39, 10),))
+        calls = counted_cell_map(flow)
+        omega_limit_cells(grid, flow, random_half(1, grid.total), samples=8,
+                          dilate=True)
+        assert visited[0] > 0 and calls[0] == 2 * visited[0]
+
+
 class TestOmegaLimitCells:
     def test_identity_flow(self):
         g = CellGrid(1, 4)
@@ -499,7 +614,9 @@ class TestOmegaLimitCells:
         for n in (1, 4, 16):
             table = tuple(random_cells(rng, CellGrid(1, n)) if rng.random() < 0.8
                           else 0 for _ in range(n))
-            runs.append((CellGrid(1, n), DiscreteSemiflow("table", table=table)))
+            if samples == 1 and not dilate:  # a table takes neither
+                runs.append((CellGrid(1, n),
+                             DiscreteSemiflow("table", table=table)))
         for grid, flow in runs:
             for _ in range(4):
                 init = random_cells(rng, grid) or 1
@@ -690,6 +807,10 @@ class TestIncrementalStep:
         if flow == "table":
             flow = DiscreteSemiflow(
                 "table", table=shared_target_table(rng, grid.total))
+            if samples != 1 or dilate:  # a table takes neither
+                with pytest.raises(PreconditionError, match="table"):
+                    semiflow_cells._ImageStep(grid, flow, samples, dilate)
+                return
         step = semiflow_cells._ImageStep(grid, flow, samples, dilate)
         paths, top_count = [], 0
         for cells in delta_walk_sequence(rng, grid.total):
