@@ -31,6 +31,7 @@ interned coordinates, and hash each point they draw once, rejected draws
 included; the same seed draws the same nets from the same bits.  Every
 draw is one exact kernel on ``rng.getrandbits`` (``_pick``, inlined in
 ``random_point``), bit for bit with ``Random.choice`` and ``randint``.
+The main theorem over Q^d is one table (``pseudometrizable_equivalence``).
 """
 
 from __future__ import annotations
@@ -455,16 +456,13 @@ def suite_separation_containments(report: SuiteReport, rng) -> None:
 
 @_suite
 def suite_compactness_equivalences(report: SuiteReport, rng) -> None:
-    """Compactness-flavoured implications across both backends.
+    """Limit set compactness on the compact finite backend.
 
-    Finite backend (compact, locally compact): every nonempty-valued net
-    must be limit set compact -- checked exhaustively on up to 3 points
-    for periodic nets and on small directed posets for finite-index nets.
-    Rational backend: eventually Lagrange stable nets of nonempty sets
-    must converge from above to their (nonempty compact) limit set, be
-    asymptotically sequentially compact and limit set compact; weak
-    asymptotic sequential compactness must force convergence from above
-    to the limit set.
+    Every nonempty-valued net over a finite space (compact, locally
+    compact) must be limit set compact -- checked exhaustively on up to 3
+    points for periodic nets and on small directed posets for finite-index
+    nets.  The implications from Lagrange stability over Q^d are rows of
+    ``pseudometrizable_equivalence``'s table.
 
     The periodic block asks ``is_limit_set_compact`` once per cycle (see
     the module docstring).
@@ -484,60 +482,61 @@ def suite_compactness_equivalences(report: SuiteReport, rng) -> None:
                     report.violation(describe_net(net),
                                      "limit set compact on a compact space",
                                      "verdict fails")
-    for net in rule_net_stream(rng, report.budget, nonempty=True):
-        report.instances += 1
-        ls = limit_set(net)
-        fa = converges_from_above(net, ls)
-        if is_eventually_lagrange_stable(net):
-            if not ls:
-                report.violation(describe_net(net),
-                                 "nonempty limit set under Lagrange stability",
-                                 "empty")
-            for name, verdict in (
-                    ("converges from above to L", fa),
-                    ("asymptotically seq compact",
-                     is_asymptotically_seq_compact(net)),
-                    ("limit set compact", is_limit_set_compact(net))):
-                if not verdict:
-                    report.violation(describe_net(net),
-                                     f"{name} under Lagrange stability",
-                                     "fails")
-        if is_weakly_asymptotically_seq_compact(net) and not fa:
-            report.violation(describe_net(net),
-                             "weak asymptotic compactness forces "
-                             "convergence from above to L", "fails")
 
 
 @_suite
 def suite_pseudometrizable_equivalence(report: SuiteReport, rng) -> None:
-    """The four-way equivalence on nonempty-valued nets over Q^d.
+    """The main theorem on nonempty-valued nets over Q^d, as one table.
 
-    Convergence from above to some nonempty compact set (decided against
-    the candidate compact = the limit set), asymptotic sequential
-    compactness, its weak form, and limit set compactness must agree on
-    every instance.  At least ``budget // 10`` instances are excluded-limit
-    traps, where all four must fail together.
+    Rows: convergence from above to some nonempty compact set (by
+    semi-distance, against the candidate compact = the limit set L),
+    asymptotic sequential compactness, its weak form and limit set
+    compactness agree; Lagrange stability implies L nonempty, convergence
+    from above to L (``converges_from_above``), asymptotic sequential
+    compactness and limit set compactness; the weak form implies
+    convergence from above to L; all four fail on an excluded-limit trap
+    (a trap draw whose space excludes its limit point), and at least
+    ``budget // 10`` instances must be traps.  Each answer is asked once.
     """
     budget = report.budget
     traps = 0
     for i, net in enumerate(rule_net_stream(rng, budget, nonempty=True)):
         report.instances += 1
-        if RULE_FAMILIES[i % len(RULE_FAMILIES)] == "trap":
-            traps += 1
+        trap = (RULE_FAMILIES[i % len(RULE_FAMILIES)] == "trap"
+                and net.tail.a in net.ground.excluded)
+        traps += trap
         ls = limit_set(net)
+        stable = is_eventually_lagrange_stable(net)
+        attracted = converges_from_above(net, ls)
         # an empty limit set leaves no compact target to attract the net
         above = bool(ls) and semidistance_convergence_check(net, ls)
-        vector = {
-            "converges from above to a nonempty compact": above,
-            "asymptotically seq compact": is_asymptotically_seq_compact(net),
-            "weakly asymptotically seq compact":
-                is_weakly_asymptotically_seq_compact(net),
-            "limit set compact": is_limit_set_compact(net),
-        }
+        strong = is_asymptotically_seq_compact(net)
+        weak = is_weakly_asymptotically_seq_compact(net)
+        compact = is_limit_set_compact(net)
+        vector = {"converges from above to a nonempty compact": above,
+                  "asymptotically seq compact": strong,
+                  "weakly asymptotically seq compact": weak,
+                  "limit set compact": compact}
         if len(set(vector.values())) != 1:
             got = ", ".join(f"{k}={verdict_to_json(v)['state']}"
                             for k, v in sorted(vector.items()))
             report.violation(describe_net(net), "all four verdicts equal", got)
+        for broken, expected, got in (
+                (stable and not ls,
+                 "nonempty limit set under Lagrange stability", "empty"),
+                (stable and not attracted, "converges from above to L "
+                 "under Lagrange stability", "fails"),
+                (stable and not strong, "asymptotically seq compact "
+                 "under Lagrange stability", "fails"),
+                (stable and not compact,
+                 "limit set compact under Lagrange stability", "fails"),
+                (weak and not attracted, "weak asymptotic compactness forces "
+                 "convergence from above to L", "fails"),
+                (trap and any(vector.values()),
+                 "all four verdicts fail on an excluded-limit trap",
+                 "a verdict holds")):
+            if broken:
+                report.violation(describe_net(net), expected, got)
     if traps < budget // 10:
         report.violation("trap quota", f">= {budget // 10} excluded-limit traps",
                          str(traps))

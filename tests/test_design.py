@@ -9,6 +9,7 @@ from limitset_lab.finite_topology import BitmaskGround, FiniteSpace
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace)
 from limitset_lab.semiflow_cells import CellGrid
+from limitset_lab.theoremlab import SUITES
 
 SRC = Path(limitset_lab.__file__).parent
 RULES = {"Periodic", "AffineEscape", "GeometricConverge"}
@@ -758,3 +759,30 @@ def test_the_scan_sees_random_wrapper_calls():
                      "choice = rng.choice\n"
                      "choice(seq)\n")
     assert random_wrapper_calls(tree) == [1, 2, 4, 5, 7]
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def module_constant(tree, name):
+    """The literal value of the module-level assignment to ``name``, or
+    None when the module assigns no such name."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_every_benchmarked_suite_is_registered():
+    # the benchmark runs `verify --suite <name>` by name, and an unknown
+    # name exits 2; read its list without importing or editing it
+    names = module_constant(ast.parse(WORKLOADS.read_text()), "VERIFY_SUITES")
+    assert names and set(names) <= set(SUITES)
+
+
+def test_the_scan_sees_benchmarked_suites():
+    tree = ast.parse("def f():\n    VERIFY_SUITES = ('inner',)\n"
+                     "X = 1\nVERIFY_SUITES = ('a',\n                 'b')\n")
+    assert module_constant(tree, "VERIFY_SUITES") == ("a", "b")
+    assert module_constant(tree, "Y") is None

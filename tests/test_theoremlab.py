@@ -10,8 +10,7 @@ from limitset_lab.jsonio import report_to_json
 from limitset_lab.finite_topology import discrete_space, enumerate_spaces
 from limitset_lab.pseudometric_core import RationalPointSpace
 from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
-                                      Periodic, SubsetNet,
-                                      is_eventually_lagrange_stable)
+                                      Periodic, SubsetNet, TailSummary)
 from limitset_lab.theoremlab import (EXHIBIT_CAP, SUITES, cycle_window,
                                      describe_net, iter_periodic_cycles,
                                      random_rule_net, rule_net_stream,
@@ -207,11 +206,8 @@ class TestSuiteMachinery:
             for n in (1, 2) for space in enumerate_spaces(n)
             for _ in theoremlab.iter_finite_assignments(space, order,
                                                         nonempty=True))
-        # the rational block asks only eventually Lagrange stable nets
-        rng = random.Random(f"{seed}:compactness_equivalences")
-        assert calls["rational"] == sum(
-            map(is_eventually_lagrange_stable,
-                rule_net_stream(rng, budget, nonempty=True)))
+        # the rational implications are rows of pseudometrizable_equivalence
+        assert calls["rational"] == 0
 
     @pytest.mark.parametrize("suite", ["compactness_equivalences",
                                        "sequential_limits"])
@@ -282,6 +278,56 @@ class TestSuiteMachinery:
             report = run_suite("pseudometrizable_equivalence", budget=budget,
                                seed=seed)
             assert report.passed, (budget, report.violations)
+
+    def test_trap_quota_counts_real_traps(self, monkeypatch):
+        # trap draws that come back as geometric nets whose limit point the
+        # space includes are not traps, so the quota must fail
+        real = theoremlab.random_rule_net
+
+        def no_traps(rng, family, nonempty=False):
+            return real(rng, "geometric" if family == "trap" else family,
+                        nonempty)
+
+        monkeypatch.setattr(theoremlab, "random_rule_net", no_traps)
+        report = run_suite("pseudometrizable_equivalence", budget=40, seed=42)
+        assert report.violations == [{"instance": "trap quota",
+                                      "expected": ">= 4 excluded-limit traps",
+                                      "got": "0"}]
+
+    @pytest.mark.parametrize("name,verdict,expected", [
+        ("limit_set", lambda net: frozenset(),
+         "nonempty limit set under Lagrange stability"),
+        ("converges_from_above", lambda net, a: False,
+         "converges from above to L under Lagrange stability"),
+        ("is_asymptotically_seq_compact", lambda net: False,
+         "asymptotically seq compact under Lagrange stability"),
+        ("is_limit_set_compact", lambda net: False,
+         "limit set compact under Lagrange stability"),
+        ("is_weakly_asymptotically_seq_compact", lambda net: True,
+         "weak asymptotic compactness forces convergence from above to L"),
+        ("is_limit_set_compact", lambda net: True,
+         "all four verdicts fail on an excluded-limit trap"),
+    ], ids=["R2", "R3", "R4", "R5", "R6", "R7"])
+    def test_every_row_fires(self, name, verdict, expected, monkeypatch):
+        # each row of the table is reported, with its own text, once a
+        # verdict it reads is broken
+        assert run_suite("pseudometrizable_equivalence", 40, 42).passed
+        monkeypatch.setattr(theoremlab, name, verdict)
+        report = run_suite("pseudometrizable_equivalence", budget=40, seed=42)
+        assert expected in {v["expected"] for v in report.violations}
+
+    @pytest.mark.parametrize("budget,seed,violations",
+                             [(200, 7, 50), (1000, 42, 247)])
+    def test_lost_as_not_recurs_control(self, budget, seed, violations,
+                                        monkeypatch):
+        # a convergent geometric tail read as lost keeps its limit set, so
+        # limit set compactness parts from the other three verdicts
+        monkeypatch.setattr(TailSummary, "lost",
+                            property(lambda summary: not summary.recurs))
+        report = run_suite("pseudometrizable_equivalence", budget, seed)
+        assert len(report.violations) == violations
+        assert {v["expected"] for v in report.violations} == {
+            "all four verdicts equal"}
 
 
 def iter_periodic_nets(space, max_cycle=2, max_pre=2, nonempty=False):
