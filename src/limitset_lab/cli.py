@@ -21,19 +21,18 @@ points, and ``omega`` a ``--samples`` above ``MAX_SAMPLES``; ``--map
 table`` refuses ``--param``, ``--param2``, ``--samples`` and ``--dilate``.
 ``verify`` writes one summary line per suite (instances, violations,
 exhibits and seconds) to stdout, or to stderr when the report goes to
-stdout.  An ``--out`` file is written in place and cut to the written
-length, never truncated to zero first, so a crash or a concurrent reader
-can see old and new bytes mixed; a target that is not a regular file
-(``/dev/null``, a FIFO) is written without truncation.  Evaluation is
-sequential, and identical argv and inputs produce byte-identical outputs.
+stdout.  An ``--out`` file is written in place through its file
+descriptor and cut to the written length, never truncated to zero first,
+so a crash or a concurrent reader can see old and new bytes mixed; a
+target that is not a regular file (``/dev/null``, a FIFO) is written
+without truncation.  Evaluation is sequential, and identical argv and
+inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import os
 import re
 import stat
@@ -118,9 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(path: str, text: str):
     """Write ``text`` to ``path``, or to stdout for ``-``.  The file is
-    written in place and then cut to length, never truncated to zero first:
-    on ext4 and XFS closing a file truncated to zero starts its writeback,
-    which every request would wait on.  The price is crash consistency: a
+    written in place through its descriptor until every byte is in (a
+    pipe can take a short write), and then cut to length, never truncated
+    to zero first: on ext4 and XFS closing a file truncated to zero starts
+    its writeback, which every request would wait on.  The price is crash consistency: a
     crash during the write, or a reader that opens the file meanwhile, can
     see the old bytes, new and old bytes mixed, or the old content cut to
     the new length, where a file truncated first held nothing or the new
@@ -130,10 +130,15 @@ def _write(path: str, text: str):
         sys.stdout.write(text)
         return
     data = text.encode()  # every output is ASCII, so the bytes are unchanged
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(data)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            f.truncate(len(data))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def cmd_space(args) -> int:
@@ -244,17 +249,18 @@ def cmd_omega(args) -> int:
     result = omega_limit_cells(grid, flow, init,
                                samples=samples, dilate=args.dilate)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "cells", "distance"])
-    for (n, d), count in zip(result.trace, result.sizes):
-        writer.writerow([n, count, float(d)])
+    # the bytes csv.writer's excel dialect writes: ints by str, floats
+    # (inf included) by repr, no quoting, CRLF line ends
+    rows = ["n,cells,distance\r\n"]
+    rows += [f"{n},{count},{float(d)!r}\r\n"
+             for (n, d), count in zip(result.trace, result.sizes)]
+    trace = "".join(rows)
     summary = jsonio.omega_summary_to_json(result)
     if args.out == "-":
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(trace)
         sys.stderr.write(jsonio.dumps_canonical(summary))
     else:
-        _write(args.out, buf.getvalue())
+        _write(args.out, trace)
         sys.stdout.write(jsonio.dumps_canonical(summary))
     return 0
 

@@ -31,13 +31,22 @@ def dumps_canonical(obj) -> str:
 
 
 def read_json(path: str):
-    """Parse a UTF-8 JSON file.  Bad syntax, non-UTF-8 bytes, nesting past
-    the recursion limit and over-long int literals are malformed input."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except (ValueError, RecursionError) as exc:
-            raise MalformedInputError(f"{path}: {exc}") from exc
+    r"""Parse a UTF-8 JSON file.  Bad syntax, non-UTF-8 bytes, nesting past
+    the recursion limit and over-long int literals are malformed input.
+
+    The file's bytes are read in one call and decoded as UTF-8, and then
+    ``\r\n`` and a lone ``\r`` become ``\n``, the newline translation of a
+    text-mode read: every refusal names the line, column, character or
+    byte that reading the file in text mode would."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInputError(f"{path}: {exc}") from exc
 
 
 # -- rationals and points ------------------------------------------------------

@@ -14,8 +14,8 @@ Point sets over ``RationalPointSpace`` are frozensets of canonical
 points: tuples whose coordinates all have type exactly ``Fraction``.  Entry
 points coerce and check their arguments once; a canonical frozenset of
 points of the space passes ``check_set`` as the same object, and any other
-sequence is coerced and checked point by point.  Point sets over
-``FinitePseudoMetric`` are int bitmasks.  Both grounds own the point-set
+sequence is coerced point by point and hashed once, into the frozenset.
+Point sets over ``FinitePseudoMetric`` are int bitmasks.  Both grounds own the point-set
 operations nets use, ``semidistance`` included, under the same names.
 
 Every distance on either ground, between points or from a point or a set
@@ -75,15 +75,35 @@ class RationalPointSpace:
     def check_set(self, a: Iterable) -> PointSet:
         """``a`` as a frozenset of checked canonical points.  A frozenset
         of canonical points of the space is returned as it is: the
-        exclusion test reads the hashes it already stores."""
+        exclusion test reads the hashes it already stores.  Any other
+        ``a`` has each point hashed once, by the frozenset built from it,
+        and the exclusions are tested on the stored hashes; a refusal
+        checks the points one by one in input order, so it names the first
+        bad point, as ``check_point`` on each in turn would."""
+        dim = self.dim
         if type(a) is frozenset and self.excluded.isdisjoint(a):
-            dim = self.dim
             for p in a:
                 if type(p) is not tuple or len(p) != dim or p is not as_point(p):
                     break
             else:
                 return a
-        return frozenset(self.check_point(p) for p in a)
+        points = []
+        try:
+            for p in a:
+                p = as_point(p)
+                if len(p) != dim:
+                    self.check_point(p)  # raises the dimension refusal
+                points.append(p)
+        except Exception:
+            # a point before the failing one may be excluded
+            for p in points:
+                self.check_point(p)
+            raise
+        s = frozenset(points)
+        if not self.excluded.isdisjoint(s):
+            for p in points:
+                self.check_point(p)
+        return s
 
     normalize = check_set
 

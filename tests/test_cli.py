@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -593,6 +594,95 @@ class TestOmega:
             assert elapsed < 10, f"henon 256/axis took {elapsed:.1f}s"
 
 
+def csv_writer_trace(result):
+    """The trace CSV of ``result`` written with ``csv.writer``: the
+    reference that ``cmd_omega``'s own row formatting must match."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["n", "cells", "distance"])
+    for (n, d), count in zip(result.trace, result.sizes):
+        writer.writerow([n, count, float(d)])
+    return buf.getvalue().encode()
+
+
+def trace_sweep(rng):
+    """Seeded omega argvs: the four builtins and a table flow, 1-D and 2-D,
+    ``--samples`` 1-3, ``--dilate`` on and off, and all, cell: and cells:
+    inits; a table is (TABLE, rows)."""
+    params = {"logistic": (["39/10"], ["2.0"], ["7/2"], ["4"]),
+              "tent": (["3/2"], ["2"], ["1/3"]),
+              "rotation": (["1/8"], ["2/7"], ["0.3"]),
+              "henon": (["7/5", "3/10"], ["1/2", "1/4"])}
+    argvs = []
+    for kind in ("logistic", "tent", "rotation", "henon", "table"):
+        for _ in range(6):
+            cells = rng.choice((4, 8) if kind == "henon" else (4, 8, 16, 32))
+            total = cells ** (2 if kind == "henon" else 1)
+            argv = ["--map", kind, "--cells", str(cells)]
+            if kind == "table":
+                rows = [rng.sample(range(total), rng.randint(0, 2))
+                        for _ in range(total)]
+                argv += ["--in", (TABLE, rows)]
+            else:
+                for flag, raw in zip(("--param", "--param2"),
+                                     rng.choice(params[kind])):
+                    argv += [flag, raw]
+                argv += ["--samples", str(rng.randint(1, 3))]
+                argv += ["--dilate"] * rng.randint(0, 1)
+            init = rng.choice(("all", "cell:", "cells:"))
+            if init != "all":
+                init += ",".join(str(rng.randrange(total)) for _ in range(
+                    1 if init == "cell:" else rng.randint(1, total)))
+            argvs.append(argv + ["--init", init])
+    return argvs
+
+
+class TestTraceCsv:
+    """The trace rows ``cmd_omega`` formats are the bytes ``csv.writer``
+    wrote for the same result."""
+
+    def run_both(self, argv, tmp_path, monkeypatch, capsys):
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(omega_limit_cells(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "omega_limit_cells", recording)
+        argv = [write_json(tmp_path / "table.json", a[1])
+                if type(a) is tuple else a for a in argv]
+        outfile = tmp_path / "trace.csv"
+        assert run(["omega"] + argv + ["--out", str(outfile)]) == 0, \
+            capsys.readouterr().err
+        capsys.readouterr()
+        (result,) = results
+        return outfile.read_bytes(), csv_writer_trace(result)
+
+    @pytest.mark.parametrize("name", sorted(OMEGA_PINNED))
+    def test_pinned_traces(self, name, tmp_path, monkeypatch, capsys):
+        written, reference = self.run_both(OMEGA_PINNED[name][0], tmp_path,
+                                           monkeypatch, capsys)
+        assert written == reference
+
+    def test_seeded_sweep(self, tmp_path, monkeypatch, capsys):
+        argvs = trace_sweep(random.Random("trace-csv"))
+        assert len(argvs) == 30
+        for argv in argvs:
+            written, reference = self.run_both(argv, tmp_path, monkeypatch,
+                                               capsys)
+            assert written == reference, argv
+            monkeypatch.undo()
+
+    def test_an_empty_row_writes_inf(self, tmp_path, monkeypatch, capsys):
+        # cell 3 runs 3 -> {0, 1} -> {1, 2} -> {2} -> {}: omega is empty
+        argv = ["--map", "table", "--in", (TABLE, [[1], [2], [], [0, 1]]),
+                "--cells", "4", "--init", "cell:3"]
+        written, reference = self.run_both(argv, tmp_path, monkeypatch,
+                                           capsys)
+        assert written == reference
+        assert written.count(b",inf\r\n") == 4
+
+
 def other_interpreters():
     """(minor, path) of each ``python3.<minor>`` on PATH, minor >= 10, that
     starts, reports that version and is not the running interpreter's."""
@@ -690,9 +780,30 @@ class TestOutFile:
         assert run(argv + ["--out", str(outfile)]) == 0
         assert outfile.read_bytes() == streamed
 
-    def test_dev_null_is_written_without_truncation(self, capsys):
+    def test_dev_null_is_written_without_truncation(self, capsys,
+                                                    monkeypatch):
+        def refuse(fd, n):
+            raise AssertionError("ftruncate on a character device")
+
+        monkeypatch.setattr(cli.os, "ftruncate", refuse)
         assert run(self.REQUESTS["net"] + ["--out", "/dev/null"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        # a pipe or a signal can cut a write short: at most 3 bytes a call
+        # still writes every byte, and a longer old file is cut to length
+        text = "".join(f"{n},{n * n}\n" for n in range(40))
+        real, truncated = os.write, []
+        monkeypatch.setattr(cli.os, "write",
+                            lambda fd, data: real(fd, data[:3]))
+        monkeypatch.setattr(cli.os, "ftruncate",
+                            lambda fd, n, _real=os.ftruncate: (
+                                truncated.append(n), _real(fd, n)))
+        outfile = tmp_path / "out"
+        outfile.write_bytes(b"x" * 5000)
+        cli._write(str(outfile), text)
+        assert outfile.read_bytes() == text.encode()
+        assert truncated == [len(text)]
 
     def test_a_directory_is_one_input_error_line(self, tmp_path, capsys):
         assert run(self.REQUESTS["net"] + ["--out", str(tmp_path)]) == 2

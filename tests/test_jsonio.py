@@ -1,10 +1,11 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from limitset_lab import jsonio
-from limitset_lab.errors import MalformedInputError
+from limitset_lab.errors import MalformedInputError, MembershipError
 from limitset_lab.finite_topology import (SIERPINSKI, FiniteSpace,
                                           discrete_space, enumerate_spaces)
 from limitset_lab.jsonio import fraction_from_json, fraction_to_json
@@ -173,6 +174,103 @@ class TestPointSets:
     def test_repeated_index_is_one_point(self):
         assert jsonio.pointset_from_json(SIERPINSKI, [1, 1, 0, 1]) == 0b11
         assert jsonio.pointset_to_json(SIERPINSKI, 0b11) == [0, 1]
+
+
+def q(num, den=1):
+    return {"num": str(num), "den": str(den)}
+
+
+Q2_EXCLUDING = {"dim": 2, "excluded": [[q(0), q(0)], [q(5), q(1, 2)]]}
+EXCLUDED_ORIGIN = ("point (Fraction(0, 1), Fraction(0, 1)) is excluded "
+                   "from the space")
+
+
+class TestRationalPointSets:
+    def test_each_decoded_point_is_hashed_once(self, monkeypatch):
+        # the frozenset hashes each coordinate; the exclusion test reads
+        # the stored hashes instead of hashing every point a second time
+        wire = {"ground": Q2_EXCLUDING,
+                "preperiod": [[[q(1), q(2)], [q(1, 3), q(-1)]], [[q(7), q(7)]]],
+                "tail": {"kind": "periodic",
+                         "cycle": [[[q(2), q(2)]],
+                                   [[q(3, 4), q(1)], [q(9), q(9)]]]}}
+        calls = []
+
+        def counting(self, _real=F.__hash__):
+            calls.append(self)
+            return _real(self)
+
+        monkeypatch.setattr(F, "__hash__", counting)
+        net = jsonio.net_from_json(wire)
+        monkeypatch.undo()
+        coords = [c for s in net.preperiod + net.tail.cycle for p in s
+                  for c in p]
+        assert len(coords) == 12
+        assert [sum(c is seen for seen in calls) for c in coords] == [1] * 12
+
+    @pytest.mark.parametrize("points, message", [
+        ([[q(1), q(1)], [q(3)], [q(0), q(0)]],
+         "point of dimension 1, space has 2"),
+        ([[q(1), q(1)], [q(0), q(0)], [q(3)]], EXCLUDED_ORIGIN),
+        ([[q(0), q(0)], [q(1), "x"]], EXCLUDED_ORIGIN),
+        ([[q(3)], [q(1), "x"]], "point of dimension 1, space has 2"),
+        ([[q(1), q(1)], [q(1), "x"], [q(0), q(0)]],
+         "expected rational, got: 'x'"),
+        ([[q(1), q(1)], [q(5), q(1, 2)], [q(0), q(0)]],
+         "point (Fraction(5, 1), Fraction(1, 2)) is excluded from the space"),
+    ], ids=["dimension-first", "excluded-first", "excluded-then-malformed",
+            "dimension-then-malformed", "malformed-first", "first-excluded"])
+    def test_a_refusal_names_the_first_bad_point(self, points, message):
+        # the message of checking point by point, in input order
+        ground = jsonio.ground_from_json(Q2_EXCLUDING)
+        with pytest.raises((MalformedInputError, MembershipError),
+                           match=f"^{re.escape(message)}$"):
+            jsonio.pointset_from_json(ground, points)
+
+
+def text_mode_refusal(path):
+    """The refusal of reading ``path`` as ``read_json`` did when it read
+    the file in text mode, or None when that read parses."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            json.load(f)
+        except (ValueError, RecursionError) as exc:
+            return f"{path}: {exc}"
+    return None
+
+
+EIGHT_KIB = 8192
+READ_JSON_FILES = {
+    "crlf": b'{\r\n  "a": 1,\r\n  "b": ]\r\n}\r\n',
+    "lone-cr": b'{\r  "a": 1,\r  "b": ]\r}\r',
+    "mixed-ends": b'[1,\r\n 2,\r 3,\n\r\n\r 4 5]',
+    "bom": b'\xef\xbb\xbf{"a": 1}',
+    "invalid-byte-before-8k": b'["' + b"a" * 100 + b'\xff", 1]',
+    "invalid-byte-after-8k": b'["' + b"a" * 9000 + b'\xff", 1]',
+    "control-char-in-string": b'{"a":\r\n "b\x01c"}',
+    "cr-in-string": b'{"a":\r\n "b\rc"}',
+    "split-multibyte-at-8k": (b'["' + b"a" * (EIGHT_KIB - 3)
+                              + "\u20ac\u00e9".encode() + b'",\r\n x]'),
+    "truncated-multibyte": b'["' + b"a" * (EIGHT_KIB - 2) + b"\xe2\x82",
+}
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("name", sorted(READ_JSON_FILES))
+    def test_refusal_matches_a_text_mode_read(self, name, tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(READ_JSON_FILES[name])
+        expect = text_mode_refusal(path)
+        assert expect is not None
+        with pytest.raises(MalformedInputError) as info:
+            jsonio.read_json(str(path))
+        assert str(info.value) == expect
+
+    def test_line_ends_are_read_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "ends.json"
+        path.write_bytes(b'{\r\n"a": [1,\r2],\n"b": "x"\r\n}\r')
+        with open(path, encoding="utf-8") as f:
+            assert jsonio.read_json(str(path)) == json.load(f)
 
 
 class TestNets:
