@@ -25,8 +25,9 @@ from .semiflow_cells import (CellGrid, DiscreteSemiflow, OmegaResult,
                              omega_limit_cells)
 from .setvalued_maps import (SetValuedMap, image, is_lsc_at, is_usc_at,
                              lsc_via_semidistance)
-from .subset_nets import (ZNN, AffineEscape, GeometricConverge, NetAnalysis,
-                          Periodic, SubsetNet, analyze,
+from .subset_nets import (ZNN, AffineEscape, FiniteIndexNet,
+                          GeometricConverge, NetAnalysis, Periodic,
+                          SubsetNet, analyze,
                           below_iff_semidistance, cluster_set,
                           converges_from_above, converges_from_below,
                           eventually_in, frequently_in,

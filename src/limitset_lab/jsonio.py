@@ -225,7 +225,7 @@ def tail_from_json(ground, obj):
 def net_to_json(net: SubsetNet) -> dict:
     out = {"ground": ground_to_json(net.ground),
            "index": order_to_json(net.index)}
-    if net.is_znn:
+    if net.index is ZNN:
         out["preperiod"] = [pointset_to_json(net.ground, s)
                             for s in net.preperiod]
         out["tail"] = tail_to_json(net.ground, net.tail)

@@ -1,17 +1,11 @@
 """Nets of subsets over three kinds of ground, in tail normal form.
 
-A ``SubsetNet`` is either indexed by a finite directed order (with an
-explicit assignment of a point set to every index element) or by Z+ (with
-a finite preperiod followed by a symbolic tail rule: ``Periodic``,
-``AffineEscape`` or ``GeometricConverge``).  A finite index is a
-``FiniteSpace`` whose specialization preorder is the index order, so
-``index.rows[s]`` is the up-set ``{t : s <= t}``; Z+ is the constant
-``ZNN``.  Elements of either index are ints.
-
-Both index kinds are sequential, so the paper's sequential notions apply
-to every net without a check: a finite directed order has a top element,
-and the constant sequence at the top is final; Z+ is its own final
-sequence.
+A ``SubsetNet`` is indexed by Z+ and holds a finite preperiod followed by
+a symbolic tail rule: ``Periodic``, ``AffineEscape`` or
+``GeometricConverge``.  Its subclass ``FiniteIndexNet`` is indexed by a
+finite directed order and holds an explicit assignment of a point set to
+every index element.  Each class answers for its own index, so no function
+below asks a net which index it has.
 
 Each tail rule is a ``TailRule``: it evaluates and unrolls its values (a
 periodic tail slices its cycle), says whether each is one point, labels
@@ -260,7 +254,12 @@ LOST = TailSummary((), frozenset(), False)
 # -- the net ------------------------------------------------------------------
 
 class SubsetNet:
-    """A net of subsets of a ground space.
+    """A net of subsets of a ground space, indexed by Z+.
+
+    The index is the usual order on Z+, the constant ``ZNN``, and X_n is
+    the n-th preperiod set for n below the preperiod's length and the tail
+    rule's value after it.  Z+ is sequential: it is its own final sequence,
+    so the paper's sequential notions apply without a check.
 
     Use ``SubsetNet.over_znn`` or ``SubsetNet.over_finite`` to construct;
     values are normalized (bitmasks / frozensets of checked points), the
@@ -269,17 +268,14 @@ class SubsetNet:
     tail is reduced to its ``summary``.
     """
 
-    def __init__(self, ground: Ground, index: Union[FiniteSpace, _ZPlus],
-                 summary: TailSummary, preperiod: tuple = (),
-                 tail: Optional[TailRule] = None,
-                 assignment: Optional[tuple] = None):
+    index = ZNN
+
+    def __init__(self, ground: Ground, summary: TailSummary, preperiod: tuple,
+                 tail: TailRule):
         self.ground = ground
-        self.index = index
-        self.is_znn = index is ZNN
         self.summary = summary
         self.preperiod = preperiod
         self.tail = tail
-        self.assignment = assignment
 
     # construction ------------------------------------------------------------
 
@@ -290,7 +286,8 @@ class SubsetNet:
         if not isinstance(tail, TailRule):
             raise UnsupportedRuleError(f"unknown tail rule: {tail!r}")
         tail, summary = tail.reduce(ground, len(pre))
-        return cls(ground, ZNN, summary, preperiod=pre, tail=tail)
+        # a Z+ net even when called on FiniteIndexNet
+        return SubsetNet(ground, summary, pre, tail)
 
     def with_preperiod(self, preperiod: Sequence) -> "SubsetNet":
         """This Z+ net's tail behind a new, normalized preperiod.
@@ -300,62 +297,99 @@ class SubsetNet:
         shorter one exposes earlier tail values, so the net is built
         afresh by ``over_znn``, which re-runs the proof.
         """
-        if not self.is_znn:
-            raise PreconditionError("with_preperiod() needs a Z+ net")
         ground = self.ground
         pre = tuple(map(ground.normalize, preperiod))
         if len(pre) < len(self.preperiod):
             return SubsetNet.over_znn(ground, pre, self.tail)
-        return SubsetNet(ground, ZNN, self.summary, preperiod=pre,
-                         tail=self.tail)
+        return SubsetNet(ground, self.summary, pre, self.tail)
 
     @classmethod
     def over_finite(cls, ground: Ground, index: FiniteSpace,
-                    assignment: Sequence) -> "SubsetNet":
+                    assignment: Sequence) -> "FiniteIndexNet":
         top = top_element(index)
         if len(assignment) != index.n:
             raise MalformedInputError("assignment must cover every index element")
         values = tuple(map(ground.normalize, assignment))
         # the tails above the top element stabilize on the top class
         phases = tuple(values[t] for t in set_bits(index.rows[top]))
-        return cls(ground, index,
-                   TailSummary(phases, ground.union(phases), True),
-                   assignment=values)
+        return FiniteIndexNet(ground, index,
+                              TailSummary(phases, ground.union(phases), True),
+                              values)
 
     # evaluation ----------------------------------------------------------------
 
     def at(self, s: int) -> SetValue:
-        """X_s: s >= 0 on a Z+ net, an index element on a finite one."""
+        """X_s for s >= 0."""
         _check_index(s)
-        if self.is_znn:
-            if s < 0:
-                raise PreconditionError(f"Z+ index {s} is negative")
-            pre = self.preperiod
-            return pre[s] if s < len(pre) else self.tail.value(s, len(pre))
-        if not 0 <= s < self.index.n:
-            raise PreconditionError(
-                f"index {s} is not an element of the finite index")
-        return self.assignment[s]
+        if s < 0:
+            raise PreconditionError(f"Z+ index {s} is negative")
+        pre = self.preperiod
+        return pre[s] if s < len(pre) else self.tail.value(s, len(pre))
 
     def values(self, upto: int) -> List[SetValue]:
-        """X_0 ... X_upto for Z+ nets."""
-        if not self.is_znn:
-            raise PreconditionError("values() needs a Z+ net")
+        """X_0 ... X_upto."""
         _check_index(upto)
         pre = self.preperiod
         return [*pre[:max(upto + 1, 0)], *self.tail.values(len(pre), upto)]
 
     def is_singleton_valued(self) -> bool:
         size = self.ground.size
-        if self.is_znn:
-            return (all(size(s) == 1 for s in self.preperiod)
-                    and self.tail.is_singleton_valued(self.ground))
-        return all(size(s) == 1 for s in self.assignment)
+        return (all(size(s) == 1 for s in self.preperiod)
+                and self.tail.is_singleton_valued(self.ground))
+
+    def label(self) -> str:
+        """A short canonical instance label for reports."""
+        ground = self.ground
+        return (f"{ground} pre={ground.show_sets(self.preperiod)} "
+                f"{self.tail.label(ground)}")
 
     def __repr__(self):
-        if self.is_znn:
-            return (f"SubsetNet(znn, pre={len(self.preperiod)}, "
-                    f"tail={type(self.tail).__name__})")
+        return (f"SubsetNet(znn, pre={len(self.preperiod)}, "
+                f"tail={type(self.tail).__name__})")
+
+
+class FiniteIndexNet(SubsetNet):
+    """A net of subsets indexed by a finite directed order.
+
+    The index is a ``FiniteSpace`` whose specialization preorder is the
+    index order, so ``index.rows[s]`` is the up-set ``{t : s <= t}``, and
+    ``assignment[s]`` is X_s for each element s, an int.  A finite directed
+    order is sequential: it has a top element, and the constant sequence at
+    the top is final.  The net has no preperiod and no tail rule, so
+    ``values`` and ``with_preperiod`` refuse it.
+    """
+
+    def __init__(self, ground: Ground, index: FiniteSpace,
+                 summary: TailSummary, assignment: tuple):
+        self.ground = ground
+        self.index = index
+        self.summary = summary
+        self.assignment = assignment
+
+    def with_preperiod(self, preperiod: Sequence) -> "SubsetNet":
+        raise PreconditionError("with_preperiod() needs a Z+ net")
+
+    def at(self, s: int) -> SetValue:
+        """X_s for an element s of the finite index."""
+        _check_index(s)
+        if not 0 <= s < self.index.n:
+            raise PreconditionError(
+                f"index {s} is not an element of the finite index")
+        return self.assignment[s]
+
+    def values(self, upto: int) -> List[SetValue]:
+        raise PreconditionError("values() needs a Z+ net")
+
+    def is_singleton_valued(self) -> bool:
+        size = self.ground.size
+        return all(size(s) == 1 for s in self.assignment)
+
+    def label(self) -> str:
+        ground = self.ground
+        return (f"{ground} index={self.index.rows} "
+                f"values={ground.show_sets(self.assignment)}")
+
+    def __repr__(self):
         return f"SubsetNet(finite index n={self.index.n})"
 
 
@@ -456,7 +490,7 @@ def limit_set_horizon_oracle(net: SubsetNet, h: int = 8,
     truncated union nonempty although its limit set is empty (the
     Kuratowski horizon oracle covers geometric tails).
     """
-    if not net.is_znn:
+    if net.index is not ZNN:
         out = None
         for s in range(net.index.n):
             tail_union = net.ground.union(

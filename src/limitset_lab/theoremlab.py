@@ -274,12 +274,7 @@ def rule_net_stream(rng: random.Random, budget: int,
 
 def describe_net(net: SubsetNet) -> str:
     """A short canonical instance label for reports."""
-    ground = net.ground
-    if net.is_znn:
-        return (f"{ground} pre={ground.show_sets(net.preperiod)} "
-                f"{net.tail.label(ground)}")
-    return (f"{ground} index={net.index.rows} "
-            f"values={ground.show_sets(net.assignment)}")
+    return net.label()
 
 
 # -- exhaustive families ---------------------------------------------------------

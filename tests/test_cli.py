@@ -581,6 +581,15 @@ class TestOmega:
         assert err.startswith("limitset-lab: ") and err.count("\n") == 1
         assert len(err) <= 200
 
+    def test_a_table_map_needs_an_input_file(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run(["omega", "--map", "table", "--cells", "8",
+                    "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            "limitset-lab: --map table needs --in table.json\n")
+
     @pytest.mark.parametrize("name", sorted(OMEGA_PINNED))
     def test_output_pinned(self, name, tmp_path, capsys):
         argv, digest = OMEGA_PINNED[name]
@@ -744,6 +753,14 @@ class TestVerify:
 
     def test_unknown_suite_is_input_error(self, capsys):
         assert run(["verify", "--suite", "bogus"]) == 2
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_a_budget_below_one_is_one_input_error_line(self, budget, capsys):
+        assert run(["verify", "--suite", "kuratowski_equality", "--budget",
+                    budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "limitset-lab: --budget must be positive\n"
 
     def test_summary_line_goes_to_stderr_when_the_report_streams(self,
                                                                  capsys):

@@ -283,6 +283,11 @@ class TestEnumeration:
         with pytest.raises(SizeLimitError):
             next(enumerate_spaces(6))
 
+    def test_no_point_is_refused(self):
+        for n in (0, -1):
+            with pytest.raises(PreconditionError, match="at least one point"):
+                next(enumerate_spaces(n))
+
 
 class TestCompactnessRituals:
     def test_every_open_cover_has_finite_subcover(self):
@@ -402,6 +407,11 @@ class TestDirectedIndex:
                 else:
                     with pytest.raises(PreconditionError):
                         top_element(index)
+
+    def test_a_row_with_an_out_of_range_bit_fails(self):
+        for rows in ([0b100, 0b10], [0b01, -1]):
+            with pytest.raises(MalformedInputError, match="out-of-range"):
+                FiniteSpace(rows)
 
     def test_missing_reflexivity_fails(self):
         with pytest.raises(MalformedInputError,

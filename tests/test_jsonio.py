@@ -1,19 +1,26 @@
 import json
+import random
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitset_lab import jsonio
-from limitset_lab.errors import MalformedInputError, MembershipError
+from limitset_lab.errors import (LimitsetError, MalformedInputError,
+                                 MembershipError)
 from limitset_lab.finite_topology import (SIERPINSKI, FiniteSpace,
                                           discrete_space, enumerate_spaces)
 from limitset_lab.jsonio import fraction_from_json, fraction_to_json
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace)
+from limitset_lab.semiflow_cells import CellGrid
 from limitset_lab.subset_nets import (ZNN, AffineEscape, GeometricConverge,
                                       Periodic, SubsetNet, analyze)
-from limitset_lab.theoremlab import iter_periodic_cycles
+from limitset_lab.theoremlab import (RULE_FAMILIES, iter_directed_posets,
+                                     iter_periodic_cycles, random_rule_net)
 
 
 def pt(*coords):
@@ -48,6 +55,11 @@ class TestRationals:
             fraction_from_json({"num": "1", "den": "0"})
         with pytest.raises(MalformedInputError):
             fraction_from_json("x")
+
+    @pytest.mark.parametrize("obj", ["x", 1, None, {"0": 1}, (1,)])
+    def test_a_point_must_be_a_list(self, obj):
+        with pytest.raises(MalformedInputError, match="expected point"):
+            jsonio.point_from_json(obj)
 
 
 class TestOrders:
@@ -345,7 +357,125 @@ class TestNets:
                       "c": [{"num": "0", "den": "1"}],
                       "v": [{"num": "1", "den": "1"}]}}
         net = jsonio.net_from_json(j)
-        assert net.is_znn
+        assert net.index is ZNN
+
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+HALF = {"num": "1", "den": "2"}
+# valid net JSON to mutate: the three demo nets, a net over a finite index
+# (1 ~ 2 on top of 0) and a Z+ net over a finite metric
+VALID_NETS = [json.loads((DEMO / name).read_text())
+              for name in ("escape.json", "periodic.json", "trap.json")] + [
+    {"ground": {"n": 2, "spec": [[True, True], [False, True]]},
+     "index": {"kind": "finite",
+               "rel": [[True, True, True], [False, True, True],
+                       [False, True, True]]},
+     "assignment": [[0], [1], [0, 1]]},
+    {"ground": {"n": 2, "dist": [[0, HALF], [HALF, 0]]},
+     "preperiod": [[0, 1]], "tail": {"kind": "periodic", "cycle": [[1], []]}},
+]
+# the words of the net wire format, so that mutations reach its fields
+WIRE_WORDS = ("ground", "n", "spec", "dist", "dim", "excluded", "index",
+              "kind", "rel", "znn", "finite", "product", "assignment",
+              "preperiod", "tail", "periodic", "affine", "geometric", "cycle",
+              "c", "v", "a", "b", "r", "num", "den", "0", "-1", "1/2")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(WIRE_WORDS) | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(WIRE_WORDS), inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
+def json_paths(obj, at=()):
+    """The path of every node of a JSON tree, the root's ``()`` first."""
+    yield at
+    items = (obj.items() if isinstance(obj, dict) else
+             enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from json_paths(value, at + (key,))
+
+
+@st.composite
+def mutated_nets(draw):
+    """A valid net's JSON with one to three nodes replaced, deleted or
+    given a new child (a leaf given a child is replaced)."""
+    obj = json.loads(json.dumps(draw(st.sampled_from(VALID_NETS))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(json_paths(obj))))
+        value = draw(json_values)
+        if not path:
+            obj = value
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        node, op = parent[path[-1]], draw(st.sampled_from(
+            ("replace", "delete", "add")))
+        if op == "delete":
+            del parent[path[-1]]
+        elif op == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(WIRE_WORDS))] = value
+        elif op == "add" and isinstance(node, list):
+            node.insert(draw(st.integers(0, len(node))), value)
+        else:  # a replacement, or a new child for a leaf
+            parent[path[-1]] = value
+    return obj
+
+
+FINITE_GROUNDS = [*enumerate_spaces(1), *enumerate_spaces(2),
+                  FinitePseudoMetric([[0, F(1, 2), 1], [F(1, 2), 0, 1],
+                                      [1, 1, 0]])]
+DIRECTED_INDEXES = list(iter_directed_posets(3))
+
+
+@st.composite
+def generated_nets(draw):
+    """A rule net over Q^d, or a periodic or finite-index net over a
+    finite space or a finite metric."""
+    shape = draw(st.sampled_from(("rule", "periodic", "finite")))
+    if shape == "rule":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        return random_rule_net(rng, draw(st.sampled_from(RULE_FAMILIES)))
+    ground = draw(st.sampled_from(FINITE_GROUNDS))
+    masks = st.integers(0, ground.full_mask)
+    if shape == "periodic":
+        return SubsetNet.over_znn(
+            ground, draw(st.lists(masks, max_size=3)),
+            Periodic(tuple(draw(st.lists(masks, min_size=1, max_size=3)))))
+    index = draw(st.sampled_from(DIRECTED_INDEXES))
+    return SubsetNet.over_finite(
+        ground, index, draw(st.lists(masks, min_size=index.n,
+                                     max_size=index.n)))
+
+
+class TestNetWireProperties:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(mutated_nets())
+    def test_a_mutated_net_decodes_or_is_refused(self, obj):
+        try:
+            jsonio.net_from_json(obj)
+        except LimitsetError:
+            pass
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(generated_nets())
+    def test_a_net_survives_the_round_trip(self, net):
+        wire = jsonio.dumps_canonical(jsonio.net_to_json(net))
+        back = jsonio.net_from_json(json.loads(wire))
+        assert type(back) is type(net)
+        assert back.label() == net.label()
+        assert back.summary == net.summary
+        index = range(13) if net.index is ZNN else range(net.index.n)
+        assert [back.at(s) for s in index] == [net.at(s) for s in index]
+
+
+class TestCellTable:
+    @pytest.mark.parametrize("obj", [{}, "[[1]]", 3, None])
+    def test_a_table_must_be_a_list(self, obj):
+        with pytest.raises(MalformedInputError, match="must be a list"):
+            jsonio.cell_table_from_json(obj, CellGrid(1, 4))
 
 
 class TestVerdicts:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limitset_lab.errors import (MalformedInputError, PreconditionError,
-                                 UndefinedCaseError)
+                                 UndefinedCaseError, UnsupportedRuleError)
 from limitset_lab import semiflow_cells
 from limitset_lab.pseudometric_core import RationalPointSpace
 from limitset_lab.rationals import INFINITY
@@ -236,6 +236,12 @@ class TestDiscreteSemiflow:
         for i in range(grid.total):
             assert (cell_image(grid, flow, 1 << i, samples=2)
                     == reference_hits(grid, flow, i, 2)), i
+
+    def test_table_flow_needs_a_table_and_a_kind_must_be_known(self):
+        with pytest.raises(MalformedInputError, match="needs a table"):
+            DiscreteSemiflow("table")
+        with pytest.raises(UnsupportedRuleError, match="unknown map: cubic"):
+            DiscreteSemiflow("cubic", (F(1, 2),))
 
     def test_tiny_parameter_is_kept_exact(self):
         tiny = F(1, 10 ** 400)  # 2 - tiny is 2.0 as a float
@@ -574,6 +580,17 @@ class TestSampledRuns:
 
 
 class TestOmegaLimitCells:
+    def test_a_run_past_the_step_limit_is_refused(self, monkeypatch):
+        # a shift around 8 cells returns to its start after 8 steps
+        g = CellGrid(1, 8)
+        flow = DiscreteSemiflow("table",
+                                table=tuple(1 << (i + 1) % 8 for i in range(8)))
+        monkeypatch.setattr(semiflow_cells, "MAX_OMEGA_STEPS", 8)
+        assert omega_limit_cells(g, flow, 0b1).period == 8
+        monkeypatch.setattr(semiflow_cells, "MAX_OMEGA_STEPS", 7)
+        with pytest.raises(PreconditionError, match="step limit"):
+            omega_limit_cells(g, flow, 0b1)
+
     def test_identity_flow(self):
         g = CellGrid(1, 4)
         flow = DiscreteSemiflow("table", table=tuple(1 << i for i in range(4)))

@@ -17,8 +17,8 @@ from limitset_lab.finite_topology import (SIERPINSKI, FiniteSpace, closure,
 from limitset_lab.pseudometric_core import (FinitePseudoMetric,
                                             RationalPointSpace)
 from limitset_lab.rationals import scale_points
-from limitset_lab.subset_nets import (LOST, AffineEscape,
-                                      GeometricConverge,
+from limitset_lab.subset_nets import (LOST, ZNN, AffineEscape,
+                                      FiniteIndexNet, GeometricConverge,
                                       NetAnalysis, Periodic, SubsetNet,
                                       TailSummary, analyze,
                                       below_iff_semidistance, cluster_set,
@@ -192,6 +192,16 @@ class TestConstruction:
             net = SubsetNet.over_znn(Q1, [], rule)
             assert net.tail.b == want == net.tail.targets
             assert all(type(c) is F for t in net.tail.b for c in t)
+
+    def test_empty_periodic_cycle_is_refused(self):
+        with pytest.raises(MalformedInputError, match="cycle must be nonempty"):
+            Periodic(())
+
+    def test_assignment_must_cover_the_finite_index(self):
+        for assignment in ([0, 1], [0, 1, 2, 3]):
+            with pytest.raises(MalformedInputError,
+                               match="every index element"):
+                SubsetNet.over_finite(D2, TOP_PAIR, assignment)
 
     def test_finite_index_must_be_directed(self):
         undirected = FiniteSpace.from_matrix([[True, False], [False, True]])
@@ -398,6 +408,12 @@ class TestSemidistanceCriteria:
         net = SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1)))
         assert not semidistance_convergence_check(net, [pt(0), pt(10)])
 
+    def test_finite_grounds_are_refused(self):
+        for net in (alternating_net(),
+                    SubsetNet.over_finite(D2, TOP_PAIR, [0b01, 0b10, 0b11])):
+            with pytest.raises(PreconditionError, match="rational backend"):
+                semidistance_convergence_check(net, 0b01)
+
     def test_empty_target_rejected(self):
         net = SubsetNet.over_znn(Q1, [], Periodic((frozenset({pt(0)}),)))
         with pytest.raises(PreconditionError):
@@ -524,6 +540,14 @@ class TestClusterAndFrequently:
     def test_escape_has_no_cluster_points(self):
         net = SubsetNet.over_znn(Q1, [], AffineEscape(pt(0), pt(1)))
         assert cluster_set(net) == frozenset()
+
+    def test_eventually_and_frequently_need_singleton_values(self):
+        nets = [SubsetNet.over_znn(D2, [], Periodic((0b01, 0b11))),
+                SubsetNet.over_finite(D2, TOP_PAIR, [0b01, 0b11, 0b10])]
+        for net in nets:
+            for verdict in (eventually_in, frequently_in):
+                with pytest.raises(PreconditionError, match="singleton-valued"):
+                    verdict(net, 0b11)
 
     def test_non_singleton_rejected(self):
         net = SubsetNet.over_znn(D2, [], Periodic((0b11,)))
@@ -960,8 +984,30 @@ class TestSharedState:
             assert net.values(20) == [inline_value(net, s) for s in range(21)]
 
     def test_is_znn_is_fixed_at_construction(self):
-        assert alternating_net().is_znn
-        assert not SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2]).is_znn
+        assert alternating_net().index is ZNN
+        assert SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2]).index is not ZNN
+
+    def test_each_net_class_writes_its_own_repr_and_label(self):
+        net = SubsetNet.over_znn(Q1, [frozenset()], AffineEscape(pt(0), pt(1)))
+        assert type(net) is SubsetNet
+        assert repr(alternating_net()) == "SubsetNet(znn, pre=0, tail=Periodic)"
+        assert repr(net) == "SubsetNet(znn, pre=1, tail=AffineEscape)"
+        assert net.label() == describe_net(net) == (
+            "Q^1-[] pre=((),) affine(c=(Fraction(0, 1),), "
+            "v=(Fraction(1, 1),))")
+        finite = SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2])
+        assert type(finite) is FiniteIndexNet and finite.index is TOP_PAIR
+        assert repr(finite) == "SubsetNet(finite index n=3)"
+        assert finite.label() == describe_net(finite) == (
+            "space(1, 2) index=(7, 6, 6) values=(0, 1, 2)")
+
+    def test_a_finite_index_net_refuses_the_z_plus_methods(self):
+        net = SubsetNet.over_finite(D2, TOP_PAIR, [0, 1, 2])
+        with pytest.raises(PreconditionError, match=r"values\(\) needs a Z\+"):
+            net.values(2)
+        with pytest.raises(PreconditionError,
+                           match=r"with_preperiod\(\) needs a Z\+"):
+            net.with_preperiod([0b01])
 
 
 def small_periodic_nets():
@@ -1269,7 +1315,7 @@ class TestValuesAndVerdictFlags:
             for s in (1.5, 1.0, True, False, F(1), "1", None):
                 with pytest.raises(PreconditionError, match="not an int"):
                     net.at(s)
-            if net.is_znn:
+            if net.index is ZNN:
                 for upto in (2.5, 2.0, True, F(2), "2"):
                     with pytest.raises(PreconditionError, match="not an int"):
                         net.values(upto)

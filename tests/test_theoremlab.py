@@ -9,7 +9,7 @@ from limitset_lab.errors import LimitsetError
 from limitset_lab.jsonio import report_to_json
 from limitset_lab.finite_topology import discrete_space, enumerate_spaces
 from limitset_lab.pseudometric_core import RationalPointSpace
-from limitset_lab.subset_nets import (AffineEscape, GeometricConverge,
+from limitset_lab.subset_nets import (ZNN, AffineEscape, GeometricConverge,
                                       Periodic, SubsetNet, TailSummary)
 from limitset_lab.theoremlab import (EXHIBIT_CAP, SUITES, cycle_window,
                                      describe_net, iter_periodic_cycles,
@@ -186,7 +186,7 @@ class TestSuiteMachinery:
         def counting(net):
             if net.ground.rational:
                 calls["rational"] += 1
-            elif net.is_znn:
+            elif net.index is ZNN:
                 calls["periodic"].append(
                     (net.ground.rows, net.tail.cycle, net.preperiod))
             else:
@@ -219,7 +219,7 @@ class TestSuiteMachinery:
         asked = []
 
         def failing_on_d2(net):
-            if (not net.ground.rational and net.is_znn
+            if (not net.ground.rational and net.index is ZNN
                     and net.ground.rows == rows):
                 asked.append(net)
                 return False
@@ -242,7 +242,7 @@ class TestSuiteMachinery:
         unrolled = []
 
         def flipped_on_d2(net):
-            flip = (not net.ground.rational and net.is_znn
+            flip = (not net.ground.rational and net.index is ZNN
                     and net.ground.rows == rows)
             return real_limit_set(net) ^ flip
 
