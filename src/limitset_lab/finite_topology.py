@@ -1,12 +1,14 @@
 """Exact finite topological spaces via specialization preorders.
 
-A finite topology on ``{0, ..., n-1}`` is stored as one boolean matrix:
-``spec[x][y]`` holds iff ``x`` lies in the closure of ``{y}``.  Rows are
-kept as int bitmasks; ``row(x)`` doubles as the minimal open set of ``x``
-(the up-set of ``x`` in the specialization preorder), and closed sets are
-exactly the down-sets.  Point sets throughout are int bitmasks, and
-``set_bits`` is the one walk over their points, here and in every module
-above.  It takes one of three paths.  A mask below 256 reads a
+A finite topology on ``{0, ..., n-1}`` is given by its specialization
+preorder, the relation ``spec[x][y]``: ``x`` lies in the closure of
+``{y}``.  A ``FiniteSpace`` stores it as ``rows``, one int bitmask per
+point, ``rows[x]`` = ``{y : spec[x][y]}``; ``matrix()`` builds the boolean
+matrix on demand.  ``rows[x]`` doubles as ``minimal_open(x)``, the minimal
+open set of ``x`` (the up-set of ``x`` in the specialization preorder),
+and closed sets are exactly the down-sets.  Point sets throughout are int
+bitmasks, and ``set_bits`` is the one walk over their points, here and in
+every module above.  It takes one of three paths.  A mask below 256 reads a
 precomputed tuple: on the semicontinuity sets (at most 5 bits) a
 generator would cost more than the walk.  A larger sparse mask is one
 scan of its binary string.  A larger dense one (at least one bit in 24

@@ -3,10 +3,11 @@ writes JSON.
 
 One canonical shape per type; every encoder of an input round-trips
 through its decoder to an equal value.  Rationals travel as {"num", "den"}
-string pairs, finite point sets as sorted index lists, rational point sets
-as sorted coordinate lists.  Analyses, suite reports and the ``omega``
-summary are output only; the first two read their dataclass's fields.  A
-verdict is a bool, spelled ``{"state": "holds"}`` or ``{"state": "fails"}``.
+string pairs, finite point sets and cell sets as sorted index lists,
+rational point sets as sorted coordinate lists.  Analyses, suite reports
+and the ``omega`` summary are output only; the first two read their
+dataclass's fields.  A verdict is a bool, spelled ``{"state": "holds"}``
+or ``{"state": "fails"}``.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def ground_from_json(obj):
 # -- point sets -------------------------------------------------------------------
 
 def pointset_to_json(ground, s):
-    if isinstance(ground, FiniteSpace):
+    if not ground.rational:  # a finite space's points or a grid's cells
         return list(set_bits(s))
     return [point_to_json(p) for p in sorted(s)]
 

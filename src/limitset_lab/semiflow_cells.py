@@ -213,12 +213,6 @@ def _henon(n: int, k: int, a: Fraction, b: Fraction):
     return cell
 
 
-def _parameter_slope(p: Fraction) -> Fraction:
-    """sup |f'| on [0, 1] of logistic r x(1 - x) and tent mu min(x, 1 - x):
-    their parameter."""
-    return p
-
-
 class DiscreteSemiflow:
     """A discrete-time semiflow: a builtin interval/plane map or a cell table.
 
@@ -232,18 +226,25 @@ class DiscreteSemiflow:
     clamps its image into the box and returns the grid index of its
     cell.  Table flows have none.
 
+    Each builtin's facts are one row of ``BUILTINS``: its dimension, its
+    cell map, the inclusive range of each parameter (``None`` where any
+    value goes; the row's length is the parameter count) and whether its
+    parameter bounds its slope.  The constructor refuses a wrong count
+    before any value out of range.
+
     ``slope`` bounds |f'| on [0, 1] for an interval map that is monotone
     on [0, 1/2] and on [1/2, 1] (logistic and tent: their parameter), so
     ``_sampler`` may read a cell's hits off its two end samples; it is
     ``None`` for rotation, which wraps, for henon and for tables.
     """
 
-    # map -> (dimension, parameter count, integer cell map, slope bound of
-    # the parameters, or None)
-    BUILTINS = {"logistic": (1, 1, _logistic, _parameter_slope),
-                "tent": (1, 1, _tent, _parameter_slope),
-                "rotation": (1, 1, _rotation, None),
-                "henon": (2, 2, _henon, None)}
+    # map -> (dimension, integer cell map, each parameter's range or None,
+    # whether the parameter bounds the slope: sup |f'| on [0, 1] of
+    # logistic r x(1 - x) and tent mu min(x, 1 - x) is their parameter)
+    BUILTINS = {"logistic": (1, _logistic, ((0, 4),), True),
+                "tent": (1, _tent, ((0, 2),), True),
+                "rotation": (1, _rotation, (None,), False),
+                "henon": (2, _henon, (None, None), False)}
 
     def __init__(self, kind: str, params: tuple = (),
                  table: Optional[tuple] = None):
@@ -255,26 +256,19 @@ class DiscreteSemiflow:
             if table is None:
                 raise MalformedInputError("table flow needs a table")
             self.dim = 1
-        elif kind not in self.BUILTINS:
+            return
+        if kind not in self.BUILTINS:
             raise UnsupportedRuleError(f"unknown map: {kind}")
-        else:
-            self.dim, want, self.cell_map, slope = self.BUILTINS[kind]
-            self._validate_params(want)
-            if slope is not None:
-                self.slope = slope(*self.params)
-
-    def _validate_params(self, want: int):
-        if len(self.params) != want:
-            raise MalformedInputError(f"{self.kind} takes {want} parameter(s), "
-                                      f"got {len(self.params)}")
-        if self.kind == "logistic":
-            (r,) = self.params
-            if not 0 <= r <= 4:
-                raise MalformedInputError("logistic parameter must be in [0, 4]")
-        elif self.kind == "tent":
-            (mu,) = self.params
-            if not 0 <= mu <= 2:
-                raise MalformedInputError("tent parameter must be in [0, 2]")
+        self.dim, self.cell_map, ranges, slope_is_param = self.BUILTINS[kind]
+        if len(self.params) != len(ranges):
+            raise MalformedInputError(f"{kind} takes {len(ranges)} "
+                                      f"parameter(s), got {len(self.params)}")
+        for p, bounds in zip(self.params, ranges):
+            if bounds and not bounds[0] <= p <= bounds[1]:
+                raise MalformedInputError(
+                    f"{kind} parameter must be in [{bounds[0]}, {bounds[1]}]")
+        if slope_is_param:
+            self.slope = self.params[0]
 
     def exact_rotation_shift(self, grid: CellGrid) -> Optional[int]:
         """Cell shift when the rotation angle is an exact multiple of a cell."""

@@ -11,9 +11,14 @@ Each tail rule is a ``TailRule``: it evaluates and unrolls its values (a
 periodic tail slices its cycle), says whether each is one point, labels
 itself for reports and, in ``reduce``, validates itself against the ground,
 proving with exact closed forms that an affine or geometric tail never hits
-an excluded point.  Validation reads integers: a geometric ratio p/q passes
-when 0 < |p| < q, the proofs run on numerators over a common denominator,
-and a geometric limit point is hashed once, for its limit set.
+an excluded point.  Both proofs are one search, ``_refuse_line_hit``: an
+affine tail runs along the line c + s(n) v with s(n) = n, and each
+geometric branch along a + s(n) (b - a) with s(n) = r^n, so an excluded
+point is hit at n iff it lies on the line at a parameter t
+(``_line_parameter``) equal to s(n): t whole, or t = r^n
+(``_geometric_exponent``).  Validation reads integers: a geometric ratio
+p/q passes when 0 < |p| < q, the proof runs on numerators over a common
+denominator, and a geometric limit point is hashed once, for its limit set.
 ``SubsetNet.over_znn`` asks no rule its type: it reduces the tail, once,
 to a ``TailSummary`` of one of three shapes:
 
@@ -56,6 +61,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import (FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
@@ -155,14 +161,11 @@ class AffineEscape(TailRule):
             raise MalformedInputError("tail rule of wrong dimension")
         if not any(v):
             raise MalformedInputError("escape direction must be nonzero")
-        if ground.excluded:
+        if ground.excluded:  # s(n) = n: a hit needs a whole t
             scale, (cs, vs) = scale_points((c, v))
-            hits = []
-            for e in ground.excluded:
-                t = _line_parameter(cs, vs, scale, e)
-                if t is not None and t[1] == 1 and t[0] >= pre_len:
-                    hits.append((t[0], e))
-            _refuse_least_hit("escape", hits)
+            _refuse_line_hit("escape", ground, scale, cs, vs,
+                             lambda num, den: num if den == 1 else None,
+                             pre_len)
         return AffineEscape(c, v), LOST
 
     def label(self, ground) -> str:
@@ -194,10 +197,8 @@ class GeometricConverge(TailRule):
             return tuple(map(as_point, seq))
         return (as_point(seq),)
 
-    def point(self, n: int, b: Optional[Point] = None) -> Point:
+    def point(self, n: int, b: Point) -> Point:
         rn = self.r ** n
-        if b is None:
-            b = self.targets[0]
         return tuple(ai + rn * (bi - ai) for ai, bi in zip(self.a, b))
 
     def value(self, n: int, pre_len: int) -> FrozenSet[Point]:
@@ -430,22 +431,27 @@ def _check_geometric_avoids_excluded(ground: RationalPointSpace,
             raise MalformedInputError(
                 "constant geometric tail sits on an excluded point")
         return
-    # the branch meets e at n iff r^n = t, the line parameter of e (t = 0
-    # is e = a, which it only approaches and no power of r equals)
+    # s(n) = r^n: t = 0 is e = a, which the branch only approaches and no
+    # power of r equals
     scale, (a, b) = scale_points((rule.a, b))
-    v = list(map(operator.sub, b, a))
+    _refuse_line_hit("geometric", ground, scale, a,
+                     list(map(operator.sub, b, a)),
+                     partial(_geometric_exponent, rule.r), n0)
+
+
+def _refuse_line_hit(kind: str, ground: RationalPointSpace, scale: int, c,
+                     v, index_at, n0: int):
+    """Refuse a tail c + s(n)*v, for n >= n0, that meets an excluded point,
+    naming the least n at which it does.  c and v (nonzero) are int
+    numerators over ``scale``; ``index_at(num, den)`` is the n with
+    s(n) = num/den, or None.  s is one to one, so no two hits share an n.
+    """
     hits = []
     for e in ground.excluded:
-        t = _line_parameter(a, v, scale, e)
-        n = _geometric_exponent(rule.r, *t) if t else None
+        t = _line_parameter(c, v, scale, e)
+        n = index_at(*t) if t else None
         if n is not None and n >= n0:
             hits.append((n, e))
-    _refuse_least_hit("geometric", hits)
-
-
-def _refuse_least_hit(kind: str, hits: list):
-    """Refuse a tail that hits excluded points, naming the first it hits;
-    ``hits`` lists (n, e), and no two share an n."""
     if hits:
         n, e = min(hits)
         raise MalformedInputError(

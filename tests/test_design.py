@@ -208,6 +208,27 @@ def test_the_scan_sees_reports_and_seeds_built_outside_the_harness():
         ("suite_y", 6), ("suite_y", 6), (None, 7)]
 
 
+def test_one_function_searches_a_tail_line_for_excluded_points():
+    # the affine and geometric exclusion proofs share one line-hit search,
+    # so only that search solves for a point's line parameter
+    callers = {(path.name, func) for path in sorted(SRC.glob("*.py"))
+               for func, _ in calls_outside(ast.parse(path.read_text()),
+                                            {"_line_parameter"}, None)}
+    assert len(callers) == 1, callers
+
+
+def test_the_scan_sees_every_caller_of_a_function():
+    tree = ast.parse("def f(c):\n"
+                     "    return m._line_parameter(c), line_parameter(c)\n"
+                     "def g():\n"
+                     "    def inner():\n"
+                     "        return _line_parameter(1)\n"
+                     "    return _line_parameter, lambda: _line_parameter(2)\n"
+                     "t = _line_parameter(0)\n")
+    assert calls_outside(tree, {"_line_parameter"}, None) == [
+        ("f", 2), ("inner", 5), ("g", 6), (None, 7)]
+
+
 def wire_format_offences(tree, name):
     """(what, line) of each ``json`` import and each ``*_to_json`` or
     ``*_from_json`` function in module ``name`` (bar ``jsonio.py``), and of

@@ -492,6 +492,14 @@ class TestVerdicts:
         # every emitted analysis re-parses as JSON to an equal value
         assert json.loads(jsonio.dumps_canonical(out)) == out
 
+    def test_a_cell_grid_limit_set_lists_its_cells(self):
+        # cells are encoded as sorted indices, as the omega summary lists them
+        net = SubsetNet.over_znn(CellGrid(1, 8), [], Periodic((0b11,)))
+        out = jsonio.analysis_to_json(net.ground, analyze(net))
+        assert out["limit_set"] == [0, 1]
+        assert jsonio.pointset_to_json(CellGrid(2, 4), 0b1000_0001_0000) == [
+            4, 11]
+
     def test_analysis_encoder_reads_no_dataclass_fields_per_call(
             self, monkeypatch):
         # the verdict field names are read once, when the module loads

@@ -243,6 +243,34 @@ class TestDiscreteSemiflow:
         with pytest.raises(UnsupportedRuleError, match="unknown map: cubic"):
             DiscreteSemiflow("cubic", (F(1, 2),))
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("logistic", (1, 2), "logistic takes 1 parameter(s), got 2"),
+        ("henon", (F(7, 5),), "henon takes 2 parameter(s), got 1"),
+        ("rotation", (), "rotation takes 1 parameter(s), got 0"),
+        ("logistic", (F(41, 10),), "logistic parameter must be in [0, 4]"),
+        ("logistic", (-1,), "logistic parameter must be in [0, 4]"),
+        ("tent", (F(-1, 10 ** 400),), "tent parameter must be in [0, 2]"),
+        ("tent", (3,), "tent parameter must be in [0, 2]"),
+        # the count is refused before any parameter's range
+        ("logistic", (5, 5), "logistic takes 1 parameter(s), got 2"),
+        ("tent", (), "tent takes 1 parameter(s), got 0")])
+    def test_builtin_parameters_are_refused_with_their_text(
+            self, kind, params, message):
+        with pytest.raises(MalformedInputError) as caught:
+            DiscreteSemiflow(kind, params)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("kind, params", [
+        ("logistic", (0,)), ("logistic", (4,)), ("tent", (0,)),
+        ("tent", (2,)), ("rotation", (-7,)), ("henon", (-9, 9))])
+    def test_range_ends_are_accepted_and_unbounded_parameters_are_free(
+            self, kind, params):
+        flow = DiscreteSemiflow(kind, params)
+        assert flow.params == tuple(map(F, params))
+        # logistic's and tent's parameter bounds their slope
+        assert flow.slope == (params[0] if kind in ("logistic", "tent")
+                              else None)
+
     def test_tiny_parameter_is_kept_exact(self):
         tiny = F(1, 10 ** 400)  # 2 - tiny is 2.0 as a float
         flow = DiscreteSemiflow("tent", (2 - tiny,))

@@ -618,7 +618,7 @@ class TestTheoremShadows:
             net = SubsetNet.over_znn(net.ground, (), net.tail)
             if not net.is_singleton_valued():
                 continue
-            for k in (limit_set(net), frozenset({net.tail.point(0)})):
+            for k in (limit_set(net), net.tail.value(0, 0)):
                 if not k:
                     continue
                 if converges_from_below(net, k):
