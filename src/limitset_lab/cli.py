@@ -12,9 +12,15 @@ JSON output.  ``--out -`` streams to stdout.  Exit codes: 0 success, 1
 verification violations, 2 input errors, each input error (argument-parser
 usage errors included) reported as one ``limitset-lab:`` line on stderr.
 The parsers are built once per process, on first use.  A call whose first
-argument names a command is parsed by that command's subparser alone, which
-names its ``cmd_*`` function; ``--help``, a missing and an unknown command
-go through the top-level parser.  ``net analyze`` echoes
+argument names a command is read for that command alone, whose ``cmd``
+default names its ``cmd_*`` function.  Canonical argv (the positionals
+first, then each flag once by its full name, a value in the next token and
+not starting with ``-``, every value valid and every required flag given)
+is read straight off the actions the command's subparser was built from;
+argparse reads everything else (``--help``, abbreviations, ``--flag=value``,
+``--out -``, repeats, every usage error) and gives the same ``Namespace``,
+so it alone writes help and usage-error text.  ``--help``, a missing and
+an unknown command go through the top-level parser.  ``net analyze`` echoes
 ``--horizon`` without reading it, since every verdict is exact.  ``space
 check`` refuses the brute-force ``regular`` above ``REGULARITY_CAP``
 points, and ``omega`` a ``--samples`` above ``MAX_SAMPLES``; ``--map
@@ -56,7 +62,8 @@ PROP_CHECKS = {
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are input errors, so ``run``
     reports them as one bounded line; subparsers inherit the class.  The
-    top-level parser's ``commands`` maps each command to its subparser."""
+    top-level parser's ``commands`` maps each command to its subparser, and
+    ``readers`` to its canonical-argv reader."""
 
     def error(self, message):
         raise MalformedInputError(clip(message))
@@ -76,43 +83,103 @@ def _ascii_int(raw: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="limitset-lab")
     sub = parser.add_subparsers(dest="command", required=True)
+    arguments = {}  # command -> the actions its add_argument calls returned
 
     p = sub.add_parser("space", help="finite-space property checks")
     p.set_defaults(cmd="cmd_space")
-    p.add_argument("action", choices=["check"])
-    p.add_argument("--props", default="hausdorff,regular,pseudometrizable")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default="-")
+    arguments["space"] = [
+        p.add_argument("action", choices=["check"]),
+        p.add_argument("--props", default="hausdorff,regular,pseudometrizable"),
+        p.add_argument("--in", dest="infile", required=True),
+        p.add_argument("--out", default="-")]
 
     p = sub.add_parser("net", help="net analysis")
     p.set_defaults(cmd="cmd_net")
-    p.add_argument("action", choices=["analyze"])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--horizon", type=_ascii_int, default=64)
-    p.add_argument("--out", default="-")
+    arguments["net"] = [
+        p.add_argument("action", choices=["analyze"]),
+        p.add_argument("--in", dest="infile", required=True),
+        p.add_argument("--horizon", type=_ascii_int, default=64),
+        p.add_argument("--out", default="-")]
 
     p = sub.add_parser("omega", help="omega limit sets on a cell grid")
     p.set_defaults(cmd="cmd_omega")
-    p.add_argument("--map", dest="map_kind", required=True,
-                   choices=["logistic", "tent", "rotation", "henon", "table"])
-    p.add_argument("--param", default=None)
-    p.add_argument("--param2", default=None)
-    p.add_argument("--cells", type=_ascii_int, required=True)
-    p.add_argument("--init", default="all")
-    p.add_argument("--in", dest="infile", default=None,
-                   help="cell table JSON for --map table")
-    p.add_argument("--samples", type=_ascii_int, default=None)  # 1 when absent
-    p.add_argument("--dilate", action="store_true")
-    p.add_argument("--out", default="-")
+    arguments["omega"] = [
+        p.add_argument("--map", dest="map_kind", required=True,
+                       choices=["logistic", "tent", "rotation", "henon",
+                                "table"]),
+        p.add_argument("--param", default=None),
+        p.add_argument("--param2", default=None),
+        p.add_argument("--cells", type=_ascii_int, required=True),
+        p.add_argument("--init", default="all"),
+        p.add_argument("--in", dest="infile", default=None,
+                       help="cell table JSON for --map table"),
+        p.add_argument("--samples", type=_ascii_int,
+                       default=None),  # 1 when absent
+        p.add_argument("--dilate", action="store_true"),
+        p.add_argument("--out", default="-")]
 
     p = sub.add_parser("verify", help="run the theorem verification suites")
     p.set_defaults(cmd="cmd_verify")
-    p.add_argument("--suite", default="all")
-    p.add_argument("--budget", type=_ascii_int, default=1000)
-    p.add_argument("--seed", type=_ascii_int, default=42)
-    p.add_argument("--out", default="-")
+    arguments["verify"] = [
+        p.add_argument("--suite", default="all"),
+        p.add_argument("--budget", type=_ascii_int, default=1000),
+        p.add_argument("--seed", type=_ascii_int, default=42),
+        p.add_argument("--out", default="-")]
     parser.commands = sub.choices
+    parser.readers = {name: _canonical_reader(sub.choices[name], actions)
+                      for name, actions in arguments.items()}
     return parser
+
+
+def _canonical_reader(command: argparse.ArgumentParser, actions):
+    """A function from a command's argv (after the command name) to the
+    ``Namespace`` that ``command.parse_args`` returns, or ``None`` where
+    the argv is not canonical and argparse must read it.  ``actions`` are
+    every action added to ``command`` but its help, and they are the only
+    flag table: argv is canonical when the positionals come first, then
+    each flag once by an exact option string, a flag that takes a value
+    followed by a string not starting with ``-``, every type and choice
+    valid and every required flag present.  Each value goes through its
+    action as argparse would apply it, so ``store_true`` sets its
+    ``const``.  The reader knows flags of one value (``nargs`` None) or
+    none (``nargs`` 0) with plain defaults, the only shapes built here."""
+    positionals = [a for a in actions if not a.option_strings]
+    options = {flag: a for a in actions for flag in a.option_strings}
+    required = {a for a in actions if a.required and a.option_strings}
+    defaults = {a.dest: a.default for a in actions}
+    defaults["cmd"] = command.get_default("cmd")
+
+    def store(action, flag, raw, ns) -> bool:
+        """Apply one value as argparse would; False if it must not."""
+        if not isinstance(raw, str) or raw.startswith("-"):
+            return False
+        try:
+            value = raw if action.type is None else action.type(raw)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return False  # the errors argparse reports for a type
+        if action.choices is not None and value not in action.choices:
+            return False
+        action(command, ns, value, flag)
+        return True
+
+    def read(args):
+        ns = argparse.Namespace(**defaults)
+        tokens = iter(args)
+        for action in positionals:  # "-" stands for a missing positional
+            if not store(action, None, next(tokens, "-"), ns):
+                return None
+        seen = set()
+        for flag in tokens:
+            action = options.get(flag)
+            if action is None or action in seen:
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                action(command, ns, [], flag)
+            elif not store(action, flag, next(tokens, "-"), ns):
+                return None
+        return ns if required <= seen else None
+    return read
 
 
 def _write(path: str, text: str):
@@ -289,11 +356,17 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         parser = build_parser()
-        # a known command goes straight to its subparser; --help, a missing
-        # and an unknown command go through the top-level parser
+        # a known command is read for itself: canonical argv off its
+        # actions, the rest by its subparser, which writes every help and
+        # error; --help, a missing and an unknown command go through the
+        # top-level parser
         command = parser.commands.get(argv[0]) if argv else None
-        args = command.parse_args(argv[1:]) if command else \
-            parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = parser.readers[argv[0]](argv[1:])
+            if args is None:
+                args = command.parse_args(argv[1:])
         # looked up by name on each call, not bound into the cached parser,
         # so a wrapper later bound over a cmd_* (perfbench's tracing) sees it
         return globals()[args.cmd](args)

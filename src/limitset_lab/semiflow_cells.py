@@ -230,7 +230,8 @@ class DiscreteSemiflow:
     cell map, the inclusive range of each parameter (``None`` where any
     value goes; the row's length is the parameter count) and whether its
     parameter bounds its slope.  The constructor refuses a wrong count
-    before any value out of range.
+    before any value out of range, and a table flow given parameters or a
+    builtin given a table, so no argument is kept and then ignored.
 
     ``slope`` bounds |f'| on [0, 1] for an interval map that is monotone
     on [0, 1/2] and on [1/2, 1] (logistic and tent: their parameter), so
@@ -255,10 +256,14 @@ class DiscreteSemiflow:
         if kind == "table":
             if table is None:
                 raise MalformedInputError("table flow needs a table")
+            if self.params:
+                raise MalformedInputError("table flow takes no parameters")
             self.dim = 1
             return
         if kind not in self.BUILTINS:
             raise UnsupportedRuleError(f"unknown map: {kind}")
+        if table is not None:
+            raise MalformedInputError(f"{kind} takes no table")
         self.dim, self.cell_map, ranges, slope_is_param = self.BUILTINS[kind]
         if len(self.params) != len(ranges):
             raise MalformedInputError(f"{kind} takes {len(ranges)} "

@@ -917,3 +917,203 @@ class TestSharedParser:
             assert run(argv) == 0
             assert run(["bogus"]) == 2
         assert built == []
+
+
+def argparse_actions(command):
+    """Every action of ``command`` but its help, from argparse's own list,
+    so an action that the canonical reader's table lacks still shows."""
+    return [a for a in command._actions if "--help" not in a.option_strings]
+
+
+def canonical_value(action):
+    """A value the action takes: its first choice, else one for its type."""
+    if action.choices is not None:
+        return list(action.choices)[0]
+    return "x" if action.type is None else "1"
+
+
+def typed(ns):
+    return {k: (type(v), v) for k, v in vars(ns).items()}
+
+
+def flags_left_to_argparse(command, reader):
+    """Each optional flag of ``command`` (``None`` for its positionals and
+    required flags alone) whose canonical argv ``reader`` leaves to
+    argparse or reads otherwise: a store_true flag bare, any other with
+    ``canonical_value``."""
+    actions = argparse_actions(command)
+    base = [canonical_value(a) for a in actions if not a.option_strings]
+    for a in actions:
+        if a.option_strings and a.required:
+            base += [a.option_strings[-1], canonical_value(a)]
+    missed = []
+    for a in [None] + [a for a in actions
+                       if a.option_strings and not a.required]:
+        args = list(base)
+        if a is not None:
+            args.append(a.option_strings[-1])
+            if a.nargs != 0:
+                args.append(canonical_value(a))
+        got = reader(args)
+        if got is None or typed(got) != typed(command.parse_args(args)):
+            missed.append(a and a.option_strings[-1])
+    return missed
+
+
+def reader_agrees(name, args):
+    """The canonical reader's result for ``args`` after ``name``, checked
+    against argparse: ``None``, or the ``Namespace`` that argparse returns
+    (values of the same types), and ``None`` wherever argparse refuses.
+    No command body runs."""
+    parser = build_parser()
+    got = parser.readers[name](list(args))
+    try:
+        with redirect_stdout(io.StringIO()):  # --help prints, then exits
+            want = parser.commands[name].parse_args(list(args))
+    except (MalformedInputError, SystemExit):
+        assert got is None
+        return None
+    assert got is None or typed(got) == typed(want)
+    return got
+
+
+# tokens a mutation inserts or a value takes: the fallback triggers (help,
+# "-", "--", negative numbers, unknown tokens, loose and bad ints)
+ODD_TOKENS = ["-", "--", "-5", "-1/8", "-0.125", "--bogus", "-h", "--help",
+              "extra", "", "1_6", " 16", "+2", "x", "39/10", "nope",
+              "cell:1", "all", "8", "check", "analyze"]
+
+
+@st.composite
+def command_argvs(draw):
+    """(command, argv after it): a canonical argv built from the command's
+    actions, then zero to three mutations (abbreviate, join with ``=``,
+    repeat, insert, drop or swap tokens)."""
+    name = draw(st.sampled_from(sorted(build_parser().commands)))
+    actions = argparse_actions(build_parser().commands[name])
+
+    def value(action):  # a valid value three times in four
+        if draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from(ODD_TOKENS))
+        if action.choices is not None:
+            return draw(st.sampled_from(list(action.choices)))
+        if action.type is not None:
+            return str(draw(st.integers(-3, 300)))
+        return draw(st.sampled_from(["x", "a.json", "39/10", "cell:1", ""]))
+
+    args = [value(a) for a in actions if not a.option_strings]
+    flags = [a for a in actions
+             if a.option_strings and (a.required or draw(st.booleans()))]
+    for a in draw(st.permutations(flags)):
+        args.append(a.option_strings[-1])
+        if a.nargs != 0:
+            args.append(value(a))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("abbreviate", "equals", "repeat",
+                                   "insert", "drop", "swap")))
+        i = draw(st.integers(0, len(args)))
+        if op == "insert":
+            args.insert(i, draw(st.sampled_from(ODD_TOKENS)))
+        elif i == len(args):
+            continue
+        elif op == "abbreviate" and args[i].startswith("--") \
+                and len(args[i]) > 3:
+            args[i] = args[i][:draw(st.integers(3, len(args[i])))]
+        elif op == "equals" and i + 1 < len(args):
+            args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
+        elif op == "repeat":
+            args[i:i] = args[i:i + 2]
+        elif op == "drop":
+            del args[i]
+        elif op == "swap" and i + 1 < len(args):
+            args[i], args[i + 1] = args[i + 1], args[i]
+    return name, args
+
+
+class TestCanonicalReader:
+    """``run`` reads canonical argv off each command's actions and leaves
+    everything else to argparse; these checks call the reader and the
+    command's ``parse_args`` only, never a command body."""
+
+    @settings(derandomize=True, deadline=None, max_examples=600,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(command_argvs())
+    @example(("verify", ["--seed", "-5"]))
+    @example(("omega", ["--map", "henon", "--cells", "4096"]))
+    def test_the_reader_agrees_with_argparse(self, case):
+        reader_agrees(*case)
+
+    @pytest.mark.parametrize("name, args", [
+        ("net", ["analyze", "--in", "n.json", "--help"]),
+        ("omega", ["-h"]),
+        ("net", ["analyze", "--in", "n.json", "--hor", "16"]),
+        ("net", ["analyze", "--in=n.json"]),
+        ("omega", ["--map", "rotation", "--param=-1/8", "--cells", "16"]),
+        ("net", ["analyze", "--in", "n.json", "--out", "-"]),
+        ("net", ["analyze", "--in", "n.json", "--"]),
+        ("net", ["analyze", "--", "--in", "n.json"]),
+        ("net", ["analyze", "--in", "a.json", "--in", "b.json"]),
+        ("omega", ["--map", "tent", "--dilate", "--cells", "8", "--dilate"]),
+        ("net", ["analyze", "--in", "n.json", "extra"]),
+        ("net", ["analyze", "--in", "n.json", "--bogus", "x"]),
+        ("verify", ["--seed", "-5"]),
+        ("net", ["analyze", "--in", "n.json", "--horizon", "1_6"]),
+        ("omega", ["--map", "cubic", "--cells", "8"]),
+        ("net", ["check", "--in", "n.json"]),
+        ("omega", ["--map", "tent", "--param", "2"]),
+        ("net", ["--in", "n.json"]),
+        ("net", [])])
+    def test_each_fallback_trigger_is_left_to_argparse(self, name, args):
+        assert reader_agrees(name, args) is None
+
+    def test_a_value_that_is_not_a_string_is_left_to_argparse(self):
+        # a library caller's Path: argparse meets it as it did before
+        reader = build_parser().readers["net"]
+        assert reader(["analyze", "--in", DEMO / "escape.json"]) is None
+        assert reader([DEMO, "--in", "n.json"]) is None
+
+    def test_canonical_argv_skips_argparse(self, monkeypatch):
+        # the shape of every measured request: full names, values in their
+        # own tokens; the command is still looked up by name
+        argv = ["omega", "--map", "logistic", "--param", "39/10", "--cells",
+                "256", "--init", "cells:1,2", "--samples", "2", "--dilate",
+                "--out", "t.csv"]
+        want = build_parser().commands["omega"].parse_args(argv[1:])
+        seen = []
+        monkeypatch.setattr(cli, "cmd_omega", lambda args: seen.append(args))
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda *a, **k: pytest.fail("argparse parsed"))
+        assert run(argv) is None
+        assert [typed(ns) for ns in seen] == [typed(want)]
+
+    def test_every_flag_is_read_without_argparse(self):
+        # a flag added later that the reader does not take, or reads
+        # otherwise than argparse, shows here
+        for name, command in build_parser().commands.items():
+            assert flags_left_to_argparse(
+                command, build_parser().readers[name]) == [], name
+
+    def test_the_scan_sees_flags_the_reader_leaves_to_argparse(self):
+        def parser(*shapes):
+            p = cli._Parser(prog="t")
+            p.set_defaults(cmd="cmd_t")
+            return p, [p.add_argument(flag, **kw) for flag, kw in shapes]
+
+        good = [("--n", {"type": int, "default": 1}),
+                ("--flag", {"action": "store_true"})]
+        p, actions = parser(*good)
+        assert flags_left_to_argparse(p, cli._canonical_reader(p, actions)) \
+            == []
+        # an action left out of the table: its default is missing, so the
+        # reader's Namespace differs wherever it answers
+        assert flags_left_to_argparse(
+            p, cli._canonical_reader(p, actions[:1])) == [None, "--n",
+                                                          "--flag"]
+        # shapes the reader does not know: a list of values, and a string
+        # default that argparse converts by its type when the flag is absent
+        p, actions = parser(*good, ("--many", {"nargs": "*"}))
+        assert flags_left_to_argparse(
+            p, cli._canonical_reader(p, actions)) == ["--many"]
+        p, actions = parser(*good, ("--k", {"type": int, "default": "7"}))
+        assert flags_left_to_argparse(
+            p, cli._canonical_reader(p, actions)) == [None, "--n", "--flag"]

@@ -398,10 +398,10 @@ def json_paths(obj, at=()):
 
 
 @st.composite
-def mutated_nets(draw):
-    """A valid net's JSON with one to three nodes replaced, deleted or
-    given a new child (a leaf given a child is replaced)."""
-    obj = json.loads(json.dumps(draw(st.sampled_from(VALID_NETS))))
+def mutated_json(draw, valid):
+    """One of the ``valid`` JSON trees with one to three nodes replaced,
+    deleted or given a new child (a leaf given a child is replaced)."""
+    obj = json.loads(json.dumps(draw(st.sampled_from(valid))))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(json_paths(obj))))
         value = draw(json_values)
@@ -452,7 +452,7 @@ def generated_nets(draw):
 
 class TestNetWireProperties:
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(mutated_nets())
+    @given(mutated_json(VALID_NETS))
     def test_a_mutated_net_decodes_or_is_refused(self, obj):
         try:
             jsonio.net_from_json(obj)
@@ -469,6 +469,48 @@ class TestNetWireProperties:
         assert back.summary == net.summary
         index = range(13) if net.index is ZNN else range(net.index.n)
         assert [back.at(s) for s in index] == [net.at(s) for s in index]
+
+
+Q2 = RationalPointSpace(2, excluded=[pt(0, 0)])
+# decoder -> (decode, valid JSON to mutate, the errors a refusal raises): a
+# Q^d point set also refuses a point outside the space as a membership error
+DECODERS = {
+    "finite_space": (jsonio.finite_space_from_json, [
+        {"n": 2, "spec": [[True, True], [False, True]]},
+        {"spec": [[True, False, True], [False, True, False],
+                  [False, False, True]]}], MalformedInputError),
+    "metric": (jsonio.metric_from_json, [
+        {"n": 2, "dist": [[0, HALF], [HALF, 0]]},
+        {"dist": [[0, 1, 1], [1, 0, 0], [1, 0, 0]]}], MalformedInputError),
+    "order": (jsonio.order_from_json, [
+        {"kind": "znn"},
+        {"kind": "finite", "rel": [[True, True], [False, True]]}],
+        MalformedInputError),
+    "finite_pointset": (lambda obj: jsonio.pointset_from_json(SIERPINSKI, obj),
+                        [[0, 1], [1], []], MalformedInputError),
+    "rational_pointset": (lambda obj: jsonio.pointset_from_json(Q2, obj),
+                          [[[HALF, 0], [1, {"num": "-3", "den": "4"}]]],
+                          (MalformedInputError, MembershipError)),
+    "cell_table": (lambda obj: jsonio.cell_table_from_json(obj, CellGrid(1, 4)),
+                   [[[1], [2], [3], [0, 1]], [[], [0, 0], [3], [3]]],
+                   MalformedInputError),
+}
+
+
+class TestDecoderProperties:
+    @pytest.mark.parametrize("name", sorted(DECODERS))
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_a_random_tree_decodes_or_is_refused(self, name, data):
+        # random trees, valid inputs and mutated ones: nothing but the
+        # decoder's refusal escapes (no KeyError, TypeError or bare ValueError)
+        decode, valid, refusals = DECODERS[name]
+        obj = data.draw(json_values | mutated_json(valid)
+                        | st.sampled_from(valid))
+        try:
+            decode(obj)
+        except refusals:
+            pass
 
 
 class TestCellTable:

@@ -260,6 +260,17 @@ class TestDiscreteSemiflow:
             DiscreteSemiflow(kind, params)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("kind, params, table, message", [
+        ("table", (5, 7), (0b10, 0b01), "table flow takes no parameters"),
+        ("logistic", (2,), (1,), "logistic takes no table"),
+        ("henon", (1, 1), (), "henon takes no table")])
+    def test_an_argument_the_kind_ignores_is_refused(self, kind, params,
+                                                     table, message):
+        # kept, it would be ignored: a table flow steps by its table alone
+        with pytest.raises(MalformedInputError) as caught:
+            DiscreteSemiflow(kind, params, table=table)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("kind, params", [
         ("logistic", (0,)), ("logistic", (4,)), ("tent", (0,)),
         ("tent", (2,)), ("rotation", (-7,)), ("henon", (-9, 9))])
